@@ -10,7 +10,6 @@ discharge a universally quantified condition.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .linalg import (
     block_assemble,
     block_decompose,
     cmatrix,
-    identity,
     loewner_leq,
     operator_norm,
     psd_check,
@@ -115,18 +113,18 @@ class CertificateReport:
 # ---------------------------------------------------------------------------
 # alternating-sum operators
 
-def _power_cache(mats):
-    cache = {}
-
-    def power(i: int, k: int) -> CMatrix:
-        key = (i, k)
-        hit = cache.get(key)
-        if hit is None:
-            hit = np.linalg.matrix_power(mats[i], k)
-            cache[key] = hit
-        return hit
-
-    return power
+def _defect_map(mats, order, dim: int) -> CMatrix:
+    """Delta_{order[0]} o ... o Delta_{order[-1]}(I) for the defect map
+    Delta_i(X) = X - T_i* X T_i (Agler's hereditary form).  Expanding the
+    composition gives every alternating binomial and subset sum in this
+    module, at one Delta step per index instead of one Gram term per
+    summand, and without the cancellation of the expanded sum."""
+    pairs = [(np.conj(m).T, m) for m in map(np.asarray, mats)]
+    x = np.eye(dim, dtype=np.complex128)
+    for i in reversed(order):
+        t_adj, t = pairs[i]
+        x = x - t_adj @ x @ t
+    return _freeze(x)
 
 
 def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
@@ -134,85 +132,30 @@ def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
 
         sum_k (-1)^{|k|} C(n1,k1)...C(nm,km) T1*^{k1}..Tm*^{km} Tm^{km}..T1^{k1}
 
-    over the box 0 <= k_i <= n_i, with exact integer coefficients and the
-    fixed adjoint ordering (reproducible even though commuting inputs make
-    the variants equal)."""
+    over the box 0 <= k_i <= n_i, evaluated by the defect-map kernel as
+    Delta_1^{n1} o ... o Delta_m^{nm}(I).  Delta_1 is outermost, which gives
+    exactly the adjoint ordering above, also for non-commuting input."""
     mats = [np.asarray(m) for m in mats]
-    m = len(mats)
-    if m != len(degrees):
+    if len(mats) != len(degrees):
         raise InputError("one degree per operator required")
-    dim = mats[0].shape[0]
-    power = _power_cache(mats)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for k in itertools.product(*(range(d + 1) for d in degrees)):
-        left = identity(dim)
-        for i in range(m - 1, -1, -1):  # T_m^{k_m} ... T_1^{k_1}
-            if k[i]:
-                left = left @ power(i, k[i])
-        coeff = 1
-        for i in range(m):
-            coeff *= math.comb(degrees[i], k[i])
-        if sum(k) % 2:
-            coeff = -coeff
-        total += coeff * (np.conj(left).T @ left)
-    return _freeze(total)
+    order = [i for i, d in enumerate(degrees) for _ in range(d)]
+    return _defect_map(mats, order, mats[0].shape[0])
 
 
 def brehmer_sum(mats, letters, dim: int) -> CMatrix:
     """Alternating subset sum  sum_{V subseteq U} (-1)^{|V|} M_V* M_V  where
     M_V multiplies one image per letter in V (letters name operator indices,
-    repeats allowed).  Subsets are walked in Gray-code order, maintaining the
-    letter-count signature incrementally; Gram terms are cached per signature
-    since commuting images make M_V depend only on the multiset."""
-    mats = [np.asarray(m) for m in mats]
-    n_letters = len(letters)
-    power = _power_cache(mats)
-    gram_cache: dict[tuple, np.ndarray] = {}
-
-    def gram(sig: tuple) -> np.ndarray:
-        hit = gram_cache.get(sig)
-        if hit is None:
-            prod = identity(dim)
-            for i, c in enumerate(sig):
-                if c:
-                    prod = prod @ power(i, c)
-            hit = np.conj(prod).T @ prod
-            gram_cache[sig] = hit
-        return hit
-
-    counts = [0] * len(mats)
-    size = 0
-    total = gram(tuple(counts)).copy()  # empty subset: +I
-    for s in range(1, 1 << n_letters):
-        bit = (s & -s).bit_length() - 1
-        gen = letters[bit]
-        if (s ^ (s >> 1)) >> bit & 1:
-            counts[gen] += 1
-            size += 1
-        else:
-            counts[gen] -= 1
-            size -= 1
-        term = gram(tuple(counts))
-        if size % 2:
-            np.subtract(total, term, out=total)
-        else:
-            np.add(total, term, out=total)
-    return _freeze(total)
+    repeats allowed), evaluated by the same defect-map kernel as
+    box_operator: Delta_{letters[0]} o ... o Delta_{letters[-1]}(I), one
+    Delta step per letter.  M_V takes its factors in reverse letter order;
+    for commuting images the order is immaterial."""
+    return _defect_map(mats, letters, dim)
 
 
 # ---------------------------------------------------------------------------
 # certificates
 
-def _contraction_gate(mats, tol) -> tuple[float, int]:
-    worst, bad = 0.0, -1
-    for i, m in enumerate(mats):
-        excess = operator_norm(m) - 1.0
-        if excess > worst:
-            worst, bad = excess, i
-    return worst, bad
-
-
-def _commutation_gate(mats) -> tuple[float, tuple | None]:
+def _commutator_residual(mats) -> tuple[float, tuple | None]:
     worst, pair = 0.0, None
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -220,6 +163,28 @@ def _commutation_gate(mats) -> tuple[float, tuple | None]:
             if r > worst:
                 worst, pair = r, (i, j)
     return worst, pair
+
+
+def _gate(condition: str, parameters: dict, mats,
+          tol: float) -> CertificateReport | None:
+    """The precondition gate of the sum-based certificates: the
+    not-applicable report when some operator is not a contraction or, failing
+    that, some pair does not commute; None when both hold."""
+    excess = [operator_norm(m) - 1.0 for m in mats]
+    worst = max(excess, default=0.0)
+    if worst > tol:
+        witness = {"reason": "not a contraction",
+                   "index": excess.index(worst), "norm_excess": worst}
+    else:
+        comm, pair = _commutator_residual(mats)
+        if comm <= tol:
+            return None
+        witness = {"reason": "non-commuting", "pair": list(pair),
+                   "residual": comm}
+    return CertificateReport(
+        condition=condition, parameters=parameters, verdict="not-applicable",
+        margin=None, witness=witness, tolerances={"tol": tol},
+    )
 
 
 def agler_certificate(
@@ -263,29 +228,15 @@ def athavale_certificate(
     for m in mats:
         if m.shape != (dim, dim):
             raise InputError("operators must share a square shape")
-    excess, bad = _contraction_gate(mats, tol)
-    if excess > tol:
-        return CertificateReport(
-            condition="athavale", parameters={"n": list(n)},
-            verdict="not-applicable", margin=None,
-            witness={"reason": "not a contraction", "index": bad,
-                     "norm_excess": excess},
-            tolerances={"tol": tol},
-        )
-    comm, pair = _commutation_gate(mats)
-    if comm > tol:
-        return CertificateReport(
-            condition="athavale", parameters={"n": list(n)},
-            verdict="not-applicable", margin=None,
-            witness={"reason": "non-commuting", "pair": list(pair),
-                     "residual": comm},
-            tolerances={"tol": tol},
-        )
+    gated = _gate("athavale", {"n": list(n)}, mats, tol)
+    if gated is not None:
+        return gated
     op = box_operator(mats, n)
     verdict = psd_check(op, tol)
     return CertificateReport(
         condition="athavale",
-        parameters={"n": list(n), "commutator_residual": comm},
+        parameters={"n": list(n),
+                    "commutator_residual": _commutator_residual(mats)[0]},
         verdict="pass" if verdict.is_psd else "fail",
         margin=verdict.min_eigenvalue,
         witness=None if verdict.is_psd else {"n": list(n)},
@@ -344,11 +295,15 @@ def brehmer_certificate(
     if len(letters) > cap:
         raise CapExceededError(len(letters), cap, 2 ** len(letters))
     idxs = _letters_to_indices(t, letters)
+    parameters = {"letters": letters, "subset_count": 2 ** len(letters)}
+    gated = _gate("brehmer", parameters, t.generator_images, tol)
+    if gated is not None:
+        return gated
     op = brehmer_sum(t.generator_images, idxs, t.dimension)
     verdict = psd_check(op, tol)
     return CertificateReport(
         condition="brehmer",
-        parameters={"letters": letters, "subset_count": 2 ** len(letters)},
+        parameters=parameters,
         verdict="pass" if verdict.is_psd else "fail",
         margin=verdict.min_eigenvalue,
         witness=None if verdict.is_psd else {"letters": letters},
@@ -360,9 +315,11 @@ def athavale_vs_brehmer(
     ts, n: DegreeTuple, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[CMatrix, CMatrix, float]:
     """Evaluate the degree-box alternating sum and the subset alternating sum
-    (over a letter set holding n_i copies of operator i) by two independent
-    summations; returns both operators and their max entrywise deviation.
-    The two agree identically for commuting inputs."""
+    over a letter set holding n_i copies of operator i; returns both
+    operators and their max entrywise deviation.  Both routes evaluate the
+    same defect-map kernel on the same index order, so they agree exactly;
+    the independent check of that kernel is the explicit binomial expansion
+    kept in the test suite."""
     mats = [cmatrix(m) for m in ts]
     n = degree_tuple(n)
     if len(mats) != len(n):
@@ -538,26 +495,9 @@ def generator_certificate(
             verdict="pass", margin=None, witness=None, tolerances=base_tols,
             notes=("vacuous: no generators",),
         )
-    excess, bad = _contraction_gate(mats, tol)
-    if excess > tol:
-        return CertificateReport(
-            condition="generator_sweep",
-            parameters={"max_degree": max_degree},
-            verdict="not-applicable", margin=None,
-            witness={"reason": "not a contraction", "index": bad,
-                     "norm_excess": excess},
-            tolerances=base_tols,
-        )
-    comm, pair = _commutation_gate(mats)
-    if comm > tol:
-        return CertificateReport(
-            condition="generator_sweep",
-            parameters={"max_degree": max_degree},
-            verdict="not-applicable", margin=None,
-            witness={"reason": "non-commuting", "pair": list(pair),
-                     "residual": comm},
-            tolerances=base_tols,
-        )
+    gated = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
+    if gated is not None:
+        return gated
     m = len(mats)
     worst = None
     checked = 0

@@ -96,15 +96,20 @@ def _contraction_family(seed):
 def test_box_operator_matches_subset_sum_on_seeded_families():
     t0 = time.monotonic()
     worst = 0.0
+    worst_explicit = 0.0
     for seed in range(50):
         mats, n = _contraction_family(seed)
         _, _, dev = athavale_vs_brehmer(mats, n)
         worst = max(worst, dev)
+        explicit = conftest.explicit_box_sum(mats, n)
+        worst_explicit = max(worst_explicit, float(
+            np.abs(box_operator(mats, n) - explicit).max()))
     elapsed = time.monotonic() - t0
-    _report(worst <= 1e-10 and elapsed < 30.0,
+    _report(worst <= 1e-10 and worst_explicit <= 1e-10 and elapsed < 30.0,
             "box operator vs subset sum on 50 seeded commuting contraction "
             f"families (m<=3, dim<=6, deg sum<=6): max deviation {worst:.3e} "
-            f"<= 1e-10, {elapsed:.2f}s < 30s")
+            f"<= 1e-10, vs the explicit binomial expansion "
+            f"{worst_explicit:.3e} <= 1e-10, {elapsed:.2f}s < 30s")
 
 
 def test_normal_tuples_hit_the_defect_product_closed_form():
@@ -132,6 +137,34 @@ def test_normal_tuples_hit_the_defect_product_closed_form():
             "box operator on 50 seeded commuting normal families equals the "
             f"defect-product closed form: max deviation {worst:.3e} <= 1e-9, "
             f"{failed_certs} certificate failures")
+
+
+def test_degree_sixty_sweep_passes_on_the_normal_pair(tmp_path, capsys):
+    spec = tmp_path / "normal_pair.json"
+    out = tmp_path / "report.json"
+    assert run_command(["gallery", "normal_pair", "--seed", "0", "--dim", "4",
+                        "--out", str(spec)]) == 0
+    code = run_command(["check", "athavale", "--input", str(spec),
+                        "--max-degree", "60", "--format", "machine",
+                        "--out", str(out)])
+    capsys.readouterr()
+    sweep = json.loads(out.read_text())["reports"][0]
+    checked = sweep["parameters"].get("tuples_checked")
+
+    mats = list(make_gallery("normal_pair", seed=0, dim=4).generator_images)
+    n = (47, 12)
+    closed = np.eye(4, dtype=complex)
+    for mat, ni in zip(mats, n):
+        defect = np.eye(4) - np.conj(mat).T @ mat
+        closed = closed @ np.linalg.matrix_power(defect, ni)
+    want = float(np.linalg.eigvalsh((closed + np.conj(closed).T) / 2)[0])
+    cert = athavale_certificate(mats, n)
+    gap = abs(cert.margin - want)
+    _report(code == 0 and checked == 1891 and cert.passed and gap <= 1e-12,
+            "normal pair (seed 0, dim 4) swept to degree 60: exit code "
+            f"{code} (want 0), {checked} tuples checked (want 1891); n=(47,12) "
+            f"{cert.verdict} with margin {cert.margin:.3e}, within {gap:.3e} "
+            "<= 1e-12 of the defect-product closed form")
 
 
 def test_nilpotent_shift_fails_at_degree_two_with_exact_margin():

@@ -3,8 +3,9 @@
 Every derived quantity is checked against an oracle computed by a second
 route written in this file: scalar contractions against the closed form
 (1-|t|^2)^n, jointly diagonal normals against the product closed form
-prod_i (I - Ni*Ni)^{n_i}, the nilpotent 2x2 block by hand, and the Gray-code
-subset walk against a naive full subset enumeration.
+prod_i (I - Ni*Ni)^{n_i}, the nilpotent 2x2 block by hand, the subset sum
+against a naive full subset enumeration, and the box operator on
+non-commuting tuples against the explicit binomial expansion in conftest.
 """
 
 import itertools
@@ -12,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import explicit_box_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normex import (
     CapExceededError,
@@ -136,6 +140,27 @@ class TestAthavale:
             assert np.max(np.abs(got - want)) <= 1e-12
             assert athavale_certificate(mats, degrees).passed
 
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(st.data())
+    def test_non_commuting_box_matches_explicit_sum(self, data):
+        # random contractions that do not commute pin the adjoint ordering
+        # T1*^k1..Tm*^km Tm^km..T1^k1 (reversing it moves entries by O(1))
+        m = data.draw(st.integers(1, 3), label="m")
+        dim = data.draw(st.integers(2, 4), label="dim")
+        degrees, budget = [], 5
+        for _ in range(m):
+            degrees.append(data.draw(st.integers(0, budget), label="n_i"))
+            budget -= degrees[-1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        mats = []
+        for _ in range(m):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mats.append(a / np.linalg.norm(a, 2))
+        got = box_operator(mats, tuple(degrees))
+        assert np.max(np.abs(got - explicit_box_sum(mats, degrees))) <= 1e-12
+
     def test_nilpotent_with_identity_partner(self):
         # the identity factor contributes I - I = 0 at degree 1, so the whole
         # product sum collapses to the zero matrix: a pass with margin 0
@@ -234,6 +259,18 @@ class TestBrehmerCertificate:
         # scalar oracle: product over letters {a2, a2', a3} of (1 - lam^2k)
         want = (1 - lam ** 4) ** 2 * (1 - lam ** 6)
         assert abs(rep.margin - want) < 1e-12
+
+    def test_gates_report_not_applicable(self):
+        # the same precondition gate as the box certificates: contraction
+        # first, then commutation of the generator images
+        rep = brehmer_certificate(self._rep((1.5,), (0.3,)), [1, 2])
+        assert rep.verdict == "not-applicable"
+        assert rep.witness["reason"] == "not a contraction"
+        t = make_representation(free_abelian(2), [0.9 * J2, 0.9 * J2.T])
+        rep = brehmer_certificate(t, [1, 2])
+        assert rep.verdict == "not-applicable"
+        assert rep.margin is None
+        assert rep.witness["reason"] == "non-commuting"
 
     def test_duplicate_letters_rejected(self):
         t = self._rep((0.5,), (0.3,))
