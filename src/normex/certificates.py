@@ -30,7 +30,9 @@ from .linalg import (
     block_assemble,
     block_decompose,
     cmatrix,
+    commutator_residual,
     loewner_leq,
+    norm_excess,
     operator_norm,
     psd_check,
 )
@@ -155,36 +157,27 @@ def brehmer_sum(mats, letters, dim: int) -> CMatrix:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _commutator_residual(mats) -> tuple[float, tuple | None]:
-    worst, pair = 0.0, None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if r > worst:
-                worst, pair = r, (i, j)
-    return worst, pair
-
-
 def _gate(condition: str, parameters: dict, mats,
-          tol: float) -> CertificateReport | None:
-    """The precondition gate of the sum-based certificates: the
-    not-applicable report when some operator is not a contraction or, failing
-    that, some pair does not commute; None when both hold."""
-    excess = [operator_norm(m) - 1.0 for m in mats]
-    worst = max(excess, default=0.0)
+          tol: float) -> tuple[CertificateReport | None, float | None]:
+    """The precondition gate of every sum-based certificate.  Returns the
+    not-applicable report when some operator is not a contraction or,
+    failing that, some pair does not commute, else None; and, second, the
+    commutator residual whenever it was computed."""
+    worst, index = norm_excess(mats)
     if worst > tol:
         witness = {"reason": "not a contraction",
-                   "index": excess.index(worst), "norm_excess": worst}
+                   "index": index, "norm_excess": worst}
+        comm = None
     else:
-        comm, pair = _commutator_residual(mats)
+        comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None
+            return None, comm
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
     return CertificateReport(
         condition=condition, parameters=parameters, verdict="not-applicable",
         margin=None, witness=witness, tolerances={"tol": tol},
-    )
+    ), comm
 
 
 def agler_certificate(
@@ -196,13 +189,9 @@ def agler_certificate(
         raise InputError("agler_certificate requires a square matrix")
     if not isinstance(n, int) or n < 0:
         raise InputError("degree must be a non-negative int")
-    norm = operator_norm(t)
-    if norm > 1.0 + tol:
-        return CertificateReport(
-            condition="agler", parameters={"n": n}, verdict="not-applicable",
-            margin=None, witness={"reason": "not a contraction", "norm": norm},
-            tolerances={"tol": tol},
-        )
+    gated, _ = _gate("agler", {"n": n}, (t,), tol)
+    if gated is not None:
+        return gated
     op = box_operator((t,), (n,))
     verdict = psd_check(op, tol)
     return CertificateReport(
@@ -228,7 +217,7 @@ def athavale_certificate(
     for m in mats:
         if m.shape != (dim, dim):
             raise InputError("operators must share a square shape")
-    gated = _gate("athavale", {"n": list(n)}, mats, tol)
+    gated, comm = _gate("athavale", {"n": list(n)}, mats, tol)
     if gated is not None:
         return gated
     op = box_operator(mats, n)
@@ -236,7 +225,7 @@ def athavale_certificate(
     return CertificateReport(
         condition="athavale",
         parameters={"n": list(n),
-                    "commutator_residual": _commutator_residual(mats)[0]},
+                    "commutator_residual": comm},
         verdict="pass" if verdict.is_psd else "fail",
         margin=verdict.min_eigenvalue,
         witness=None if verdict.is_psd else {"n": list(n)},
@@ -296,7 +285,7 @@ def brehmer_certificate(
         raise CapExceededError(len(letters), cap, 2 ** len(letters))
     idxs = _letters_to_indices(t, letters)
     parameters = {"letters": letters, "subset_count": 2 ** len(letters)}
-    gated = _gate("brehmer", parameters, t.generator_images, tol)
+    gated, _ = _gate("brehmer", parameters, t.generator_images, tol)
     if gated is not None:
         return gated
     op = brehmer_sum(t.generator_images, idxs, t.dimension)
@@ -495,7 +484,7 @@ def generator_certificate(
             verdict="pass", margin=None, witness=None, tolerances=base_tols,
             notes=("vacuous: no generators",),
         )
-    gated = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
+    gated, _ = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
     m = len(mats)

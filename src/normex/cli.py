@@ -100,13 +100,42 @@ def matrix_from_json(obj, path: str) -> list[list[complex]]:
         out = []
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+                    or not all(isinstance(v, (int, float))
+                               and not isinstance(v, bool) for v in entry)):
                 raise InputError(
                     f"{path}[{i}][{j}]: complex entries are [re, im] pairs"
                 )
             out.append(complex(entry[0], entry[1]))
         rows.append(out)
     return rows
+
+
+def _number(value, path: str, kind=int, low=None):
+    """Read an int, or a float, from a JSON value or the text of a flag.
+    Floats are tolerances and constants, so they must be finite and > 0;
+    ints must be >= ``low`` when it is given.  Anything else -- a boolean,
+    2.7 for an int, NaN, text that is no number -- raises InputError
+    naming ``path``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{path}: expected {what}, got {value!r}") from None
+    if kind is float and not (math.isfinite(out) and out > 0):
+        raise InputError(f"{path}: must be finite and > 0, got {value!r}")
+    if low is not None and out < low:
+        raise InputError(f"{path}: must be >= {low}, got {value!r}")
+    return out
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: must be a list")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +171,28 @@ def descriptor_from_json(obj, path: str) -> SemigroupDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{path}: descriptor needs a 'kind' field")
     kind = obj["kind"]
+    if kind == "free_abelian":
+        make, args = sg.free_abelian, (_number(obj.get("k", 1), f"{path}.k"),)
+    elif kind == "numerical":
+        gaps = _list(obj.get("gaps", []), f"{path}.gaps")
+        make, args = sg.numerical, (
+            [_number(g, f"{path}.gaps[{i}]") for i, g in enumerate(gaps)],)
+    elif kind == "rationals":
+        make, args = sg.rationals, ()
+    elif kind == "product":
+        factors = _list(obj.get("factors", []), f"{path}.factors")
+        make, args = sg.product, tuple(
+            descriptor_from_json(f, f"{path}.factors[{i}]")
+            for i, f in enumerate(factors))
+    elif kind == "infinite_power":
+        make, args = sg.infinite_power, (
+            descriptor_from_json(obj.get("base"), f"{path}.base"),)
+    else:
+        raise InputError(f"{path}.kind: unknown kind {kind!r}")
     try:
-        if kind == "free_abelian":
-            return sg.free_abelian(int(obj.get("k", 1)))
-        if kind == "numerical":
-            gaps = obj.get("gaps", [])
-            if not isinstance(gaps, list):
-                raise InputError(f"{path}.gaps: must be a list of integers")
-            return sg.numerical(int(g) for g in gaps)
-        if kind == "rationals":
-            return sg.rationals()
-        if kind == "product":
-            factors = obj.get("factors", [])
-            return sg.product(*(
-                descriptor_from_json(f, f"{path}.factors[{i}]")
-                for i, f in enumerate(factors)
-            ))
-        if kind == "infinite_power":
-            return sg.infinite_power(
-                descriptor_from_json(obj.get("base"), f"{path}.base")
-            )
+        return make(*args)
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
-    raise InputError(f"{path}.kind: unknown kind {kind!r}")
 
 
 def _generator_label_map(d: SemigroupDescriptor) -> dict[str, int]:
@@ -183,11 +211,46 @@ def relations_to_json(d: SemigroupDescriptor, relations) -> list:
     return out
 
 
-def parse_spec(path: str):
+def _subset(items, path: str) -> tuple:
+    """Brehmer letters: ints, or [generator, copy] pairs."""
+    return tuple(
+        tuple(_number(v, f"{path}[{i}]") for v in x) if isinstance(x, list)
+        else _number(x, f"{path}[{i}]")
+        for i, x in enumerate(_list(items, path))
+    )
+
+
+def _run_config(run: dict, flags: dict) -> RunConfig:
+    """The run section with the command-line flags applied over it; each
+    value is read once and located at its flag or its run.* key."""
+    def source(name):
+        if flags.get(name) is not None:
+            return flags[name], "--" + name.replace("_", "-")
+        return run.get(name), f"run.{name}"
+
+    def read(name, default, kind=int, low=None):
+        value, where = source(name)
+        return default if value is None else _number(value, where, kind, low)
+
+    letters, where = source("subset")
+    return RunConfig(
+        max_degree=read("max_degree", DEFAULT_MAX_DEGREE, low=0),
+        subset=() if letters is None else _subset(letters, where),
+        tol=read("tol", DEFAULT_PSD_TOL, float),
+        seed=read("seed", 0),
+        bound_constant=read("bound_constant", 1.0, float),
+        subspace_dim=read("subspace_dim", None),
+    )
+
+
+def parse_spec(path: str, flags: dict | None = None):
     """Parse and fully validate an input document.
 
     Returns (descriptor, representation, run config); the config echo holds
-    the validation residuals and any schema warnings.  Parse errors carry the
+    the validation residuals and any schema warnings.  ``flags`` maps run
+    fields (max_degree, subset, tol, seed, subspace_dim) to values given on
+    the command line; they replace the document's before validation, so the
+    validation runs with the seed the report states.  Parse errors carry the
     offending location; semantic failures carry the residual table.
     """
     try:
@@ -211,15 +274,14 @@ def parse_spec(path: str):
     rep_obj = doc.get("representation")
     if not isinstance(rep_obj, dict):
         raise InputError(f"{path}: missing 'representation' section")
-    gen_objs = rep_obj.get("generators")
-    if not isinstance(gen_objs, list):
-        raise InputError("representation.generators: must be a list of matrices")
+    gen_objs = _list(rep_obj.get("generators"), "representation.generators")
     images = [
         matrix_from_json(g, f"representation.generators[{i}]")
         for i, g in enumerate(gen_objs)
     ]
     dim = rep_obj.get("dimension")
-    if dim is not None and images and len(images[0]) != dim:
+    if dim is not None and images and len(images[0]) != _number(
+            dim, "representation.dimension"):
         raise InputError(
             f"representation.dimension: declared {dim}, "
             f"matrices have {len(images[0])}"
@@ -235,7 +297,7 @@ def parse_spec(path: str):
                 "no relations declared: homomorphism property is sampled only"
             )
         rel_objs = []
-    for i, pair in enumerate(rel_objs):
+    for i, pair in enumerate(_list(rel_objs, "representation.relations")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(
                 f"representation.relations[{i}]: must be a two-sided pair"
@@ -253,7 +315,8 @@ def parse_spec(path: str):
                         f"representation.relations[{i}]: unknown generator "
                         f"label {label!r} (known: {sorted(labels)})"
                     )
-                terms[labels[label]] = int(mult)
+                terms[labels[label]] = _number(
+                    mult, f"representation.relations[{i}]", low=0)
             sides.append(terms)
         relations.append((sides[0], sides[1]))
 
@@ -262,18 +325,7 @@ def parse_spec(path: str):
     run_obj = doc.get("run", {})
     if not isinstance(run_obj, dict):
         raise InputError("run: must be an object")
-    cfg = RunConfig(
-        max_degree=int(run_obj.get("max_degree", DEFAULT_MAX_DEGREE)),
-        subset=tuple(
-            tuple(x) if isinstance(x, list) else int(x)
-            for x in run_obj.get("subset", [])
-        ),
-        tol=float(run_obj.get("tol", DEFAULT_PSD_TOL)),
-        seed=int(run_obj.get("seed", 0)),
-        bound_constant=float(run_obj.get("bound_constant", 1.0)),
-        subspace_dim=(int(run_obj["subspace_dim"])
-                      if "subspace_dim" in run_obj else None),
-    )
+    cfg = _run_config(run_obj, flags or {})
 
     verdict = validate_rep(rep, seed=cfg.seed)
     if not verdict.ok:
@@ -304,12 +356,7 @@ class RunReport:
 
 def build_run_report(reports, cfg: RunConfig) -> RunReport:
     reports = tuple(reports)
-    if not reports:
-        status = 2
-    elif any(r.verdict == "fail" for r in reports):
-        status = 1
-    else:
-        status = 0
+    status = 1 if any(r.verdict == "fail" for r in reports) else 0
     env = {
         "version": __version__,
         "tol": cfg.tol,
@@ -342,22 +389,25 @@ def _human_table(r: RunReport) -> str:
     return "\n".join(lines)
 
 
-def emit_report(r: RunReport, fmt: str = "human", path: str | None = None) -> None:
-    """Human table to stdout (or machine JSON with fmt="machine"); when a
-    path is given, the machine serialization is also written there."""
-    if fmt not in ("human", "machine"):
-        raise InputError(f"unknown format {fmt!r}")
-    machine = canonical_json(r.as_dict())
-    if fmt == "machine":
-        sys.stdout.write(machine + "\n")
-    else:
-        sys.stdout.write(_human_table(r) + "\n")
+def _emit(machine: str, human: str | None, path: str | None) -> None:
+    """Write ``human`` (the machine JSON when it is None) to stdout and, when
+    a path is given, the machine JSON to that path."""
+    sys.stdout.write((machine if human is None else human) + "\n")
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(machine + "\n")
         except OSError as e:
             raise InputError(f"{path}: {e.strerror or e}") from None
+
+
+def emit_report(r: RunReport, fmt: str = "human", path: str | None = None) -> None:
+    """Human table to stdout (or machine JSON with fmt="machine"); when a
+    path is given, the machine serialization is also written there."""
+    if fmt not in ("human", "machine"):
+        raise InputError(f"unknown format {fmt!r}")
+    _emit(canonical_json(r.as_dict()),
+          None if fmt == "machine" else _human_table(r), path)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--input", required=(p.prog.endswith("check")
-                                            or p.prog.endswith("validate")))
+        p.add_argument("--input", required=True)
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--subset", default=None,
                        help="comma-separated letters, e.g. 1,2 or 1:1,1:2")
@@ -486,18 +535,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_subset(raw: str) -> tuple:
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if ":" in piece:
-            gen, copy = piece.split(":", 1)
-            out.append((int(gen), int(copy)))
-        else:
-            out.append(int(piece))
-    return tuple(out)
+def _parse_subset(raw: str) -> list:
+    """--subset text spelled as run.subset: 1,2 -> ["1", "2"] and
+    1:1,1:2 -> [["1", "1"], ["1", "2"]]; _subset reads the numbers."""
+    pieces = (piece.strip() for piece in raw.split(","))
+    return [p.split(":", 1) if ":" in p else p for p in pieces if p]
 
 
 def _env_seed() -> int | None:
@@ -549,20 +591,6 @@ def _gallery_document(name: str, args) -> dict:
     }
 
 
-def _emit_document(doc: dict, fmt: str, path: str | None) -> None:
-    machine = canonical_json(doc)
-    if fmt == "machine":
-        sys.stdout.write(machine + "\n")
-    else:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(machine + "\n")
-        except OSError as e:
-            raise InputError(f"{path}: {e.strerror or e}") from None
-
-
 def run_command(argv) -> int:
     """Execute a CLI invocation; returns the exit code (0 pass / 1 some
     certificate failed / 2 input or configuration error)."""
@@ -575,28 +603,20 @@ def run_command(argv) -> int:
     try:
         if args.command == "gallery":
             doc = _gallery_document(args.name, args)
-            _emit_document(doc, args.format, args.out)
+            _emit(canonical_json(doc), None if args.format == "machine"
+                  else json.dumps(doc, indent=2, sort_keys=True), args.out)
             return 0
 
-        d, rep, cfg = parse_spec(args.input)
-        if args.max_degree is not None:
-            cfg.max_degree = args.max_degree
-        if args.tol is not None:
-            cfg.tol = args.tol
-        if args.subset is not None:
-            cfg.subset = _parse_subset(args.subset)
-        if args.subspace_dim is not None:
-            cfg.subspace_dim = args.subspace_dim
-        seed = args.seed if args.seed is not None else _env_seed()
-        if seed is not None:
-            cfg.seed = seed
-
+        d, rep, cfg = parse_spec(args.input, {
+            "max_degree": args.max_degree,
+            "subset": (None if args.subset is None
+                       else _parse_subset(args.subset)),
+            "tol": args.tol,
+            "seed": args.seed if args.seed is not None else _env_seed(),
+            "subspace_dim": args.subspace_dim,
+        })
         if args.command == "validate":
-            report = build_run_report((), cfg)
-            # a validated parse with no certificates is a clean exit, not
-            # the "nothing ran" error: override the empty-run status
-            report = RunReport(report.reports, report.environment, 0)
-            emit_report(report, args.format, args.out)
+            emit_report(build_run_report((), cfg), args.format, args.out)
             return 0
 
         names = CONDITIONS if args.condition == "all" else (args.condition,)

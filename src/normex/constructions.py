@@ -22,6 +22,7 @@ from .linalg import (
     adjoint,
     block_assemble,
     cmatrix,
+    commutator_residual,
     hermitian_eig,
     identity,
     operator_norm,
@@ -133,12 +134,7 @@ def validate_dilation_family(
         operator_norm(adjoint(m) @ m - eye) for m in f.members
     )
     v.add("unitary", unitary <= tol, f"max isometry residual {unitary:.3e}")
-    comm = 0.0
-    for i in range(len(f.members)):
-        for j in range(i + 1, len(f.members)):
-            comm = max(comm, operator_norm(
-                f.members[i] @ f.members[j] - f.members[j] @ f.members[i]
-            ))
+    comm = commutator_residual(f.members)[0]
     v.add("commuting", comm <= tol, f"max commutator residual {comm:.3e}")
     base = f.corner_of(f.members[0])
     corner = max(

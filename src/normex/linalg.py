@@ -62,6 +62,32 @@ def operator_norm(a: CMatrix) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def norm_excess(mats) -> tuple[float, int | None]:
+    """How far a tuple is from being contractive: the largest ||M_i|| - 1,
+    floored at 0, and the first index attaining it (None when no operator
+    exceeds norm 1)."""
+    worst, index = 0.0, None
+    for i, m in enumerate(mats):
+        r = operator_norm(m) - 1.0
+        if r > worst:
+            worst, index = r, i
+    return worst, index
+
+
+def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
+    """Largest ||A_i B_j - B_j A_i|| over i < j with B = ``others`` (default
+    ``mats`` itself; the adjoints give the *-commutator), and the first pair
+    (i, j) attaining it (None when every commutator vanishes)."""
+    others = mats if others is None else others
+    worst, pair = 0.0, None
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            r = operator_norm(mats[i] @ others[j] - others[j] @ mats[i])
+            if r > worst:
+                worst, pair = r, (i, j)
+    return worst, pair
+
+
 def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``a``.
 

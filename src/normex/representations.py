@@ -19,10 +19,13 @@ from . import semigroups as sg
 from .errors import InputError, MembershipError, UnsupportedStructureError
 from .linalg import (
     CMatrix,
+    _freeze,
     adjoint,
     block_decompose,
     cmatrix,
+    commutator_residual,
     identity,
+    norm_excess,
     operator_norm,
 )
 from .semigroups import Factorization, GroupElement, SemigroupDescriptor
@@ -78,7 +81,7 @@ def _image_power(t: Representation, idx: int, mult: int) -> CMatrix:
     key = ("pow", idx, mult)
     hit = t._cache.get(key)
     if hit is None:
-        hit = np.linalg.matrix_power(t.generator_images[idx], mult)
+        hit = _freeze(np.linalg.matrix_power(t.generator_images[idx], mult))
         t._cache[key] = hit
     return hit
 
@@ -92,8 +95,8 @@ def product_of(t: Representation, fact: Factorization) -> CMatrix:
         acc = identity(t.dimension)
         for idx, mult in fact.terms:
             acc = acc @ _image_power(t, idx, mult)
-        t._cache[key] = acc
-        hit = acc
+        hit = _freeze(acc)
+        t._cache[key] = hit
     return hit
 
 
@@ -112,24 +115,13 @@ def validate_rep(
     """Contractivity, pairwise commutation, declared relations, and a sampled
     homomorphism check (the testable surrogate for well-definedness)."""
     v = ValidationVerdict()
-    worst = 0.0
-    bad = -1
-    for i, m in enumerate(t.generator_images):
-        n = operator_norm(m)
-        if n - 1.0 > worst:
-            worst, bad = n - 1.0, i
+    worst, bad = norm_excess(t.generator_images)
     v.add("contractive", worst <= tol,
-          f"max norm excess {worst:.3e}" + (f" at generator {bad}" if bad >= 0
-                                            and worst > tol else ""))
+          f"max norm excess {worst:.3e}"
+          + (f" at generator {bad}" if bad is not None and worst > tol
+             else ""))
 
-    comm = 0.0
-    pair = None
-    mats = t.generator_images
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if r > comm:
-                comm, pair = r, (i, j)
+    comm, pair = commutator_residual(t.generator_images)
     v.add("commuting", comm <= tol,
           f"max commutator residual {comm:.3e}"
           + (f" at pair {pair}" if pair and comm > tol else ""))
@@ -199,26 +191,19 @@ def validate_normal_map(
     mats = [m for _, m in n.images]
 
     norm_res, norm_bad = 0.0, None
-    contr = 0.0
     for p, m in n.images:
         r = operator_norm(adjoint(m) @ m - m @ adjoint(m))
         if r > norm_res:
             norm_res, norm_bad = r, p.coords
-        contr = max(contr, operator_norm(m) - 1.0)
     v.add("normal", norm_res <= tol,
           f"max normality residual {norm_res:.3e}"
           + (f" at {norm_bad!r}" if norm_bad is not None and norm_res > tol
              else ""))
+    contr = norm_excess(mats)[0]
     v.add("contractive", contr <= tol, f"max norm excess {contr:.3e}")
 
-    comm, star_comm = 0.0, 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = max(comm, operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
-            star_comm = max(
-                star_comm,
-                operator_norm(mats[i] @ adjoint(mats[j]) - adjoint(mats[j]) @ mats[i]),
-            )
+    comm = commutator_residual(mats)[0]
+    star_comm = commutator_residual(mats, [adjoint(m) for m in mats])[0]
     v.add("commuting", comm <= tol, f"max commutator residual {comm:.3e}")
     v.add("star_commuting", star_comm <= tol,
           f"max adjoint-commutator residual {star_comm:.3e}")

@@ -106,6 +106,10 @@ class TestAgler:
         assert rep.verdict == "not-applicable"
         assert rep.margin is None
         assert rep.witness["reason"] == "not a contraction"
+        # the shared gate: same witness as the multi-operator route
+        assert rep.witness == athavale_certificate([1.5 * np.eye(2)], (2,)).witness
+        assert rep.witness["index"] == 0
+        assert abs(rep.witness["norm_excess"] - 0.5) <= 1e-12
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

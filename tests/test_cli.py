@@ -306,7 +306,79 @@ class TestRunCommand:
         assert _run(capsys, "--help")[0] == 0
 
 
+def _product_of_rank_zero(doc):
+    doc["descriptor"] = {"kind": "product",
+                         "factors": [{"kind": "free_abelian", "k": 0}]}
+
+
+def _set(section, key, value):
+    return lambda doc: doc[section].update({key: value})
+
+
+@pytest.mark.parametrize("where, edit, flags", [
+    ("descriptor.k", _set("descriptor", "k", "x"), ()),
+    ("descriptor.k", _set("descriptor", "k", True), ()),
+    ("descriptor.k", _set("descriptor", "k", 2.7), ()),
+    ("descriptor.gaps[0]",
+     lambda doc: doc.update(descriptor={"kind": "numerical", "gaps": ["a"]}),
+     ()),
+    ("descriptor.factors[0]", _product_of_rank_zero, ()),
+    ("representation.generators[0][0][0]",
+     lambda doc: doc["representation"]["generators"][0][0].__setitem__(
+         0, [True, 0]), ()),
+    ("representation.relations[0]",
+     _set("representation", "relations", [[{"1": "a"}, {"1": 1}]]), ()),
+    ("run.max_degree", _set("run", "max_degree", "x"), ()),
+    ("run.max_degree", _set("run", "max_degree", -1), ()),
+    ("run.tol", _set("run", "tol", "nan"), ()),
+    ("run.tol", _set("run", "tol", -1.0), ()),
+    ("run.bound_constant", _set("run", "bound_constant", 0), ()),
+    ("--subset[1]", lambda doc: None, ("--subset", "1,x")),
+    ("--tol", lambda doc: None, ("--tol", "nan")),
+], ids=["k-text", "k-bool", "k-fraction", "gap-text", "nested-path",
+        "bool-entry", "multiplicity-text", "max-degree-text",
+        "max-degree-negative", "tol-nan", "tol-negative", "bound-zero",
+        "subset-flag", "tol-flag"])
+def test_malformed_values_exit_two_with_location(tmp_path, capsys, where,
+                                                 edit, flags):
+    doc = json.loads(json.dumps(J2_DOC))
+    edit(doc)
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", "all", "--input", str(p), *flags)
+    assert (code, out) == (2, "")
+    # located once: nested errors must not repeat the path
+    assert err.startswith(f"error: {where}: ") and err.count(where) == 1, err
+
+
 class TestSeedHandling:
+    def test_validation_runs_with_the_reported_seed(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # without relations the numerical rep's homomorphism check is
+        # sampled, so its echoed residual depends on the seed
+        base = tmp_path / "neil.json"
+        run_command(["gallery", "neil_matrix", "--dim", "3",
+                     "--format", "machine", "--out", str(base)])
+        capsys.readouterr()
+        doc = json.loads(base.read_text())
+        del doc["representation"]["relations"]
+
+        def document(seed):
+            p = tmp_path / f"seed{seed}.json"
+            p.write_text(json.dumps({**doc, "run": {"seed": seed}}))
+            return str(p)
+
+        plain = _run(capsys, "validate", "--input", document(5),
+                     "--format", "machine")
+        flagged = _run(capsys, "validate", "--input", document(0),
+                       "--seed", "5", "--format", "machine")
+        monkeypatch.setenv("NORMEX_SEED", "5")
+        env = _run(capsys, "validate", "--input", document(0),
+                   "--format", "machine")
+        assert plain[0] == 0
+        assert json.loads(plain[1])["environment"]["seed"] == 5
+        assert flagged == plain and env == plain
+
     def test_env_seed_matches_flag(self, tmp_path, capsys, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_command(["gallery", "normal_pair", "--seed", "7",

@@ -19,9 +19,11 @@ from normex import (
     adjoint,
     element,
     eval_rep,
+    factorize,
     free_abelian,
     identity,
     involution_point,
+    make_dilation_family,
     make_normal_map,
     make_representation,
     numerical,
@@ -30,7 +32,9 @@ from normex import (
     sample_member,
     star_kernel,
     tilde_eval,
+    product_of,
     unit,
+    validate_dilation_family,
     validate_normal_map,
     validate_rep,
 )
@@ -103,6 +107,18 @@ class TestEvalRep:
         g = element(d, (3, 2))
         assert eval_rep(t, g) is eval_rep(t, g)
 
+    def test_cached_images_are_read_only(self):
+        # a caller writing into a result must not change later evaluations
+        d, t = _diag_rep(2, [(0.5, 0.1), (0.2, 0.3)])
+        for g in ((3, 2), (1, 0), (0, 0)):
+            g = element(d, g)
+            want = eval_rep(t, g).copy()
+            with pytest.raises(ValueError):
+                eval_rep(t, g)[0, 0] = 99
+            assert np.array_equal(eval_rep(t, g), want)
+        with pytest.raises(ValueError):
+            product_of(t, factorize(d, element(d, (0, 4))))[1, 1] = 99
+
 
 class TestValidateRep:
     def test_diagonal_rep_ok(self):
@@ -140,6 +156,50 @@ class TestValidateRep:
         v = validate_rep(t)
         rel = next(c for c in v.checks if c.name == "relations")
         assert not rel.passed
+
+
+J = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _normal_map(images):
+    base = make_representation(free_abelian(2), [[[0.0]], [[0.0]]])
+    return make_normal_map(base, 2, images)
+
+
+@pytest.mark.parametrize("validate, arg, passed, details", [
+    (validate_rep, lambda: _diag_rep(2, [(0.5, -0.25), (0.75, 0.1)])[1], True,
+     {"contractive": "max norm excess 0.000e+00",
+      "commuting": "max commutator residual 0.000e+00"}),
+    (validate_rep,  # ties: the first generator and pair are named
+     lambda: make_representation(free_abelian(3), [J.T, 2 * J, 2 * J]), False,
+     {"contractive": "max norm excess 1.000e+00 at generator 1",
+      "commuting": "max commutator residual 2.000e+00 at pair (0, 1)"}),
+    (validate_normal_map,
+     lambda: _normal_map({(1, 0): np.diag([0.5, 1.0]),
+                          (0, 1): np.diag([0.25, -1.0])}), True,
+     {"contractive": "max norm excess 0.000e+00",
+      "commuting": "max commutator residual 0.000e+00",
+      "star_commuting": "max adjoint-commutator residual 0.000e+00"}),
+    (validate_normal_map,
+     lambda: _normal_map({(1, 0): 2 * J, (0, 1): J, (1, 1): 0.5 * J.T}),
+     False,
+     {"contractive": "max norm excess 1.000e+00",
+      "commuting": "max commutator residual 1.000e+00",
+      "star_commuting": "max adjoint-commutator residual 2.000e+00"}),
+    (validate_dilation_family,
+     lambda: make_dilation_family([np.diag([1, 1j]), np.diag([-1, 1])], 0, 1),
+     True, {"commuting": "max commutator residual 0.000e+00"}),
+    (validate_dilation_family,
+     lambda: make_dilation_family([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], 0, 1),
+     False, {"commuting": "max commutator residual 2.000e+00"}),
+], ids=["rep-pass", "rep-fail", "normal-pass", "normal-fail",
+        "dilation-pass", "dilation-fail"])
+def test_precondition_details_are_pinned(validate, arg, passed, details):
+    # the details reach every machine report through the validation echo,
+    # so they must not change byte for byte
+    checks = {c.name: c for c in validate(arg()).checks}
+    assert {name: checks[name].detail for name in details} == details
+    assert all(checks[name].passed == passed for name in details)
 
 
 class TestNormalMap:

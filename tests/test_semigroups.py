@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from normex import (
+    GroupElement,
     InputError,
     MembershipError,
     UnsupportedStructureError,
+    add,
     contains,
     element,
     factorize,
@@ -144,6 +146,24 @@ class TestMembership:
     def test_float_coordinate_rejected(self):
         with pytest.raises(InputError):
             element(rationals(), 0.5)
+
+    @pytest.mark.parametrize("d, coords", [
+        (free_abelian(2), (1,)),                       # rank mismatch
+        (numerical(GAPS1), 1.5),                       # non-int numerical
+        (rationals(), 0.5),                            # float rational
+        (product(free_abelian(1), rationals()), ((1,),)),  # product arity
+        (infinite_power(free_abelian(1)), ((2, (1,)), (1, (1,)))),  # unsorted
+        (infinite_power(free_abelian(1)), ((1, (1,)), (1, (2,)))),  # duplicate
+        (infinite_power(free_abelian(1)), ((1, (0,)),)),  # unit entry
+    ], ids=["free_abelian", "numerical", "rationals", "product",
+            "power-unsorted", "power-duplicate", "power-unit"])
+    def test_incompatible_coordinates_rejected(self, d, coords):
+        # built directly, bypassing element(): add/contains must check
+        g = GroupElement(coords)
+        with pytest.raises(InputError):
+            contains(d, g)
+        with pytest.raises(InputError):
+            add(d, g, g)
 
     def test_contains_matches_factorize(self):
         # dual route: membership and exact-expansion existence agree on a
