@@ -7,6 +7,11 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 ``explicit_box_sum`` is the independent oracle for ``box_operator``: the
 package evaluates alternating sums by the iterated defect map, this module
 by the explicit binomial expansion.
+
+Every hypothesis property test runs under one profile: derandomized and
+without an example database, so tier-1 draws the same examples on every run.
+Hypothesis also caches the constants it reads from local source; that cache
+goes under pytest's own cache directory, so no ``.hypothesis/`` is written.
 """
 
 import itertools
@@ -15,6 +20,12 @@ import sys
 import time
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 _T0 = time.monotonic()
 _BUDGET_S = 120.0
@@ -40,6 +51,11 @@ def explicit_box_sum(mats, degrees):
         coeff = math.prod(math.comb(n, ki) for n, ki in zip(degrees, k))
         total += (-1) ** sum(k) * coeff * (np.conj(left).T @ left)
     return total
+
+
+def pytest_configure(config):
+    # the hypothesis plugin reads local constants while collecting
+    set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -144,8 +144,7 @@ class TestAthavale:
             assert np.max(np.abs(got - want)) <= 1e-12
             assert athavale_certificate(mats, degrees).passed
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=200)
+    @settings(max_examples=200)
     @given(st.data())
     def test_non_commuting_box_matches_explicit_sum(self, data):
         # random contractions that do not commute pin the adjoint ordering

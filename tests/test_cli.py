@@ -11,9 +11,16 @@ import pytest
 from normex import (
     InputError,
     canonical_json,
+    descriptor_from_json,
+    descriptor_to_json,
+    free_abelian,
+    infinite_power,
     matrix_from_json,
     matrix_to_json,
+    numerical,
     parse_spec,
+    product,
+    rationals,
     run_command,
 )
 
@@ -94,6 +101,32 @@ class TestMatrixJson:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             matrix_from_json([], "m")
+
+
+@pytest.mark.parametrize("d, text", [
+    (free_abelian(3), '{"k":3,"kind":"free_abelian"}'),
+    (numerical((1, 2, 4)), '{"gaps":[1,2,4],"kind":"numerical"}'),
+    (rationals(), '{"kind":"rationals"}'),
+    (product(free_abelian(2), numerical({1})),
+     '{"factors":[{"k":2,"kind":"free_abelian"},'
+     '{"gaps":[1],"kind":"numerical"}],"kind":"product"}'),
+    (infinite_power(free_abelian(1)),
+     '{"base":{"k":1,"kind":"free_abelian"},"kind":"infinite_power"}'),
+    (product(infinite_power(free_abelian(2)), numerical({1})),
+     '{"factors":[{"base":{"k":2,"kind":"free_abelian"},'
+     '"kind":"infinite_power"},{"gaps":[1],"kind":"numerical"}],'
+     '"kind":"product"}'),
+    (infinite_power(product(free_abelian(1), rationals())),
+     '{"base":{"factors":[{"k":1,"kind":"free_abelian"},'
+     '{"kind":"rationals"}],"kind":"product"},"kind":"infinite_power"}'),
+], ids=["free_abelian", "numerical", "rationals", "product",
+        "infinite_power", "product-of-power", "power-of-product"])
+def test_descriptor_json_roundtrip(d, text):
+    obj = descriptor_to_json(d)
+    back = descriptor_from_json(json.loads(text), "descriptor")
+    assert canonical_json(obj) == text
+    assert back == d
+    assert canonical_json(descriptor_to_json(back)) == text
 
 
 class TestParseSpec:

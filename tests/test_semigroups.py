@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from normex import (
     GroupElement,
@@ -24,16 +26,30 @@ from normex import (
     infinite_power,
     leq,
     meet_join,
+    neg,
     numerical,
     pos_neg_parts,
     product,
     rationals,
     sample_group,
     sample_member,
+    unit,
     validate_descriptor,
 )
 
 GAPS1 = (1,)  # nonnegative integers with 1 removed
+
+# one descriptor per kind, plus product and power nested both ways
+KINDS = {
+    "free_abelian": free_abelian(3),
+    "numerical": numerical(GAPS1),
+    "rationals": rationals(),
+    "product": product(free_abelian(1), numerical(GAPS1)),
+    "infinite_power": infinite_power(free_abelian(2)),
+    "product-of-power": product(infinite_power(free_abelian(2)),
+                                numerical(GAPS1)),
+    "power-of-product": infinite_power(product(free_abelian(1), rationals())),
+}
 
 
 def _in_gap_semigroup(n: int) -> bool:
@@ -325,8 +341,43 @@ class TestSampling:
         b = [sample_group(d, random.Random(5)).coords for _ in range(3)]
         assert a == b
 
+    @pytest.mark.parametrize("name, draws", [
+        ("free_abelian", [(6, 12, 6), (0, 4, 8), (7, 6, 12)]),
+        ("numerical", [12, 13, 8]),
+        ("rationals", [Fraction(216, 7), Fraction(194, 7), Fraction(2)]),
+        ("product", [((6,), 13), ((0,), 8), ((8,), 15)]),
+        ("infinite_power", [((5, (7, 5)), (7, (0, 4)), (8, (6, 12))),
+                            ((3, (4, 2)),), ()]),
+        ("product-of-power", [
+            (((5, (7, 5)), (7, (0, 4)), (8, (6, 12))), 18),
+            (((3, (4, 2)),), 3),
+            (((2, (10, 5)), (3, (4, 1))), 15)]),
+        ("power-of-product", [
+            ((7, ((0,), Fraction(22, 3))), (8, ((5,), Fraction(149, 4)))),
+            ((5, ((2,), Fraction(193, 2))),),
+            ((2, ((10,), Fraction(21, 2))), (3, ((4,), Fraction(25, 12))))]),
+    ])
+    def test_first_draws_are_pinned(self, name, draws):
+        # validate_rep samples, so byte-identical reports need every kind to
+        # consume the generator exactly as pinned here
+        rng = random.Random(0)
+        got = [sample_member(KINDS[name], rng).coords for _ in draws]
+        assert got == draws
+
     def test_other_kinds_validate(self):
         for d in (rationals(), product(free_abelian(2), free_abelian(1)),
                   infinite_power(rationals())):
             v = validate_descriptor(d, sample_budget=200)
             assert v.ok, v.failures
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+@given(rng=st.randoms(use_true_random=False))
+def test_group_laws(name, rng):
+    d = KINDS[name]
+    g, h, x = (sample_group(d, rng) for _ in range(3))
+    e = unit(d)
+    assert add(d, add(d, g, h), x) == add(d, g, add(d, h, x))
+    assert add(d, g, h) == add(d, h, g)
+    assert add(d, g, e) == g == add(d, e, g)
+    assert add(d, g, neg(d, g)) == e
