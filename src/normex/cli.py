@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -138,6 +138,12 @@ def _list(value, path: str) -> list:
     return value
 
 
+def _each(read):
+    """Reader of a list whose items ``read`` reads, each at its path[i]."""
+    return lambda items, path: tuple(
+        read(x, f"{path}[{i}]") for i, x in enumerate(_list(items, path)))
+
+
 # ---------------------------------------------------------------------------
 # input schema
 
@@ -153,46 +159,37 @@ class RunConfig:
 
 
 def descriptor_to_json(d: SemigroupDescriptor) -> dict:
-    if d.kind == sg.FREE_ABELIAN:
-        return {"kind": "free_abelian", "k": d.k}
-    if d.kind == sg.NUMERICAL:
-        return {"kind": "numerical", "gaps": sorted(d.gaps)}
-    if d.kind == sg.RATIONALS:
-        return {"kind": "rationals"}
-    if d.kind == sg.PRODUCT:
-        return {"kind": "product",
-                "factors": [descriptor_to_json(f) for f in d.factors]}
-    if d.kind == sg.INFINITE_POWER:
-        return {"kind": "infinite_power", "base": descriptor_to_json(d.base)}
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
+    """The record's fields, kind name included, as nested JSON objects."""
+    return asdict(d, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
 def descriptor_from_json(obj, path: str) -> SemigroupDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{path}: descriptor needs a 'kind' field")
     kind = obj["kind"]
-    if kind == "free_abelian":
-        make, args = sg.free_abelian, (_number(obj.get("k", 1), f"{path}.k"),)
-    elif kind == "numerical":
-        gaps = _list(obj.get("gaps", []), f"{path}.gaps")
-        make, args = sg.numerical, (
-            [_number(g, f"{path}.gaps[{i}]") for i, g in enumerate(gaps)],)
-    elif kind == "rationals":
-        make, args = sg.rationals, ()
-    elif kind == "product":
-        factors = _list(obj.get("factors", []), f"{path}.factors")
-        make, args = sg.product, tuple(
-            descriptor_from_json(f, f"{path}.factors[{i}]")
-            for i, f in enumerate(factors))
-    elif kind == "infinite_power":
-        make, args = sg.infinite_power, (
-            descriptor_from_json(obj.get("base"), f"{path}.base"),)
-    else:
+    record = sg.KINDS.get(kind) if isinstance(kind, str) else None
+    if record is None:
         raise InputError(f"{path}.kind: unknown kind {kind!r}")
+    params = {}
+    for f in fields(record):
+        if f.init:  # every field but the kind name
+            read, default = _DESCRIPTOR_FIELDS[f.name]
+            params[f.name] = read(obj.get(f.name, default), f"{path}.{f.name}")
     try:
-        return make(*args)
+        return record(**params)
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
+
+
+#: each record field's reader (JSON value, its path) and the value it reads
+#: when the key is absent
+_DESCRIPTOR_FIELDS = {
+    "k": (_number, 1),
+    "gaps": (_each(_number), []),
+    "factors": (_each(descriptor_from_json), []),
+    "base": (descriptor_from_json, None),
+}
 
 
 def _generator_label_map(d: SemigroupDescriptor) -> dict[str, int]:
@@ -211,13 +208,10 @@ def relations_to_json(d: SemigroupDescriptor, relations) -> list:
     return out
 
 
-def _subset(items, path: str) -> tuple:
-    """Brehmer letters: ints, or [generator, copy] pairs."""
-    return tuple(
-        tuple(_number(v, f"{path}[{i}]") for v in x) if isinstance(x, list)
-        else _number(x, f"{path}[{i}]")
-        for i, x in enumerate(_list(items, path))
-    )
+def _letter(x, path: str):
+    """A Brehmer letter: an int, or a [generator, copy] pair."""
+    return (tuple(_number(v, path) for v in x) if isinstance(x, list)
+            else _number(x, path))
 
 
 def _run_config(run: dict, flags: dict) -> RunConfig:
@@ -235,7 +229,7 @@ def _run_config(run: dict, flags: dict) -> RunConfig:
     letters, where = source("subset")
     return RunConfig(
         max_degree=read("max_degree", DEFAULT_MAX_DEGREE, low=0),
-        subset=() if letters is None else _subset(letters, where),
+        subset=() if letters is None else _each(_letter)(letters, where),
         tol=read("tol", DEFAULT_PSD_TOL, float),
         seed=read("seed", 0),
         bound_constant=read("bound_constant", 1.0, float),
@@ -537,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_subset(raw: str) -> list:
     """--subset text spelled as run.subset: 1,2 -> ["1", "2"] and
-    1:1,1:2 -> [["1", "1"], ["1", "2"]]; _subset reads the numbers."""
+    1:1,1:2 -> [["1", "1"], ["1", "2"]]; _letter reads the numbers."""
     pieces = (piece.strip() for piece in raw.split(","))
     return [p.split(":", 1) if ":" in p else p for p in pieces if p]
 
@@ -553,31 +547,41 @@ def _env_seed() -> int | None:
 
 
 def _gallery_document(name: str, args) -> dict:
+    def size(value, default):  # the default only when the flag is absent
+        return default if value is None else value
+
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
     if name == "jordan":
-        m = make_gallery("jordan", dim=args.dim or 2)
+        m = make_gallery("jordan", dim=size(args.dim, 2))
         return {"matrix": matrix_to_json(m)}
     if name == "truncated_shift":
         if not args.weights:
             raise InputError("truncated_shift requires --weights")
-        weights = [float(w) for w in args.weights.split(",")]
+        weights = []
+        for i, w in enumerate(args.weights.split(",")):
+            try:
+                weights.append(float(w))
+            except ValueError:
+                raise InputError(
+                    f"--weights[{i}]: expected a number, got {w!r}") from None
         m = make_gallery("truncated_shift", weights=weights)
         return {"matrix": matrix_to_json(m)}
     if name == "neil_scalar":
         lam = args.lam if args.lam is not None else 0.5
         rep = make_gallery("neil_scalar", lam=lam)
     elif name == "neil_matrix":
-        dim = args.dim or 2
+        dim = size(args.dim, 2)
         a = make_commuting_normals(seed, dim, 1)[0]
         rep = make_gallery("neil_matrix", a=a)
     elif name == "unitary_rep":
-        k = args.k or 2
-        dim = args.dim or 3
+        k, dim = size(args.k, 2), size(args.dim, 3)
+        if k < 1 or dim < 1:
+            raise InputError("unitary_rep needs --k and --dim >= 1")
         rng = np.random.default_rng(seed)
         angles = rng.uniform(0.0, 2.0 * math.pi, (k, dim))
         rep = make_gallery("unitary_rep", k=k, angles=angles)
     elif name == "normal_pair":
-        rep = make_gallery("normal_pair", seed=seed, dim=args.dim or 4)
+        rep = make_gallery("normal_pair", seed=seed, dim=size(args.dim, 4))
     else:
         raise InputError(f"unknown gallery case {name!r}")
     return {

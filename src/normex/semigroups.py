@@ -2,23 +2,33 @@
 
 A descriptor names a unital abelian semigroup P sitting inside the group
 G = P - P it generates; the induced partial order is x <= y iff y - x in P.
-Supported kinds:
+Each kind is one frozen record, a subclass of SemigroupDescriptor:
 
-  free_abelian(k)    P = N^k inside Z^k (componentwise lattice order)
-  numerical(gaps)    P = N \\ gaps inside Z (lattice iff gaps is empty)
-  rationals()        P = Q>=0 inside Q (total order; exact Fractions)
-  product(*factors)  componentwise structure on the direct product
-  infinite_power(b)  finitely supported maps index -> base element
+  free_abelian(k)    FreeAbelian    P = N^k inside Z^k (componentwise lattice)
+  numerical(gaps)    Numerical      P = N \\ gaps inside Z (lattice iff no gaps)
+  rationals()        Rationals      P = Q>=0 inside Q (total order; Fractions)
+  product(*factors)  Product        componentwise structure on the product
+  infinite_power(b)  InfinitePower  finitely supported maps index -> base
 
-All coordinates are exact (ints / Fractions / nested tuples); equality of
-canonical forms is element identity, and zero coordinates are never stored.
+All coordinates are exact (ints / Fractions / nested tuples, never bools or
+floats); equality of canonical forms is element identity, and zero
+coordinates are never stored.  Every kind's group and lattice operations act
+coordinate by coordinate, so add, neg and meet_join pass +, - and min/max to
+the record's one ``pointwise``.  To add a kind, write its record: the fields
+``kind`` and the parameters (checked in ``__post_init__``), the unit
+``zero``, ``canon`` (the one check of the coordinate format), ``pointwise``,
+``contains`` and ``sample``; ``lattice_ordered`` if the order is no lattice;
+``generators`` and ``factorize`` if P is finitely generated.  The CLI reads
+it once ``cli._DESCRIPTOR_FIELDS`` has a reader for each parameter.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, MembershipError, UnsupportedStructureError
 from .validation import ValidationVerdict
@@ -68,108 +78,281 @@ def factorization(terms) -> Factorization:
     return Factorization(tuple(clean))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# ---------------------------------------------------------------------------
+# one record per kind
+
 @dataclass(frozen=True)
 class SemigroupDescriptor:
-    kind: str
-    k: int = 0
-    gaps: frozenset = frozenset()
-    factors: tuple = ()
-    base: "SemigroupDescriptor | None" = None
-    generators: tuple[GroupElement, ...] = ()
-    lattice_ordered: bool = False
-    finitely_generated: bool = False
-    _frobenius: int = field(default=-1, repr=False)
+    """Base of the kind records.  Equality, hashing and the JSON form see
+    only the fields; all else derives from them.  Methods take and return
+    canonical coordinates, which ``canon`` makes from raw ones."""
+
+    lattice_ordered = True  # a record whose order is no lattice derives it
+    generators = ()  # GroupElements; empty unless finitely generated
+
+    @property
+    def finitely_generated(self) -> bool:
+        return bool(self.generators)
+
+    def pointwise(self, op, a, b):
+        """op on each pair of coordinates; here the coordinate is a number."""
+        return op(a, b)
+
+
+@dataclass(frozen=True)
+class FreeAbelian(SemigroupDescriptor):
+    k: int
+    kind: str = field(default=FREE_ABELIAN, init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.k, int) or self.k < 1:
+            raise InputError("free_abelian rank must be a positive integer")
+
+    @cached_property
+    def zero(self):
+        return (0,) * self.k
+
+    @cached_property
+    def generators(self):
+        return tuple(GroupElement(tuple(int(i == j) for j in range(self.k)))
+                     for i in range(self.k))
+
+    def canon(self, raw):
+        if not (isinstance(raw, (tuple, list)) and len(raw) == self.k
+                and all(map(_is_int, raw))):
+            raise InputError(f"expected {self.k} integer coordinates, got {raw!r}")
+        return tuple(raw)
+
+    def pointwise(self, op, a, b):
+        return tuple(map(op, a, b))
+
+    def contains(self, c):
+        return all(x >= 0 for x in c)
+
+    def sample(self, rng):
+        return tuple(rng.randint(0, 12) for _ in range(self.k))
+
+    def factorize(self, c):
+        return {i: x for i, x in enumerate(c) if x}
+
+
+@dataclass(frozen=True)
+class Numerical(SemigroupDescriptor):
+    gaps: tuple[int, ...]  # ascending
+    kind: str = field(default=NUMERICAL, init=False)
+    zero = 0
+
+    def __post_init__(self):
+        gaps = frozenset(self.gaps)
+        for g in gaps:
+            if not isinstance(g, int):
+                raise InputError("gap entries must be integers")
+            if g == 0:
+                raise InputError("0 in gap set rejects the unit: not a semigroup")
+            if g < 0:
+                raise InputError("gap entries must be positive")
+        # closedness under addition: no gap may split as a sum of two members
+        for g in sorted(gaps):
+            for a in range(1, g):
+                if a not in gaps and (g - a) not in gaps:
+                    raise InputError(
+                        f"gap set not additively closed: {a} + {g - a} = {g} "
+                        "is a gap"
+                    )
+        object.__setattr__(self, "gaps", tuple(sorted(gaps)))
+
+    @cached_property
+    def lattice_ordered(self):
+        return not self.gaps
+
+    @cached_property
+    def frobenius(self) -> int:
+        """The largest gap, -1 when there is none."""
+        return max(self.gaps, default=-1)
+
+    def members(self, upto: int) -> list[int]:
+        return [n for n in range(upto + 1) if n not in self.gaps]
+
+    @cached_property
+    def generators(self):
+        if not self.gaps:
+            return (GroupElement(1),)
+        members = set(self.members(2 * self.frobenius + 2))
+        positives = sorted(m for m in members if m > 0)
+        smallest = positives[0]
+        gens = []
+        # minimal generators all lie in [smallest, frobenius + smallest]
+        for n in positives:
+            if n > self.frobenius + smallest:
+                break
+            if not any(a in members and (n - a) in members for a in range(1, n)):
+                gens.append(GroupElement(n))
+        return tuple(gens)
+
+    def canon(self, raw):
+        if not _is_int(raw):
+            raise InputError("numerical-kind coordinates must be a single int")
+        return raw
+
+    def contains(self, c):
+        return c >= 0 and c not in self.gaps
+
+    def sample(self, rng):
+        hi = self.frobenius + 20
+        while True:
+            n = rng.randint(0, hi)
+            if n not in self.gaps:
+                return n
+
+    def factorize(self, c):
+        counts = _greedy_numerical(c, [g.coords for g in self.generators])
+        if counts is None:  # unreachable for a valid numerical semigroup
+            raise MembershipError(f"{c!r} admits no factorization")
+        return {i: n for i, n in enumerate(counts) if n}
+
+
+@dataclass(frozen=True)
+class Rationals(SemigroupDescriptor):
+    kind: str = field(default=RATIONALS, init=False)
+    zero = Fraction(0)
+
+    def canon(self, raw):
+        if not (_is_int(raw) or isinstance(raw, Fraction)):
+            raise InputError("rational coordinates must be exact (int/Fraction)")
+        return Fraction(raw)
+
+    def contains(self, c):
+        return c >= 0
+
+    def sample(self, rng):
+        return Fraction(rng.randint(0, 240), rng.randint(1, 12))
+
+
+@dataclass(frozen=True)
+class Product(SemigroupDescriptor):
+    factors: tuple[SemigroupDescriptor, ...]
+    kind: str = field(default=PRODUCT, init=False)
+
+    def __post_init__(self):
+        if not self.factors:
+            raise InputError("product needs at least one factor")
+
+    @cached_property
+    def lattice_ordered(self):
+        return all(f.lattice_ordered for f in self.factors)
+
+    @cached_property
+    def zero(self):
+        return tuple(f.zero for f in self.factors)
+
+    @cached_property
+    def generators(self):
+        """Each factor's generators in turn, unit in the other components;
+        none unless every factor is finitely generated."""
+        if not all(f.finitely_generated for f in self.factors):
+            return ()
+        e = self.zero
+        return tuple(GroupElement(e[:i] + (g.coords,) + e[i + 1:])
+                     for i, f in enumerate(self.factors) for g in f.generators)
+
+    def canon(self, raw):
+        if not (isinstance(raw, (tuple, list)) and len(raw) == len(self.factors)):
+            raise InputError(
+                f"expected {len(self.factors)} components, got {raw!r}")
+        return tuple(f.canon(x) for f, x in zip(self.factors, raw))
+
+    def pointwise(self, op, a, b):
+        return tuple(f.pointwise(op, x, y) for f, x, y in zip(self.factors, a, b))
+
+    def contains(self, c):
+        return all(f.contains(x) for f, x in zip(self.factors, c))
+
+    def sample(self, rng):
+        return tuple(f.sample(rng) for f in self.factors)
+
+    def factorize(self, c):
+        terms, offset = {}, 0
+        for f, x in zip(self.factors, c):
+            terms.update((offset + i, n) for i, n in f.factorize(x).items())
+            offset += len(f.generators)
+        return terms
+
+
+@dataclass(frozen=True)
+class InfinitePower(SemigroupDescriptor):
+    """Coordinates are (index, base coordinates) pairs, indices >= 1 in
+    ascending order, unit values omitted."""
+
+    base: SemigroupDescriptor
+    kind: str = field(default=INFINITE_POWER, init=False)
+    zero = ()
+
+    @cached_property
+    def lattice_ordered(self):
+        return self.base.lattice_ordered
+
+    def canon(self, raw):
+        pairs = tuple(raw.items()) if isinstance(raw, dict) else raw
+        if not (isinstance(pairs, (tuple, list)) and all(
+                isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs)):
+            raise InputError("power coordinates must be (index, value) pairs")
+        out = {}
+        for idx, val in pairs:
+            if not _is_int(idx) or idx < 1:
+                raise InputError("power indices must be integers >= 1")
+            if idx in out:
+                raise InputError(f"power index {idx} given twice")
+            out[idx] = self.base.canon(val)
+        return self._support(out)
+
+    def _support(self, values: dict):
+        e = self.base.zero
+        return tuple(sorted((i, v) for i, v in values.items() if v != e))
+
+    def pointwise(self, op, a, b):
+        e, da, db = self.base.zero, dict(a), dict(b)
+        return self._support({i: self.base.pointwise(op, da.get(i, e), db.get(i, e))
+                              for i in da.keys() | db.keys()})
+
+    def contains(self, c):
+        return all(self.base.contains(val) for _, val in c)
+
+    def sample(self, rng):
+        out = {}
+        for _ in range(rng.randint(0, 3)):
+            idx = rng.randint(1, 8)
+            val = self.base.sample(rng)
+            if val != self.base.zero:
+                out[idx] = val
+        return tuple(sorted(out.items()))
+
+
+#: every kind record by its ``kind`` name
+KINDS = {r.kind: r for r in SemigroupDescriptor.__subclasses__()}
 
 
 def free_abelian(k: int) -> SemigroupDescriptor:
-    if not isinstance(k, int) or k < 1:
-        raise InputError("free_abelian rank must be a positive integer")
-    gens = tuple(
-        GroupElement(tuple(1 if j == i else 0 for j in range(k))) for i in range(k)
-    )
-    return SemigroupDescriptor(
-        kind=FREE_ABELIAN, k=k, generators=gens,
-        lattice_ordered=True, finitely_generated=True,
-    )
-
-
-def _numerical_members(gaps: frozenset, upto: int) -> list[int]:
-    return [n for n in range(upto + 1) if n not in gaps]
-
-
-def _numerical_generators(gaps: frozenset) -> tuple[int, ...]:
-    if not gaps:
-        return (1,)
-    frob = max(gaps)
-    members = set(_numerical_members(gaps, 2 * frob + 2))
-    positives = sorted(m for m in members if m > 0)
-    smallest = positives[0]
-    gens = []
-    # minimal generators all lie in [smallest, frob + smallest]
-    for n in positives:
-        if n > frob + smallest:
-            break
-        if not any(a in members and (n - a) in members for a in range(1, n)):
-            gens.append(n)
-    return tuple(gens)
+    return FreeAbelian(k)
 
 
 def numerical(gaps) -> SemigroupDescriptor:
-    gap_set = frozenset(gaps)
-    for g in gap_set:
-        if not isinstance(g, int):
-            raise InputError("gap entries must be integers")
-        if g == 0:
-            raise InputError("0 in gap set rejects the unit: not a semigroup")
-        if g < 0:
-            raise InputError("gap entries must be positive")
-    # closedness under addition: no gap may split as a sum of two members
-    for g in sorted(gap_set):
-        for a in range(1, g):
-            if a not in gap_set and (g - a) not in gap_set:
-                raise InputError(
-                    f"gap set not additively closed: {a} + {g - a} = {g} is a gap"
-                )
-    gens = tuple(GroupElement(v) for v in _numerical_generators(gap_set))
-    frob = max(gap_set) if gap_set else -1
-    return SemigroupDescriptor(
-        kind=NUMERICAL, gaps=gap_set, generators=gens,
-        lattice_ordered=(not gap_set), finitely_generated=True,
-        _frobenius=frob,
-    )
+    return Numerical(tuple(gaps))
 
 
 def rationals() -> SemigroupDescriptor:
-    return SemigroupDescriptor(
-        kind=RATIONALS, lattice_ordered=True, finitely_generated=False,
-    )
+    return Rationals()
 
 
 def product(*factors: SemigroupDescriptor) -> SemigroupDescriptor:
-    if not factors:
-        raise InputError("product needs at least one factor")
-    gens = []
-    fin = all(f.finitely_generated for f in factors)
-    if fin:
-        for i, f in enumerate(factors):
-            for g in f.generators:
-                coords = tuple(
-                    g.coords if j == i else unit(fj).coords
-                    for j, fj in enumerate(factors)
-                )
-                gens.append(GroupElement(coords))
-    return SemigroupDescriptor(
-        kind=PRODUCT, factors=tuple(factors), generators=tuple(gens),
-        lattice_ordered=all(f.lattice_ordered for f in factors),
-        finitely_generated=fin,
-    )
+    return Product(factors)
 
 
 def infinite_power(base: SemigroupDescriptor) -> SemigroupDescriptor:
-    return SemigroupDescriptor(
-        kind=INFINITE_POWER, base=base,
-        lattice_ordered=base.lattice_ordered, finitely_generated=False,
-    )
+    return InfinitePower(base)
 
 
 # ---------------------------------------------------------------------------
@@ -178,139 +361,30 @@ def infinite_power(base: SemigroupDescriptor) -> SemigroupDescriptor:
 def element(d: SemigroupDescriptor, raw) -> GroupElement:
     """Canonicalize raw coordinates into a GroupElement of d's group."""
     if isinstance(raw, GroupElement):
-        _check_group(d, raw)
+        _check(d, raw)
         return raw
-    return GroupElement(_canon(d, raw))
+    return GroupElement(d.canon(raw))
 
 
-def _canon(d: SemigroupDescriptor, raw) -> object:
-    if d.kind == FREE_ABELIAN:
-        try:
-            coords = tuple(int(c) for c in raw)
-        except TypeError:
-            raise InputError("free_abelian coordinates must be an int sequence")
-        if len(coords) != d.k or any(c != r for c, r in zip(coords, raw)):
-            raise InputError(f"expected {d.k} integer coordinates, got {raw!r}")
-        return coords
-    if d.kind == NUMERICAL:
-        if not isinstance(raw, int):
-            raise InputError("numerical-kind coordinates must be a single int")
-        return raw
-    if d.kind == RATIONALS:
-        if isinstance(raw, float):
-            raise InputError("rational coordinates must be exact (int/Fraction)")
-        return Fraction(raw)
-    if d.kind == PRODUCT:
-        parts = tuple(raw)
-        if len(parts) != len(d.factors):
-            raise InputError(
-                f"expected {len(d.factors)} components, got {len(parts)}"
-            )
-        return tuple(_canon(f, p) for f, p in zip(d.factors, parts))
-    if d.kind == INFINITE_POWER:
-        items = dict(raw) if not isinstance(raw, dict) else raw
-        out = []
-        for idx, val in items.items():
-            if not isinstance(idx, int) or idx < 1:
-                raise InputError("power indices must be integers >= 1")
-            coords = _canon(d.base, val)
-            if coords != unit(d.base).coords:
-                out.append((idx, coords))
-        return tuple(sorted(out))
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
-
-
-def _check_group(d: SemigroupDescriptor, g: GroupElement) -> None:
-    """Raise InputError unless g's coordinates fit d's ambient group."""
-    c = g.coords
-    if d.kind == FREE_ABELIAN:
-        if not (isinstance(c, tuple) and len(c) == d.k
-                and all(isinstance(x, int) for x in c)):
-            raise InputError(f"incompatible coordinates for rank-{d.k} lattice")
-    elif d.kind == NUMERICAL:
-        if not isinstance(c, int):
-            raise InputError("incompatible coordinates for integer ambient group")
-    elif d.kind == RATIONALS:
-        if not isinstance(c, (int, Fraction)):
-            raise InputError("incompatible coordinates for rational ambient group")
-    elif d.kind == PRODUCT:
-        if not (isinstance(c, tuple) and len(c) == len(d.factors)):
-            raise InputError("incompatible coordinates for product group")
-        for f, part in zip(d.factors, c):
-            _check_group(f, GroupElement(part))
-    elif d.kind == INFINITE_POWER:
-        if not isinstance(c, tuple):
-            raise InputError("incompatible coordinates for power group")
-        last = 0
-        for item in c:
-            if not (isinstance(item, tuple) and len(item) == 2):
-                raise InputError("power coordinates must be (index, value) pairs")
-            idx, val = item
-            if not isinstance(idx, int) or idx < 1 or idx <= last:
-                raise InputError("power indices must be strictly increasing, >= 1")
-            last = idx
-            _check_group(d.base, GroupElement(val))
-            if val == unit(d.base).coords:
-                raise InputError("power coordinates must omit unit entries")
-    else:
-        raise InputError(f"unknown descriptor kind {d.kind!r}")
+def _check(d: SemigroupDescriptor, g: GroupElement) -> None:
+    """Raise InputError unless g's coordinates are canonical in d's group."""
+    if d.canon(g.coords) != g.coords:
+        raise InputError(f"non-canonical {d.kind} coordinates {g.coords!r}")
 
 
 def unit(d: SemigroupDescriptor) -> GroupElement:
-    if d.kind == FREE_ABELIAN:
-        return GroupElement((0,) * d.k)
-    if d.kind == NUMERICAL:
-        return GroupElement(0)
-    if d.kind == RATIONALS:
-        return GroupElement(Fraction(0))
-    if d.kind == PRODUCT:
-        return GroupElement(tuple(unit(f).coords for f in d.factors))
-    if d.kind == INFINITE_POWER:
-        return GroupElement(())
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
-
-
-def _add_coords(d: SemigroupDescriptor, a, b):
-    if d.kind == FREE_ABELIAN:
-        return tuple(x + y for x, y in zip(a, b))
-    if d.kind in (NUMERICAL, RATIONALS):
-        return a + b
-    if d.kind == PRODUCT:
-        return tuple(_add_coords(f, x, y) for f, x, y in zip(d.factors, a, b))
-    if d.kind == INFINITE_POWER:
-        base, e = d.base, unit(d.base).coords
-        merged = dict(a)
-        for idx, val in b:
-            s = _add_coords(base, merged.get(idx, e), val)
-            if s == e:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = s
-        return tuple(sorted(merged.items()))
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
-
-
-def _neg_coords(d: SemigroupDescriptor, a):
-    if d.kind == FREE_ABELIAN:
-        return tuple(-x for x in a)
-    if d.kind in (NUMERICAL, RATIONALS):
-        return -a
-    if d.kind == PRODUCT:
-        return tuple(_neg_coords(f, x) for f, x in zip(d.factors, a))
-    if d.kind == INFINITE_POWER:
-        return tuple((idx, _neg_coords(d.base, val)) for idx, val in a)
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
+    return GroupElement(d.zero)
 
 
 def add(d: SemigroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElement:
-    _check_group(d, g)
-    _check_group(d, h)
-    return GroupElement(_add_coords(d, g.coords, h.coords))
+    _check(d, g)
+    _check(d, h)
+    return GroupElement(d.pointwise(operator.add, g.coords, h.coords))
 
 
 def neg(d: SemigroupDescriptor, g: GroupElement) -> GroupElement:
-    _check_group(d, g)
-    return GroupElement(_neg_coords(d, g.coords))
+    _check(d, g)
+    return GroupElement(d.pointwise(operator.sub, d.zero, g.coords))
 
 
 def sub(d: SemigroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -322,22 +396,8 @@ def sub(d: SemigroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElemen
 
 def contains(d: SemigroupDescriptor, g: GroupElement) -> bool:
     """Membership g in P (coordinates must fit the ambient group)."""
-    _check_group(d, g)
-    return _contains_coords(d, g.coords)
-
-
-def _contains_coords(d: SemigroupDescriptor, c) -> bool:
-    if d.kind == FREE_ABELIAN:
-        return all(x >= 0 for x in c)
-    if d.kind == NUMERICAL:
-        return c >= 0 and c not in d.gaps
-    if d.kind == RATIONALS:
-        return c >= 0
-    if d.kind == PRODUCT:
-        return all(_contains_coords(f, x) for f, x in zip(d.factors, c))
-    if d.kind == INFINITE_POWER:
-        return all(_contains_coords(d.base, val) for _, val in c)
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
+    _check(d, g)
+    return d.contains(g.coords)
 
 
 def leq(d: SemigroupDescriptor, g: GroupElement, h: GroupElement) -> bool:
@@ -352,32 +412,10 @@ def meet_join(
         raise UnsupportedStructureError(
             f"{d.kind} descriptor is not lattice ordered"
         )
-    _check_group(d, g)
-    _check_group(d, h)
-    lo, hi = _meet_join_coords(d, g.coords, h.coords)
-    return GroupElement(lo), GroupElement(hi)
-
-
-def _meet_join_coords(d: SemigroupDescriptor, a, b):
-    if d.kind == FREE_ABELIAN:
-        return (tuple(map(min, a, b)), tuple(map(max, a, b)))
-    if d.kind in (NUMERICAL, RATIONALS):  # total orders
-        return (min(a, b), max(a, b))
-    if d.kind == PRODUCT:
-        parts = [_meet_join_coords(f, x, y) for f, x, y in zip(d.factors, a, b)]
-        return (tuple(p[0] for p in parts), tuple(p[1] for p in parts))
-    if d.kind == INFINITE_POWER:
-        base, e = d.base, unit(d.base).coords
-        da, db = dict(a), dict(b)
-        lo, hi = {}, {}
-        for idx in sorted(set(da) | set(db)):
-            m, j = _meet_join_coords(base, da.get(idx, e), db.get(idx, e))
-            if m != e:
-                lo[idx] = m
-            if j != e:
-                hi[idx] = j
-        return (tuple(sorted(lo.items())), tuple(sorted(hi.items())))
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
+    _check(d, g)
+    _check(d, h)
+    return (GroupElement(d.pointwise(min, g.coords, h.coords)),
+            GroupElement(d.pointwise(max, g.coords, h.coords)))
 
 
 def pos_neg_parts(
@@ -402,24 +440,7 @@ def factorize(d: SemigroupDescriptor, p: GroupElement) -> Factorization:
         )
     if not contains(d, p):
         raise MembershipError(f"{p.coords!r} is not in the semigroup")
-    if d.kind == FREE_ABELIAN:
-        return factorization({i: c for i, c in enumerate(p.coords) if c})
-    if d.kind == NUMERICAL:
-        gens = [g.coords for g in d.generators]
-        counts = _greedy_numerical(p.coords, gens)
-        if counts is None:  # unreachable for a valid numerical semigroup
-            raise MembershipError(f"{p.coords!r} admits no factorization")
-        return factorization({i: c for i, c in enumerate(counts) if c})
-    if d.kind == PRODUCT:
-        terms: dict[int, int] = {}
-        offset = 0
-        for f, part in zip(d.factors, p.coords):
-            sub_fact = factorize(f, GroupElement(part))
-            for idx, mult in sub_fact.terms:
-                terms[offset + idx] = mult
-            offset += len(f.generators)
-        return factorization(terms)
-    raise UnsupportedStructureError(f"cannot factorize over kind {d.kind!r}")
+    return factorization(d.factorize(p.coords))
 
 
 def _greedy_numerical(target: int, gens: list[int]) -> list[int] | None:
@@ -449,17 +470,15 @@ def indicator(v, ambient: SemigroupDescriptor) -> GroupElement:
     FreeAbelian base: v holds (coordinate, copy) pairs, both 1-based.
     """
     entries = list(v)
-    if ambient.kind == FREE_ABELIAN:
+    if isinstance(ambient, FreeAbelian):
         coords = [0] * ambient.k
         for idx in entries:
             if not isinstance(idx, int) or not (1 <= idx <= ambient.k):
                 raise InputError(f"index {idx!r} out of range 1..{ambient.k}")
             coords[idx - 1] += 1
         return GroupElement(tuple(coords))
-    if ambient.kind == INFINITE_POWER and ambient.base is not None \
-            and ambient.base.kind == FREE_ABELIAN:
-        base = ambient.base
-        per_copy: dict[int, list[int]] = {}
+    if isinstance(ambient, InfinitePower) and isinstance(ambient.base, FreeAbelian):
+        per_copy: dict[int, list] = {}
         for item in entries:
             try:
                 coord, copy = item
@@ -467,12 +486,11 @@ def indicator(v, ambient: SemigroupDescriptor) -> GroupElement:
                 raise InputError(
                     "power indicator entries must be (coordinate, copy) pairs"
                 )
-            if not isinstance(coord, int) or not (1 <= coord <= base.k):
-                raise InputError(f"coordinate {coord!r} out of range 1..{base.k}")
             if not isinstance(copy, int) or copy < 1:
                 raise InputError(f"copy index {copy!r} must be >= 1")
-            per_copy.setdefault(copy, [0] * base.k)[coord - 1] += 1
-        return element(ambient, {c: tuple(vec) for c, vec in per_copy.items()})
+            per_copy.setdefault(copy, []).append(coord)
+        return element(ambient, {c: indicator(coords, ambient.base).coords
+                                 for c, coords in per_copy.items()})
     raise UnsupportedStructureError(
         "indicator requires a FreeAbelian or InfinitePower(FreeAbelian) ambient"
     )
@@ -482,31 +500,7 @@ def indicator(v, ambient: SemigroupDescriptor) -> GroupElement:
 # sampling and validation
 
 def sample_member(d: SemigroupDescriptor, rng: random.Random) -> GroupElement:
-    return GroupElement(_sample_member_coords(d, rng))
-
-
-def _sample_member_coords(d: SemigroupDescriptor, rng: random.Random):
-    if d.kind == FREE_ABELIAN:
-        return tuple(rng.randint(0, 12) for _ in range(d.k))
-    if d.kind == NUMERICAL:
-        hi = d._frobenius + 20
-        while True:
-            n = rng.randint(0, hi)
-            if n not in d.gaps:
-                return n
-    if d.kind == RATIONALS:
-        return Fraction(rng.randint(0, 240), rng.randint(1, 12))
-    if d.kind == PRODUCT:
-        return tuple(_sample_member_coords(f, rng) for f in d.factors)
-    if d.kind == INFINITE_POWER:
-        out = {}
-        for _ in range(rng.randint(0, 3)):
-            idx = rng.randint(1, 8)
-            val = _sample_member_coords(d.base, rng)
-            if val != unit(d.base).coords:
-                out[idx] = val
-        return tuple(sorted(out.items()))
-    raise InputError(f"unknown descriptor kind {d.kind!r}")
+    return GroupElement(d.sample(rng))
 
 
 def sample_group(d: SemigroupDescriptor, rng: random.Random) -> GroupElement:
@@ -515,25 +509,23 @@ def sample_group(d: SemigroupDescriptor, rng: random.Random) -> GroupElement:
     return sub(d, a, b)
 
 
-def _incomparable_lower_bound_witness(d: SemigroupDescriptor):
+def _incomparable_lower_bound_witness(d: Numerical):
     """For a non-lattice numerical descriptor: smallest member pair with two
     maximal, mutually incomparable lower bounds (exhaustive in a window)."""
-    frob = d._frobenius
-    members = _numerical_members(d.gaps, frob + 4)
-    members = [m for m in members if m > 0]
+    frob = d.frobenius
+    members = [m for m in d.members(frob + 4) if m > 0]
     for b in members:
         for a in members:
             if a >= b:
                 break
             window = range(-(frob + 2), a + 1)
             lbs = [x for x in window
-                   if _contains_coords(d, a - x) and _contains_coords(d, b - x)]
+                   if d.contains(a - x) and d.contains(b - x)]
             maximal = [x for x in lbs
-                       if not any(y != x and _contains_coords(d, y - x)
-                                  for y in lbs)]
+                       if not any(y != x and d.contains(y - x) for y in lbs)]
             bad = [(x, y) for x in maximal for y in maximal
-                   if x < y and not _contains_coords(d, y - x)
-                   and not _contains_coords(d, x - y)]
+                   if x < y and not d.contains(y - x)
+                   and not d.contains(x - y)]
             if bad:
                 return (a, b), sorted({bad[0][0], bad[0][1]}, reverse=True)
     return None
@@ -548,13 +540,14 @@ def validate_descriptor(
     e = unit(d)
     v.add("unit", contains(d, e), f"unit = {e.coords!r}")
 
-    if d.kind == NUMERICAL:
+    if isinstance(d, Numerical):
         # exhaustive: additivity can only fail at a gap below 2*frobenius
+        upto = 2 * d.frobenius + 2
         ok = all(
             (a + b) not in d.gaps
-            for a in _numerical_members(d.gaps, 2 * d._frobenius + 2)
-            for b in _numerical_members(d.gaps, 2 * d._frobenius + 2)
-            if a + b <= 2 * d._frobenius + 2
+            for a in d.members(upto)
+            for b in d.members(upto)
+            if a + b <= upto
         )
         v.add("closure", ok, "exact scan below twice the largest gap")
     else:
@@ -599,7 +592,7 @@ def validate_descriptor(
         v.add("lattice_order", law_fail == "",
               "lattice laws hold on sampled triples" if not law_fail
               else f"lattice law violated: {law_fail}")
-    elif d.kind == NUMERICAL:
+    elif isinstance(d, Numerical):
         witness = _incomparable_lower_bound_witness(d)
         if witness is None:
             v.add("lattice_order", True,

@@ -55,7 +55,8 @@ def explicit_box_sum(mats, degrees):
 
 def pytest_configure(config):
     # the hypothesis plugin reads local constants while collecting
-    set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    if hasattr(config, "cache"):  # absent under -p no:cacheprovider
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -324,6 +324,9 @@ def test_machine_reports_are_deterministic_with_stratified_exit_codes(
         (["check", "athavale", "--input", str(missing)], 2),
         (["check", "athavale", "--input", str(bad)], 2),
         (["check", "bogus", "--input", str(neil)], 2),
+        (["gallery", "normal_pair", "--dim", "0"], 2),
+        (["gallery", "unitary_rep", "--k", "0"], 2),
+        (["gallery", "jordan", "--dim", "0"], 2),
     ]
     code_misses = []
     for argv, want in matrix:

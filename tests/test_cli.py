@@ -123,10 +123,12 @@ class TestMatrixJson:
         "infinite_power", "product-of-power", "power-of-product"])
 def test_descriptor_json_roundtrip(d, text):
     obj = descriptor_to_json(d)
-    back = descriptor_from_json(json.loads(text), "descriptor")
     assert canonical_json(obj) == text
-    assert back == d
-    assert canonical_json(descriptor_to_json(back)) == text
+    assert obj == json.loads(text)
+    for source in (obj, json.loads(text)):
+        back = descriptor_from_json(source, "descriptor")
+        assert back == d
+        assert canonical_json(descriptor_to_json(back)) == text
 
 
 class TestParseSpec:
@@ -334,6 +336,21 @@ class TestRunCommand:
 
     def test_unknown_gallery_case(self, capsys):
         assert _run(capsys, "gallery", "moduli")[0] == 2
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (("truncated_shift", "--weights", "a"), 2,
+         "error: --weights[0]: expected a number, got 'a'\n"),
+        (("truncated_shift", "--weights", "0.5,x"), 2,
+         "error: --weights[1]: expected a number, got 'x'\n"),
+        (("truncated_shift", "--weights", "0,-0.5"), 0, ""),
+        (("unitary_rep", "--dim", "0"), 2,
+         "error: unitary_rep needs --k and --dim >= 1\n"),
+        (("unitary_rep", "--k", "-1"), 2,
+         "error: unitary_rep needs --k and --dim >= 1\n"),
+    ], ids=["weight-text", "second-weight-text", "zero-and-negative-weights",
+            "unitary-dim-zero", "unitary-k-negative"])
+    def test_gallery_values_are_checked(self, capsys, argv, code, err):
+        assert _run(capsys, "gallery", *argv)[0::2] == (code, err)
 
     def test_gallery_help_exits_zero(self, capsys):
         assert _run(capsys, "--help")[0] == 0

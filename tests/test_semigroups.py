@@ -171,8 +171,16 @@ class TestMembership:
         (infinite_power(free_abelian(1)), ((2, (1,)), (1, (1,)))),  # unsorted
         (infinite_power(free_abelian(1)), ((1, (1,)), (1, (2,)))),  # duplicate
         (infinite_power(free_abelian(1)), ((1, (0,)),)),  # unit entry
+        (free_abelian(2), (1.0, 2.0)),                 # float coordinates
+        (free_abelian(2), (True, 0)),                  # bool coordinate
+        (numerical(GAPS1), 2.0),                       # float numerical
+        (numerical(GAPS1), True),                      # bool numerical
+        (rationals(), True),                           # bool rational
+        (product(free_abelian(1), rationals()), ((1.0,), 0)),  # nested float
     ], ids=["free_abelian", "numerical", "rationals", "product",
-            "power-unsorted", "power-duplicate", "power-unit"])
+            "power-unsorted", "power-duplicate", "power-unit",
+            "float-coords", "bool-coord", "float-numerical", "bool-numerical",
+            "bool-rational", "product-float"])
     def test_incompatible_coordinates_rejected(self, d, coords):
         # built directly, bypassing element(): add/contains must check
         g = GroupElement(coords)
@@ -180,6 +188,25 @@ class TestMembership:
             contains(d, g)
         with pytest.raises(InputError):
             add(d, g, g)
+
+    @pytest.mark.parametrize("d, raw", [
+        (free_abelian(2), ("a", 1)),
+        (free_abelian(2), (1.0, 2.0)),
+        (free_abelian(2), (True, 0)),
+        (numerical(GAPS1), True),
+        (rationals(), "abc"),
+        (rationals(), None),
+        (rationals(), True),
+        (product(free_abelian(1), rationals()), 3),
+        (infinite_power(free_abelian(1)), 7),
+        (infinite_power(free_abelian(1)), [(1, (1,)), (1, (2,))]),
+    ], ids=["free_abelian-text", "free_abelian-float", "free_abelian-bool",
+            "numerical-bool", "rationals-text", "rationals-none",
+            "rationals-bool", "product-scalar", "power-scalar",
+            "power-duplicate"])
+    def test_element_rejects_with_input_error(self, d, raw):
+        with pytest.raises(InputError):
+            element(d, raw)
 
     def test_contains_matches_factorize(self):
         # dual route: membership and exact-expansion existence agree on a
