@@ -31,6 +31,7 @@ from normex import (
     box_operator,
     brehmer_certificate,
     brehmer_sum,
+    canonical_json,
     element,
     extension_residual,
     free_abelian,
@@ -532,3 +533,100 @@ class TestGeneratorSweep:
     def test_bad_max_degree(self):
         with pytest.raises(InputError):
             generator_certificate([np.eye(1)], max_degree=-1)
+
+
+# Every certificate report as canonical JSON, on pass, fail and
+# not-applicable inputs whose margins are exact in binary floating point.
+H2 = 0.5 * np.eye(2)
+DIAG = (np.diag([0.5, 0.25]), np.diag([0.5, 0.5]))
+TOLS = '"tolerances":{"tol":1e-08,"tolerance_used":1e-08}'
+NA_TOLS = '"tolerances":{"tol":1e-08}'
+NOT_CONTRACTION = '{"index":0,"norm_excess":1,"reason":"not a contraction"}'
+NON_COMMUTING = '{"pair":[0,1],"reason":"non-commuting","residual":0.25}'
+REGULAR_NOTE = '"notes":["sampled verdict: checked for the supplied points only"]'
+
+
+def _rep(images, k=2):
+    return make_representation(free_abelian(k), images)
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: agler_certificate([[0.5]], 2),
+     '{"condition":"agler","margin":0.5625,"notes":[],"parameters":{"n":2},'
+     + TOLS + ',"verdict":"pass","witness":null}'),
+    (lambda: agler_certificate(J2, 2),
+     '{"condition":"agler","margin":-1,"notes":[],"parameters":{"n":2},'
+     + TOLS + ',"verdict":"fail","witness":{"n":2}}'),
+    (lambda: agler_certificate([[2.0]], 1),
+     '{"condition":"agler","margin":null,"notes":[],"parameters":{"n":1},'
+     + NA_TOLS + ',"verdict":"not-applicable","witness":'
+     + NOT_CONTRACTION + '}'),
+    (lambda: athavale_certificate(DIAG, (1, 1)),
+     '{"condition":"athavale","margin":0.5625,"notes":[],"parameters":'
+     '{"commutator_residual":0,"n":[1,1]},' + TOLS
+     + ',"verdict":"pass","witness":null}'),
+    (lambda: athavale_certificate((J2, H2), (2, 1)),
+     '{"condition":"athavale","margin":-0.75,"notes":[],"parameters":'
+     '{"commutator_residual":0,"n":[2,1]},' + TOLS
+     + ',"verdict":"fail","witness":{"n":[2,1]}}'),
+    (lambda: athavale_certificate((0.5 * J2, 0.5 * J2.T), (1, 1)),
+     '{"condition":"athavale","margin":null,"notes":[],"parameters":'
+     '{"n":[1,1]},' + NA_TOLS + ',"verdict":"not-applicable","witness":'
+     + NON_COMMUTING + '}'),
+    (lambda: brehmer_certificate(_rep(DIAG), [1, 2]),
+     '{"condition":"brehmer","margin":0.5625,"notes":[],"parameters":'
+     '{"letters":[1,2],"subset_count":4},' + TOLS
+     + ',"verdict":"pass","witness":null}'),
+    (lambda: brehmer_certificate(_rep([J2], 1), [(1, 1), (1, 2)]),
+     '{"condition":"brehmer","margin":-1,"notes":[],"parameters":'
+     '{"letters":[[1,1],[1,2]],"subset_count":4},' + TOLS
+     + ',"verdict":"fail","witness":{"letters":[[1,1],[1,2]]}}'),
+    (lambda: brehmer_certificate(_rep([0.5 * J2, 0.5 * J2.T]), [1, 2]),
+     '{"condition":"brehmer","margin":null,"notes":[],"parameters":'
+     '{"letters":[1,2],"subset_count":4},' + NA_TOLS
+     + ',"verdict":"not-applicable","witness":' + NON_COMMUTING + '}'),
+    (lambda: regularity_check(_rep([[[0.5]], [[0.0]]]),
+                              [(0, 0), (0, 1)], (1, 0)),
+     '{"condition":"regularity","margin":0.75,' + REGULAR_NOTE
+     + ',"parameters":{"g":[1,0],"points":[[0,0],[0,1]]},' + TOLS
+     + ',"verdict":"pass","witness":null}'),
+    (lambda: regularity_check(_rep([[[2.0]], [[0.0]]]),
+                              [(0, 0), (0, 1)], (1, 0)),
+     '{"condition":"regularity","margin":-3,' + REGULAR_NOTE
+     + ',"parameters":{"g":[1,0],"points":[[0,0],[0,1]]},"tolerances":'
+     '{"tol":1e-08,"tolerance_used":3.0000000000000004e-08},'
+     '"verdict":"fail","witness":{"g":[1,0],"points":[[0,0],[0,1]]}}'),
+    (lambda: regularity_check(_rep([[[0.5]], [[0.0]]]),
+                              [(0, 0), (1, 0)], (1, 0)),
+     '{"condition":"regularity","margin":null,"notes":[],"parameters":'
+     '{"g":[1,0],"points":[[0,0],[1,0]]},' + NA_TOLS
+     + ',"verdict":"not-applicable","witness":'
+     '{"index":1,"p":[1,0],"reason":"meet condition violated"}}'),
+    (lambda: generator_certificate([[[0.5]]], 2),
+     '{"condition":"generator_sweep","margin":0.5625,"notes":["pass swept '
+     'over all degree tuples with sum <= 2"],"parameters":{"max_degree":2,'
+     '"tuples_checked":3},' + NA_TOLS + ',"verdict":"pass","witness":null}'),
+    (lambda: generator_certificate(_rep(DIAG), 2),
+     '{"condition":"generator_sweep","margin":0.5625,"notes":["pass swept '
+     'over all degree tuples with sum <= 2"],"parameters":{"max_degree":2,'
+     '"tuples_checked":6},' + NA_TOLS + ',"verdict":"pass","witness":null}'),
+    (lambda: generator_certificate((J2, H2), 3),
+     '{"condition":"generator_sweep","margin":-1,"notes":["first failing '
+     'degree tuple in lexicographic order within sum <= 3"],"parameters":'
+     '{"max_degree":3,"tuples_checked":8},' + TOLS
+     + ',"verdict":"fail","witness":{"n":[2,0]}}'),
+    (lambda: generator_certificate([[[2.0]]], 2),
+     '{"condition":"generator_sweep","margin":null,"notes":[],"parameters":'
+     '{"max_degree":2},' + NA_TOLS + ',"verdict":"not-applicable",'
+     '"witness":' + NOT_CONTRACTION + '}'),
+    (lambda: generator_certificate([], 2),
+     '{"condition":"generator_sweep","margin":null,"notes":["vacuous: no '
+     'generators"],"parameters":{"max_degree":2,"tuples_checked":0},'
+     + NA_TOLS + ',"verdict":"pass","witness":null}'),
+], ids=["agler-pass", "agler-fail", "agler-na", "athavale-pass",
+        "athavale-fail", "athavale-na", "brehmer-pass", "brehmer-fail",
+        "brehmer-na", "regularity-pass", "regularity-fail", "regularity-na",
+        "sweep-pass", "sweep-rep", "sweep-first-failure", "sweep-na",
+        "sweep-vacuous"])
+def test_reports_are_pinned(run, expected):
+    assert canonical_json(run().as_dict()) == expected
