@@ -44,7 +44,7 @@ from .representations import (
     star_kernel,
     tilde_eval,
 )
-from .semigroups import GroupElement
+from .semigroups import GroupElement, _is_int
 
 #: Hard cap on subset-enumeration size (2^cap evaluations).
 DEFAULT_SUBSET_CAP = 16
@@ -58,7 +58,7 @@ DegreeTuple = tuple
 def degree_tuple(values) -> DegreeTuple:
     out = tuple(values)
     for v in out:
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise InputError(f"degree entries must be non-negative ints, got {v!r}")
     return out
 
@@ -138,6 +138,9 @@ def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
     Delta_1^{n1} o ... o Delta_m^{nm}(I).  Delta_1 is outermost, which gives
     exactly the adjoint ordering above, also for non-commuting input."""
     mats = [np.asarray(m) for m in mats]
+    degrees = degree_tuple(degrees)
+    if not mats:
+        raise InputError("at least one operator required")
     if len(mats) != len(degrees):
         raise InputError("one degree per operator required")
     order = [i for i, d in enumerate(degrees) for _ in range(d)]
@@ -156,6 +159,27 @@ def brehmer_sum(mats, letters, dim: int) -> CMatrix:
 
 # ---------------------------------------------------------------------------
 # certificates
+
+def _operators(ts) -> list[CMatrix]:
+    """Read an operator tuple: cmatrix on each, one shared square shape."""
+    mats = [cmatrix(m) for m in ts]
+    if any(m.shape != (mats[0].shape[0],) * 2 for m in mats):
+        raise InputError("operators must share a square shape")
+    return mats
+
+
+def _psd_report(condition: str, parameters: dict, verdict, tol: float,
+                witness, notes=()) -> CertificateReport:
+    """Pass or fail as ``verdict`` says; a fail carries ``witness``."""
+    return CertificateReport(
+        condition=condition, parameters=parameters,
+        verdict="pass" if verdict.is_psd else "fail",
+        margin=verdict.min_eigenvalue,
+        witness=None if verdict.is_psd else witness,
+        tolerances={"tol": tol, "tolerance_used": verdict.tolerance_used},
+        notes=notes,
+    )
+
 
 def _gate(condition: str, parameters: dict, mats,
           tol: float) -> tuple[CertificateReport | None, float | None]:
@@ -187,21 +211,13 @@ def agler_certificate(
     t = cmatrix(t)
     if t.shape[0] != t.shape[1]:
         raise InputError("agler_certificate requires a square matrix")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InputError("degree must be a non-negative int")
     gated, _ = _gate("agler", {"n": n}, (t,), tol)
     if gated is not None:
         return gated
-    op = box_operator((t,), (n,))
-    verdict = psd_check(op, tol)
-    return CertificateReport(
-        condition="agler",
-        parameters={"n": n},
-        verdict="pass" if verdict.is_psd else "fail",
-        margin=verdict.min_eigenvalue,
-        witness=None if verdict.is_psd else {"n": n},
-        tolerances={"tol": tol, "tolerance_used": verdict.tolerance_used},
-    )
+    verdict = psd_check(box_operator((t,), (n,)), tol)
+    return _psd_report("agler", {"n": n}, verdict, tol, {"n": n})
 
 
 def athavale_certificate(
@@ -209,28 +225,16 @@ def athavale_certificate(
 ) -> CertificateReport:
     """Positivity of the multi-binomial alternating sum for a commuting
     contraction tuple at the degree box n."""
-    mats = [cmatrix(m) for m in ts]
+    mats = _operators(ts)
     n = degree_tuple(n)
     if len(mats) != len(n):
         raise InputError("one degree per operator required")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise InputError("operators must share a square shape")
     gated, comm = _gate("athavale", {"n": list(n)}, mats, tol)
     if gated is not None:
         return gated
-    op = box_operator(mats, n)
-    verdict = psd_check(op, tol)
-    return CertificateReport(
-        condition="athavale",
-        parameters={"n": list(n),
-                    "commutator_residual": comm},
-        verdict="pass" if verdict.is_psd else "fail",
-        margin=verdict.min_eigenvalue,
-        witness=None if verdict.is_psd else {"n": list(n)},
-        tolerances={"tol": tol, "tolerance_used": verdict.tolerance_used},
-    )
+    verdict = psd_check(box_operator(mats, n), tol)
+    return _psd_report("athavale", {"n": list(n), "commutator_residual": comm},
+                       verdict, tol, {"n": list(n)})
 
 
 def _letters_to_indices(t: Representation, u) -> list[int]:
@@ -247,7 +251,7 @@ def _letters_to_indices(t: Representation, u) -> list[int]:
     seen = set()
     idxs = []
     for item in letters:
-        if isinstance(item, int):
+        if _is_int(item):
             if d.kind != sg.FREE_ABELIAN:
                 raise InputError(
                     "plain integer letters need a free-abelian descriptor; "
@@ -263,9 +267,9 @@ def _letters_to_indices(t: Representation, u) -> list[int]:
             except (TypeError, ValueError):
                 raise InputError("letters must be ints or (generator, copy) pairs")
             ngen = len(t.generator_images)
-            if not (isinstance(gen, int) and 1 <= gen <= ngen):
+            if not (_is_int(gen) and 1 <= gen <= ngen):
                 raise InputError(f"generator index {gen!r} out of range 1..{ngen}")
-            if not (isinstance(copy, int) and copy >= 1):
+            if not (_is_int(copy) and copy >= 1):
                 raise InputError(f"copy index {copy!r} must be >= 1")
             key = (gen, copy)
             idxs.append(gen - 1)
@@ -288,16 +292,8 @@ def brehmer_certificate(
     gated, _ = _gate("brehmer", parameters, t.generator_images, tol)
     if gated is not None:
         return gated
-    op = brehmer_sum(t.generator_images, idxs, t.dimension)
-    verdict = psd_check(op, tol)
-    return CertificateReport(
-        condition="brehmer",
-        parameters=parameters,
-        verdict="pass" if verdict.is_psd else "fail",
-        margin=verdict.min_eigenvalue,
-        witness=None if verdict.is_psd else {"letters": letters},
-        tolerances={"tol": tol, "tolerance_used": verdict.tolerance_used},
-    )
+    verdict = psd_check(brehmer_sum(t.generator_images, idxs, t.dimension), tol)
+    return _psd_report("brehmer", parameters, verdict, tol, {"letters": letters})
 
 
 def athavale_vs_brehmer(
@@ -309,15 +305,15 @@ def athavale_vs_brehmer(
     same defect-map kernel on the same index order, so they agree exactly;
     the independent check of that kernel is the explicit binomial expansion
     kept in the test suite."""
-    mats = [cmatrix(m) for m in ts]
+    mats = _operators(ts)
     n = degree_tuple(n)
     if len(mats) != len(n):
         raise InputError("one degree per operator required")
     total = sum(n)
     if total > cap:
         raise CapExceededError(total, cap, 2 ** total)
-    dim = mats[0].shape[0]
     star_side = box_operator(mats, n)
+    dim = star_side.shape[0]
     letters = [i for i in range(len(mats)) for _ in range(n[i])]
     subset_side = brehmer_sum(mats, letters, dim)
     deviation = float(np.abs(star_side - subset_side).max()) if dim else 0.0
@@ -430,15 +426,10 @@ def regularity_check(
     tga = adjoint(tg)
     l_blocks = [[tga @ b @ tg for b in row] for row in x_blocks]
     verdict = loewner_leq(block_assemble(l_blocks), block_assemble(x_blocks), tol)
-    return CertificateReport(
-        condition="regularity",
-        parameters={"g": g, "points": points},
-        verdict="pass" if verdict.is_psd else "fail",
-        margin=verdict.min_eigenvalue,
-        witness=None if verdict.is_psd else {"g": g, "points": points},
-        tolerances={"tol": tol, "tolerance_used": verdict.tolerance_used},
-        notes=("sampled verdict: checked for the supplied points only",),
-    )
+    return _psd_report(
+        "regularity", {"g": g, "points": points}, verdict, tol,
+        {"g": g, "points": points},
+        notes=("sampled verdict: checked for the supplied points only",))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +464,8 @@ def generator_certificate(
             )
         mats = list(t.generator_images)
     else:
-        mats = [cmatrix(m) for m in t]
-    if not isinstance(max_degree, int) or max_degree < 0:
+        mats = _operators(t)
+    if not _is_int(max_degree) or max_degree < 0:
         raise InputError("max_degree must be a non-negative int")
     base_tols = {"tol": tol}
     if not mats:
@@ -496,17 +487,12 @@ def generator_certificate(
         checked += 1
         verdict = psd_check(box_operator(mats, n), tol)
         if not verdict.is_psd:
-            return CertificateReport(
-                condition="generator_sweep",
-                parameters={"max_degree": max_degree,
-                            "tuples_checked": checked},
-                verdict="fail", margin=verdict.min_eigenvalue,
-                witness={"n": list(n)},
-                tolerances={"tol": tol,
-                            "tolerance_used": verdict.tolerance_used},
+            return _psd_report(
+                "generator_sweep",
+                {"max_degree": max_degree, "tuples_checked": checked},
+                verdict, tol, {"n": list(n)},
                 notes=(f"first failing degree tuple in lexicographic order "
-                       f"within sum <= {max_degree}",),
-            )
+                       f"within sum <= {max_degree}",))
         if worst is None or verdict.min_eigenvalue < worst:
             worst = verdict.min_eigenvalue
     return CertificateReport(

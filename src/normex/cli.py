@@ -34,7 +34,7 @@ from .certificates import (
 )
 from .constructions import make_commuting_normals, make_gallery
 from .errors import CapExceededError, InputError, NormexError, UnsupportedStructureError
-from .linalg import DEFAULT_PSD_TOL, operator_norm
+from .linalg import DEFAULT_PSD_TOL, largest, operator_norm
 from .representations import (
     InvolutionPoint,
     Representation,
@@ -439,15 +439,10 @@ def _extension_report(rep: Representation, cfg: RunConfig) -> CertificateReport:
         raise InputError(
             f"subspace dimension {k} out of range 0..{rep.dimension}"
         )
-    worst = 0.0
-    bad = None
-    pairs = []
-    for i, m in enumerate(rep.generator_images):
-        lhs, rhs = extension_residual(m, k)
-        pairs.append([lhs, rhs])
-        scale = max(1.0, operator_norm(m) ** 2)
-        if lhs / scale > worst:
-            worst, bad = lhs / scale, i
+    pairs = [list(extension_residual(m, k)) for m in rep.generator_images]
+    worst, bad = largest(enumerate(
+        lhs / max(1.0, operator_norm(m) ** 2)
+        for m, (lhs, _) in zip(rep.generator_images, pairs)))
     ok = worst <= cfg.tol
     return CertificateReport(
         condition="extension",
@@ -546,6 +541,12 @@ def _env_seed() -> int | None:
         raise InputError(f"NORMEX_SEED must be an integer, got {raw!r}")
 
 
+def _in_disc(x: float, path: str) -> float:
+    if not abs(x) <= 1:  # NaN fails too
+        raise InputError(f"{path}: must satisfy |x| <= 1, got {x!r}")
+    return x
+
+
 def _gallery_document(name: str, args) -> dict:
     def size(value, default):  # the default only when the flag is absent
         return default if value is None else value
@@ -560,14 +561,14 @@ def _gallery_document(name: str, args) -> dict:
         weights = []
         for i, w in enumerate(args.weights.split(",")):
             try:
-                weights.append(float(w))
+                weights.append(_in_disc(float(w), f"--weights[{i}]"))
             except ValueError:
                 raise InputError(
                     f"--weights[{i}]: expected a number, got {w!r}") from None
         m = make_gallery("truncated_shift", weights=weights)
         return {"matrix": matrix_to_json(m)}
     if name == "neil_scalar":
-        lam = args.lam if args.lam is not None else 0.5
+        lam = _in_disc(args.lam, "--lam") if args.lam is not None else 0.5
         rep = make_gallery("neil_scalar", lam=lam)
     elif name == "neil_matrix":
         dim = size(args.dim, 2)

@@ -266,24 +266,17 @@ def make_gallery(case: str, **params):
         dim = int(params.get("dim", 2))
         if dim < 1:
             raise InputError("jordan dimension must be >= 1")
-        j = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(dim - 1):
-            j[i, i + 1] = 1.0
-        return _freeze(j)
+        return cmatrix(np.eye(dim, k=1))
     if case == "truncated_shift":
         weights = [complex(w) for w in params["weights"]]
         if not weights:
             raise InputError("truncated_shift needs at least one weight")
-        if any(abs(w) > 1 for w in weights):
+        if not all(abs(w) <= 1 for w in weights):  # NaN fails too
             raise InputError("shift weights must satisfy |w| <= 1")
-        dim = len(weights) + 1
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for i, w in enumerate(weights):
-            m[i + 1, i] = w
-        return _freeze(m)
+        return cmatrix(np.diag(weights, k=-1))
     if case == "neil_scalar":
         lam = complex(params["lam"])
-        if abs(lam) > 1:
+        if not abs(lam) <= 1:  # NaN fails too
             raise InputError("scalar must satisfy |lam| <= 1")
         return make_representation(
             _neil_descriptor(),

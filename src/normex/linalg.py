@@ -62,16 +62,21 @@ def operator_norm(a: CMatrix) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def largest(pairs) -> tuple[float, object]:
+    """The largest residual over (key, residual) pairs, floored at 0, and the
+    first key attaining it (None when no residual is positive)."""
+    worst, at = 0.0, None
+    for key, r in pairs:
+        if r > worst:
+            worst, at = r, key
+    return worst, at
+
+
 def norm_excess(mats) -> tuple[float, int | None]:
     """How far a tuple is from being contractive: the largest ||M_i|| - 1,
     floored at 0, and the first index attaining it (None when no operator
     exceeds norm 1)."""
-    worst, index = 0.0, None
-    for i, m in enumerate(mats):
-        r = operator_norm(m) - 1.0
-        if r > worst:
-            worst, index = r, i
-    return worst, index
+    return largest(enumerate(operator_norm(m) - 1.0 for m in mats))
 
 
 def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
@@ -79,13 +84,9 @@ def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
     ``mats`` itself; the adjoints give the *-commutator), and the first pair
     (i, j) attaining it (None when every commutator vanishes)."""
     others = mats if others is None else others
-    worst, pair = 0.0, None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = operator_norm(mats[i] @ others[j] - others[j] @ mats[i])
-            if r > worst:
-                worst, pair = r, (i, j)
-    return worst, pair
+    return largest(
+        ((i, j), operator_norm(mats[i] @ others[j] - others[j] @ mats[i]))
+        for i in range(len(mats)) for j in range(i + 1, len(mats)))
 
 
 def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from .linalg import (
     cmatrix,
     commutator_residual,
     identity,
+    largest,
     norm_excess,
     operator_norm,
 )
@@ -126,12 +127,10 @@ def validate_rep(
           f"max commutator residual {comm:.3e}"
           + (f" at pair {pair}" if pair and comm > tol else ""))
 
-    rel_res = 0.0
-    rel_bad = None
-    for lhs, rhs in t.relations:
-        r = operator_norm(product_of(t, lhs) - product_of(t, rhs))
-        if r > rel_res:
-            rel_res, rel_bad = r, (lhs.as_dict(), rhs.as_dict())
+    rel_res, rel_bad = largest(
+        ((lhs.as_dict(), rhs.as_dict()),
+         operator_norm(product_of(t, lhs) - product_of(t, rhs)))
+        for lhs, rhs in t.relations)
     v.add("relations", rel_res <= tol,
           f"max relation residual {rel_res:.3e}"
           + (f" at {rel_bad}" if rel_bad and rel_res > tol else ""))
@@ -190,11 +189,9 @@ def validate_normal_map(
     v = ValidationVerdict()
     mats = [m for _, m in n.images]
 
-    norm_res, norm_bad = 0.0, None
-    for p, m in n.images:
-        r = operator_norm(adjoint(m) @ m - m @ adjoint(m))
-        if r > norm_res:
-            norm_res, norm_bad = r, p.coords
+    norm_res, norm_bad = largest(
+        (p.coords, operator_norm(adjoint(m) @ m - m @ adjoint(m)))
+        for p, m in n.images)
     v.add("normal", norm_res <= tol,
           f"max normality residual {norm_res:.3e}"
           + (f" at {norm_bad!r}" if norm_bad is not None and norm_res > tol
@@ -278,10 +275,7 @@ def star_kernel(
     t: Representation, s: InvolutionPoint, u: InvolutionPoint
 ) -> CMatrix:
     """Kernel value T~(s* u) = T(left(s* u))* T(right(s* u)) on the
-    involution pairs; components must lie in P."""
-    d = t.descriptor
-    x = point_mul(d, s.star(), u)
-    for comp in (x.left, x.right):
-        if not sg.contains(d, comp):
-            raise MembershipError(f"{comp.coords!r} is not in the semigroup")
+    involution pairs; components must lie in P (eval_rep raises
+    MembershipError, left component first)."""
+    x = point_mul(t.descriptor, s.star(), u)
     return adjoint(eval_rep(t, x.left)) @ eval_rep(t, x.right)

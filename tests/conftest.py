@@ -8,6 +8,8 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 package evaluates alternating sums by the iterated defect map, this module
 by the explicit binomial expansion.
 
+A warning raised by a test in this directory fails that test.
+
 Every hypothesis property test runs under one profile: derandomized and
 without an example database, so tier-1 draws the same examples on every run.
 Hypothesis also caches the constants it reads from local source; that cache
@@ -18,8 +20,10 @@ import itertools
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -57,6 +61,13 @@ def pytest_configure(config):
     # the hypothesis plugin reads local constants while collecting
     if hasattr(config, "cache"):  # absent under -p no:cacheprovider
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
+
+def pytest_collection_modifyitems(config, items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def pytest_sessionfinish(session, exitstatus):

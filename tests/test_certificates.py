@@ -32,6 +32,7 @@ from normex import (
     brehmer_certificate,
     brehmer_sum,
     canonical_json,
+    degree_tuple,
     element,
     extension_residual,
     free_abelian,
@@ -630,3 +631,37 @@ def _rep(images, k=2):
         "sweep-vacuous"])
 def test_reports_are_pinned(run, expected):
     assert canonical_json(run().as_dict()) == expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda: generator_certificate([np.eye(2), np.eye(3)]),
+    lambda: generator_certificate([np.zeros((2, 3))]),
+    lambda: athavale_vs_brehmer([np.eye(2), np.eye(3)], (1, 1)),
+    lambda: athavale_vs_brehmer([np.zeros((2, 3))], (1,)),
+    lambda: athavale_certificate([np.eye(2), np.eye(3)], (1, 1)),
+    lambda: athavale_certificate([], ()),
+    lambda: athavale_vs_brehmer([], ()),
+], ids=["sweep-mismatched", "sweep-non-square", "vs-mismatched",
+        "vs-non-square", "athavale-mismatched", "athavale-empty", "vs-empty"])
+def test_malformed_operator_tuples_raise_input_error(run):
+    with pytest.raises(InputError):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: degree_tuple((True, 0)),
+    lambda: athavale_certificate([J2, np.eye(2)], (True, 0)),
+    lambda: athavale_vs_brehmer([J2], (True,)),
+    lambda: box_operator([J2], (1.5,)),
+    lambda: box_operator([J2], (True,)),
+    lambda: agler_certificate(J2, True),
+    lambda: generator_certificate([J2], True),
+    lambda: brehmer_certificate(_rep(DIAG), [True]),
+    lambda: brehmer_certificate(_rep(DIAG), [(True, 1)]),
+    lambda: brehmer_certificate(_rep(DIAG), [(1, True)]),
+], ids=["degree-tuple", "athavale", "athavale-vs-brehmer", "box-fraction",
+        "box-bool", "agler", "sweep", "letter", "letter-generator",
+        "letter-copy"])
+def test_bools_are_not_degrees_or_letters(run):
+    with pytest.raises(InputError):
+        run()

@@ -4,6 +4,7 @@ exit codes, and byte-level determinism of machine reports."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,13 +142,13 @@ class TestParseSpec:
         assert cfg.seed == 0
 
     def test_roundtrip_preserves_matrices(self, neil_path):
-        doc = json.loads(open(neil_path).read())
+        doc = json.loads(Path(neil_path).read_text())
         _, rep, _ = parse_spec(neil_path)
         again = [matrix_to_json(m) for m in rep.generator_images]
         assert again == doc["representation"]["generators"]
 
     def test_missing_relations_warns_on_gap_semigroup(self, tmp_path, neil_path):
-        doc = json.loads(open(neil_path).read())
+        doc = json.loads(Path(neil_path).read_text())
         del doc["representation"]["relations"]
         p = tmp_path / "norel.json"
         p.write_text(json.dumps(doc))
@@ -347,8 +348,20 @@ class TestRunCommand:
          "error: unitary_rep needs --k and --dim >= 1\n"),
         (("unitary_rep", "--k", "-1"), 2,
          "error: unitary_rep needs --k and --dim >= 1\n"),
+        (("truncated_shift", "--weights", "nan"), 2,
+         "error: --weights[0]: must satisfy |x| <= 1, got nan\n"),
+        (("truncated_shift", "--weights", "0.5,-inf"), 2,
+         "error: --weights[1]: must satisfy |x| <= 1, got -inf\n"),
+        (("truncated_shift", "--weights", "1.5"), 2,
+         "error: --weights[0]: must satisfy |x| <= 1, got 1.5\n"),
+        (("neil_scalar", "--lam", "nan"), 2,
+         "error: --lam: must satisfy |x| <= 1, got nan\n"),
+        (("neil_scalar", "--lam", "1.5"), 2,
+         "error: --lam: must satisfy |x| <= 1, got 1.5\n"),
     ], ids=["weight-text", "second-weight-text", "zero-and-negative-weights",
-            "unitary-dim-zero", "unitary-k-negative"])
+            "unitary-dim-zero", "unitary-k-negative", "weight-nan",
+            "second-weight-infinite", "weight-above-one", "lam-nan",
+            "lam-above-one"])
     def test_gallery_values_are_checked(self, capsys, argv, code, err):
         assert _run(capsys, "gallery", *argv)[0::2] == (code, err)
 

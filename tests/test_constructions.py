@@ -276,6 +276,21 @@ class TestGallery:
         with pytest.raises(InputError):
             make_gallery("truncated_shift", weights=(1.2,))
 
+    @pytest.mark.parametrize("case, params", [
+        ("truncated_shift", {"weights": (0.5, float("nan"))}),
+        ("truncated_shift", {"weights": (float("inf"),)}),
+        ("neil_scalar", {"lam": float("nan")}),
+        ("neil_scalar", {"lam": 1.5}),
+    ], ids=["weight-nan", "weight-inf", "lam-nan", "lam-above-one"])
+    def test_nan_and_out_of_disc_values_rejected(self, case, params):
+        with pytest.raises(InputError):
+            make_gallery(case, **params)
+
+    def test_gallery_matrices_are_read_only(self):
+        for m in (make_gallery("jordan", dim=3),
+                  make_gallery("truncated_shift", weights=(0.5,))):
+            assert m.dtype == np.complex128 and not m.flags.writeable
+
     def test_neil_scalar(self):
         t = make_gallery("neil_scalar", lam=0.5)
         assert validate_rep(t).ok

@@ -29,6 +29,7 @@ from normex import (
     numerical,
     operator_norm,
     point_mul,
+    product,
     sample_member,
     star_kernel,
     tilde_eval,
@@ -177,15 +178,23 @@ def _normal_map(images):
     (validate_normal_map,
      lambda: _normal_map({(1, 0): np.diag([0.5, 1.0]),
                           (0, 1): np.diag([0.25, -1.0])}), True,
-     {"contractive": "max norm excess 0.000e+00",
+     {"normal": "max normality residual 0.000e+00",
+      "contractive": "max norm excess 0.000e+00",
       "commuting": "max commutator residual 0.000e+00",
       "star_commuting": "max adjoint-commutator residual 0.000e+00"}),
     (validate_normal_map,
      lambda: _normal_map({(1, 0): 2 * J, (0, 1): J, (1, 1): 0.5 * J.T}),
      False,
-     {"contractive": "max norm excess 1.000e+00",
+     {"normal": "max normality residual 4.000e+00 at (1, 0)",
+      "contractive": "max norm excess 1.000e+00",
       "commuting": "max commutator residual 1.000e+00",
       "star_commuting": "max adjoint-commutator residual 2.000e+00"}),
+    (validate_rep,  # the first relation of largest residual is named
+     lambda: make_representation(
+         numerical((1,)), [[[0.5]], [[0.0]]],
+         relations=[({0: 1}, {0: 1}), ({0: 2}, {1: 1}), ({1: 1}, {0: 2})]),
+     False, {"relations": "max relation residual 2.500e-01 at "
+                          "({0: 2}, {1: 1})"}),
     (validate_dilation_family,
      lambda: make_dilation_family([np.diag([1, 1j]), np.diag([-1, 1])], 0, 1),
      True, {"commuting": "max commutator residual 0.000e+00"}),
@@ -193,7 +202,7 @@ def _normal_map(images):
      lambda: make_dilation_family([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], 0, 1),
      False, {"commuting": "max commutator residual 2.000e+00"}),
 ], ids=["rep-pass", "rep-fail", "normal-pass", "normal-fail",
-        "dilation-pass", "dilation-fail"])
+        "relation-fail", "dilation-pass", "dilation-fail"])
 def test_precondition_details_are_pinned(validate, arg, passed, details):
     # the details reach every machine report through the validation echo,
     # so they must not change byte for byte
@@ -338,3 +347,21 @@ class TestStarKernel:
         good = involution_point(d, (0,), (0,))
         with pytest.raises(MembershipError):
             star_kernel(t, bad, good)
+
+    @pytest.mark.parametrize("d, images, left, right", [
+        (free_abelian(1), [[[0.5]]], (-1,), (-2,)),
+        (numerical((1,)), [[[0.5]], [[0.25]]], 1, -3),
+        (product(free_abelian(1), numerical((1,))),
+         [[[0.5]], [[0.25]], [[0.125]]], ((-1,), 0), ((0,), 1)),
+    ], ids=["free-abelian", "numerical", "product"])
+    def test_membership_message_names_the_left_component(
+            self, d, images, left, right):
+        t = make_representation(d, images)
+        e = unit(d).coords
+        # s* u = (right(s) + left(u), left(s) + right(u))
+        s = InvolutionPoint(element(d, e), element(d, e))
+        u = InvolutionPoint(element(d, left), element(d, right))
+        with pytest.raises(MembershipError) as exc:
+            star_kernel(t, s, u)
+        want = f"{element(d, left).coords!r} is not in the semigroup"
+        assert str(exc.value) == want
