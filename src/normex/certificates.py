@@ -9,7 +9,6 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,17 +114,35 @@ class CertificateReport:
 # ---------------------------------------------------------------------------
 # alternating-sum operators
 
+def _operators(ts) -> list[CMatrix]:
+    """Read an operator tuple: cmatrix on each, one shared square shape."""
+    mats = [cmatrix(m) for m in ts]
+    if any(m.shape != (mats[0].shape[0],) * 2 for m in mats):
+        raise InputError("operators must share a square shape")
+    return mats
+
+
+def _adjoint_pairs(mats) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(T_i*, T_i) for each operator: the two factors of one Delta_i step."""
+    return [(np.conj(m).T, m) for m in map(np.asarray, mats)]
+
+
+def _delta(x: np.ndarray, pair) -> np.ndarray:
+    """One step Delta_i(X) = X - T_i* X T_i, with pair = (T_i*, T_i)."""
+    t_adj, t = pair
+    return x - t_adj @ x @ t
+
+
 def _defect_map(mats, order, dim: int) -> CMatrix:
     """Delta_{order[0]} o ... o Delta_{order[-1]}(I) for the defect map
     Delta_i(X) = X - T_i* X T_i (Agler's hereditary form).  Expanding the
     composition gives every alternating binomial and subset sum in this
     module, at one Delta step per index instead of one Gram term per
     summand, and without the cancellation of the expanded sum."""
-    pairs = [(np.conj(m).T, m) for m in map(np.asarray, mats)]
+    pairs = _adjoint_pairs(mats)
     x = np.eye(dim, dtype=np.complex128)
     for i in reversed(order):
-        t_adj, t = pairs[i]
-        x = x - t_adj @ x @ t
+        x = _delta(x, pairs[i])
     return _freeze(x)
 
 
@@ -137,7 +154,7 @@ def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
     over the box 0 <= k_i <= n_i, evaluated by the defect-map kernel as
     Delta_1^{n1} o ... o Delta_m^{nm}(I).  Delta_1 is outermost, which gives
     exactly the adjoint ordering above, also for non-commuting input."""
-    mats = [np.asarray(m) for m in mats]
+    mats = _operators(mats)
     degrees = degree_tuple(degrees)
     if not mats:
         raise InputError("at least one operator required")
@@ -154,19 +171,22 @@ def brehmer_sum(mats, letters, dim: int) -> CMatrix:
     box_operator: Delta_{letters[0]} o ... o Delta_{letters[-1]}(I), one
     Delta step per letter.  M_V takes its factors in reverse letter order;
     for commuting images the order is immaterial."""
+    mats = _operators(mats)
+    letters = list(letters)
+    if not _is_int(dim) or dim < 0:
+        raise InputError(f"dim must be a non-negative int, got {dim!r}")
+    if mats and mats[0].shape[0] != dim:
+        raise InputError(
+            f"dim {dim} does not match the operator shape {mats[0].shape}")
+    for i in letters:
+        if not (_is_int(i) and 0 <= i < len(mats)):
+            raise InputError(f"letter {i!r} is not an operator index "
+                             f"0 <= i < {len(mats)}")
     return _defect_map(mats, letters, dim)
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-def _operators(ts) -> list[CMatrix]:
-    """Read an operator tuple: cmatrix on each, one shared square shape."""
-    mats = [cmatrix(m) for m in ts]
-    if any(m.shape != (mats[0].shape[0],) * 2 for m in mats):
-        raise InputError("operators must share a square shape")
-    return mats
-
 
 def _psd_report(condition: str, parameters: dict, verdict, tol: float,
                 witness, notes=()) -> CertificateReport:
@@ -451,12 +471,30 @@ def extension_residual(n_mat: CMatrix, subspace_dim: int) -> tuple[float, float]
     return lhs, rhs
 
 
+def _lex_degree_tuples(m: int, max_degree: int):
+    """Every m-tuple of non-negative ints with sum <= max_degree, in
+    lexicographic order."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(max_degree + 1):
+        for rest in _lex_degree_tuples(m - 1, max_degree - first):
+            yield (first,) + rest
+
+
 def generator_certificate(
     t, max_degree: int = DEFAULT_MAX_DEGREE, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
     """Sweep the multi-binomial certificate over the generator images for all
     degree tuples with sum <= max_degree, lexicographically, stopping at the
-    first failure.  A pass is only a pass up to the swept bound."""
+    first failure.  A pass is only a pass up to the swept bound.
+
+    Each box is one Delta step from a box already swept: box(n) =
+    Delta_j(box(n - e_j)) with j the first nonzero index of n, the outermost
+    step of ``box_operator``'s order, so every box is bitwise equal to
+    ``box_operator(mats, n)``.  A box is kept only while a later tuple
+    extends it (sum(n) < max_degree, until its e_1 successor is swept):
+    at most C(max_degree + m - 1, m - 1) boxes of dim^2 entries are live."""
     if isinstance(t, Representation):
         if not t.descriptor.finitely_generated:
             raise UnsupportedStructureError(
@@ -478,14 +516,21 @@ def generator_certificate(
     gated, _ = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
-    m = len(mats)
+    pairs = _adjoint_pairs(mats)
+    live = {}
     worst = None
     checked = 0
-    for n in itertools.product(range(max_degree + 1), repeat=m):
-        if sum(n) > max_degree:
-            continue
+    for n in _lex_degree_tuples(len(mats), max_degree):
+        j = next((i for i, d in enumerate(n) if d), None)
+        if j is None:
+            box = np.eye(mats[0].shape[0], dtype=np.complex128)
+        else:
+            prev = n[:j] + (n[j] - 1,) + n[j + 1:]
+            box = _delta(live.pop(prev) if j == 0 else live[prev], pairs[j])
+        if sum(n) < max_degree:
+            live[n] = box
         checked += 1
-        verdict = psd_check(box_operator(mats, n), tol)
+        verdict = psd_check(box, tol)
         if not verdict.is_psd:
             return _psd_report(
                 "generator_sweep",

@@ -39,8 +39,10 @@ from normex import (
     generator_certificate,
     identity,
     involution_point,
+    make_commuting_normals,
     make_representation,
     numerical,
+    psd_check,
     rationals,
     regularity_check,
     sznagy_check,
@@ -526,6 +528,45 @@ class TestGeneratorSweep:
         assert rep2.verdict == "not-applicable"
         assert rep2.witness["reason"] == "non-commuting"
 
+    @pytest.mark.parametrize("m, dim, max_degree, seed, radius", [
+        (1, 2, 30, 0, None), (2, 4, 30, 1, None), (3, 8, 10, 2, None),
+        (4, 16, 6, 3, None), (2, 6, 30, 4, 0.21), (3, 5, 12, 5, 0.45),
+        (4, 3, 8, 6, 0.6),
+    ])
+    def test_frontier_matches_lexicographic_box_loop(self, m, dim, max_degree,
+                                                     seed, radius):
+        # reference: every box recomputed from scratch by box_operator, in
+        # lexicographic order; radius r puts r*J (+) normals on generator 1
+        # (s*I (+) normals on the others), which fails first at
+        # (floor(1/r^2) + 1, 0, ...) after a run of passing tuples
+        mats = [np.asarray(x) for x in make_commuting_normals(seed, dim, m)]
+        if radius is not None:
+            def grow(x, corner):
+                out = np.zeros((dim + 2, dim + 2), dtype=np.complex128)
+                out[:2, :2], out[2:, 2:] = corner, x
+                return out
+            mats = [grow(x, radius * J2 if i == 0 else 0.5 * np.eye(2))
+                    for i, x in enumerate(mats)]
+        margin, witness, checked = None, None, 0
+        for n in itertools.product(range(max_degree + 1), repeat=m):
+            if sum(n) > max_degree:
+                continue
+            checked += 1
+            v = psd_check(box_operator(mats, n))
+            if not v.is_psd:
+                margin, witness = v.min_eigenvalue, {"n": list(n)}
+                break
+            margin = v.min_eigenvalue if margin is None else min(
+                margin, v.min_eigenvalue)
+        rep = generator_certificate(mats, max_degree)
+        assert rep.margin == margin
+        assert rep.witness == witness
+        assert rep.parameters["tuples_checked"] == checked
+        if radius is not None:
+            first = int(1 / radius ** 2) + 1
+            assert witness == {"n": [first] + [0] * (m - 1)}
+            assert checked > math.comb(first - 1 + m, m)
+
     def test_requires_finitely_generated(self):
         t = Representation(rationals(), 1, (identity(1),))
         with pytest.raises(UnsupportedStructureError):
@@ -663,5 +704,25 @@ def test_malformed_operator_tuples_raise_input_error(run):
         "box-bool", "agler", "sweep", "letter", "letter-generator",
         "letter-copy"])
 def test_bools_are_not_degrees_or_letters(run):
+    with pytest.raises(InputError):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: box_operator([np.eye(2), np.eye(3)], (1, 1)),
+    lambda: box_operator([np.zeros((2, 3))], (1,)),
+    lambda: brehmer_sum([np.eye(2)], [0], 3),
+    lambda: brehmer_sum([np.eye(2)], [3], 2),
+    lambda: brehmer_sum([np.eye(2)], [-1], 2),
+    lambda: brehmer_sum([np.eye(2)], [True], 2),
+    lambda: brehmer_sum([np.eye(2)], [0.0], 2),
+    lambda: brehmer_sum([], [0], 2),
+    lambda: brehmer_sum([np.eye(2)], [0], -1),
+    lambda: brehmer_sum([[[np.nan]]], [0], 1),
+], ids=["box-mismatched", "box-non-square", "brehmer-dim", "brehmer-letter",
+        "brehmer-negative-letter", "brehmer-bool-letter",
+        "brehmer-float-letter", "brehmer-no-operators",
+        "brehmer-negative-dim", "brehmer-non-finite"])
+def test_kernel_wrappers_reject_malformed_input(run):
     with pytest.raises(InputError):
         run()

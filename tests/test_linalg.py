@@ -77,6 +77,46 @@ class TestPsdCheck:
             psd_check(cmatrix([[0, 1], [0, 0]]))
         assert abs(exc.value.defect - 1.0) < 1e-12
 
+    def test_one_eigensolve_within_tolerance(self, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(*args, fn=getattr(np.linalg, name), name=name,
+                        **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        a = _rand(np.random.default_rng(5), 6)
+        v = psd_check(np.conj(a).T @ a + 1e-12 * a)
+        assert v.is_psd
+        assert calls == ["eigvalsh"]
+
+    def test_skew_part_is_judged_by_its_spectral_norm(self):
+        # A - A* = 0.9e-8 * four 2x2 rotation blocks: Frobenius norm
+        # 0.9e-8 * sqrt(8) > tol, spectral norm 0.9e-8 <= tol
+        rot = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        v = psd_check(np.eye(8) + 0.45e-8 * rot)
+        assert v.is_psd
+        assert abs(v.hermitian_defect - 0.9e-8) <= 1e-20
+        assert v.tolerance_used == 1e-8
+
+    def test_hermitian_defect_bounds_the_spectral_defect(self):
+        rng = np.random.default_rng(13)
+        tol = 1e-8
+        branches = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            a = _rand(rng, n)
+            h = (a + np.conj(a).T) / 4.0
+            k = _rand(rng, n)
+            k = k - np.conj(k).T
+            k *= rng.uniform(0.0, 0.9) * tol / np.linalg.norm(k, 2)
+            near = h + k / 2.0
+            skew = near - np.conj(near).T
+            v = psd_check(near, tol)
+            assert v.hermitian_defect >= np.linalg.norm(skew, 2) * (1 - 1e-12)
+            branches.add(np.linalg.norm(skew) > v.tolerance_used)
+        assert branches == {True, False}  # both defect routes are exercised
+
     def test_oracle_agreement(self):
         # 1000 random Hermitian matrices; spectral verdict and factorization
         # oracle must agree whenever |minEig| is outside twice the tolerance
