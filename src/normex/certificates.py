@@ -9,18 +9,14 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import semigroups as sg
-from .errors import (
-    CapExceededError,
-    InputError,
-    MembershipError,
-    UnsupportedStructureError,
-)
+from .errors import CapExceededError, InputError, UnsupportedStructureError
 from .linalg import (
     DEFAULT_PSD_TOL,
     CMatrix,
@@ -201,6 +197,15 @@ def _psd_report(condition: str, parameters: dict, verdict, tol: float,
     )
 
 
+def _not_applicable(condition: str, parameters: dict, witness,
+                    tol: float) -> CertificateReport:
+    """A precondition does not hold; ``witness`` says which."""
+    return CertificateReport(
+        condition=condition, parameters=parameters, verdict="not-applicable",
+        margin=None, witness=witness, tolerances={"tol": tol},
+    )
+
+
 def _gate(condition: str, parameters: dict, mats,
           tol: float) -> tuple[CertificateReport | None, float | None]:
     """The precondition gate of every sum-based certificate.  Returns the
@@ -218,10 +223,7 @@ def _gate(condition: str, parameters: dict, mats,
             return None, comm
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return CertificateReport(
-        condition=condition, parameters=parameters, verdict="not-applicable",
-        margin=None, witness=witness, tolerances={"tol": tol},
-    ), comm
+    return _not_applicable(condition, parameters, witness, tol), comm
 
 
 def agler_certificate(
@@ -352,61 +354,54 @@ class SzNagyConfig:
     def __post_init__(self):
         if not self.sample_points:
             raise InputError("at least one sample point required")
-        if not self.bound_constant > 0:
-            raise InputError("bound constant must be positive")
+        c = self.bound_constant
+        if not (c > 0 and 0 < c * c < math.inf):
+            raise InputError("bound constant must be positive with a positive "
+                             f"finite square, got {c!r}")
+
+
+def _hermitian_blocks(n: int, entry) -> list[list[CMatrix]]:
+    """The n x n block grid of a kernel that is Hermitian by construction:
+    ``entry(i, j)`` is called for i <= j only, and block (j, i) is the
+    adjoint of block (i, j)."""
+    upper = {(i, j): entry(i, j) for i in range(n) for j in range(i, n)}
+    return [[upper[i, j] if i <= j else adjoint(upper[j, i]) for j in range(n)]
+            for i in range(n)]
 
 
 def sznagy_check(
     t: Representation, cfg: SzNagyConfig, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
-    """Sampled involution-kernel conditions: (i) kernel symmetry under the
-    involution, (ii) positivity of the assembled kernel block matrix,
-    (iii) the bounded-element Loewner inequality with constant C."""
+    """Sampled involution-kernel conditions on the points s_i of P x P:
+    (ii) positivity of the kernel K = [T~(s_i* s_j)], and (iii) the
+    bounded-element Loewner inequality [T~((a s_i)* (a s_j))] <= C^2 K.
+    The kernel is Hermitian by construction, since s_j* s_i is s_i* s_j
+    with its two sides swapped, so each kernel is assembled from its
+    upper triangle and the paper's symmetry condition (i) holds exactly."""
     d = t.descriptor
     pts = cfg.sample_points
     for s in pts + (cfg.bound_element,):
-        for comp in (s.left, s.right):
-            if not sg.contains(d, comp):
-                raise MembershipError(f"{comp.coords!r} is not in the semigroup")
-
-    k_blocks = [[star_kernel(t, si, sj) for sj in pts] for si in pts]
-
-    sym = 0.0
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            sym = max(sym, operator_norm(adjoint(k_blocks[i][j]) - k_blocks[j][i]))
-    scale = max(1.0, max(operator_norm(b) for row in k_blocks for b in row))
-    sym_ok = sym <= tol * scale
-
-    kernel = block_assemble(k_blocks)
+        sg._member(d, s.left)
+        sg._member(d, s.right)
+    n = len(pts)
+    kernel = block_assemble(_hermitian_blocks(
+        n, lambda i, j: star_kernel(t, pts[i], pts[j])))
     pos = psd_check(kernel, tol)
 
-    a = cfg.bound_element
-    shifted = [point_mul(d, a, s) for s in pts]
-    lhs = block_assemble(
-        [[star_kernel(t, si, sj) for sj in shifted] for si in shifted]
-    )
-    c2 = cfg.bound_constant ** 2
-    bound = loewner_leq(lhs, c2 * kernel, tol)
+    shifted = [point_mul(d, cfg.bound_element, s) for s in pts]
+    lhs = block_assemble(_hermitian_blocks(
+        n, lambda i, j: star_kernel(t, shifted[i], shifted[j])))
+    bound = loewner_leq(lhs, cfg.bound_constant ** 2 * kernel, tol)
 
-    failed = []
-    if not sym_ok:
-        failed.append(("i", {"symmetry_residual": sym}))
-    if not pos.is_psd:
-        failed.append(("ii", {"margin": pos.min_eigenvalue}))
-    if not bound.is_psd:
-        failed.append(("iii", {"margin": bound.min_eigenvalue}))
+    failed = next(((name, v) for name, v in (("ii", pos), ("iii", bound))
+                   if not v.is_psd), None)
     return CertificateReport(
         condition="sznagy",
-        parameters={
-            "sample_count": len(pts),
-            "bound_constant": cfg.bound_constant,
-            "symmetry_residual": sym,
-        },
-        verdict="pass" if not failed else "fail",
+        parameters={"sample_count": n, "bound_constant": cfg.bound_constant},
+        verdict="pass" if failed is None else "fail",
         margin=min(pos.min_eigenvalue, bound.min_eigenvalue),
-        witness=None if not failed else {"condition": failed[0][0],
-                                         **failed[0][1]},
+        witness=None if failed is None else {
+            "condition": failed[0], "margin": failed[1].min_eigenvalue},
         tolerances={"tol": tol, "tolerance_used": pos.tolerance_used},
         notes=("sampled verdict: checked on the supplied finite sample only",),
     )
@@ -416,39 +411,32 @@ def regularity_check(
     t: Representation, ps, g: GroupElement, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
     """Sampled regularity inequality: with X = [T~(p_i - p_j)] and the meet
-    condition g ^ p_i = unit for all i, checks [T(g)* X_ij T(g)] <= [X_ij]."""
+    condition g ^ p_i = unit for all i, checks [T(g)* X_ij T(g)] <= [X_ij].
+    Both grids are Hermitian by construction, since (p_j - p_i)_+- is
+    (p_i - p_j)_-+, and are assembled from their upper triangles."""
     d = t.descriptor
     if not d.lattice_ordered:
         raise UnsupportedStructureError(
             "regularity_check requires a lattice-ordered descriptor"
         )
-    points = [sg.element(d, p) for p in ps]
-    g = sg.element(d, g)
-    if not sg.contains(d, g):
-        raise MembershipError(f"{g.coords!r} is not in the semigroup")
-    for i, p in enumerate(points):
-        if not sg.contains(d, p):
-            raise MembershipError(f"{p.coords!r} is not in the semigroup")
+    g = sg._member(d, g)
+    points = [sg._member(d, p) for p in ps]
+    parameters = {"g": g, "points": points}
     e = sg.unit(d)
     for i, p in enumerate(points):
         if sg.meet_join(d, g, p)[0] != e:
-            return CertificateReport(
-                condition="regularity",
-                parameters={"g": g, "points": points},
-                verdict="not-applicable", margin=None,
-                witness={"reason": "meet condition violated", "index": i,
-                         "p": points[i]},
-                tolerances={"tol": tol},
-            )
-    x_blocks = [[tilde_eval(t, sg.sub(d, pi, pj)) for pj in points]
-                for pi in points]
+            return _not_applicable(
+                "regularity", parameters,
+                {"reason": "meet condition violated", "index": i, "p": p}, tol)
+    n = len(points)
+    x_blocks = _hermitian_blocks(
+        n, lambda i, j: tilde_eval(t, sg.sub(d, points[i], points[j])))
     tg = eval_rep(t, g)
     tga = adjoint(tg)
-    l_blocks = [[tga @ b @ tg for b in row] for row in x_blocks]
+    l_blocks = _hermitian_blocks(n, lambda i, j: tga @ x_blocks[i][j] @ tg)
     verdict = loewner_leq(block_assemble(l_blocks), block_assemble(x_blocks), tol)
     return _psd_report(
-        "regularity", {"g": g, "points": points}, verdict, tol,
-        {"g": g, "points": points},
+        "regularity", parameters, verdict, tol, parameters,
         notes=("sampled verdict: checked for the supplied points only",))
 
 
@@ -505,14 +493,15 @@ def generator_certificate(
         mats = _operators(t)
     if not _is_int(max_degree) or max_degree < 0:
         raise InputError("max_degree must be a non-negative int")
-    base_tols = {"tol": tol}
-    if not mats:
+
+    def passed(checked, margin, note):
         return CertificateReport(
             condition="generator_sweep",
-            parameters={"max_degree": max_degree, "tuples_checked": 0},
-            verdict="pass", margin=None, witness=None, tolerances=base_tols,
-            notes=("vacuous: no generators",),
-        )
+            parameters={"max_degree": max_degree, "tuples_checked": checked},
+            verdict="pass", margin=margin, witness=None,
+            tolerances={"tol": tol}, notes=(note,))
+    if not mats:
+        return passed(0, None, "vacuous: no generators")
     gated, _ = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
@@ -540,9 +529,5 @@ def generator_certificate(
                        f"within sum <= {max_degree}",))
         if worst is None or verdict.min_eigenvalue < worst:
             worst = verdict.min_eigenvalue
-    return CertificateReport(
-        condition="generator_sweep",
-        parameters={"max_degree": max_degree, "tuples_checked": checked},
-        verdict="pass", margin=worst, witness=None, tolerances=base_tols,
-        notes=(f"pass swept over all degree tuples with sum <= {max_degree}",),
-    )
+    return passed(checked, worst,
+                  f"pass swept over all degree tuples with sum <= {max_degree}")

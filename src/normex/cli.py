@@ -26,6 +26,7 @@ from .certificates import (
     DEFAULT_SUBSET_CAP,
     CertificateReport,
     SzNagyConfig,
+    _not_applicable,
     brehmer_certificate,
     extension_residual,
     generator_certificate,
@@ -473,11 +474,7 @@ def _run_condition(
         if name == "extension":
             return _extension_report(rep, cfg)
     except UnsupportedStructureError as e:
-        return CertificateReport(
-            condition=name, parameters={}, verdict="not-applicable",
-            margin=None, witness={"reason": str(e)},
-            tolerances={"tol": cfg.tol},
-        )
+        return _not_applicable(name, {}, {"reason": str(e)}, cfg.tol)
     raise InputError(f"unknown condition {name!r}")
 
 

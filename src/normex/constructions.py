@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import semigroups as sg
-from .errors import InputError, MembershipError, NotPsdError
+from .errors import InputError, NotPsdError
 from .linalg import (
     CMatrix,
     _freeze,
@@ -239,9 +239,7 @@ def tinfty_eval(t: Representation, x) -> CMatrix:
     """Value of the finitely-supported power representation: the product of
     eval_rep over the support components (the copy index never matters)."""
     power = sg.infinite_power(t.descriptor)
-    x = sg.element(power, x)
-    if not sg.contains(power, x):
-        raise MembershipError(f"{x.coords!r} is not in the positive cone")
+    x = sg._member(power, x, "positive cone")
     acc = identity(t.dimension)
     for _, coords in x.coords:
         acc = acc @ eval_rep(t, GroupElement(coords))

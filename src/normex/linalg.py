@@ -8,6 +8,7 @@ plain 64-bit floating point with explicit, scaled tolerances on every verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +28,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise InputError("matrix entries must be finite (no NaN/Inf)")
+    return a
+
+
 def cmatrix(data) -> CMatrix:
     """Build an immutable complex matrix, rejecting non-finite entries."""
     a = np.array(data, dtype=np.complex128, order="C")
     if a.ndim != 2:
         raise InputError(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("matrix entries must be finite (no NaN/Inf)")
-    return _freeze(a)
+    return _freeze(_finite(a))
 
 
 def identity(n: int) -> CMatrix:
@@ -132,32 +137,44 @@ def psd_check(a: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     NotHermitianError — a modeling bug, deliberately distinct from a
     negative verdict.  ``hermitian_defect`` reports the bound that decided:
     the Frobenius norm, or the spectral norm when that was computed.
+    A NaN or infinite entry raises InputError before any arithmetic that
+    could warn; a matrix whose Frobenius norm exceeds 2^400 is first divided
+    by a power of two (exactly), so that no step overflows, and the results
+    are scaled back.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("psd_check requires a square matrix")
     if a.shape[0] == 0:
         return PsdVerdict(True, 0.0, 0.0, tol)
+    scale = 1.0
+    if not np.vdot(a, a).real < 2.0 ** 800:  # ||A||_F^2: NaN, inf or huge
+        peak = float(np.abs(a).max())
+        if not math.isfinite(peak):
+            raise InputError("matrix entries must be finite (no NaN/Inf)")
+        scale = 2.0 ** (math.frexp(peak)[1] - 1)
+        a = a / scale
     adj = np.conj(a).T
     skew = a - adj
     spectrum = np.linalg.eigvalsh((a + adj) / 2.0)
-    min_eig = float(spectrum[0])
-    tolerance = tol * max(1.0, -min_eig, float(spectrum[-1]))
-    defect = float(np.linalg.norm(skew))
+    min_eig = float(spectrum[0]) * scale
+    tolerance = tol * max(1.0, -min_eig, float(spectrum[-1]) * scale)
+    defect = math.sqrt(np.vdot(skew, skew).real) * scale
     if defect > tolerance:
-        defect = operator_norm(skew)
+        defect = operator_norm(skew) * scale
         if defect > tolerance:
             raise NotHermitianError(defect, tolerance)
     return PsdVerdict(min_eig >= -tolerance, min_eig, defect, tolerance)
 
 
 def loewner_leq(a: CMatrix, b: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
-    """Verdict for A <= B in the Loewner order, i.e. psd_check(B - A)."""
+    """Verdict for A <= B in the Loewner order, i.e. psd_check(B - A);
+    both sides must be finite."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise InputError(f"shape mismatch {a.shape} vs {b.shape}")
-    return psd_check(b - a, tol)
+    return psd_check(_finite(b) - _finite(a), tol)
 
 
 def block_assemble(grid) -> CMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import semigroups as sg
-from .errors import InputError, MembershipError, UnsupportedStructureError
+from .errors import InputError, UnsupportedStructureError
 from .linalg import (
     CMatrix,
     _freeze,
@@ -258,11 +258,7 @@ class InvolutionPoint:
 
 
 def involution_point(d: SemigroupDescriptor, left, right) -> InvolutionPoint:
-    pt = InvolutionPoint(sg.element(d, left), sg.element(d, right))
-    for comp in (pt.left, pt.right):
-        if not sg.contains(d, comp):
-            raise MembershipError(f"{comp.coords!r} is not in the semigroup")
-    return pt
+    return InvolutionPoint(sg._member(d, left), sg._member(d, right))
 
 
 def point_mul(

@@ -400,6 +400,15 @@ def contains(d: SemigroupDescriptor, g: GroupElement) -> bool:
     return d.contains(g.coords)
 
 
+def _member(d: SemigroupDescriptor, raw, cone: str = "semigroup") -> GroupElement:
+    """The element of d's group that ``raw`` names, checked to lie in P;
+    MembershipError names ``cone`` otherwise."""
+    g = element(d, raw)
+    if not d.contains(g.coords):
+        raise MembershipError(f"{g.coords!r} is not in the {cone}")
+    return g
+
+
 def leq(d: SemigroupDescriptor, g: GroupElement, h: GroupElement) -> bool:
     """Induced partial order: g <= h iff h - g in P."""
     return contains(d, sub(d, h, g))
@@ -438,9 +447,7 @@ def factorize(d: SemigroupDescriptor, p: GroupElement) -> Factorization:
         raise UnsupportedStructureError(
             f"{d.kind} descriptor is not finitely generated"
         )
-    if not contains(d, p):
-        raise MembershipError(f"{p.coords!r} is not in the semigroup")
-    return factorization(d.factorize(p.coords))
+    return factorization(d.factorize(_member(d, p).coords))
 
 
 def _greedy_numerical(target: int, gens: list[int]) -> list[int] | None:

@@ -17,6 +17,7 @@ from conftest import explicit_box_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normex import certificates, linalg
 from normex import (
     CapExceededError,
     InputError,
@@ -28,6 +29,7 @@ from normex import (
     agler_certificate,
     athavale_certificate,
     athavale_vs_brehmer,
+    block_assemble,
     box_operator,
     brehmer_certificate,
     brehmer_sum,
@@ -45,7 +47,10 @@ from normex import (
     psd_check,
     rationals,
     regularity_check,
+    star_kernel,
+    sub,
     sznagy_check,
+    tilde_eval,
 )
 
 J2 = np.array([[0.0, 0.0], [1.0, 0.0]])  # nilpotent lower shift
@@ -419,6 +424,94 @@ class TestSzNagy:
             SzNagyConfig(sample_points=(_pt(d, (0,), (0,)),),
                          bound_element=_pt(d, (0,), (0,)),
                          bound_constant=0.0)
+        # C^2 must be a positive finite float: the check compares with C^2 K
+        for c in (1e200, math.inf, math.nan, 1e-170):
+            with pytest.raises(InputError, match="bound constant"):
+                SzNagyConfig(sample_points=(_pt(d, (0,), (0,)),),
+                             bound_element=_pt(d, (0,), (0,)),
+                             bound_constant=c)
+
+    @pytest.mark.parametrize("c", [1e100, 1.3e154])
+    def test_large_bound_constant_keeps_a_verdict(self, c):
+        # C^2 K reaches 1e200 and beyond: the PSD check rescales it
+        t = _diag_pair()
+        d = t.descriptor
+        cfg = SzNagyConfig(_kernel_points(d, SZNAGY_POINTS),
+                           _pt(d, (0, 1), (1, 0)), c)
+        assert sznagy_check(t, cfg).passed
+
+
+def _kernel_points(d, coords):
+    return tuple(_pt(d, left, right) for left, right in coords)
+
+
+def _diag_pair():
+    rng = np.random.default_rng(5)
+    mats = [np.diag(0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+                    * rng.uniform(0.2, 1, 3)) for _ in range(2)]
+    return make_representation(free_abelian(2), mats)
+
+
+SZNAGY_POINTS = [((0, 0), (0, 0)), ((1, 0), (0, 2)), ((0, 1), (1, 0)),
+                 ((2, 1), (0, 0))]
+REGULARITY_POINTS = [(0, 0), (1, 0), (2, 0), (0, 3)]
+
+
+class TestSampledKernels:
+    """Each sampled kernel is Hermitian by construction and is assembled
+    from its upper triangle: n(n+1)/2 entry evaluations per kernel."""
+
+    def _counted(self, monkeypatch, name, modules=(certificates,)):
+        calls = []
+        for module in modules:
+            real = getattr(module, name)
+
+            def counted(*args, real=real):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_sznagy_evaluates_the_upper_triangle(self, monkeypatch, n):
+        t = _diag_pair()
+        d = t.descriptor
+        cfg = SzNagyConfig(_kernel_points(d, SZNAGY_POINTS[:n]),
+                           _pt(d, (0, 1), (1, 0)))
+        calls = self._counted(monkeypatch, "star_kernel")
+        norms = self._counted(monkeypatch, "operator_norm",
+                              (certificates, linalg))
+        assert sznagy_check(t, cfg).passed
+        # K and the shifted kernel, n(n+1)/2 blocks each
+        assert len(calls) == n * (n + 1)
+        assert norms == []
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_regularity_evaluates_the_upper_triangle(self, monkeypatch, n):
+        calls = self._counted(monkeypatch, "tilde_eval")
+        rep = regularity_check(_diag_pair(), REGULARITY_POINTS[:n], (0, 0))
+        assert rep.passed
+        assert len(calls) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("kernel", ["sznagy", "regularity"])
+    def test_assembled_kernel_matches_the_full_grid(self, kernel):
+        t = _diag_pair()
+        d = t.descriptor
+        if kernel == "sznagy":
+            pts = _kernel_points(d, SZNAGY_POINTS)
+
+            def entry(i, j):
+                return star_kernel(t, pts[i], pts[j])
+        else:
+            pts = [element(d, p) for p in REGULARITY_POINTS]
+
+            def entry(i, j):
+                return tilde_eval(t, sub(d, pts[i], pts[j]))
+        n = len(pts)
+        full = block_assemble([[entry(i, j) for j in range(n)]
+                               for i in range(n)])
+        half = block_assemble(certificates._hermitian_blocks(n, entry))
+        assert np.abs(half - full).max() <= 1e-12
 
 
 class TestRegularity:
@@ -586,10 +679,21 @@ NA_TOLS = '"tolerances":{"tol":1e-08}'
 NOT_CONTRACTION = '{"index":0,"norm_excess":1,"reason":"not a contraction"}'
 NON_COMMUTING = '{"pair":[0,1],"reason":"non-commuting","residual":0.25}'
 REGULAR_NOTE = '"notes":["sampled verdict: checked for the supplied points only"]'
+SZNAGY_NOTE = ('"notes":["sampled verdict: checked on the supplied finite '
+               'sample only"]')
 
 
 def _rep(images, k=2):
     return make_representation(free_abelian(k), images)
+
+
+def _sznagy(image, count):
+    """sznagy_check on free_abelian(1) at the points (i, 0), i < count, with
+    bound element (1, 0) and constant 1."""
+    t = make_representation(free_abelian(1), [np.atleast_2d(image)])
+    d = t.descriptor
+    return sznagy_check(t, SzNagyConfig(
+        tuple(_pt(d, (i,), (0,)) for i in range(count)), _pt(d, (1,), (0,))))
 
 
 @pytest.mark.parametrize("run, expected", [
@@ -665,11 +769,26 @@ def _rep(images, k=2):
      '{"condition":"generator_sweep","margin":null,"notes":["vacuous: no '
      'generators"],"parameters":{"max_degree":2,"tuples_checked":0},'
      + NA_TOLS + ',"verdict":"pass","witness":null}'),
+    (lambda: _sznagy(0.5, 2),
+     '{"condition":"sznagy","margin":0,' + SZNAGY_NOTE + ',"parameters":'
+     '{"bound_constant":1,"sample_count":2},"tolerances":{"tol":1e-08,'
+     '"tolerance_used":1.2499999999999999e-08},"verdict":"pass",'
+     '"witness":null}'),
+    (lambda: _sznagy(J2, 3),
+     '{"condition":"sznagy","margin":-1,' + SZNAGY_NOTE + ',"parameters":'
+     '{"bound_constant":1,"sample_count":3},"tolerances":{"tol":1e-08,'
+     '"tolerance_used":1.6180339887498949e-08},"verdict":"fail","witness":'
+     '{"condition":"ii","margin":-0.61803398874989479}}'),
+    (lambda: _sznagy(1.5, 2),
+     '{"condition":"sznagy","margin":-4.0625,' + SZNAGY_NOTE
+     + ',"parameters":{"bound_constant":1,"sample_count":2},"tolerances":'
+     '{"tol":1e-08,"tolerance_used":3.25e-08},"verdict":"fail","witness":'
+     '{"condition":"iii","margin":-4.0625}}'),
 ], ids=["agler-pass", "agler-fail", "agler-na", "athavale-pass",
         "athavale-fail", "athavale-na", "brehmer-pass", "brehmer-fail",
         "brehmer-na", "regularity-pass", "regularity-fail", "regularity-na",
         "sweep-pass", "sweep-rep", "sweep-first-failure", "sweep-na",
-        "sweep-vacuous"])
+        "sweep-vacuous", "sznagy-pass", "sznagy-fail-ii", "sznagy-fail-iii"])
 def test_reports_are_pinned(run, expected):
     assert canonical_json(run().as_dict()) == expected
 

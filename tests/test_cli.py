@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normex import (
     InputError,
@@ -412,6 +414,31 @@ def test_malformed_values_exit_two_with_location(tmp_path, capsys, where,
     assert (code, out) == (2, "")
     # located once: nested errors must not repeat the path
     assert err.startswith(f"error: {where}: ") and err.count(where) == 1, err
+
+
+def test_overflowing_bound_constant_exits_two(tmp_path, capsys):
+    # 1e200 ** 2 overflows; the sznagy check compares with C^2 K
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["run"]["bound_constant"] = 1e200
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", "all", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bound constant must be positive"), err
+
+
+@settings(max_examples=50)
+@given(tol=st.floats(1e-300, 1e300), bound=st.floats(1e-300, 1e300),
+       max_degree=st.integers(0, 8), fmt=st.sampled_from(["human", "machine"]))
+def test_numeric_run_fields_keep_the_exit_contract(tmp_path_factory, tol,
+                                                   bound, max_degree, fmt):
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["run"] = {"tol": tol, "bound_constant": bound,
+                  "max_degree": max_degree}
+    p = tmp_path_factory.getbasetemp() / "fuzz.json"
+    p.write_text(json.dumps(doc))
+    assert run_command(["check", "all", "--input", str(p),
+                        "--format", fmt]) in (0, 1, 2)
 
 
 class TestSeedHandling:

@@ -51,7 +51,38 @@ def _rand(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.inf)]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "imag-inf"]
+
+
 class TestPsdCheck:
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN once gave is_psd=True; the check comes before any
+        # arithmetic, so no numpy warning is raised either
+        for at in ((0, 0), (0, 1)):
+            a = np.eye(2, dtype=complex)
+            a[at] = bad
+            with pytest.raises(InputError, match="finite"):
+                psd_check(a)
+
+    @pytest.mark.parametrize("k", [401, 600, 1000])
+    def test_huge_entries_are_rescaled(self, k):
+        # beyond 2^400 the check runs on an exact power-of-two rescale;
+        # unscaled, the Frobenius norm of the skew part overflowed
+        rng = np.random.default_rng(8)
+        x = _rand(rng, 4)
+        a = x @ np.conj(x).T - 3.0 * np.eye(4) + 1e-12 * _rand(rng, 4)
+        small, big = psd_check(a), psd_check(a * 2.0 ** k)
+        assert big.is_psd == small.is_psd
+        for field in ("min_eigenvalue", "hermitian_defect", "tolerance_used"):
+            want = getattr(small, field) * 2.0 ** k
+            assert getattr(big, field) == pytest.approx(want, rel=1e-12)
+
+    def test_entries_near_the_float_maximum(self):
+        v = psd_check(np.diag([1.5e308, 1.0]))
+        assert v.is_psd and v.min_eigenvalue == 1.0
+
     def test_identity(self):
         v = psd_check(identity(3))
         assert v.is_psd and abs(v.min_eigenvalue - 1.0) < 1e-12
@@ -160,6 +191,15 @@ class TestLoewner:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             loewner_leq(identity(2), identity(3))
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_side_rejected(self, bad, side):
+        a = np.eye(2, dtype=complex)
+        a[0, 0] = bad
+        args = (a, 2 * identity(2)) if side == "lower" else (identity(2), a)
+        with pytest.raises(InputError, match="finite"):
+            loewner_leq(*args)
 
 
 class TestOperatorNorm:

@@ -26,10 +26,12 @@ from normex import (
     make_dilation_family,
     make_normal_map,
     make_representation,
+    neg,
     numerical,
     operator_norm,
     point_mul,
     product,
+    sample_group,
     sample_member,
     star_kernel,
     tilde_eval,
@@ -309,6 +311,21 @@ class TestTildeEval:
         _, t = _neil_rep(0.5)
         with pytest.raises(UnsupportedStructureError):
             tilde_eval(t, element(t.descriptor, 2))
+
+    @pytest.mark.parametrize("d", [
+        free_abelian(2), numerical(()), product(free_abelian(1), numerical(())),
+    ], ids=["free-abelian", "numerical", "product"])
+    def test_negation_is_the_adjoint(self, d):
+        # (-g)_+- = g_-+, so T~(-g) = T~(g)*: regularity_check fills the
+        # lower triangle of its difference kernel by this identity
+        a = np.array([[0.5, 0.3j], [0.1, -0.4]])
+        t = make_representation(d, [a, a @ a][:len(d.generators)])
+        rng = random.Random(11)
+        for _ in range(50):
+            g = sample_group(d, rng)
+            np.testing.assert_allclose(tilde_eval(t, neg(d, g)),
+                                       adjoint(tilde_eval(t, g)),
+                                       rtol=0, atol=1e-12)
 
 
 class TestStarKernel:
