@@ -18,7 +18,6 @@ from .validation import ValidationCheck, ValidationVerdict
 from .linalg import (
     DEFAULT_PSD_TOL,
     BlockDecomposition,
-    CMatrix,
     PsdVerdict,
     adjoint,
     block_assemble,
@@ -29,7 +28,6 @@ from .linalg import (
     loewner_leq,
     operator_norm,
     psd_check,
-    zeros,
 )
 from .semigroups import (
     Factorization,
@@ -41,7 +39,6 @@ from .semigroups import (
     factorization,
     factorize,
     free_abelian,
-    indicator,
     infinite_power,
     leq,
     meet_join,
@@ -54,10 +51,8 @@ from .semigroups import (
     sample_member,
     sub,
     unit,
-    validate_descriptor,
 )
 from .representations import (
-    DEFAULT_REP_TOL,
     InvolutionPoint,
     NormalMap,
     Representation,
@@ -73,10 +68,7 @@ from .representations import (
     validate_rep,
 )
 from .certificates import (
-    DEFAULT_MAX_DEGREE,
-    DEFAULT_SUBSET_CAP,
     CertificateReport,
-    DegreeTuple,
     SzNagyConfig,
     agler_certificate,
     athavale_certificate,
@@ -91,7 +83,6 @@ from .certificates import (
     sznagy_check,
 )
 from .constructions import (
-    KOLMOGOROV_TOL,
     ConvexWeights,
     DilationFamily,
     convex_average,
@@ -101,18 +92,12 @@ from .constructions import (
     make_dilation_family,
     make_gallery,
     make_orthogonal_defect_family,
-    tinfty_eval,
     uniform_weights,
-    validate_dilation_family,
 )
 from .cli import (
-    RunConfig,
-    RunReport,
-    build_run_report,
     canonical_json,
     descriptor_from_json,
     descriptor_to_json,
-    emit_report,
     matrix_from_json,
     matrix_to_json,
     parse_spec,

@@ -323,10 +323,11 @@ def athavale_vs_brehmer(
 ) -> tuple[CMatrix, CMatrix, float]:
     """Evaluate the degree-box alternating sum and the subset alternating sum
     over a letter set holding n_i copies of operator i; returns both
-    operators and their max entrywise deviation.  Both routes evaluate the
-    same defect-map kernel on the same index order, so they agree exactly;
-    the independent check of that kernel is the explicit binomial expansion
-    kept in the test suite."""
+    operators and their max entrywise deviation.  The subset side takes its
+    letters in reverse order, a different floating-point path through the
+    same defect-map kernel; for commuting operators the two sums are equal,
+    so the deviation measures rounding.  The independent check of the
+    kernel is the explicit binomial expansion kept in the test suite."""
     mats = _operators(ts)
     n = degree_tuple(n)
     if len(mats) != len(n):
@@ -337,13 +338,18 @@ def athavale_vs_brehmer(
     star_side = box_operator(mats, n)
     dim = star_side.shape[0]
     letters = [i for i in range(len(mats)) for _ in range(n[i])]
-    subset_side = brehmer_sum(mats, letters, dim)
+    subset_side = brehmer_sum(mats, letters[::-1], dim)
     deviation = float(np.abs(star_side - subset_side).max()) if dim else 0.0
     return star_side, subset_side, deviation
 
 
 # ---------------------------------------------------------------------------
 # sampled kernel conditions
+
+def _bound_constant_ok(c) -> bool:
+    """C > 0 with C^2 a positive finite float: (iii) compares with C^2 K."""
+    return c > 0 and 0 < c * c < math.inf
+
 
 @dataclass(frozen=True)
 class SzNagyConfig:
@@ -355,7 +361,7 @@ class SzNagyConfig:
         if not self.sample_points:
             raise InputError("at least one sample point required")
         c = self.bound_constant
-        if not (c > 0 and 0 < c * c < math.inf):
+        if not _bound_constant_ok(c):
             raise InputError("bound constant must be positive with a positive "
                              f"finite square, got {c!r}")
 
@@ -395,14 +401,16 @@ def sznagy_check(
 
     failed = next(((name, v) for name, v in (("ii", pos), ("iii", bound))
                    if not v.is_psd), None)
+    # the margin and its tolerance come from one verdict, (ii) on ties
+    decisive = bound if bound.min_eigenvalue < pos.min_eigenvalue else pos
     return CertificateReport(
         condition="sznagy",
         parameters={"sample_count": n, "bound_constant": cfg.bound_constant},
         verdict="pass" if failed is None else "fail",
-        margin=min(pos.min_eigenvalue, bound.min_eigenvalue),
+        margin=decisive.min_eigenvalue,
         witness=None if failed is None else {
             "condition": failed[0], "margin": failed[1].min_eigenvalue},
-        tolerances={"tol": tol, "tolerance_used": pos.tolerance_used},
+        tolerances={"tol": tol, "tolerance_used": decisive.tolerance_used},
         notes=("sampled verdict: checked on the supplied finite sample only",),
     )
 

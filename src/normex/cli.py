@@ -26,6 +26,7 @@ from .certificates import (
     DEFAULT_SUBSET_CAP,
     CertificateReport,
     SzNagyConfig,
+    _bound_constant_ok,
     _not_applicable,
     brehmer_certificate,
     extension_residual,
@@ -34,7 +35,7 @@ from .certificates import (
     sznagy_check,
 )
 from .constructions import make_commuting_normals, make_gallery
-from .errors import CapExceededError, InputError, NormexError, UnsupportedStructureError
+from .errors import InputError, NormexError, UnsupportedStructureError
 from .linalg import DEFAULT_PSD_TOL, largest, operator_norm
 from .representations import (
     InvolutionPoint,
@@ -228,7 +229,7 @@ def _run_config(run: dict, flags: dict) -> RunConfig:
         return default if value is None else _number(value, where, kind, low)
 
     letters, where = source("subset")
-    return RunConfig(
+    cfg = RunConfig(
         max_degree=read("max_degree", DEFAULT_MAX_DEGREE, low=0),
         subset=() if letters is None else _each(_letter)(letters, where),
         tol=read("tol", DEFAULT_PSD_TOL, float),
@@ -236,6 +237,10 @@ def _run_config(run: dict, flags: dict) -> RunConfig:
         bound_constant=read("bound_constant", 1.0, float),
         subspace_dim=read("subspace_dim", None),
     )
+    if not _bound_constant_ok(cfg.bound_constant):
+        raise InputError(f"{source('bound_constant')[1]}: must have a positive "
+                         f"finite square, got {cfg.bound_constant!r}")
+    return cfg
 
 
 def parse_spec(path: str, flags: dict | None = None):
@@ -626,7 +631,7 @@ def run_command(argv) -> int:
         run_report = build_run_report(reports, cfg)
         emit_report(run_report, args.format, args.out)
         return run_report.exit_status
-    except (NormexError, CapExceededError) as e:
+    except NormexError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -1,9 +1,9 @@
 """Constructive oracles and the example gallery.
 
 Provides jointly diagonal commuting normal tuples, Kolmogorov factorization
-of PSD block kernels, convex averaging over validated dilation families with
-the three-block convention [front | distinguished | rear], evaluation of the
-finitely-supported power representation, and named desk-scale examples.
+of PSD block kernels, convex averaging over dilation families with the
+three-block convention [front | distinguished | rear], and named desk-scale
+examples.
 """
 
 from __future__ import annotations
@@ -19,18 +19,14 @@ from .errors import InputError, NotPsdError
 from .linalg import (
     CMatrix,
     _freeze,
-    adjoint,
     block_assemble,
     cmatrix,
-    commutator_residual,
     hermitian_eig,
-    identity,
     operator_norm,
     psd_check,
 )
-from .representations import Representation, eval_rep, make_representation
-from .semigroups import GroupElement, SemigroupDescriptor
-from .validation import ValidationVerdict
+from .representations import make_representation
+from .semigroups import SemigroupDescriptor
 
 #: PSD admission tolerance for kernels sent to the factorizer; tighter than
 #: the generic default so admitted kernels meet the roundtrip bound.
@@ -125,26 +121,6 @@ def make_dilation_family(
     return DilationFamily(mats, ambient, front_dim, subspace_dim)
 
 
-def validate_dilation_family(
-    f: DilationFamily, tol: float = 1e-9
-) -> ValidationVerdict:
-    v = ValidationVerdict()
-    eye = identity(f.ambient_dim)
-    unitary = max(
-        operator_norm(adjoint(m) @ m - eye) for m in f.members
-    )
-    v.add("unitary", unitary <= tol, f"max isometry residual {unitary:.3e}")
-    comm = commutator_residual(f.members)[0]
-    v.add("commuting", comm <= tol, f"max commutator residual {comm:.3e}")
-    base = f.corner_of(f.members[0])
-    corner = max(
-        (operator_norm(f.corner_of(m) - base) for m in f.members[1:]),
-        default=0.0,
-    )
-    v.add("common_corner", corner <= tol, f"max corner spread {corner:.3e}")
-    return v
-
-
 @dataclass(frozen=True)
 class ConvexWeights:
     """Finitely supported convex coefficients, kept as exact rationals so the
@@ -233,18 +209,7 @@ def make_orthogonal_defect_family(corner: complex, n: int) -> DilationFamily:
 
 
 # ---------------------------------------------------------------------------
-# power evaluation and the gallery
-
-def tinfty_eval(t: Representation, x) -> CMatrix:
-    """Value of the finitely-supported power representation: the product of
-    eval_rep over the support components (the copy index never matters)."""
-    power = sg.infinite_power(t.descriptor)
-    x = sg._member(power, x, "positive cone")
-    acc = identity(t.dimension)
-    for _, coords in x.coords:
-        acc = acc @ eval_rep(t, GroupElement(coords))
-    return _freeze(acc)
-
+# the gallery
 
 def _neil_descriptor() -> SemigroupDescriptor:
     return sg.numerical({1})

@@ -48,12 +48,6 @@ def identity(n: int) -> CMatrix:
     return _freeze(np.eye(n, dtype=np.complex128))
 
 
-def zeros(rows: int, cols: int) -> CMatrix:
-    if rows < 0 or cols < 0:
-        raise InputError("dimensions must be non-negative")
-    return _freeze(np.zeros((rows, cols), dtype=np.complex128))
-
-
 def adjoint(a: CMatrix) -> CMatrix:
     return _freeze(np.conj(a).T.copy())
 

@@ -14,12 +14,15 @@ All coordinates are exact (ints / Fractions / nested tuples, never bools or
 floats); equality of canonical forms is element identity, and zero
 coordinates are never stored.  Every kind's group and lattice operations act
 coordinate by coordinate, so add, neg and meet_join pass +, - and min/max to
-the record's one ``pointwise``.  To add a kind, write its record: the fields
-``kind`` and the parameters (checked in ``__post_init__``), the unit
-``zero``, ``canon`` (the one check of the coordinate format), ``pointwise``,
-``contains`` and ``sample``; ``lattice_ordered`` if the order is no lattice;
-``generators`` and ``factorize`` if P is finitely generated.  The CLI reads
-it once ``cli._DESCRIPTOR_FIELDS`` has a reader for each parameter.
+the record's one ``pointwise``.  The laws therefore hold by construction
+once a record accepts its parameters (a numerical gap set must be
+additively closed), and no descriptor validator is needed.  To add a kind,
+write its record: the fields ``kind`` and the parameters (checked in
+``__post_init__``), the unit ``zero``, ``canon`` (the one check of the
+coordinate format), ``pointwise``, ``contains`` and ``sample``;
+``lattice_ordered`` if the order is no lattice; ``generators`` and
+``factorize`` if P is finitely generated.  The CLI reads it once
+``cli._DESCRIPTOR_FIELDS`` has a reader for each parameter.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, MembershipError, UnsupportedStructureError
-from .validation import ValidationVerdict
 
 FREE_ABELIAN = "free_abelian"
 NUMERICAL = "numerical"
@@ -400,12 +402,12 @@ def contains(d: SemigroupDescriptor, g: GroupElement) -> bool:
     return d.contains(g.coords)
 
 
-def _member(d: SemigroupDescriptor, raw, cone: str = "semigroup") -> GroupElement:
+def _member(d: SemigroupDescriptor, raw) -> GroupElement:
     """The element of d's group that ``raw`` names, checked to lie in P;
-    MembershipError names ``cone`` otherwise."""
+    MembershipError otherwise."""
     g = element(d, raw)
     if not d.contains(g.coords):
-        raise MembershipError(f"{g.coords!r} is not in the {cone}")
+        raise MembershipError(f"{g.coords!r} is not in the semigroup")
     return g
 
 
@@ -470,41 +472,8 @@ def _greedy_numerical(target: int, gens: list[int]) -> list[int] | None:
     return go(0, target)
 
 
-def indicator(v, ambient: SemigroupDescriptor) -> GroupElement:
-    """Element with unit entries exactly on the index (multi)set v.
-
-    FreeAbelian(k): v holds 1-based coordinate indices.  InfinitePower of a
-    FreeAbelian base: v holds (coordinate, copy) pairs, both 1-based.
-    """
-    entries = list(v)
-    if isinstance(ambient, FreeAbelian):
-        coords = [0] * ambient.k
-        for idx in entries:
-            if not isinstance(idx, int) or not (1 <= idx <= ambient.k):
-                raise InputError(f"index {idx!r} out of range 1..{ambient.k}")
-            coords[idx - 1] += 1
-        return GroupElement(tuple(coords))
-    if isinstance(ambient, InfinitePower) and isinstance(ambient.base, FreeAbelian):
-        per_copy: dict[int, list] = {}
-        for item in entries:
-            try:
-                coord, copy = item
-            except (TypeError, ValueError):
-                raise InputError(
-                    "power indicator entries must be (coordinate, copy) pairs"
-                )
-            if not isinstance(copy, int) or copy < 1:
-                raise InputError(f"copy index {copy!r} must be >= 1")
-            per_copy.setdefault(copy, []).append(coord)
-        return element(ambient, {c: indicator(coords, ambient.base).coords
-                                 for c, coords in per_copy.items()})
-    raise UnsupportedStructureError(
-        "indicator requires a FreeAbelian or InfinitePower(FreeAbelian) ambient"
-    )
-
-
 # ---------------------------------------------------------------------------
-# sampling and validation
+# sampling
 
 def sample_member(d: SemigroupDescriptor, rng: random.Random) -> GroupElement:
     return GroupElement(d.sample(rng))
@@ -514,103 +483,3 @@ def sample_group(d: SemigroupDescriptor, rng: random.Random) -> GroupElement:
     a = sample_member(d, rng)
     b = sample_member(d, rng)
     return sub(d, a, b)
-
-
-def _incomparable_lower_bound_witness(d: Numerical):
-    """For a non-lattice numerical descriptor: smallest member pair with two
-    maximal, mutually incomparable lower bounds (exhaustive in a window)."""
-    frob = d.frobenius
-    members = [m for m in d.members(frob + 4) if m > 0]
-    for b in members:
-        for a in members:
-            if a >= b:
-                break
-            window = range(-(frob + 2), a + 1)
-            lbs = [x for x in window
-                   if d.contains(a - x) and d.contains(b - x)]
-            maximal = [x for x in lbs
-                       if not any(y != x and d.contains(y - x) for y in lbs)]
-            bad = [(x, y) for x in maximal for y in maximal
-                   if x < y and not d.contains(y - x)
-                   and not d.contains(x - y)]
-            if bad:
-                return (a, b), sorted({bad[0][0], bad[0][1]}, reverse=True)
-    return None
-
-
-def validate_descriptor(
-    d: SemigroupDescriptor, sample_budget: int = 1000, seed: int = 0
-) -> ValidationVerdict:
-    """Check unitality, closure (exact for numerical, sampled otherwise) and
-    the lattice-order determination, with witnesses."""
-    v = ValidationVerdict()
-    e = unit(d)
-    v.add("unit", contains(d, e), f"unit = {e.coords!r}")
-
-    if isinstance(d, Numerical):
-        # exhaustive: additivity can only fail at a gap below 2*frobenius
-        upto = 2 * d.frobenius + 2
-        ok = all(
-            (a + b) not in d.gaps
-            for a in d.members(upto)
-            for b in d.members(upto)
-            if a + b <= upto
-        )
-        v.add("closure", ok, "exact scan below twice the largest gap")
-    else:
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(sample_budget):
-            g, h = sample_member(d, rng), sample_member(d, rng)
-            if not contains(d, add(d, g, h)):
-                bad = (g, h)
-                break
-        v.add("closure", bad is None,
-              f"{sample_budget} sampled pairs" if bad is None
-              else f"violated at {bad[0].coords!r} + {bad[1].coords!r}")
-
-    if d.lattice_ordered:
-        rng = random.Random(seed + 1)
-        law_fail = ""
-        for _ in range(min(sample_budget, 200)):
-            g = sample_group(d, rng)
-            h = sample_group(d, rng)
-            x = sample_group(d, rng)
-            m_gh, j_gh = meet_join(d, g, h)
-            m_hg, j_hg = meet_join(d, h, g)
-            if (m_gh, j_gh) != (m_hg, j_hg):
-                law_fail = "commutativity"
-                break
-            m1, _ = meet_join(d, m_gh, x)
-            m2, _ = meet_join(d, g, meet_join(d, h, x)[0])
-            if m1 != m2:
-                law_fail = "associativity"
-                break
-            if meet_join(d, g, j_gh)[0] != g:  # absorption g ^ (g v h) = g
-                law_fail = "absorption"
-                break
-            gp, gm = pos_neg_parts(d, g)
-            if meet_join(d, gp, gm)[0] != unit(d):
-                law_fail = "positive/negative parts"
-                break
-            if sub(d, gp, gm) != g:
-                law_fail = "part reconstruction"
-                break
-        v.add("lattice_order", law_fail == "",
-              "lattice laws hold on sampled triples" if not law_fail
-              else f"lattice law violated: {law_fail}")
-    elif isinstance(d, Numerical):
-        witness = _incomparable_lower_bound_witness(d)
-        if witness is None:
-            v.add("lattice_order", True,
-                  "not lattice ordered (no witness pair in scan window)")
-        else:
-            pair, bounds = witness
-            v.add(
-                "lattice_order", True,
-                f"not lattice ordered: pair {pair} has incomparable maximal "
-                f"lower bounds {bounds[0]} and {bounds[1]}",
-            )
-    else:
-        v.add("lattice_order", True, "not lattice ordered (by construction)")
-    return v

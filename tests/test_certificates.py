@@ -777,12 +777,13 @@ def _sznagy(image, count):
     (lambda: _sznagy(J2, 3),
      '{"condition":"sznagy","margin":-1,' + SZNAGY_NOTE + ',"parameters":'
      '{"bound_constant":1,"sample_count":3},"tolerances":{"tol":1e-08,'
-     '"tolerance_used":1.6180339887498949e-08},"verdict":"fail","witness":'
+     '"tolerance_used":1e-08},"verdict":"fail","witness":'
      '{"condition":"ii","margin":-0.61803398874989479}}'),
     (lambda: _sznagy(1.5, 2),
      '{"condition":"sznagy","margin":-4.0625,' + SZNAGY_NOTE
      + ',"parameters":{"bound_constant":1,"sample_count":2},"tolerances":'
-     '{"tol":1e-08,"tolerance_used":3.25e-08},"verdict":"fail","witness":'
+     '{"tol":1e-08,"tolerance_used":4.0625000000000001e-08},"verdict":'
+     '"fail","witness":'
      '{"condition":"iii","margin":-4.0625}}'),
 ], ids=["agler-pass", "agler-fail", "agler-na", "athavale-pass",
         "athavale-fail", "athavale-na", "brehmer-pass", "brehmer-fail",

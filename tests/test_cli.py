@@ -417,14 +417,33 @@ def test_malformed_values_exit_two_with_location(tmp_path, capsys, where,
 
 
 def test_overflowing_bound_constant_exits_two(tmp_path, capsys):
-    # 1e200 ** 2 overflows; the sznagy check compares with C^2 K
+    # 1e200 ** 2 overflows; the sznagy check compares with C^2 K, and every
+    # command rejects the document, not only those that run sznagy
     doc = json.loads(json.dumps(J2_DOC))
     doc["run"]["bound_constant"] = 1e200
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, "check", "all", "--input", str(p))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: bound constant must be positive"), err
+    for command in (("check", "all"), ("check", "athavale"), ("validate",)):
+        code, out, err = _run(capsys, *command, "--input", str(p))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: run.bound_constant: "), (command, err)
+
+
+def test_sznagy_pass_margin_is_within_its_tolerance(tmp_path, capsys):
+    # with C = 1e100 the (iii) margin dwarfs the (ii) margin; the report
+    # must state the tolerance of the verdict whose margin it shows
+    p = tmp_path / "pair.json"
+    assert run_command(["gallery", "normal_pair", "--seed", "0", "--dim", "4",
+                        "--format", "machine", "--out", str(p)]) == 0
+    doc = json.loads(p.read_text())
+    doc["run"]["bound_constant"] = 1e100
+    p.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, _ = _run(capsys, "check", "sznagy", "--input", str(p),
+                        "--format", "machine")
+    (rep,) = json.loads(out)["reports"]
+    assert (code, rep["verdict"]) == (0, "pass")
+    assert rep["margin"] >= -rep["tolerances"]["tolerance_used"], rep
 
 
 @settings(max_examples=50)

@@ -23,7 +23,6 @@ from normex import (
     free_abelian,
     identity,
     involution_point,
-    make_dilation_family,
     make_normal_map,
     make_representation,
     neg,
@@ -37,7 +36,6 @@ from normex import (
     tilde_eval,
     product_of,
     unit,
-    validate_dilation_family,
     validate_normal_map,
     validate_rep,
 )
@@ -197,14 +195,8 @@ def _normal_map(images):
          relations=[({0: 1}, {0: 1}), ({0: 2}, {1: 1}), ({1: 1}, {0: 2})]),
      False, {"relations": "max relation residual 2.500e-01 at "
                           "({0: 2}, {1: 1})"}),
-    (validate_dilation_family,
-     lambda: make_dilation_family([np.diag([1, 1j]), np.diag([-1, 1])], 0, 1),
-     True, {"commuting": "max commutator residual 0.000e+00"}),
-    (validate_dilation_family,
-     lambda: make_dilation_family([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], 0, 1),
-     False, {"commuting": "max commutator residual 2.000e+00"}),
 ], ids=["rep-pass", "rep-fail", "normal-pass", "normal-fail",
-        "relation-fail", "dilation-pass", "dilation-fail"])
+        "relation-fail"])
 def test_precondition_details_are_pinned(validate, arg, passed, details):
     # the details reach every machine report through the validation echo,
     # so they must not change byte for byte
