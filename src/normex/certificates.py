@@ -10,6 +10,7 @@ discharge a universally quantified condition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .linalg import (
     CMatrix,
     _freeze,
     adjoint,
-    block_assemble,
     block_decompose,
     cmatrix,
     commutator_residual,
@@ -34,9 +34,8 @@ from .linalg import (
 from .representations import (
     InvolutionPoint,
     Representation,
+    _image_table,
     eval_rep,
-    point_mul,
-    star_kernel,
     tilde_eval,
 )
 from .semigroups import GroupElement, _is_int
@@ -366,13 +365,19 @@ class SzNagyConfig:
                              f"finite square, got {c!r}")
 
 
-def _hermitian_blocks(n: int, entry) -> list[list[CMatrix]]:
-    """The n x n block grid of a kernel that is Hermitian by construction:
-    ``entry(i, j)`` is called for i <= j only, and block (j, i) is the
-    adjoint of block (i, j)."""
-    upper = {(i, j): entry(i, j) for i in range(n) for j in range(i, n)}
-    return [[upper[i, j] if i <= j else adjoint(upper[j, i]) for j in range(n)]
-            for i in range(n)]
+def _hermitian_kernel(n: int, dim: int, entry) -> CMatrix:
+    """The n x n grid of dim x dim blocks of a kernel that is Hermitian by
+    construction, filled in place: ``entry(i, j)`` is called for i <= j
+    only, and block (j, i) is the adjoint of block (i, j)."""
+    out = np.empty((n * dim, n * dim), dtype=np.complex128)
+    for i in range(n):
+        rows = slice(i * dim, (i + 1) * dim)
+        for j in range(i, n):
+            cols = slice(j * dim, (j + 1) * dim)
+            out[rows, cols] = block = entry(i, j)
+            if j != i:
+                out[cols, rows] = np.conj(block).T
+    return _freeze(out)
 
 
 def sznagy_check(
@@ -382,37 +387,41 @@ def sznagy_check(
     (ii) positivity of the kernel K = [T~(s_i* s_j)], and (iii) the
     bounded-element Loewner inequality [T~((a s_i)* (a s_j))] <= C^2 K.
     The kernel is Hermitian by construction, since s_j* s_i is s_i* s_j
-    with its two sides swapped, so each kernel is assembled from its
-    upper triangle and the paper's symmetry condition (i) holds exactly."""
+    with its two sides swapped, so each kernel is filled from its upper
+    triangle and the paper's symmetry condition (i) holds exactly.
+
+    Entry (i, j) is star_kernel(t, s_i, s_j) = T(r_i + l_j)* T(l_i + r_j)
+    for s = (l, r).  The points are checked members, so these sums are
+    canonical members too, and each distinct one is evaluated once.  A
+    fail reports the first failing condition, (ii) before (iii); a pass
+    reports the lower margin, (ii) on ties."""
     d = t.descriptor
-    pts = cfg.sample_points
-    for s in pts + (cfg.bound_element,):
-        sg._member(d, s.left)
-        sg._member(d, s.right)
-    n = len(pts)
-    kernel = block_assemble(_hermitian_blocks(
-        n, lambda i, j: star_kernel(t, pts[i], pts[j])))
-    pos = psd_check(kernel, tol)
+    *pairs, (a_left, a_right) = [
+        (sg._member(d, s.left).coords, sg._member(d, s.right).coords)
+        for s in cfg.sample_points + (cfg.bound_element,)]
+    n = len(pairs)
+    image = _image_table(t, eval_rep)
 
-    shifted = [point_mul(d, cfg.bound_element, s) for s in pts]
-    lhs = block_assemble(_hermitian_blocks(
-        n, lambda i, j: star_kernel(t, shifted[i], shifted[j])))
-    bound = loewner_leq(lhs, cfg.bound_constant ** 2 * kernel, tol)
+    def kernel(lefts, rights):
+        def entry(i, j):
+            return (image(d.pointwise(operator.add, rights[i], lefts[j]))[1]
+                    @ image(d.pointwise(operator.add, lefts[i], rights[j]))[0])
+        return _hermitian_kernel(n, t.dimension, entry)
 
-    failed = next(((name, v) for name, v in (("ii", pos), ("iii", bound))
-                   if not v.is_psd), None)
-    # the margin and its tolerance come from one verdict, (ii) on ties
-    decisive = bound if bound.min_eigenvalue < pos.min_eigenvalue else pos
-    return CertificateReport(
-        condition="sznagy",
-        parameters={"sample_count": n, "bound_constant": cfg.bound_constant},
-        verdict="pass" if failed is None else "fail",
-        margin=decisive.min_eigenvalue,
-        witness=None if failed is None else {
-            "condition": failed[0], "margin": failed[1].min_eigenvalue},
-        tolerances={"tol": tol, "tolerance_used": decisive.tolerance_used},
-        notes=("sampled verdict: checked on the supplied finite sample only",),
-    )
+    lefts, rights = zip(*pairs)
+    k = kernel(lefts, rights)
+    pos = psd_check(k, tol)
+    shifted = kernel([d.pointwise(operator.add, a_left, c) for c in lefts],
+                     [d.pointwise(operator.add, a_right, c) for c in rights])
+    bound = loewner_leq(shifted, cfg.bound_constant ** 2 * k, tol)
+
+    verdicts = (("ii", pos), ("iii", bound))
+    name, decisive = next(((c, v) for c, v in verdicts if not v.is_psd),
+                          min(verdicts, key=lambda cv: cv[1].min_eigenvalue))
+    return _psd_report(
+        "sznagy", {"sample_count": n, "bound_constant": cfg.bound_constant},
+        decisive, tol, {"condition": name, "margin": decisive.min_eigenvalue},
+        notes=("sampled verdict: checked on the supplied finite sample only",))
 
 
 def regularity_check(
@@ -421,7 +430,8 @@ def regularity_check(
     """Sampled regularity inequality: with X = [T~(p_i - p_j)] and the meet
     condition g ^ p_i = unit for all i, checks [T(g)* X_ij T(g)] <= [X_ij].
     Both grids are Hermitian by construction, since (p_j - p_i)_+- is
-    (p_i - p_j)_-+, and are assembled from their upper triangles."""
+    (p_i - p_j)_-+, and are filled from their upper triangles, with
+    tilde_eval run once per distinct difference."""
     d = t.descriptor
     if not d.lattice_ordered:
         raise UnsupportedStructureError(
@@ -437,12 +447,16 @@ def regularity_check(
                 "regularity", parameters,
                 {"reason": "meet condition violated", "index": i, "p": p}, tol)
     n = len(points)
-    x_blocks = _hermitian_blocks(
-        n, lambda i, j: tilde_eval(t, sg.sub(d, points[i], points[j])))
+    tilde = _image_table(t, tilde_eval)
+
+    def x(i, j):
+        return tilde(d.pointwise(operator.sub, points[i].coords,
+                                 points[j].coords))[0]
     tg = eval_rep(t, g)
     tga = adjoint(tg)
-    l_blocks = _hermitian_blocks(n, lambda i, j: tga @ x_blocks[i][j] @ tg)
-    verdict = loewner_leq(block_assemble(l_blocks), block_assemble(x_blocks), tol)
+    verdict = loewner_leq(
+        _hermitian_kernel(n, t.dimension, lambda i, j: tga @ x(i, j) @ tg),
+        _hermitian_kernel(n, t.dimension, x), tol)
     return _psd_report(
         "regularity", parameters, verdict, tol, parameters,
         notes=("sampled verdict: checked for the supplied points only",))

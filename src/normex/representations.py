@@ -107,6 +107,22 @@ def eval_rep(t: Representation, p: GroupElement) -> CMatrix:
     return product_of(t, fact)
 
 
+def _image_table(t: Representation, evaluate):
+    """A lookup from coordinates c to (M, M*) with M = evaluate(t,
+    GroupElement(c)), which runs, with all its checks, once per distinct
+    value of c.  Values such as 1 and True are equal keys, so a table
+    serves one call on canonical coordinates and is dropped with it."""
+    table = {}
+
+    def image(c):
+        hit = table.get(c)
+        if hit is None:
+            m = evaluate(t, GroupElement(c))
+            hit = table[c] = (m, adjoint(m))
+        return hit
+    return image
+
+
 def validate_rep(
     t: Representation,
     tol: float = DEFAULT_REP_TOL,
@@ -137,13 +153,14 @@ def validate_rep(
 
     if t.descriptor.finitely_generated:
         rng = random.Random(seed)
+        image = _image_table(t, eval_rep)
         hom = 0.0
         for _ in range(sample_budget):
             p = sg.sample_member(t.descriptor, rng)
             q = sg.sample_member(t.descriptor, rng)
             r = operator_norm(
-                eval_rep(t, sg.add(t.descriptor, p, q))
-                - eval_rep(t, p) @ eval_rep(t, q)
+                image(sg.add(t.descriptor, p, q).coords)[0]
+                - image(p.coords)[0] @ image(q.coords)[0]
             )
             hom = max(hom, r)
         # scaled: long products magnify commutator noise

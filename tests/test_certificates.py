@@ -10,6 +10,7 @@ non-commuting tuples against the explicit binomial expansion in conftest.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,15 +18,17 @@ from conftest import explicit_box_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normex import certificates, linalg
+from normex import certificates, linalg, representations
 from normex import (
     CapExceededError,
+    GroupElement,
     InputError,
     InvolutionPoint,
     MembershipError,
     SzNagyConfig,
     UnsupportedStructureError,
     Representation,
+    adjoint,
     agler_certificate,
     athavale_certificate,
     athavale_vs_brehmer,
@@ -36,6 +39,7 @@ from normex import (
     canonical_json,
     degree_tuple,
     element,
+    eval_rep,
     extension_residual,
     free_abelian,
     generator_certificate,
@@ -44,6 +48,7 @@ from normex import (
     make_commuting_normals,
     make_representation,
     numerical,
+    product,
     psd_check,
     rationals,
     regularity_check,
@@ -457,9 +462,19 @@ SZNAGY_POINTS = [((0, 0), (0, 0)), ((1, 0), (0, 2)), ((0, 1), (1, 0)),
 REGULARITY_POINTS = [(0, 0), (1, 0), (2, 0), (0, 3)]
 
 
+KERNEL_CASES = {
+    "free_abelian(2)": (free_abelian(2),
+                        st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    "numerical((1,))": (numerical((1,)), st.sampled_from([0, 2, 3, 4, 5])),
+    "product": (product(free_abelian(1), numerical((1,))),
+                st.tuples(st.tuples(st.integers(0, 3)),
+                          st.sampled_from([0, 2, 3]))),
+}
+
+
 class TestSampledKernels:
-    """Each sampled kernel is Hermitian by construction and is assembled
-    from its upper triangle: n(n+1)/2 entry evaluations per kernel."""
+    """Each sampled kernel is Hermitian by construction and is filled from
+    its upper triangle, with one evaluation per distinct element."""
 
     def _counted(self, monkeypatch, name, modules=(certificates,)):
         calls = []
@@ -476,22 +491,37 @@ class TestSampledKernels:
     def test_sznagy_evaluates_the_upper_triangle(self, monkeypatch, n):
         t = _diag_pair()
         d = t.descriptor
-        cfg = SzNagyConfig(_kernel_points(d, SZNAGY_POINTS[:n]),
-                           _pt(d, (0, 1), (1, 0)))
-        calls = self._counted(monkeypatch, "star_kernel")
+        coords = SZNAGY_POINTS[:n]
+        shift = ((0, 1), (1, 0))
+        cfg = SzNagyConfig(_kernel_points(d, coords), _pt(d, *shift))
+
+        def plus(x, y):
+            return tuple(a + b for a, b in zip(x, y))
+        shifted = [(plus(shift[0], l), plus(shift[1], r)) for l, r in coords]
+        # entry (i, j) of either kernel reads T at r_i + l_j and l_i + r_j
+        distinct = {plus(pts[i][side], pts[j][1 - side])
+                    for pts in (coords, shifted)
+                    for i in range(n) for j in range(i, n) for side in (0, 1)}
+        calls = self._counted(monkeypatch, "eval_rep")
+        kernels = self._counted(monkeypatch, "star_kernel", (representations,))
         norms = self._counted(monkeypatch, "operator_norm",
                               (certificates, linalg))
         assert sznagy_check(t, cfg).passed
-        # K and the shifted kernel, n(n+1)/2 blocks each
-        assert len(calls) == n * (n + 1)
-        assert norms == []
+        assert sorted(p.coords for _, p in calls) == sorted(distinct)
+        assert kernels == [] and norms == []
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_regularity_evaluates_the_upper_triangle(self, monkeypatch, n):
+        pts = REGULARITY_POINTS[:n]
+        distinct = {(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+                    for i in range(n) for j in range(i, n)}
         calls = self._counted(monkeypatch, "tilde_eval")
-        rep = regularity_check(_diag_pair(), REGULARITY_POINTS[:n], (0, 0))
+        norms = self._counted(monkeypatch, "operator_norm",
+                              (certificates, linalg))
+        rep = regularity_check(_diag_pair(), pts, (0, 0))
         assert rep.passed
-        assert len(calls) == n * (n + 1) // 2
+        assert sorted(g.coords for _, g in calls) == sorted(distinct)
+        assert norms == []
 
     @pytest.mark.parametrize("kernel", ["sznagy", "regularity"])
     def test_assembled_kernel_matches_the_full_grid(self, kernel):
@@ -507,11 +537,92 @@ class TestSampledKernels:
 
             def entry(i, j):
                 return tilde_eval(t, sub(d, pts[i], pts[j]))
-        n = len(pts)
-        full = block_assemble([[entry(i, j) for j in range(n)]
-                               for i in range(n)])
-        half = block_assemble(certificates._hermitian_blocks(n, entry))
-        assert np.abs(half - full).max() <= 1e-12
+        _assert_fill_matches(t, len(pts), entry)
+
+
+def _assert_fill_matches(t, n, entry):
+    """The fill is bitwise the upper triangle mirrored by adjoints, and
+    matches the full grid up to rounding: T(a)* T(b) and the adjoint
+    of T(b)* T(a) may round differently in the last bit."""
+    filled = certificates._hermitian_kernel(n, t.dimension, entry)
+    mirrored = block_assemble(
+        [[entry(i, j) if i <= j else adjoint(entry(j, i))
+          for j in range(n)] for i in range(n)])
+    full = block_assemble([[entry(i, j) for j in range(n)]
+                           for i in range(n)])
+    assert np.array_equal(filled, mirrored)
+    assert np.abs(filled - full).max() <= 1e-12
+    assert not filled.flags.writeable
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_filled_kernel_matches_the_full_grid_on_drawn_points(case, data):
+    d, coords = KERNEL_CASES[case]
+    t = make_representation(
+        d, make_commuting_normals(5, 3, len(d.generators)))
+    pts = data.draw(st.lists(st.tuples(coords, coords), min_size=1,
+                             max_size=5))
+    pts = [_pt(d, left, right) for left, right in pts]
+    _assert_fill_matches(
+        t, len(pts), lambda i, j: star_kernel(t, pts[i], pts[j]))
+
+
+class TestNonCanonicalTwins:
+    """1 == True and 2 == Fraction(2) with equal hashes: evaluating the
+    canonical element first must not let its twin through any route."""
+
+    def _pair(self):
+        return make_representation(free_abelian(2),
+                                   [np.diag([0.5, 0.25]), np.diag([0.3, 0.2])])
+
+    def test_eval_rep_rejects_the_twin_after_the_element(self):
+        t = self._pair()
+        eval_rep(t, GroupElement((1, 1)))
+        with pytest.raises(InputError):
+            eval_rep(t, GroupElement((1, True)))
+        d = numerical(())
+        t = make_representation(d, [[[0.5]]])
+        eval_rep(t, GroupElement(2))
+        with pytest.raises(InputError):
+            eval_rep(t, GroupElement(Fraction(2)))
+
+    @pytest.mark.parametrize("where", ["sample", "bound"])
+    def test_sznagy_rejects_the_twin(self, where):
+        t = self._pair()
+        d = t.descriptor
+        good = _pt(d, (1, 1), (0, 0))
+        twin = InvolutionPoint(GroupElement((1, True)), element(d, (0, 0)))
+        sznagy_check(t, SzNagyConfig((good,), good))
+        cfg = (SzNagyConfig((good, twin), good) if where == "sample"
+               else SzNagyConfig((good,), twin))
+        with pytest.raises(InputError):
+            sznagy_check(t, cfg)
+
+    @pytest.mark.parametrize("where", ["point", "g"])
+    def test_regularity_rejects_the_twin(self, where):
+        t = self._pair()
+        regularity_check(t, [(0, 0), (1, 1)], (0, 0))
+        twin = GroupElement((1, True))
+        with pytest.raises(InputError):
+            if where == "point":
+                regularity_check(t, [(0, 0), twin], (0, 0))
+            else:
+                regularity_check(t, [(0, 0)], twin)
+
+    def test_sznagy_error_types(self):
+        d = rationals()
+        t = Representation(d, 1, (identity(1),))
+        pt = InvolutionPoint(element(d, 1), element(d, 0))
+        with pytest.raises(UnsupportedStructureError):
+            sznagy_check(t, SzNagyConfig((pt,), pt))
+        t = self._pair()
+        d = t.descriptor
+        good = _pt(d, (0, 0), (0, 0))
+        bad = InvolutionPoint(element(d, (0, 0)), element(d, (0, -1)))
+        with pytest.raises(MembershipError):
+            sznagy_check(t, SzNagyConfig((good, bad), good))
 
 
 class TestRegularity:
@@ -775,9 +886,10 @@ def _sznagy(image, count):
      '"tolerance_used":1.2499999999999999e-08},"verdict":"pass",'
      '"witness":null}'),
     (lambda: _sznagy(J2, 3),
-     '{"condition":"sznagy","margin":-1,' + SZNAGY_NOTE + ',"parameters":'
+     '{"condition":"sznagy","margin":-0.61803398874989479,' + SZNAGY_NOTE
+     + ',"parameters":'
      '{"bound_constant":1,"sample_count":3},"tolerances":{"tol":1e-08,'
-     '"tolerance_used":1e-08},"verdict":"fail","witness":'
+     '"tolerance_used":1.6180339887498949e-08},"verdict":"fail","witness":'
      '{"condition":"ii","margin":-0.61803398874989479}}'),
     (lambda: _sznagy(1.5, 2),
      '{"condition":"sznagy","margin":-4.0625,' + SZNAGY_NOTE

@@ -1,6 +1,8 @@
 """CLI tests: canonical serialization, the input schema, condition dispatch,
 exit codes, and byte-level determinism of machine reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -446,18 +448,57 @@ def test_sznagy_pass_margin_is_within_its_tolerance(tmp_path, capsys):
     assert rep["margin"] >= -rep["tolerances"]["tolerance_used"], rep
 
 
-@settings(max_examples=50)
-@given(tol=st.floats(1e-300, 1e300), bound=st.floats(1e-300, 1e300),
+def _product_document():
+    """N x the gap semigroup <2, 3> with diagonal images and the relation
+    T(2)^3 = T(3)^2 on the gap factor."""
+    a = np.diag([0.9, -0.4j, 0.6 + 0.3j])
+    return {
+        "descriptor": {"kind": "product",
+                       "factors": [{"kind": "free_abelian", "k": 1},
+                                   {"kind": "numerical", "gaps": [1]}]},
+        "representation": {
+            "dimension": 3,
+            "generators": [matrix_to_json(m) for m in
+                           (np.diag([0.5, 0.7j, -0.2]), a @ a, a @ a @ a)],
+            "relations": [[{"2": 3}, {"3": 2}]],
+        },
+        "run": {},
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """The shift, the neil_matrix gallery document and a product document,
+    by name; the sampled routes run on all three."""
+    path = tmp_path_factory.mktemp("fuzz") / "neil_matrix.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(["gallery", "neil_matrix", "--dim", "3",
+                            "--format", "machine", "--out", str(path)]) == 0
+    return {"shift": J2_DOC, "neil_matrix": json.loads(path.read_text()),
+            "product": _product_document()}
+
+
+@settings(max_examples=60)
+@given(doc=st.sampled_from(["shift", "neil_matrix", "product"]),
+       command=st.sampled_from([("check", "all"), ("check", "sznagy"),
+                                ("check", "regular"), ("validate",)]),
+       tol=st.floats(1e-300, 1e300), bound=st.floats(1e-300, 1e300),
        max_degree=st.integers(0, 8), fmt=st.sampled_from(["human", "machine"]))
-def test_numeric_run_fields_keep_the_exit_contract(tmp_path_factory, tol,
-                                                   bound, max_degree, fmt):
-    doc = json.loads(json.dumps(J2_DOC))
+def test_numeric_run_fields_keep_the_exit_contract(
+        tmp_path_factory, fuzz_documents, doc, command, tol, bound,
+        max_degree, fmt):
+    doc = json.loads(json.dumps(fuzz_documents[doc]))
     doc["run"] = {"tol": tol, "bound_constant": bound,
                   "max_degree": max_degree}
     p = tmp_path_factory.getbasetemp() / "fuzz.json"
     p.write_text(json.dumps(doc))
-    assert run_command(["check", "all", "--input", str(p),
-                        "--format", fmt]) in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_command([*command, "--input", str(p), "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
 
 
 class TestSeedHandling:
