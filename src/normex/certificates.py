@@ -229,11 +229,8 @@ def agler_certificate(
     t: CMatrix, n: int, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
     """Positivity of the alternating binomial sum of *-powers at degree n."""
-    t = cmatrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise InputError("agler_certificate requires a square matrix")
-    if not _is_int(n) or n < 0:
-        raise InputError("degree must be a non-negative int")
+    (t,) = _operators((t,))
+    (n,) = degree_tuple((n,))
     gated, _ = _gate("agler", {"n": n}, (t,), tol)
     if gated is not None:
         return gated

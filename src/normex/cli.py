@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -44,9 +45,6 @@ from .representations import (
     validate_rep,
 )
 from .semigroups import SemigroupDescriptor
-
-CONDITIONS = ("athavale", "brehmer", "regular", "sznagy", "extension")
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -216,6 +214,25 @@ def _letter(x, path: str):
             else _number(x, path))
 
 
+def _relation(labels: dict, pair, path: str) -> tuple[dict, dict]:
+    """A relation [lhs, rhs]: each side maps generator labels to counts."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InputError(f"{path}: must be a two-sided pair")
+
+    def term(label, mult):
+        if label not in labels:
+            raise InputError(f"{path}: unknown generator label {label!r} "
+                             f"(known: {sorted(labels)})")
+        return labels[label], _number(mult, path, low=0)
+
+    def side(terms):
+        if not isinstance(terms, dict):
+            raise InputError(f"{path}: sides are label->count maps")
+        return dict(term(*item) for item in terms.items())
+
+    return side(pair[0]), side(pair[1])
+
+
 def _run_config(run: dict, flags: dict) -> RunConfig:
     """The run section with the command-line flags applied over it; each
     value is read once and located at its flag or its run.* key."""
@@ -235,7 +252,7 @@ def _run_config(run: dict, flags: dict) -> RunConfig:
         tol=read("tol", DEFAULT_PSD_TOL, float),
         seed=read("seed", 0),
         bound_constant=read("bound_constant", 1.0, float),
-        subspace_dim=read("subspace_dim", None),
+        subspace_dim=read("subspace_dim", None, low=0),
     )
     if not _bound_constant_ok(cfg.bound_constant):
         raise InputError(f"{source('bound_constant')[1]}: must have a positive "
@@ -274,11 +291,8 @@ def parse_spec(path: str, flags: dict | None = None):
     rep_obj = doc.get("representation")
     if not isinstance(rep_obj, dict):
         raise InputError(f"{path}: missing 'representation' section")
-    gen_objs = _list(rep_obj.get("generators"), "representation.generators")
-    images = [
-        matrix_from_json(g, f"representation.generators[{i}]")
-        for i, g in enumerate(gen_objs)
-    ]
+    images = _each(matrix_from_json)(rep_obj.get("generators"),
+                                     "representation.generators")
     dim = rep_obj.get("dimension")
     if dim is not None and images and len(images[0]) != _number(
             dim, "representation.dimension"):
@@ -288,8 +302,6 @@ def parse_spec(path: str, flags: dict | None = None):
         )
 
     warnings = []
-    labels = _generator_label_map(d)
-    relations = []
     rel_objs = rep_obj.get("relations")
     if rel_objs is None:
         if d.kind == sg.NUMERICAL:
@@ -297,28 +309,8 @@ def parse_spec(path: str, flags: dict | None = None):
                 "no relations declared: homomorphism property is sampled only"
             )
         rel_objs = []
-    for i, pair in enumerate(_list(rel_objs, "representation.relations")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(
-                f"representation.relations[{i}]: must be a two-sided pair"
-            )
-        sides = []
-        for side in pair:
-            if not isinstance(side, dict):
-                raise InputError(
-                    f"representation.relations[{i}]: sides are label->count maps"
-                )
-            terms = {}
-            for label, mult in side.items():
-                if label not in labels:
-                    raise InputError(
-                        f"representation.relations[{i}]: unknown generator "
-                        f"label {label!r} (known: {sorted(labels)})"
-                    )
-                terms[labels[label]] = _number(
-                    mult, f"representation.relations[{i}]", low=0)
-            sides.append(terms)
-        relations.append((sides[0], sides[1]))
+    relations = _each(partial(_relation, _generator_label_map(d)))(
+        rel_objs, "representation.relations")
 
     rep = make_representation(d, images, relations)
 
@@ -340,52 +332,40 @@ def parse_spec(path: str, flags: dict | None = None):
 # ---------------------------------------------------------------------------
 # report emission
 
-@dataclass(frozen=True)
-class RunReport:
-    reports: tuple[CertificateReport, ...]
-    environment: dict
-    exit_status: int
-
-    def as_dict(self) -> dict:
-        return {
-            "environment": self.environment,
-            "reports": [r.as_dict() for r in self.reports],
-            "exit_status": self.exit_status,
-        }
-
-
-def build_run_report(reports, cfg: RunConfig) -> RunReport:
-    reports = tuple(reports)
-    status = 1 if any(r.verdict == "fail" for r in reports) else 0
-    env = {
-        "version": __version__,
-        "tol": cfg.tol,
-        "max_degree": cfg.max_degree,
-        "subset_cap": DEFAULT_SUBSET_CAP,
-        "seed": cfg.seed,
-        "bound_constant": cfg.bound_constant,
-        "echo": cfg.echo,
+def _run_report(reports, cfg: RunConfig) -> dict:
+    """The machine report of a run: the certificate reports, the settings
+    they ran with, and exit status 1 when any of them failed."""
+    return {
+        "environment": {
+            "version": __version__,
+            "tol": cfg.tol,
+            "max_degree": cfg.max_degree,
+            "subset_cap": DEFAULT_SUBSET_CAP,
+            "seed": cfg.seed,
+            "bound_constant": cfg.bound_constant,
+            "echo": cfg.echo,
+        },
+        "reports": [r.as_dict() for r in reports],
+        "exit_status": int(any(r.verdict == "fail" for r in reports)),
     }
-    return RunReport(reports, env, status)
 
 
-def _human_table(r: RunReport) -> str:
+def _human_table(run: dict) -> str:
     lines = [
         f"{'condition':<16} {'verdict':<14} {'margin':<24} witness",
         "-" * 72,
     ]
-    for rep in r.reports:
-        margin = "" if rep.margin is None else _format_float(rep.margin)
-        witness = "" if rep.witness is None else canonical_json(
-            rep.as_dict()["witness"]
-        )
+    for rep in run["reports"]:
+        margin = "" if rep["margin"] is None else _format_float(rep["margin"])
+        witness = ("" if rep["witness"] is None
+                   else canonical_json(rep["witness"]))
         lines.append(
-            f"{rep.condition:<16} {rep.verdict:<14} {margin:<24} {witness}"
+            f"{rep['condition']:<16} {rep['verdict']:<14} {margin:<24} {witness}"
         )
-        for note in rep.notes:
+        for note in rep["notes"]:
             lines.append(f"{'':<16} note: {note}")
     lines.append("-" * 72)
-    lines.append(f"exit status {r.exit_status}")
+    lines.append(f"exit status {run['exit_status']}")
     return "\n".join(lines)
 
 
@@ -400,14 +380,6 @@ def _emit(machine: str, human: str | None, path: str | None) -> None:
         except OSError as e:
             raise InputError(f"{path}: {e.strerror or e}") from None
 
-
-def emit_report(r: RunReport, fmt: str = "human", path: str | None = None) -> None:
-    """Human table to stdout (or machine JSON with fmt="machine"); when a
-    path is given, the machine serialization is also written there."""
-    if fmt not in ("human", "machine"):
-        raise InputError(f"unknown format {fmt!r}")
-    _emit(canonical_json(r.as_dict()),
-          None if fmt == "machine" else _human_table(r), path)
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +434,28 @@ def _extension_report(rep: Representation, cfg: RunConfig) -> CertificateReport:
     )
 
 
+#: each condition's report from (descriptor, representation, run config),
+#: in the order ``check all`` runs them
+CONDITIONS = {
+    "athavale": lambda d, rep, cfg: generator_certificate(
+        rep, cfg.max_degree, cfg.tol),
+    "brehmer": lambda d, rep, cfg: brehmer_certificate(
+        rep, cfg.subset or _default_subset(d, rep), cfg.tol),
+    "regular": lambda d, rep, cfg: regularity_check(
+        rep, *_default_regular_args(d), cfg.tol),
+    "sznagy": lambda d, rep, cfg: sznagy_check(
+        rep, _default_sznagy_config(d, cfg), cfg.tol),
+    "extension": lambda d, rep, cfg: _extension_report(rep, cfg),
+}
+
+
 def _run_condition(
     name: str, d: SemigroupDescriptor, rep: Representation, cfg: RunConfig
 ) -> CertificateReport:
     try:
-        if name == "athavale":
-            return generator_certificate(rep, cfg.max_degree, cfg.tol)
-        if name == "brehmer":
-            subset = cfg.subset or _default_subset(d, rep)
-            return brehmer_certificate(rep, subset, cfg.tol)
-        if name == "regular":
-            ps, g = _default_regular_args(d)
-            return regularity_check(rep, ps, g, cfg.tol)
-        if name == "sznagy":
-            return sznagy_check(rep, _default_sznagy_config(d, cfg), cfg.tol)
-        if name == "extension":
-            return _extension_report(rep, cfg)
+        return CONDITIONS[name](d, rep, cfg)
     except UnsupportedStructureError as e:
         return _not_applicable(name, {}, {"reason": str(e)}, cfg.tol)
-    raise InputError(f"unknown condition {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,26 +470,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--input", required=True)
-        p.add_argument("--max-degree", type=int, default=None)
+        p.add_argument("--max-degree", default=None)
         p.add_argument("--subset", default=None,
                        help="comma-separated letters, e.g. 1,2 or 1:1,1:2")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--subspace-dim", type=int, default=None)
+        p.add_argument("--tol", default=None)
+        p.add_argument("--seed", default=None)
+        p.add_argument("--subspace-dim", default=None)
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
         p.add_argument("--out", default=None)
 
     check = sub.add_parser("check", help="run certificates against an input spec")
-    check.add_argument("condition", choices=CONDITIONS + ("all",))
+    check.add_argument("condition", choices=(*CONDITIONS, "all"))
     common(check)
 
     gallery = sub.add_parser("gallery", help="emit a named example")
     gallery.add_argument("name")
-    gallery.add_argument("--dim", type=int, default=None)
-    gallery.add_argument("--k", type=int, default=None)
-    gallery.add_argument("--seed", type=int, default=None)
-    gallery.add_argument("--lam", type=float, default=None)
+    gallery.add_argument("--dim", default=None)
+    gallery.add_argument("--k", default=None)
+    gallery.add_argument("--seed", default=None)
+    gallery.add_argument("--lam", default=None)
     gallery.add_argument("--weights", default=None,
                          help="comma-separated shift weights")
     gallery.add_argument("--format", choices=("human", "machine"),
@@ -533,58 +508,55 @@ def _parse_subset(raw: str) -> list:
     return [p.split(":", 1) if ":" in p else p for p in pieces if p]
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("NORMEX_SEED")
-    if raw is None:
-        return None
+def _seed(args, low=None) -> int | None:
+    """--seed, else NORMEX_SEED, read at its own location; None if neither."""
+    value, where = ((args.seed, "--seed") if args.seed is not None
+                    else (os.environ.get("NORMEX_SEED"), "NORMEX_SEED"))
+    return None if value is None else _number(value, where, low=low)
+
+
+def _in_disc(text: str, path: str) -> float:
+    """Read a real number in [-1, 1] from the text of a flag."""
     try:
-        return int(raw)
+        x = float(text)
     except ValueError:
-        raise InputError(f"NORMEX_SEED must be an integer, got {raw!r}")
-
-
-def _in_disc(x: float, path: str) -> float:
+        raise InputError(f"{path}: expected a number, got {text!r}") from None
     if not abs(x) <= 1:  # NaN fails too
         raise InputError(f"{path}: must satisfy |x| <= 1, got {x!r}")
     return x
 
 
 def _gallery_document(name: str, args) -> dict:
-    def size(value, default):  # the default only when the flag is absent
-        return default if value is None else value
-
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    # every value given is read, whichever case uses it
+    seed = _seed(args, low=0) or 0  # numpy's generators take no negative seed
+    sizes = {flag: _number(value, "--" + flag) for flag, value in
+             (("dim", args.dim), ("k", args.k)) if value is not None}
+    lam = 0.5 if args.lam is None else _in_disc(args.lam, "--lam")
+    weights = [_in_disc(w, f"--weights[{i}]")
+               for i, w in enumerate(args.weights.split(","))
+               ] if args.weights else []
     if name == "jordan":
-        m = make_gallery("jordan", dim=size(args.dim, 2))
+        m = make_gallery("jordan", dim=sizes.get("dim", 2))
         return {"matrix": matrix_to_json(m)}
     if name == "truncated_shift":
-        if not args.weights:
+        if not weights:
             raise InputError("truncated_shift requires --weights")
-        weights = []
-        for i, w in enumerate(args.weights.split(",")):
-            try:
-                weights.append(_in_disc(float(w), f"--weights[{i}]"))
-            except ValueError:
-                raise InputError(
-                    f"--weights[{i}]: expected a number, got {w!r}") from None
         m = make_gallery("truncated_shift", weights=weights)
         return {"matrix": matrix_to_json(m)}
     if name == "neil_scalar":
-        lam = _in_disc(args.lam, "--lam") if args.lam is not None else 0.5
         rep = make_gallery("neil_scalar", lam=lam)
     elif name == "neil_matrix":
-        dim = size(args.dim, 2)
-        a = make_commuting_normals(seed, dim, 1)[0]
+        a = make_commuting_normals(seed, sizes.get("dim", 2), 1)[0]
         rep = make_gallery("neil_matrix", a=a)
     elif name == "unitary_rep":
-        k, dim = size(args.k, 2), size(args.dim, 3)
+        k, dim = sizes.get("k", 2), sizes.get("dim", 3)
         if k < 1 or dim < 1:
             raise InputError("unitary_rep needs --k and --dim >= 1")
         rng = np.random.default_rng(seed)
         angles = rng.uniform(0.0, 2.0 * math.pi, (k, dim))
         rep = make_gallery("unitary_rep", k=k, angles=angles)
     elif name == "normal_pair":
-        rep = make_gallery("normal_pair", seed=seed, dim=size(args.dim, 4))
+        rep = make_gallery("normal_pair", seed=seed, dim=sizes.get("dim", 4))
     else:
         raise InputError(f"unknown gallery case {name!r}")
     return {
@@ -610,29 +582,26 @@ def run_command(argv) -> int:
     try:
         if args.command == "gallery":
             doc = _gallery_document(args.name, args)
-            _emit(canonical_json(doc), None if args.format == "machine"
-                  else json.dumps(doc, indent=2, sort_keys=True), args.out)
-            return 0
-
-        d, rep, cfg = parse_spec(args.input, {
-            "max_degree": args.max_degree,
-            "subset": (None if args.subset is None
-                       else _parse_subset(args.subset)),
-            "tol": args.tol,
-            "seed": args.seed if args.seed is not None else _env_seed(),
-            "subspace_dim": args.subspace_dim,
-        })
-        if args.command == "validate":
-            emit_report(build_run_report((), cfg), args.format, args.out)
-            return 0
-
-        names = CONDITIONS if args.condition == "all" else (args.condition,)
-        reports = [_run_condition(n, d, rep, cfg) for n in names]
-        run_report = build_run_report(reports, cfg)
-        emit_report(run_report, args.format, args.out)
-        return run_report.exit_status
-    except NormexError as e:
-        sys.stderr.write(f"error: {e}\n")
+            table = partial(json.dumps, indent=2, sort_keys=True)
+        else:
+            d, rep, cfg = parse_spec(args.input, {
+                "max_degree": args.max_degree,
+                "subset": (None if args.subset is None
+                           else _parse_subset(args.subset)),
+                "tol": args.tol,
+                "seed": _seed(args),
+                "subspace_dim": args.subspace_dim,
+            })
+            name = getattr(args, "condition", None)  # validate runs none
+            names = {None: (), "all": CONDITIONS}.get(name, (name,))
+            doc = _run_report([_run_condition(n, d, rep, cfg) for n in names],
+                              cfg)
+            table = _human_table
+        _emit(canonical_json(doc),
+              None if args.format == "machine" else table(doc), args.out)
+        return doc.get("exit_status", 0)  # a gallery document has none
+    except (NormexError, MemoryError) as e:
+        sys.stderr.write(f"error: {str(e) or 'out of memory'}\n")
         return 2
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     psd_check,
 )
 from .representations import make_representation
-from .semigroups import SemigroupDescriptor
+from .semigroups import SemigroupDescriptor, _is_int
 
 #: PSD admission tolerance for kernels sent to the factorizer; tighter than
 #: the generic default so admitted kernels meet the roundtrip bound.
@@ -39,6 +39,8 @@ def make_commuting_normals(seed: int, dim: int, m: int) -> list[CMatrix]:
     commutation and *-commutation hold by construction."""
     if dim < 1 or m < 1:
         raise InputError("dim and m must be >= 1")
+    if not _is_int(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)

@@ -8,7 +8,11 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 package evaluates alternating sums by the iterated defect map, this module
 by the explicit binomial expansion.
 
-A warning raised by a test in this directory fails that test.
+A warning raised by a test in this directory fails that test.  The
+hypothesis plugin imports its patch writer (and through it libcst, which
+warns on import) while it reports a failing property test, inside the
+test's warning filter; ``pytest_configure`` imports it once beforehand with
+that warning ignored, so the failure is reported and the run goes on.
 
 Every hypothesis property test runs under one profile: derandomized and
 without an example database, so tier-1 draws the same examples on every run.
@@ -16,10 +20,12 @@ Hypothesis also caches the constants it reads from local source; that cache
 goes under pytest's own cache directory, so no ``.hypothesis/`` is written.
 """
 
+import contextlib
 import itertools
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +67,11 @@ def pytest_configure(config):
     # the hypothesis plugin reads local constants while collecting
     if hasattr(config, "cache"):  # absent under -p no:cacheprovider
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    # without libcst, an optional hypothesis dependency, there is no patch
+    # writer to import and nothing to warn
+    with warnings.catch_warnings(), contextlib.suppress(ImportError):
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_collection_modifyitems(config, items):

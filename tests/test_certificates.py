@@ -28,6 +28,7 @@ from normex import (
     SzNagyConfig,
     UnsupportedStructureError,
     Representation,
+    add,
     adjoint,
     agler_certificate,
     athavale_certificate,
@@ -610,6 +611,23 @@ class TestNonCanonicalTwins:
                 regularity_check(t, [(0, 0), twin], (0, 0))
             else:
                 regularity_check(t, [(0, 0)], twin)
+
+    @pytest.mark.parametrize("call", [
+        lambda: element(rationals(), GroupElement(1)),
+        lambda: add(rationals(), GroupElement(1), GroupElement(Fraction(1, 2))),
+        lambda: element(product(rationals()), GroupElement((1,))),
+    ], ids=["element", "add", "product-coordinate"])
+    def test_an_int_is_no_rational(self, call):
+        # 1 == Fraction(1) with equal hashes; reports would print 1 for
+        # one and "1" for the other
+        with pytest.raises(InputError):
+            call()
+
+    def test_canonical_rationals_are_accepted(self):
+        one = GroupElement(Fraction(1))
+        assert element(rationals(), one) is one
+        pair = GroupElement((Fraction(1),))
+        assert element(product(rationals()), pair) is pair
 
     def test_sznagy_error_types(self):
         d = rationals()

@@ -4,9 +4,11 @@ exit codes, and byte-level determinism of machine reports."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,10 +364,21 @@ class TestRunCommand:
          "error: --lam: must satisfy |x| <= 1, got nan\n"),
         (("neil_scalar", "--lam", "1.5"), 2,
          "error: --lam: must satisfy |x| <= 1, got 1.5\n"),
+        (("normal_pair", "--seed", "-1"), 2,
+         "error: --seed: must be >= 0, got '-1'\n"),
+        (("unitary_rep", "--dim", "x"), 2,
+         "error: --dim: expected an integer, got 'x'\n"),
+        (("neil_scalar", "--lam", "x"), 2,
+         "error: --lam: expected a number, got 'x'\n"),
+        (("neil_scalar", "--dim", "x"), 2,
+         "error: --dim: expected an integer, got 'x'\n"),
+        (("jordan", "--lam", "2"), 2,
+         "error: --lam: must satisfy |x| <= 1, got 2.0\n"),
     ], ids=["weight-text", "second-weight-text", "zero-and-negative-weights",
             "unitary-dim-zero", "unitary-k-negative", "weight-nan",
             "second-weight-infinite", "weight-above-one", "lam-nan",
-            "lam-above-one"])
+            "lam-above-one", "seed-negative", "dim-text", "lam-text",
+            "unused-dim-text", "unused-lam-outside-disc"])
     def test_gallery_values_are_checked(self, capsys, argv, code, err):
         assert _run(capsys, "gallery", *argv)[0::2] == (code, err)
 
@@ -402,10 +415,18 @@ def _set(section, key, value):
     ("run.bound_constant", _set("run", "bound_constant", 0), ()),
     ("--subset[1]", lambda doc: None, ("--subset", "1,x")),
     ("--tol", lambda doc: None, ("--tol", "nan")),
+    ("--tol", lambda doc: None, ("--tol", "abc")),
+    ("--max-degree", lambda doc: None, ("--max-degree", "x")),
+    ("--seed", lambda doc: None, ("--seed", "1.5")),
+    ("representation.relations[0]",
+     _set("representation", "relations", [[{"1": 1}]]), ()),
+    ("representation.relations[0]",
+     _set("representation", "relations", [[{"1": 1}, [1]]]), ()),
 ], ids=["k-text", "k-bool", "k-fraction", "gap-text", "nested-path",
         "bool-entry", "multiplicity-text", "max-degree-text",
         "max-degree-negative", "tol-nan", "tol-negative", "bound-zero",
-        "subset-flag", "tol-flag"])
+        "subset-flag", "tol-flag", "tol-flag-text", "max-degree-flag-text",
+        "seed-flag-fraction", "one-sided-relation", "relation-side-list"])
 def test_malformed_values_exit_two_with_location(tmp_path, capsys, where,
                                                  edit, flags):
     doc = json.loads(json.dumps(J2_DOC))
@@ -416,6 +437,27 @@ def test_malformed_values_exit_two_with_location(tmp_path, capsys, where,
     assert (code, out) == (2, "")
     # located once: nested errors must not repeat the path
     assert err.startswith(f"error: {where}: ") and err.count(where) == 1, err
+
+
+def test_negative_subspace_dim_exits_two_on_every_command(tmp_path, capsys):
+    # only the extension report uses it, but every command reads it
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["run"]["subspace_dim"] = -1
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    for command in (("check", "athavale"), ("validate",)):
+        for where, got, flags in (
+                ("run.subspace_dim", "-1", ()),
+                ("--subspace-dim", "'-1'", ("--subspace-dim", "-1"))):
+            assert _run(capsys, *command, "--input", str(p), *flags) == (
+                2, "", f"error: {where}: must be >= 0, got {got}\n"), command
+
+
+def test_an_allocation_no_machine_can_make_exits_two(capsys):
+    # a 10**9 x 10**9 Jordan block needs 6.9 EiB: numpy fails at once
+    code, out, err = _run(capsys, "gallery", "jordan", "--dim", "1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_overflowing_bound_constant_exits_two(tmp_path, capsys):
@@ -478,27 +520,65 @@ def fuzz_documents(tmp_path_factory):
             "product": _product_document()}
 
 
-@settings(max_examples=60)
+#: flag values as text: junk, the empty string, small and negative ints,
+#: floats, NaN and infinities; no int above 6, so sizes and degrees stay small
+_FLAG_TEXT = st.one_of(
+    st.sampled_from(["", "x", " 2 ", "1e-7", "nan", "inf", "-inf"]),
+    st.integers(-3, 6).map(str),
+    st.floats(-2, 2).map(repr),
+)
+
+
+def _assert_exit_contract(argv, env_seed):
+    """0 pass, 1 fail, 2 with stderr starting ``error: ``; no traceback.
+    Flags go in as --flag=value, so a value such as -inf is no option."""
+    err = io.StringIO()
+    env = {} if env_seed is None else {"NORMEX_SEED": env_seed}
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: "), \
+        (argv, env_seed, code, err.getvalue())
+
+
+@settings(max_examples=80)
 @given(doc=st.sampled_from(["shift", "neil_matrix", "product"]),
        command=st.sampled_from([("check", "all"), ("check", "sznagy"),
                                 ("check", "regular"), ("validate",)]),
        tol=st.floats(1e-300, 1e300), bound=st.floats(1e-300, 1e300),
-       max_degree=st.integers(0, 8), fmt=st.sampled_from(["human", "machine"]))
+       max_degree=st.integers(0, 8), fmt=st.sampled_from(["human", "machine"]),
+       flags=st.fixed_dictionaries({}, optional={
+           flag: _FLAG_TEXT for flag in
+           ("--max-degree", "--tol", "--seed", "--subspace-dim")}),
+       env_seed=st.none() | _FLAG_TEXT)
 def test_numeric_run_fields_keep_the_exit_contract(
         tmp_path_factory, fuzz_documents, doc, command, tol, bound,
-        max_degree, fmt):
+        max_degree, fmt, flags, env_seed):
     doc = json.loads(json.dumps(fuzz_documents[doc]))
     doc["run"] = {"tol": tol, "bound_constant": bound,
                   "max_degree": max_degree}
     p = tmp_path_factory.getbasetemp() / "fuzz.json"
     p.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = run_command([*command, "--input", str(p), "--format", fmt])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 2) == err.getvalue().startswith("error: ")
+    _assert_exit_contract(
+        [*command, "--input", str(p), "--format", fmt,
+         *(f"{k}={v}" for k, v in flags.items())], env_seed)
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(["jordan", "truncated_shift", "neil_scalar",
+                             "neil_matrix", "unitary_rep", "normal_pair"]),
+       flags=st.fixed_dictionaries({}, optional={
+           "--seed": _FLAG_TEXT, "--dim": _FLAG_TEXT, "--k": _FLAG_TEXT,
+           "--lam": _FLAG_TEXT,
+           "--weights": st.lists(_FLAG_TEXT, max_size=3).map(",".join)}),
+       env_seed=st.none() | _FLAG_TEXT)
+def test_gallery_flags_keep_the_exit_contract(name, flags, env_seed):
+    _assert_exit_contract(
+        ["gallery", name, "--format", "machine",
+         *(f"{k}={v}" for k, v in flags.items())], env_seed)
 
 
 class TestSeedHandling:
@@ -547,6 +627,17 @@ class TestSeedHandling:
                      "--format", "machine", "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("argv, value, err", [
+        (("check", "athavale"), "pi", "expected an integer, got 'pi'"),
+        (("gallery", "normal_pair"), "-1", "must be >= 0, got '-1'"),
+    ], ids=["check-text", "gallery-negative"])
+    def test_env_seed_is_read_at_its_location(self, neil_path, capsys,
+                                              monkeypatch, argv, value, err):
+        monkeypatch.setenv("NORMEX_SEED", value)
+        if argv[0] == "check":
+            argv = (*argv, "--input", neil_path)
+        assert _run(capsys, *argv) == (2, "", f"error: NORMEX_SEED: {err}\n")
 
     def test_malformed_env_seed(self, neil_path, capsys, monkeypatch):
         monkeypatch.setenv("NORMEX_SEED", "pi")

@@ -60,6 +60,11 @@ class TestCommutingNormals:
         with pytest.raises(InputError):
             make_commuting_normals(0, 2, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(InputError):
+            make_commuting_normals(seed, 2, 1)
+
 
 class TestKolmogorov:
     def _gram_grid(self, seed, n, d):
