@@ -362,19 +362,16 @@ class SzNagyConfig:
                              f"finite square, got {c!r}")
 
 
-def _hermitian_kernel(n: int, dim: int, entry) -> CMatrix:
+def _hermitian_kernel(n: int, dim: int, blocks) -> CMatrix:
     """The n x n grid of dim x dim blocks of a kernel that is Hermitian by
-    construction, filled in place: ``entry(i, j)`` is called for i <= j
-    only, and block (j, i) is the adjoint of block (i, j)."""
-    out = np.empty((n * dim, n * dim), dtype=np.complex128)
-    for i in range(n):
-        rows = slice(i * dim, (i + 1) * dim)
-        for j in range(i, n):
-            cols = slice(j * dim, (j + 1) * dim)
-            out[rows, cols] = block = entry(i, j)
-            if j != i:
-                out[cols, rows] = np.conj(block).T
-    return _freeze(out)
+    construction, from ``blocks``, the stack of its blocks (i, j), i <= j,
+    in np.triu_indices(n) order: block (j, i) is exactly the adjoint of
+    (i, j), and a diagonal block is Hermitian up to rounding."""
+    i, j = np.nonzero(np.tri(n, dtype=bool).T)  # np.triu_indices(n), faster
+    out = np.empty((n, dim, n, dim), dtype=np.complex128)
+    out[j, :, i, :] = np.conj(blocks).transpose(0, 2, 1)
+    out[i, :, j, :] = blocks  # the diagonal blocks as given
+    return _freeze(out.reshape(n * dim, n * dim))
 
 
 def sznagy_check(
@@ -385,31 +382,29 @@ def sznagy_check(
     bounded-element Loewner inequality [T~((a s_i)* (a s_j))] <= C^2 K.
     The kernel is Hermitian by construction, since s_j* s_i is s_i* s_j
     with its two sides swapped, so each kernel is filled from its upper
-    triangle and the paper's symmetry condition (i) holds exactly.
+    triangle and the paper's symmetry condition (i) holds exactly off the
+    diagonal blocks.
 
     Entry (i, j) is star_kernel(t, s_i, s_j) = T(r_i + l_j)* T(l_i + r_j)
     for s = (l, r).  The points are checked members, so these sums are
-    canonical members too, and each distinct one is evaluated once.  A
+    canonical members too.  One gather evaluates each distinct sum once,
+    and one stacked product gives the upper blocks of both kernels.  A
     fail reports the first failing condition, (ii) before (iii); a pass
     reports the lower margin, (ii) on ties."""
     d = t.descriptor
-    *pairs, (a_left, a_right) = [
-        (sg._member(d, s.left).coords, sg._member(d, s.right).coords)
-        for s in cfg.sample_points + (cfg.bound_element,)]
+    *pairs, a = [(sg._member(d, s.left).coords, sg._member(d, s.right).coords)
+                 for s in cfg.sample_points + (cfg.bound_element,)]
     n = len(pairs)
-    image = _image_table(t, eval_rep)
-
-    def kernel(lefts, rights):
-        def entry(i, j):
-            return (image(d.pointwise(operator.add, rights[i], lefts[j]))[1]
-                    @ image(d.pointwise(operator.add, lefts[i], rights[j]))[0])
-        return _hermitian_kernel(n, t.dimension, entry)
-
-    lefts, rights = zip(*pairs)
-    k = kernel(lefts, rights)
+    moved = [tuple(d.pointwise(operator.add, x, y) for x, y in zip(a, s))
+             for s in pairs]
+    index, images, adjoints = _image_table(t, eval_rep, [
+        d.pointwise(operator.add, x, y) for pts in (pairs, moved)
+        for i, s in enumerate(pts) for u in pts[i:]
+        for x, y in ((s[1], u[0]), (s[0], u[1]))])
+    blocks = adjoints[index[0::2]] @ images[index[1::2]]
+    k, shifted = (_hermitian_kernel(n, t.dimension, half)
+                  for half in np.split(blocks, 2))
     pos = psd_check(k, tol)
-    shifted = kernel([d.pointwise(operator.add, a_left, c) for c in lefts],
-                     [d.pointwise(operator.add, a_right, c) for c in rights])
     bound = loewner_leq(shifted, cfg.bound_constant ** 2 * k, tol)
 
     verdicts = (("ii", pos), ("iii", bound))
@@ -427,8 +422,9 @@ def regularity_check(
     """Sampled regularity inequality: with X = [T~(p_i - p_j)] and the meet
     condition g ^ p_i = unit for all i, checks [T(g)* X_ij T(g)] <= [X_ij].
     Both grids are Hermitian by construction, since (p_j - p_i)_+- is
-    (p_i - p_j)_-+, and are filled from their upper triangles, with
-    tilde_eval run once per distinct difference."""
+    (p_i - p_j)_-+, and are filled from their upper triangles: one gather
+    runs tilde_eval once per distinct difference, and one stacked product
+    gives the upper blocks of the left side."""
     d = t.descriptor
     if not d.lattice_ordered:
         raise UnsupportedStructureError(
@@ -444,15 +440,13 @@ def regularity_check(
                 "regularity", parameters,
                 {"reason": "meet condition violated", "index": i, "p": p}, tol)
     n = len(points)
-    tilde = _image_table(t, tilde_eval)
-
-    def x(i, j):
-        return tilde(d.pointwise(operator.sub, points[i].coords,
-                                 points[j].coords))[0]
     tg = eval_rep(t, g)
-    tga = adjoint(tg)
+    index, images, _ = _image_table(t, tilde_eval, [
+        d.pointwise(operator.sub, points[i].coords, points[j].coords)
+        for i in range(n) for j in range(i, n)])
+    x = images[index]
     verdict = loewner_leq(
-        _hermitian_kernel(n, t.dimension, lambda i, j: tga @ x(i, j) @ tg),
+        _hermitian_kernel(n, t.dimension, (adjoint(tg) @ x) @ tg),
         _hermitian_kernel(n, t.dimension, x), tol)
     return _psd_report(
         "regularity", parameters, verdict, tol, parameters,

@@ -110,12 +110,12 @@ def matrix_from_json(obj, path: str) -> list[list[complex]]:
     return rows
 
 
-def _number(value, path: str, kind=int, low=None):
+def _number(value, path: str, kind=int, low=None, high=None):
     """Read an int, or a float, from a JSON value or the text of a flag.
     Floats are tolerances and constants, so they must be finite and > 0;
-    ints must be >= ``low`` when it is given.  Anything else -- a boolean,
-    2.7 for an int, NaN, text that is no number -- raises InputError
-    naming ``path``."""
+    ints must lie in [``low``, ``high``], where given.  Anything else -- a
+    boolean, 2.7 for an int, NaN, text that is no number -- raises
+    InputError naming ``path``."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -129,6 +129,8 @@ def _number(value, path: str, kind=int, low=None):
         raise InputError(f"{path}: must be finite and > 0, got {value!r}")
     if low is not None and out < low:
         raise InputError(f"{path}: must be >= {low}, got {value!r}")
+    if high is not None and out > high:
+        raise InputError(f"{path}: must be <= {high}, got {value!r}")
     return out
 
 
@@ -233,26 +235,27 @@ def _relation(labels: dict, pair, path: str) -> tuple[dict, dict]:
     return side(pair[0]), side(pair[1])
 
 
-def _run_config(run: dict, flags: dict) -> RunConfig:
+def _run_config(run: dict, flags: dict, dim: int) -> RunConfig:
     """The run section with the command-line flags applied over it; each
-    value is read once and located at its flag or its run.* key."""
+    value is read once and located at its flag or its run.* key.  The
+    subspace dimension, at most ``dim``, defaults to max(1, dim - 1)."""
     def source(name):
         if flags.get(name) is not None:
             return flags[name], "--" + name.replace("_", "-")
         return run.get(name), f"run.{name}"
 
-    def read(name, default, kind=int, low=None):
+    def read(name, default, *how):  # how: kind, low, high for _number
         value, where = source(name)
-        return default if value is None else _number(value, where, kind, low)
+        return default if value is None else _number(value, where, *how)
 
     letters, where = source("subset")
     cfg = RunConfig(
-        max_degree=read("max_degree", DEFAULT_MAX_DEGREE, low=0),
+        max_degree=read("max_degree", DEFAULT_MAX_DEGREE, int, 0),
         subset=() if letters is None else _each(_letter)(letters, where),
         tol=read("tol", DEFAULT_PSD_TOL, float),
         seed=read("seed", 0),
         bound_constant=read("bound_constant", 1.0, float),
-        subspace_dim=read("subspace_dim", None, low=0),
+        subspace_dim=read("subspace_dim", max(1, dim - 1), int, 0, dim),
     )
     if not _bound_constant_ok(cfg.bound_constant):
         raise InputError(f"{source('bound_constant')[1]}: must have a positive "
@@ -317,7 +320,7 @@ def parse_spec(path: str, flags: dict | None = None):
     run_obj = doc.get("run", {})
     if not isinstance(run_obj, dict):
         raise InputError("run: must be an object")
-    cfg = _run_config(run_obj, flags or {})
+    cfg = _run_config(run_obj, flags or {}, rep.dimension)
 
     verdict = validate_rep(rep, seed=cfg.seed)
     if not verdict.ok:
@@ -381,7 +384,6 @@ def _emit(machine: str, human: str | None, path: str | None) -> None:
             raise InputError(f"{path}: {e.strerror or e}") from None
 
 
-
 # ---------------------------------------------------------------------------
 # condition dispatch
 
@@ -411,12 +413,6 @@ def _default_sznagy_config(d: SemigroupDescriptor, cfg: RunConfig) -> SzNagyConf
 
 def _extension_report(rep: Representation, cfg: RunConfig) -> CertificateReport:
     k = cfg.subspace_dim
-    if k is None:
-        k = max(1, rep.dimension - 1)
-    if not (0 <= k <= rep.dimension):
-        raise InputError(
-            f"subspace dimension {k} out of range 0..{rep.dimension}"
-        )
     pairs = [list(extension_residual(m, k)) for m in rep.generator_images]
     worst, bad = largest(enumerate(
         lhs / max(1.0, operator_norm(m) ** 2)
@@ -461,8 +457,15 @@ def _run_condition(
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
+class _Parser(argparse.ArgumentParser):
+    """argparse raising its usage errors as InputError, for ``error: ``."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normex",
         description="certificate checks for commuting contraction semigroups",
     )
@@ -573,13 +576,8 @@ def _gallery_document(name: str, args) -> dict:
 def run_command(argv) -> int:
     """Execute a CLI invocation; returns the exit code (0 pass / 1 some
     certificate failed / 2 input or configuration error)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-
-    try:
+        args = _build_parser().parse_args(list(argv))
         if args.command == "gallery":
             doc = _gallery_document(args.name, args)
             table = partial(json.dumps, indent=2, sort_keys=True)
@@ -600,6 +598,8 @@ def run_command(argv) -> int:
         _emit(canonical_json(doc),
               None if args.format == "machine" else table(doc), args.out)
         return doc.get("exit_status", 0)  # a gallery document has none
+    except SystemExit:  # --help printed the usage; errors raise InputError
+        return 0
     except (NormexError, MemoryError) as e:
         sys.stderr.write(f"error: {str(e) or 'out of memory'}\n")
         return 2

@@ -62,6 +62,13 @@ def operator_norm(a: CMatrix) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def operator_norms(a) -> np.ndarray:
+    """operator_norm of each matrix in a stack (k, m, n), bitwise, from one
+    stacked Gram product and one batched eigensolve."""
+    top = np.linalg.eigvalsh(np.conj(a).swapaxes(-1, -2) @ a)[..., -1:]
+    return np.sqrt(top.max(axis=-1, initial=0.0))  # 0 for an empty matrix
+
+
 def largest(pairs) -> tuple[float, object]:
     """The largest residual over (key, residual) pairs, floored at 0, and the
     first key attaining it (None when no residual is positive)."""

@@ -6,7 +6,10 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 
 ``explicit_box_sum`` is the independent oracle for ``box_operator``: the
 package evaluates alternating sums by the iterated defect map, this module
-by the explicit binomial expansion.
+by the explicit binomial expansion.  ``sznagy_kernels``,
+``regularity_kernels`` and ``homomorphism_residuals`` are the per-entry
+oracles of the stacked sampled checks: one ``star_kernel``, ``tilde_eval``
+or ``operator_norm`` call per block or sampled pair.
 
 A warning raised by a test in this directory fails that test.  The
 hypothesis plugin imports its patch writer (and through it libcst, which
@@ -23,6 +26,7 @@ goes under pytest's own cache directory, so no ``.hypothesis/`` is written.
 import contextlib
 import itertools
 import math
+import random
 import sys
 import time
 import warnings
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
 
 settings.register_profile("tier1", derandomize=True, database=None,
                           deadline=None)
@@ -61,6 +66,51 @@ def explicit_box_sum(mats, degrees):
         coeff = math.prod(math.comb(n, ki) for n, ki in zip(degrees, k))
         total += (-1) ** sum(k) * coeff * (np.conj(left).T @ left)
     return total
+
+
+def _hermitian_grid(n, entry):
+    """The n x n block grid with block (i, j) = entry(i, j) for i <= j and
+    block (j, i) its adjoint, assembled block by block."""
+    from normex import adjoint, block_assemble
+    return block_assemble([[entry(i, j) if i <= j else adjoint(entry(j, i))
+                            for j in range(n)] for i in range(n)])
+
+
+def sznagy_kernels(t, cfg):
+    """The two kernels of ``sznagy_check`` one block at a time: K with
+    block (i, j) = star_kernel(t, s_i, s_j), and the shifted kernel at the
+    points a s_i, a the bound element."""
+    from normex import point_mul, star_kernel
+    d, pts, n = t.descriptor, cfg.sample_points, len(cfg.sample_points)
+    shifted = [point_mul(d, cfg.bound_element, s) for s in pts]
+    return (_hermitian_grid(n, lambda i, j: star_kernel(t, pts[i], pts[j])),
+            _hermitian_grid(n, lambda i, j: star_kernel(
+                t, shifted[i], shifted[j])))
+
+
+def regularity_kernels(t, points, g):
+    """The two grids of ``regularity_check`` one block at a time:
+    [T(g)* X_ij T(g)] and X = [T~(p_i - p_j)]."""
+    from normex import adjoint, eval_rep, sub, tilde_eval
+    d, n = t.descriptor, len(points)
+    tg = eval_rep(t, g)
+
+    def x(i, j):
+        return tilde_eval(t, sub(d, points[i], points[j]))
+    return (_hermitian_grid(n, lambda i, j: adjoint(tg) @ x(i, j) @ tg),
+            _hermitian_grid(n, x))
+
+
+def homomorphism_residuals(t, sample_budget, seed):
+    """``validate_rep``'s sampled pairs (p, q) one at a time, drawn in its
+    order: the list of ||T(p + q) - T(p) T(q)||."""
+    from normex import add, eval_rep, operator_norm, sample_member
+    d, rng, out = t.descriptor, random.Random(seed), []
+    for _ in range(sample_budget):
+        p, q = sample_member(d, rng), sample_member(d, rng)
+        out.append(operator_norm(
+            eval_rep(t, add(d, p, q)) - eval_rep(t, p) @ eval_rep(t, q)))
+    return out
 
 
 def pytest_configure(config):

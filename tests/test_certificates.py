@@ -10,11 +10,12 @@ non-commuting tuples against the explicit binomial expansion in conftest.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import explicit_box_sum
+from conftest import explicit_box_sum, regularity_kernels, sznagy_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +47,7 @@ from normex import (
     generator_certificate,
     identity,
     involution_point,
+    loewner_leq,
     make_commuting_normals,
     make_representation,
     numerical,
@@ -53,6 +55,7 @@ from normex import (
     psd_check,
     rationals,
     regularity_check,
+    sample_member,
     star_kernel,
     sub,
     sznagy_check,
@@ -545,7 +548,8 @@ def _assert_fill_matches(t, n, entry):
     """The fill is bitwise the upper triangle mirrored by adjoints, and
     matches the full grid up to rounding: T(a)* T(b) and the adjoint
     of T(b)* T(a) may round differently in the last bit."""
-    filled = certificates._hermitian_kernel(n, t.dimension, entry)
+    filled = certificates._hermitian_kernel(n, t.dimension, np.array(
+        [entry(i, j) for i, j in zip(*np.triu_indices(n))]))
     mirrored = block_assemble(
         [[entry(i, j) if i <= j else adjoint(entry(j, i))
           for j in range(n)] for i in range(n)])
@@ -568,6 +572,117 @@ def test_filled_kernel_matches_the_full_grid_on_drawn_points(case, data):
     pts = [_pt(d, left, right) for left, right in pts]
     _assert_fill_matches(
         t, len(pts), lambda i, j: star_kernel(t, pts[i], pts[j]))
+
+
+def _jordan_powers(count):
+    """T_i = A^(i+1) for a 3x3 Jordan-type block A = 0.95 I + 0.3 N: not
+    normal, so the sampled checks fail on some samples."""
+    a = 0.95 * np.eye(3) + np.diag([0.3, 0.3], 1)
+    return [np.linalg.matrix_power(a, i + 1) for i in range(count)]
+
+
+def _record_checked(monkeypatch):
+    """The matrices each psd_check and loewner_leq call of the
+    certificates receives, in call order, without the tolerance."""
+    seen = []
+    for name in ("psd_check", "loewner_leq"):
+        def record(*args, real=getattr(certificates, name)):
+            seen.append(args[:-1])
+            return real(*args)
+        monkeypatch.setattr(certificates, name, record)
+    return seen
+
+
+def _assert_mirrored(kernel, n):
+    """Every block off the diagonal is exactly the adjoint of its mirror.
+    A diagonal block A*A is Hermitian only up to the rounding of the
+    product, so there K == K* holds to 1e-14."""
+    dim = len(kernel) // n
+    off = ~np.kron(np.eye(n, dtype=bool), np.ones((dim, dim), dtype=bool))
+    assert np.array_equal(kernel[off], kernel.conj().T[off])
+    assert np.abs(kernel - kernel.conj().T).max() <= 1e-14
+
+
+def _sample_sizes(draw):
+    """One point; two points repeated as [a, b, a, a]; five drawn points."""
+    a, b = draw(), draw()
+    return {"single": [a], "repeated": [a, b, a, a],
+            "drawn": [a, b] + [draw() for _ in range(3)]}
+
+
+FINITELY_GENERATED = {
+    "free_abelian(2)": free_abelian(2),
+    "numerical((1,))": numerical((1,)),
+    "product": product(free_abelian(1), numerical((1,))),
+}
+
+
+class TestStackedKernels:
+    """The stacked sampled kernels are bitwise the per-entry oracles of
+    conftest, and exactly Hermitian."""
+
+    @pytest.mark.parametrize("images", ["normal", "jordan"])
+    @pytest.mark.parametrize("size", ["single", "repeated", "drawn"])
+    @pytest.mark.parametrize("kind", sorted(FINITELY_GENERATED))
+    def test_sznagy_equals_the_oracle(self, monkeypatch, kind, size, images):
+        d = FINITELY_GENERATED[kind]
+        count = len(d.generators)
+        t = make_representation(d, make_commuting_normals(5, 3, count)
+                                if images == "normal" else _jordan_powers(count))
+        rng = random.Random(f"{kind} {size}")
+
+        def draw():
+            return involution_point(d, sample_member(d, rng),
+                                    sample_member(d, rng))
+        c = 1.5 if images == "normal" else 0.5  # (iii) fails at 0.5
+        cfg = SzNagyConfig(tuple(_sample_sizes(draw)[size]), draw(), c)
+        seen = _record_checked(monkeypatch)
+        rep = sznagy_check(t, cfg)
+        (k,), (shifted, scaled) = seen
+        want_k, want_shifted = sznagy_kernels(t, cfg)
+        assert np.array_equal(k, want_k)
+        assert np.array_equal(shifted, want_shifted)
+        assert np.array_equal(scaled, c ** 2 * want_k)
+        for kernel in (k, shifted):
+            _assert_mirrored(kernel, len(cfg.sample_points))
+        margins = {"ii": psd_check(want_k).min_eigenvalue,
+                   "iii": loewner_leq(want_shifted, scaled).min_eigenvalue}
+        if rep.passed:
+            assert rep.margin == min(margins.values())
+        else:
+            assert rep.margin == rep.witness["margin"] \
+                == margins[rep.witness["condition"]]
+
+    @pytest.mark.parametrize("images", ["normal", "jordan"])
+    @pytest.mark.parametrize("size", ["single", "repeated", "drawn"])
+    @pytest.mark.parametrize("kind", ["free_abelian(2)", "product lattice"])
+    def test_regularity_equals_the_oracle(self, monkeypatch, kind, size,
+                                          images):
+        # points with zero last coordinate meet g = e_last trivially
+        if kind == "free_abelian(2)":
+            d, g = free_abelian(2), (0, 1)
+
+            def coords(x):
+                return (x, 0)
+        else:
+            d, g = product(free_abelian(1), numerical(())), ((0,), 1)
+
+            def coords(x):
+                return ((x,), 0)
+        t = make_representation(d, make_commuting_normals(5, 3, 2)
+                                if images == "normal" else _jordan_powers(2))
+        rng = random.Random(f"{kind} {size}")
+        points = [element(d, p) for p in _sample_sizes(
+            lambda: coords(rng.randint(0, 4)))[size]]
+        seen = _record_checked(monkeypatch)
+        rep = regularity_check(t, points, g)
+        [(left, x)] = seen
+        want_left, want_x = regularity_kernels(t, points, element(d, g))
+        assert np.array_equal(left, want_left)
+        assert np.array_equal(x, want_x)
+        for kernel in (left, x):
+            _assert_mirrored(kernel, len(points))
+        assert rep.margin == loewner_leq(want_left, want_x).min_eigenvalue
 
 
 class TestNonCanonicalTwins:

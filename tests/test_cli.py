@@ -453,6 +453,86 @@ def test_negative_subspace_dim_exits_two_on_every_command(tmp_path, capsys):
                 2, "", f"error: {where}: must be >= 0, got {got}\n"), command
 
 
+def test_subspace_dim_above_the_dimension_exits_two_on_every_command(
+        tmp_path, capsys):
+    # the 2x2 shift: 2 is the largest subspace, and is read as given
+    p = tmp_path / "doc.json"
+    for value in (2, 3):
+        doc = json.loads(json.dumps(J2_DOC))
+        doc["run"]["subspace_dim"] = value
+        p.write_text(json.dumps(doc))
+        for command in (("check", "athavale"), ("check", "all"),
+                        ("validate",)):
+            for where, got, flags in (
+                    ("run.subspace_dim", "3", ()),
+                    ("--subspace-dim", "'99'", ("--subspace-dim", "99"))):
+                code, out, err = _run(capsys, *command, "--input", str(p),
+                                      "--format", "machine", *flags)
+                if value == 2 and not flags:
+                    assert code in (0, 1) and err == "", command
+                else:
+                    assert (code, out, err) == (
+                        2, "", f"error: {where}: must be <= 2, got {got}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "all", "--input", "doc.json", "--bogus", "1"),
+    ("gallery", "neil_scalar", "--lam", "-inf"),
+    ("check", "all", "--subset", "-1", "--input", "doc.json"),
+    ("check", "all", "--format", "xml", "--input", "doc.json"),
+    ("check",),
+    ("frobnicate",),
+    (),
+], ids=["unknown-flag", "option-like-value", "option-like-subset",
+        "bad-choice", "missing-input", "unknown-subcommand",
+        "missing-subcommand"])
+def test_usage_errors_go_through_the_error_writer(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help"),
+                                  ("gallery", "--help")])
+def test_help_still_exits_zero(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: normex")
+
+
+#: run.subset as any JSON value: valid letters and pairs, wrong shapes,
+#: booleans, floats, strings and nested containers
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8)
+_SUBSET_VALUE = st.one_of(
+    _JSON_VALUE,
+    st.lists(st.integers(-1, 4), max_size=5),
+    st.lists(st.lists(st.integers(-1, 3), min_size=1, max_size=3),
+             max_size=5))
+
+
+@settings(max_examples=60)
+@given(doc=st.sampled_from(["shift", "neil_matrix", "product"]),
+       command=st.sampled_from([("check", "brehmer"), ("validate",)]),
+       subset=_SUBSET_VALUE,
+       flag=st.none() | st.text(alphabet="0123456789,:- x.", max_size=12))
+def test_subsets_keep_the_exit_contract(
+        tmp_path_factory, fuzz_documents, doc, command, subset, flag):
+    # --subset goes in as a separate argument, so text such as -1 reaches
+    # argparse as an option
+    doc = json.loads(json.dumps(fuzz_documents[doc]))
+    doc["run"] = {"subset": subset, "max_degree": 2}
+    p = tmp_path_factory.getbasetemp() / "subset.json"
+    p.write_text(json.dumps(doc))
+    _assert_exit_contract(
+        [*command, "--input", str(p), "--format", "machine",
+         *(() if flag is None else ("--subset", flag))], None)
+
+
 def test_an_allocation_no_machine_can_make_exits_two(capsys):
     # a 10**9 x 10**9 Jordan block needs 6.9 EiB: numpy fails at once
     code, out, err = _run(capsys, "gallery", "jordan", "--dim", "1000000000")

@@ -23,6 +23,7 @@ from normex import (
     operator_norm,
     psd_check,
 )
+from normex.linalg import operator_norms
 
 
 def _attempt_cholesky(h: np.ndarray) -> bool:
@@ -219,6 +220,20 @@ class TestOperatorNorm:
         for _ in range(50):
             a, b = _rand(rng, 5), _rand(rng, 5)
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 2), (3, 5),
+                                       (5, 3), (8, 8), (31, 31), (64, 64)])
+    def test_stacked_norms_equal_one_by_one(self, shape):
+        # one stacked Gram product and one batched eigensolve give each
+        # matrix's operator_norm bitwise, zero matrices and empty ones too
+        rng = np.random.default_rng(shape)
+        stack = rng.standard_normal((4, *shape)) \
+            + 1j * rng.standard_normal((4, *shape))
+        stack[1] = 0
+        got = operator_norms(stack)
+        assert got.shape == (4,)
+        assert np.array_equal(got, [operator_norm(m) for m in stack])
+        assert operator_norms(stack[:0]).shape == (0,)
 
 
 class TestSpectralResiduals:

@@ -10,7 +10,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import homomorphism_residuals
 
+from normex import representations
 from normex import (
     InputError,
     InvolutionPoint,
@@ -23,6 +25,7 @@ from normex import (
     free_abelian,
     identity,
     involution_point,
+    make_commuting_normals,
     make_normal_map,
     make_representation,
     neg,
@@ -157,6 +160,64 @@ class TestValidateRep:
         v = validate_rep(t)
         rel = next(c for c in v.checks if c.name == "relations")
         assert not rel.passed
+
+
+class TestHomomorphismSample:
+    """validate_rep draws every pair first and takes all residual norms
+    from one stack; the per-pair loop in conftest is the oracle."""
+
+    REPS = {
+        "commuting": lambda d, n: make_commuting_normals(3, 3, n),
+        # non-commuting contractions leave residuals far above rounding
+        "random": lambda d, n: [
+            m / (1.05 * np.linalg.norm(m, 2)) for m in
+            np.random.default_rng(n).standard_normal((n, 3, 3))
+            + 1j * np.random.default_rng(n + 1).standard_normal((n, 3, 3))],
+    }
+
+    @pytest.mark.parametrize("images", sorted(REPS))
+    @pytest.mark.parametrize("d", [free_abelian(2), numerical((1,)),
+                                   product(free_abelian(1), numerical((1,)))],
+                             ids=["free_abelian(2)", "numerical", "product"])
+    def test_equals_the_per_pair_loop(self, monkeypatch, d, images):
+        t = make_representation(d, self.REPS[images](d, len(d.generators)))
+        seen = []
+
+        def record(stack, real=representations.operator_norms):
+            seen.append(real(stack))
+            return seen[-1]
+        monkeypatch.setattr(representations, "operator_norms", record)
+        v = validate_rep(t, sample_budget=40, seed=7)
+        want = homomorphism_residuals(t, 40, 7)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        check = v.checks[-1]
+        assert check.name == "homomorphism_sampled"
+        assert check.detail == (f"max residual {max([0.0, *want]):.3e} "
+                                "over 40 sampled pairs")
+        assert type(check.passed) is bool
+
+    def test_one_eigensolve_whatever_the_budget(self, monkeypatch):
+        t = make_representation(numerical((1,)),
+                                make_commuting_normals(3, 3, 2))
+        calls = []
+
+        def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        counts = []
+        for budget in (10, 200):
+            calls.clear()
+            validate_rep(t, sample_budget=budget)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert calls[-1] == (200, 3, 3)  # the one stacked solve
+
+    def test_no_pairs(self):
+        _, t = _diag_rep(2, [(0.5, -0.25), (0.75, 0.1)])
+        check = validate_rep(t, sample_budget=0).checks[-1]
+        assert (check.passed, check.detail) == (
+            True, "max residual 0.000e+00 over 0 sampled pairs")
 
 
 J = np.array([[0.0, 1.0], [0.0, 0.0]])
