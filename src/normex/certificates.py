@@ -31,13 +31,7 @@ from .linalg import (
     operator_norm,
     psd_check,
 )
-from .representations import (
-    InvolutionPoint,
-    Representation,
-    _image_table,
-    eval_rep,
-    tilde_eval,
-)
+from .representations import InvolutionPoint, Representation, _image_table
 from .semigroups import GroupElement, _is_int
 
 #: Hard cap on subset-enumeration size (2^cap evaluations).
@@ -374,6 +368,16 @@ def _hermitian_kernel(n: int, dim: int, blocks) -> CMatrix:
     return _freeze(out.reshape(n * dim, n * dim))
 
 
+def _gram_blocks(t: Representation, pairs) -> np.ndarray:
+    """The stack of blocks T(a)* T(b), one per coordinate pair (a, b) of
+    ``pairs``: one gather evaluates each distinct coordinate once, and one
+    stacked product forms every block.  The coordinates must be canonical
+    members; the caller has checked the points they are made from."""
+    index, images = _image_table(t, [c for ab in pairs for c in ab])
+    adjoints = np.conj(images).transpose(0, 2, 1).copy()
+    return adjoints[index[0::2]] @ images[index[1::2]]
+
+
 def sznagy_check(
     t: Representation, cfg: SzNagyConfig, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
@@ -387,21 +391,19 @@ def sznagy_check(
 
     Entry (i, j) is star_kernel(t, s_i, s_j) = T(r_i + l_j)* T(l_i + r_j)
     for s = (l, r).  The points are checked members, so these sums are
-    canonical members too.  One gather evaluates each distinct sum once,
-    and one stacked product gives the upper blocks of both kernels.  A
-    fail reports the first failing condition, (ii) before (iii); a pass
-    reports the lower margin, (ii) on ties."""
+    canonical members too, and one gather-and-product step gives the upper
+    blocks of both kernels.  A fail reports the first failing condition,
+    (ii) before (iii); a pass reports the lower margin, (ii) on ties."""
     d = t.descriptor
     *pairs, a = [(sg._member(d, s.left).coords, sg._member(d, s.right).coords)
                  for s in cfg.sample_points + (cfg.bound_element,)]
     n = len(pairs)
     moved = [tuple(d.pointwise(operator.add, x, y) for x, y in zip(a, s))
              for s in pairs]
-    index, images, adjoints = _image_table(t, eval_rep, [
-        d.pointwise(operator.add, x, y) for pts in (pairs, moved)
-        for i, s in enumerate(pts) for u in pts[i:]
-        for x, y in ((s[1], u[0]), (s[0], u[1]))])
-    blocks = adjoints[index[0::2]] @ images[index[1::2]]
+    blocks = _gram_blocks(t, [
+        (d.pointwise(operator.add, s[1], u[0]),
+         d.pointwise(operator.add, s[0], u[1]))
+        for pts in (pairs, moved) for i, s in enumerate(pts) for u in pts[i:]])
     k, shifted = (_hermitian_kernel(n, t.dimension, half)
                   for half in np.split(blocks, 2))
     pos = psd_check(k, tol)
@@ -421,30 +423,31 @@ def regularity_check(
 ) -> CertificateReport:
     """Sampled regularity inequality: with X = [T~(p_i - p_j)] and the meet
     condition g ^ p_i = unit for all i, checks [T(g)* X_ij T(g)] <= [X_ij].
-    Both grids are Hermitian by construction, since (p_j - p_i)_+- is
-    (p_i - p_j)_-+, and are filled from their upper triangles: one gather
-    runs tilde_eval once per distinct difference, and one stacked product
-    gives the upper blocks of the left side."""
+    Not applicable unless the descriptor is lattice ordered.  Both grids
+    are Hermitian by construction, since (p_j - p_i)_+- is (p_i - p_j)_-+,
+    and are filled from their upper triangles.  T~(p_i - p_j) is
+    T(p_j - m)* T(p_i - m), m = p_i ^ p_j: one gather-and-product step
+    gives these blocks and T(g), one stacked product the left side's."""
     d = t.descriptor
     if not d.lattice_ordered:
-        raise UnsupportedStructureError(
-            "regularity_check requires a lattice-ordered descriptor"
-        )
+        return _not_applicable("regularity", {}, {
+            "reason": "regularity_check requires a lattice-ordered descriptor"},
+            tol)
     g = sg._member(d, g)
     points = [sg._member(d, p) for p in ps]
     parameters = {"g": g, "points": points}
-    e = sg.unit(d)
     for i, p in enumerate(points):
-        if sg.meet_join(d, g, p)[0] != e:
+        if d.pointwise(min, g.coords, p.coords) != d.zero:
             return _not_applicable(
                 "regularity", parameters,
                 {"reason": "meet condition violated", "index": i, "p": p}, tol)
     n = len(points)
-    tg = eval_rep(t, g)
-    index, images, _ = _image_table(t, tilde_eval, [
-        d.pointwise(operator.sub, points[i].coords, points[j].coords)
-        for i in range(n) for j in range(i, n)])
-    x = images[index]
+    coords = [p.coords for p in points]
+    blocks = _gram_blocks(t, [(d.zero, g.coords)] + [  # T(unit)* T(g) = T(g)
+        tuple(d.pointwise(operator.sub, r, d.pointwise(min, p, q))
+              for r in (q, p))
+        for i, p in enumerate(coords) for q in coords[i:]])
+    tg, x = blocks[0], blocks[1:]
     verdict = loewner_leq(
         _hermitian_kernel(n, t.dimension, (adjoint(tg) @ x) @ tg),
         _hermitian_kernel(n, t.dimension, x), tol)

@@ -4,12 +4,14 @@ A representation is specified by generator images plus an explicit relation
 list; elements are evaluated through the deterministic factorization policy,
 so commuting images make the evaluation a well-defined homomorphism (this is
 sampled, not proved — see validate_rep).  Also here: normal maps (finite
-enumerated extensions), the group kernel T~(g) = T(g_minus)* T(g_plus), and
-the involution-pair kernel used by the dilation-style positivity checks.
+enumerated extensions), the group kernel T~(g) = T(g_minus)* T(g_plus) and
+the involution-pair kernel, one checked entry at a time; the sampled checks
+gather their images, unchecked, with ``_image_table``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -108,17 +110,19 @@ def eval_rep(t: Representation, p: GroupElement) -> CMatrix:
     return product_of(t, fact)
 
 
-def _image_table(t: Representation, evaluate, coords):
-    """Gather: M = evaluate(t, GroupElement(c)) runs, with all its checks,
-    once per distinct c of ``coords``, in first-seen order.  Returns each
-    c's index into the stacks of images M and adjoints M*, and the two
-    stacks.  Pass canonical coordinates: 1 and True are equal keys."""
+def _image_table(t: Representation, coords):
+    """Gather: the image of each distinct coordinate of ``coords``, once, in
+    first-seen order, by the record's ``factorize`` and product_of.  It
+    checks nothing: pass canonical members (1 and True are equal keys).
+    Returns each coordinate's index into the stack of images, and it."""
+    d = t.descriptor
     slots = {}
     index = np.array([slots.setdefault(c, len(slots)) for c in coords], int)
     shape = (len(slots), t.dimension, t.dimension)  # also with no slots
-    images = np.array([evaluate(t, GroupElement(c)) for c in slots],
-                      np.complex128).reshape(shape)
-    return index, images, np.conj(images).transpose(0, 2, 1).copy()
+    images = np.array(
+        [product_of(t, Factorization(tuple(sorted(d.factorize(c).items()))))
+         for c in slots], np.complex128).reshape(shape)
+    return index, images
 
 
 def validate_rep(
@@ -155,11 +159,10 @@ def validate_rep(
     d = t.descriptor
     if d.finitely_generated:
         rng = random.Random(seed)
-        pairs = [(sg.sample_member(d, rng), sg.sample_member(d, rng))
-                 for _ in range(sample_budget)]
-        index, images, _ = _image_table(t, eval_rep, [
+        pairs = [(d.sample(rng), d.sample(rng)) for _ in range(sample_budget)]
+        index, images = _image_table(t, [
             c for p, q in pairs
-            for c in (sg.add(d, p, q).coords, p.coords, q.coords)])
+            for c in (d.pointwise(operator.add, p, q), p, q)])
         pq, p, q = (images[index[k::3]] for k in range(3))
         hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
         # scaled: long products magnify commutator noise

@@ -104,6 +104,11 @@ class SemigroupDescriptor:
         """op on each pair of coordinates; here the coordinate is a number."""
         return op(a, b)
 
+    def factorize(self, c):
+        """{generator index: multiplicity > 0} for the member c."""
+        raise UnsupportedStructureError(
+            f"{self.kind} descriptor is not finitely generated")
+
 
 @dataclass(frozen=True)
 class FreeAbelian(SemigroupDescriptor):
@@ -460,10 +465,6 @@ def pos_neg_parts(
 def factorize(d: SemigroupDescriptor, p: GroupElement) -> Factorization:
     """Deterministic factorization, smallest-generator-first greedy with
     backtracking; the multiset of generator indices reconstructs p exactly."""
-    if not d.finitely_generated:
-        raise UnsupportedStructureError(
-            f"{d.kind} descriptor is not finitely generated"
-        )
     return factorization(d.factorize(_member(d, p).coords))
 
 

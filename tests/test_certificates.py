@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from conftest import explicit_box_sum, regularity_kernels, sznagy_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normex import certificates, linalg, representations
+from normex import certificates, linalg, representations, semigroups
 from normex import (
     CapExceededError,
     GroupElement,
@@ -491,6 +492,20 @@ class TestSampledKernels:
             monkeypatch.setattr(module, name, counted)
         return calls
 
+    def _gathered(self, monkeypatch, k):
+        """The free_abelian(k) coordinates whose images the gather forms,
+        one per product_of call, read back from the factorizations; the
+        per-entry evaluators must stay off the route."""
+        facts = self._counted(monkeypatch, "product_of", (representations,))
+        entries = [self._counted(monkeypatch, name, (representations,))
+                   for name in ("eval_rep", "tilde_eval", "star_kernel")]
+
+        def coords():
+            assert entries == [[], [], []]
+            return sorted(tuple(f.as_dict().get(i, 0) for i in range(k))
+                          for _, f in facts)
+        return coords
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_sznagy_evaluates_the_upper_triangle(self, monkeypatch, n):
         t = _diag_pair()
@@ -506,26 +521,50 @@ class TestSampledKernels:
         distinct = {plus(pts[i][side], pts[j][1 - side])
                     for pts in (coords, shifted)
                     for i in range(n) for j in range(i, n) for side in (0, 1)}
-        calls = self._counted(monkeypatch, "eval_rep")
-        kernels = self._counted(monkeypatch, "star_kernel", (representations,))
+        gathered = self._gathered(monkeypatch, 2)
         norms = self._counted(monkeypatch, "operator_norm",
                               (certificates, linalg))
         assert sznagy_check(t, cfg).passed
-        assert sorted(p.coords for _, p in calls) == sorted(distinct)
-        assert kernels == [] and norms == []
+        assert gathered() == sorted(distinct)
+        assert norms == []
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_regularity_evaluates_the_upper_triangle(self, monkeypatch, n):
-        pts = REGULARITY_POINTS[:n]
-        distinct = {(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-                    for i in range(n) for j in range(i, n)}
-        calls = self._counted(monkeypatch, "tilde_eval")
+        # entry (i, j) is T(p_j - m)* T(p_i - m), m = p_i ^ p_j; T(g) too
+        pts, g = REGULARITY_POINTS[:n], (0, 0)
+        distinct = {g} | {tuple(a - min(a, b) for a, b in zip(p, q))
+                          for i, u in enumerate(pts) for v in pts[i:]
+                          for p, q in ((u, v), (v, u))}
+        gathered = self._gathered(monkeypatch, 2)
         norms = self._counted(monkeypatch, "operator_norm",
                               (certificates, linalg))
-        rep = regularity_check(_diag_pair(), pts, (0, 0))
+        rep = regularity_check(_diag_pair(), pts, g)
         assert rep.passed
-        assert sorted(g.coords for _, g in calls) == sorted(distinct)
+        assert gathered() == sorted(distinct)
         assert norms == []
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_each_input_is_checked_once(self, monkeypatch, n):
+        t = _diag_pair()
+        d = t.descriptor
+        rng = random.Random(n)
+
+        def member():
+            return sample_member(d, rng)
+        cfg = SzNagyConfig(tuple(InvolutionPoint(member(), member())
+                                 for _ in range(n)),
+                           InvolutionPoint(member(), member()), 1.5)
+        checks = self._counted(monkeypatch, "_check", (semigroups,))
+        sznagy_check(t, cfg)
+        assert len(checks) == 2 * (n + 1)
+        # n equal points give one distinct difference p_i - p_j, the
+        # points (i, 0) give 2 n - 1: the checks count the inputs alone
+        g = element(d, (0, 1))
+        for points in ([element(d, (1, 0))] * n,
+                       [element(d, (i, 0)) for i in range(n)]):
+            checks.clear()
+            regularity_check(t, points, g)
+            assert len(checks) == n + 1
 
     @pytest.mark.parametrize("kernel", ["sznagy", "regularity"])
     def test_assembled_kernel_matches_the_full_grid(self, kernel):
@@ -685,6 +724,38 @@ class TestStackedKernels:
         assert rep.margin == loewner_leq(want_left, want_x).min_eigenvalue
 
 
+#: lattice-ordered kinds with three generators; the last coordinate holds
+#: g and the first two the points, so every point meets g trivially while
+#: the differences of points take either sign
+REGULARITY_CASES = {
+    "free_abelian(3)": (free_abelian(3), lambda a, b, c: (a, b, c)),
+    "product": (product(free_abelian(2), numerical(())),
+                lambda a, b, c: ((a, b), c)),
+}
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+@pytest.mark.parametrize("images", ["normal", "jordan"])
+@pytest.mark.parametrize("case", sorted(REGULARITY_CASES))
+def test_regularity_equals_the_oracle_on_drawn_points(case, images, data):
+    d, coords = REGULARITY_CASES[case]
+    t = make_representation(d, make_commuting_normals(5, 3, 3)
+                            if images == "normal" else _jordan_powers(3))
+    pts = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             min_size=1, max_size=6))
+    points = [element(d, coords(a, b, 0)) for a, b in pts]
+    g = element(d, coords(0, 0, data.draw(st.integers(0, 3))))
+    with mock.patch.object(certificates, "loewner_leq",
+                           wraps=certificates.loewner_leq) as spy:
+        rep = regularity_check(t, points, g)
+    (left, x, _), _ = spy.call_args
+    want_left, want_x = regularity_kernels(t, points, g)
+    assert np.array_equal(left, want_left)
+    assert np.array_equal(x, want_x)
+    assert rep.margin == loewner_leq(want_left, want_x).min_eigenvalue
+
+
 class TestNonCanonicalTwins:
     """1 == True and 2 == Fraction(2) with equal hashes: evaluating the
     canonical element first must not let its twin through any route."""
@@ -791,8 +862,11 @@ class TestRegularity:
     def test_non_lattice_descriptor_rejected(self):
         d = numerical((1,))
         t = make_representation(d, [np.eye(1) * 0.5, np.eye(1) * 0.4])
-        with pytest.raises(UnsupportedStructureError):
-            regularity_check(t, [0], element(d, 2))
+        rep = regularity_check(t, [0], element(d, 2))
+        assert rep.verdict == "not-applicable"
+        assert rep.parameters == {}
+        assert rep.witness == {
+            "reason": "regularity_check requires a lattice-ordered descriptor"}
 
     def test_non_member_rejected(self):
         t = self._unitary_rep()

@@ -161,6 +161,23 @@ class TestParseSpec:
         _, _, cfg = parse_spec(str(p))
         assert any("sampled only" in w for w in cfg.echo["warnings"])
 
+    @pytest.mark.parametrize("case, warns", [("free", False),
+                                             ("product", True)])
+    def test_missing_relations_warn_when_the_generators_have_some(
+            self, tmp_path, case, warns):
+        # N = numerical(()) has free generators; the product's gap factor
+        # <2, 3> has T(2)^3 = T(3)^2 (the gap kind alone is tested above)
+        doc = (_product_document() if case == "product" else {
+            "descriptor": {"kind": "numerical", "gaps": []},
+            "representation": {"generators": [[[[0.5, 0.0]]]]}})
+        doc["representation"].pop("relations", None)
+        p = tmp_path / "norel.json"
+        p.write_text(json.dumps(doc))
+        _, _, cfg = parse_spec(str(p))
+        assert cfg.echo["warnings"] == ([
+            "no relations declared: homomorphism property is sampled only"]
+            if warns else [])
+
     def test_json_error_carries_position(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"descriptor": }')
@@ -259,7 +276,8 @@ class TestRunCommand:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["reports"]) == 5
-        regular = next(r for r in doc["reports"] if r["condition"] == "regular")
+        regular = next(r for r in doc["reports"]
+                       if r["condition"] == "regularity")
         assert regular["verdict"] == "not-applicable"
         assert "lattice" in regular["witness"]["reason"]
 

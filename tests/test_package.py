@@ -1,11 +1,18 @@
 """The public surface of the package: the names ``import normex`` exports.
 
 The list is pinned so that a name is added to or dropped from the surface
-only on purpose; everything else stays importable from its module."""
+only on purpose; everything else stays importable from its module.  No
+module imports a name it never uses."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import normex
+
+SOURCE = Path(normex.__file__).parent
 
 PUBLIC_NAMES = [
     "BlockDecomposition", "CapExceededError", "CertificateReport",
@@ -38,3 +45,21 @@ def test_public_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def _imported_names(tree):
+    """Each name an import statement binds, except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_used(module):
+    # __init__ is left out: its imports are the pinned surface above
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(_imported_names(tree)) - used) == []
