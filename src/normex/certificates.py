@@ -9,6 +9,7 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -17,11 +18,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import semigroups as sg
-from .errors import CapExceededError, InputError, UnsupportedStructureError
+from .errors import (
+    CapExceededError,
+    InputError,
+    UnsupportedStructureError,
+    _TupleCapExceededError,
+)
 from .linalg import (
     DEFAULT_PSD_TOL,
     CMatrix,
+    PsdVerdict,
     _freeze,
+    _psd_stack,
     adjoint,
     block_decompose,
     cmatrix,
@@ -38,6 +46,12 @@ from .semigroups import GroupElement, _is_int
 DEFAULT_SUBSET_CAP = 16
 #: Default bound for degree sweeps.
 DEFAULT_MAX_DEGREE = 6
+#: Budget of one generator sweep in degree tuples, C(max_degree + m, m).
+_SWEEP_TUPLE_CAP = 2 ** 16
+#: Matrix entries per stacked eigensolve of the generator sweep: boxes of
+#: dim <= 8 go 32 or more to a call, where Python dispatch would dominate;
+#: a box of dim >= 46, whose eigensolve dominates, goes alone.
+_GROUP_ENTRIES = 2048
 
 # A DegreeTuple is a tuple of non-negative ints, one per operator under test.
 DegreeTuple = tuple
@@ -205,6 +219,7 @@ def _gate(condition: str, parameters: dict, mats,
     not-applicable report when some operator is not a contraction or,
     failing that, some pair does not commute, else None; and, second, the
     commutator residual whenever it was computed."""
+    mats = np.asarray(mats)  # one stack for both scans
     worst, index = norm_excess(mats)
     if worst > tol:
         witness = {"reason": "not a contraction",
@@ -486,19 +501,101 @@ def _lex_degree_tuples(m: int, max_degree: int):
             yield (first,) + rest
 
 
+def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
+    """Every box of the generator sweep in lexicographic order of n, as
+    consecutive stacks of at most ``size`` boxes; a stack is read before
+    the next one is requested.
+
+    The tuples come in runs of the last coordinate, one run per prefix
+    p = n[:-1], each held as chunks of ``size`` boxes.  The run of the zero
+    prefix is the chain Delta_m^k(I), stepped one box at a time.  Every
+    other run is one stacked Delta step per chunk from the run of p - e_j,
+    j the first nonzero index of p: box(n) = Delta_j(box(n - e_j)), the
+    outermost step of ``box_operator``'s order, so every box is bitwise
+    equal to ``box_operator(mats, n)``.  A run is kept while a later run
+    steps from it (m > 1 and sum(p) < max_degree), and its e_1 successor,
+    the last, overwrites it in place; so the live runs hold at most
+    C(max_degree + m - 1, m - 1) boxes.  An m = 1 chain is kept in a ring
+    of one chunk."""
+    m, live = len(pairs), {}
+    for p in _lex_degree_tuples(m - 1, max_degree):
+        length = max_degree - sum(p) + 1
+        keep = m > 1 and sum(p) < max_degree
+        j = next((i for i, d in enumerate(p) if d), None)
+        t_adj, t = pairs[-1 if j is None else j]
+        run = []
+        if j is None:
+            ring = None if keep else np.empty((min(size, length), dim, dim),
+                                              dtype=np.complex128)
+            before = np.eye(dim, dtype=np.complex128)
+            for lo in range(0, length, size):
+                count = min(size, length - lo)
+                chunk = ring[:count] if ring is not None else np.empty(
+                    (count, dim, dim), dtype=np.complex128)
+                for i, box in enumerate(chunk):
+                    if lo + i:
+                        np.subtract(before, (t_adj @ before) @ t, out=box)
+                    else:
+                        box[...] = before
+                    before = box
+                run.append(chunk)
+                yield chunk
+        else:
+            source = p[:j] + (p[j] - 1,) + p[j + 1:]
+            src = live.pop(source) if j == 0 else live[source]
+            for lo, x in zip(range(0, length, size), src):
+                x = x[:length - lo]
+                out = x if j == 0 else np.empty_like(x)
+                np.subtract(x, (t_adj @ x) @ t, out=out)
+                run.append(out)
+                yield out
+        if keep:
+            live[p] = run
+
+
+def _groups(stacks, size: int, dim: int):
+    """The boxes of ``stacks`` (each of at most ``size`` boxes) in groups
+    of ``size``, the last perhaps shorter.  A group that one stack holds
+    alone is that stack; the others are gathered into one buffer, which
+    the next gathered group overwrites."""
+    group, filled = None, 0
+    for boxes in stacks:
+        if not filled and len(boxes) == size:
+            yield boxes
+            continue
+        if group is None:
+            group = np.empty((size, dim, dim), dtype=np.complex128)
+        take = min(size - filled, len(boxes))
+        group[filled:filled + take] = boxes[:take]
+        filled += take
+        if filled == size:
+            yield group
+            filled = len(boxes) - take
+            group[:filled] = boxes[take:]
+    if filled:
+        yield group[:filled]
+
+
 def generator_certificate(
     t, max_degree: int = DEFAULT_MAX_DEGREE, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
     """Sweep the multi-binomial certificate over the generator images for all
     degree tuples with sum <= max_degree, lexicographically, stopping at the
-    first failure.  A pass is only a pass up to the swept bound.
+    first failure.  A pass is only a pass up to the swept bound.  A sweep
+    over more than 2^16 degree tuples (C(max_degree + m, m) for m
+    generators) raises CapExceededError before any work.
 
-    Each box is one Delta step from a box already swept: box(n) =
-    Delta_j(box(n - e_j)) with j the first nonzero index of n, the outermost
-    step of ``box_operator``'s order, so every box is bitwise equal to
-    ``box_operator(mats, n)``.  A box is kept only while a later tuple
-    extends it (sum(n) < max_degree, until its e_1 successor is swept):
-    at most C(max_degree + m - 1, m - 1) boxes of dim^2 entries are live."""
+    Each run of the last coordinate is one stacked Delta step from a run
+    already swept (see ``_sweep_boxes``), and every box is bitwise equal
+    to ``box_operator(mats, n)``.  Consecutive boxes are judged in groups
+    of at most 2048 matrix entries (one box at least), one stacked
+    eigensolve per group, by the rule of ``psd_check``; within a group the
+    first box in lexicographic order that fails or is not Hermitian
+    decides, so a failure wastes at most the rest of its group and the
+    Delta steps of less than one more.  Live memory: the kept runs, at
+    most C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box
+    at a time, plus one group and the temporaries of one stacked step over
+    a chunk of one group; no array holds more than one group or box."""
     if isinstance(t, Representation):
         if not t.descriptor.finitely_generated:
             raise UnsupportedStructureError(
@@ -518,32 +615,32 @@ def generator_certificate(
             tolerances={"tol": tol}, notes=(note,))
     if not mats:
         return passed(0, None, "vacuous: no generators")
+    m, dim = len(mats), mats[0].shape[0]
+    tuples = math.comb(max_degree + m, m)
+    if tuples > _SWEEP_TUPLE_CAP:
+        raise _TupleCapExceededError(tuples, _SWEEP_TUPLE_CAP)
     gated, _ = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
-    pairs = _adjoint_pairs(mats)
-    live = {}
-    worst = None
-    checked = 0
-    for n in _lex_degree_tuples(len(mats), max_degree):
-        j = next((i for i, d in enumerate(n) if d), None)
-        if j is None:
-            box = np.eye(mats[0].shape[0], dtype=np.complex128)
-        else:
-            prev = n[:j] + (n[j] - 1,) + n[j + 1:]
-            box = _delta(live.pop(prev) if j == 0 else live[prev], pairs[j])
-        if sum(n) < max_degree:
-            live[n] = box
-        checked += 1
-        verdict = psd_check(box, tol)
-        if not verdict.is_psd:
+    size = max(1, _GROUP_ENTRIES // max(1, dim * dim))
+    checked, worst = 0, None
+    for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
+                                      size), size, dim):
+        mins, tolerances, defect = _psd_stack(boxes, tol)
+        checked += len(mins)
+        if mins[-1] < -tolerances[-1]:
+            n = next(itertools.islice(
+                _lex_degree_tuples(m, max_degree), checked - 1, None))
+            verdict = PsdVerdict(False, mins[-1].item(), defect,
+                                 tolerances[-1].item())
             return _psd_report(
                 "generator_sweep",
                 {"max_degree": max_degree, "tuples_checked": checked},
                 verdict, tol, {"n": list(n)},
                 notes=(f"first failing degree tuple in lexicographic order "
                        f"within sum <= {max_degree}",))
-        if worst is None or verdict.min_eigenvalue < worst:
-            worst = verdict.min_eigenvalue
+        low = mins[mins.argmin()]  # the first of equal margins: -0.0 stays
+        if worst is None or low < worst:
+            worst = low.item()
     return passed(checked, worst,
                   f"pass swept over all degree tuples with sum <= {max_degree}")

@@ -55,3 +55,12 @@ class CapExceededError(NormexError):
             f"subset enumeration over {requested} letters exceeds cap {cap} "
             f"(would need {budget} subset evaluations)"
         )
+
+
+class _TupleCapExceededError(CapExceededError):
+    """A degree sweep would visit more tuples than its budget allows."""
+
+    def __init__(self, tuples: int, cap: int):
+        super().__init__(tuples, cap, tuples)
+        self.args = (f"degree sweep over {tuples} tuples exceeds cap {cap} "
+                     f"tuples",)

@@ -28,9 +28,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_NOT_FINITE = "matrix entries must be finite (no NaN/Inf)"
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
-        raise InputError("matrix entries must be finite (no NaN/Inf)")
+        raise InputError(_NOT_FINITE)
     return a
 
 
@@ -79,21 +82,34 @@ def largest(pairs) -> tuple[float, object]:
     return worst, at
 
 
+def _stack(mats) -> np.ndarray:
+    """A sequence of equal-shape matrices as one (k, m, n) array; an empty
+    sequence as a (0, 0, 0) one."""
+    a = np.asarray(mats)
+    return a if a.ndim == 3 else a.reshape(0, 0, 0)
+
+
 def norm_excess(mats) -> tuple[float, int | None]:
     """How far a tuple is from being contractive: the largest ||M_i|| - 1,
     floored at 0, and the first index attaining it (None when no operator
-    exceeds norm 1)."""
-    return largest(enumerate(operator_norm(m) - 1.0 for m in mats))
+    exceeds norm 1).  The norms come from one ``operator_norms`` call."""
+    return largest(enumerate((operator_norms(_stack(mats)) - 1.0).tolist()))
 
 
 def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
     """Largest ||A_i B_j - B_j A_i|| over i < j with B = ``others`` (default
     ``mats`` itself; the adjoints give the *-commutator), and the first pair
-    (i, j) attaining it (None when every commutator vanishes)."""
-    others = mats if others is None else others
-    return largest(
-        ((i, j), operator_norm(mats[i] @ others[j] - others[j] @ mats[i]))
-        for i in range(len(mats)) for j in range(i + 1, len(mats)))
+    (i, j) attaining it (None when every commutator vanishes).  All
+    commutators are formed in one stacked product and normed by one
+    ``operator_norms`` call."""
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    if not pairs:
+        return 0.0, None
+    i, j = np.array(pairs).T
+    a = _stack(mats)
+    left, right = a[i], (a if others is None else _stack(others))[j]
+    return largest(zip(pairs, operator_norms(left @ right - right @ left)
+                       .tolist()))
 
 
 def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -127,6 +143,83 @@ class PsdVerdict:
         }
 
 
+def _psd_stack(a, tol: float):
+    """The PSD verdicts of a stack ``a`` of k square matrices, in order, up
+    to the first matrix that decides: one that is not PSD, not Hermitian or
+    not finite.  Returns the arrays (min_eigenvalue, tolerance_used) of
+    a[:s + 1], s the first matrix that is not PSD, or of all of ``a`` when
+    every matrix is PSD, and the hermitian_defect of the last of them;
+    raises NotHermitianError or InputError when the deciding matrix is not
+    Hermitian or not finite.
+
+    This is the one place where the rule ``psd_check`` documents is written
+    (``psd_check`` is its one-matrix case): the power-of-two rescale of a
+    matrix with ||A||_F^2 >= 2^800, the tolerance tol * max(1, ||H||), and
+    the Hermitian defect by its Frobenius norm, or by its spectral norm when
+    the Frobenius norm exceeds the tolerance.  All spectra come from one
+    batched eigensolve, and each verdict is bitwise that of ``psd_check``
+    on its matrix alone."""
+    k, n = a.shape[0], a.shape[-1]
+    if n == 0:
+        return np.zeros(k), np.full(k, tol), 0.0
+    scale, stop = None, k
+    # the norm of the whole stack clears every matrix of the rescale: each
+    # matrix's own squared norm stays below 2^800 while the total is < 2^799
+    if not np.vdot(a, a).real < 2.0 ** 799:  # NaN, inf or perhaps huge
+        peak = np.abs(a).max(axis=(1, 2))
+        finite = np.isfinite(peak)
+        stop = k if finite.all() else int(finite.argmin())
+        if stop == 0:
+            raise InputError(_NOT_FINITE)
+        a, peak = a[:stop], peak[:stop]
+        huge = np.array([not np.vdot(x, x).real < 2.0 ** 800 for x in a],
+                        dtype=bool)
+        scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
+        a = a / scale[:, None, None]
+    adj = np.conj(a).swapaxes(-1, -2)
+    skew = a - adj
+    # verdicts in float64, whatever the input's precision
+    spectra = np.linalg.eigvalsh((a + adj) / 2.0).astype(float, copy=False)
+    mins, top = spectra[:, 0], spectra[:, -1]
+    if scale is not None:  # scaled back, a result may overflow to inf
+        with np.errstate(over="ignore"):
+            mins, top = mins * scale, top * scale
+    neg = -mins
+    tolerance = tol * np.maximum(np.maximum(neg, top), 1.0)
+    # squared Frobenius defects as np.vdot sums them; that of the whole
+    # stack clears every matrix while its root is below tol, the least
+    # tolerance (the margin covers the rounding of either sum)
+    total = np.vdot(skew, skew).real
+    defect = None
+    if scale is not None or not math.sqrt(total) <= tol * (1.0 - 2.0 ** -20):
+        defect = np.sqrt(np.array([np.vdot(x, x).real for x in skew],
+                                  dtype=float))
+        with np.errstate(over="ignore"):
+            if scale is not None:
+                defect *= scale
+            over = np.flatnonzero(defect > tolerance)  # then the spectral
+            if over.size:
+                defect[over] = operator_norms(skew[over]) * (
+                    1.0 if scale is None else scale[over])
+        decided = np.maximum(neg, defect) > tolerance
+    else:
+        decided = neg > tolerance
+    s = int(decided.argmax())
+    if decided[s]:
+        if defect is not None and defect[s] > tolerance[s]:
+            raise NotHermitianError(defect[s].item(), tolerance[s].item())
+    elif stop < k:
+        raise InputError(_NOT_FINITE)
+    else:
+        s = stop - 1
+    if defect is not None:
+        last = defect[s].item()
+    else:  # the whole stack's norm is its one matrix's when stop == 1
+        last = math.sqrt(total if stop == 1
+                         else np.vdot(skew[s], skew[s]).real)
+    return mins[:s + 1], tolerance[:s + 1], last
+
+
 def psd_check(a: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     """Positive-semidefiniteness verdict with explicit margin, from one
     eigensolve of the Hermitian part H = (A + A*)/2.
@@ -141,31 +234,15 @@ def psd_check(a: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     A NaN or infinite entry raises InputError before any arithmetic that
     could warn; a matrix whose Frobenius norm exceeds 2^400 is first divided
     by a power of two (exactly), so that no step overflows, and the results
-    are scaled back.
+    are scaled back.  This is the one-matrix case of the stacked rule that
+    the generator sweep applies to a group of boxes at a time.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("psd_check requires a square matrix")
-    if a.shape[0] == 0:
-        return PsdVerdict(True, 0.0, 0.0, tol)
-    scale = 1.0
-    if not np.vdot(a, a).real < 2.0 ** 800:  # ||A||_F^2: NaN, inf or huge
-        peak = float(np.abs(a).max())
-        if not math.isfinite(peak):
-            raise InputError("matrix entries must be finite (no NaN/Inf)")
-        scale = 2.0 ** (math.frexp(peak)[1] - 1)
-        a = a / scale
-    adj = np.conj(a).T
-    skew = a - adj
-    spectrum = np.linalg.eigvalsh((a + adj) / 2.0)
-    min_eig = float(spectrum[0]) * scale
-    tolerance = tol * max(1.0, -min_eig, float(spectrum[-1]) * scale)
-    defect = math.sqrt(np.vdot(skew, skew).real) * scale
-    if defect > tolerance:
-        defect = operator_norm(skew) * scale
-        if defect > tolerance:
-            raise NotHermitianError(defect, tolerance)
-    return PsdVerdict(min_eig >= -tolerance, min_eig, defect, tolerance)
+    mins, tolerance, defect = _psd_stack(a[None], tol)
+    return PsdVerdict(bool(mins[0] >= -tolerance[0]), mins[0].item(), defect,
+                      tolerance[0].item())
 
 
 def loewner_leq(a: CMatrix, b: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:

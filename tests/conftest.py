@@ -6,10 +6,13 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 
 ``explicit_box_sum`` is the independent oracle for ``box_operator``: the
 package evaluates alternating sums by the iterated defect map, this module
-by the explicit binomial expansion.  ``sznagy_kernels``,
-``regularity_kernels`` and ``homomorphism_residuals`` are the per-entry
-oracles of the stacked sampled checks: one ``star_kernel``, ``tilde_eval``
-or ``operator_norm`` call per block or sampled pair.
+by the explicit binomial expansion.  ``sweep_oracle`` is the per-box
+oracle of the stacked generator sweep: one ``operator_norm`` per gate
+norm, one Delta step and one ``psd_check`` per degree tuple.
+``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
+are the per-entry oracles of the stacked sampled checks: one
+``star_kernel``, ``tilde_eval`` or ``operator_norm`` call per block or
+sampled pair.
 
 A warning raised by a test in this directory fails that test.  The
 hypothesis plugin imports its patch writer (and through it libcst, which
@@ -66,6 +69,70 @@ def explicit_box_sum(mats, degrees):
         coeff = math.prod(math.comb(n, ki) for n, ki in zip(degrees, k))
         total += (-1) ** sum(k) * coeff * (np.conj(left).T @ left)
     return total
+
+
+def sweep_oracle(mats, max_degree, tol=1e-8):
+    """``generator_certificate``'s report, one box at a time: the gate
+    from one ``operator_norm`` per generator and per commutator, then every
+    degree tuple in lexicographic order, box(n) = Delta_j(box(n - e_j))
+    from a stored predecessor (j the first nonzero index of n) and one
+    ``psd_check`` per box, stopping at the first failure.  Raises what
+    ``psd_check`` raises."""
+    from normex import CertificateReport, cmatrix, operator_norm, psd_check
+    mats = [cmatrix(m) for m in mats]
+    ran = {"max_degree": max_degree}
+
+    def report(verdict, checked=None, margin=None, witness=None, notes=(),
+               **tolerances):
+        return CertificateReport(
+            "generator_sweep",
+            ran if checked is None else {**ran, "tuples_checked": checked},
+            verdict, margin, witness, {"tol": tol, **tolerances}, notes)
+    if not mats:
+        return report("pass", 0, notes=("vacuous: no generators",))
+
+    def first_largest(items):
+        worst, at = 0.0, None
+        for key, r in items:
+            if r > worst:
+                worst, at = r, key
+        return worst, at
+    excess, index = first_largest(
+        (i, operator_norm(m) - 1.0) for i, m in enumerate(mats))
+    if excess > tol:
+        return report("not-applicable", witness={
+            "reason": "not a contraction", "index": index,
+            "norm_excess": excess})
+    comm, pair = first_largest(
+        ((i, j), operator_norm(a @ b - b @ a))
+        for (i, a), (j, b) in itertools.combinations(enumerate(mats), 2))
+    if comm > tol:
+        return report("not-applicable", witness={
+            "reason": "non-commuting", "pair": list(pair), "residual": comm})
+    live, worst, checked = {}, None, 0
+    for n in itertools.product(range(max_degree + 1), repeat=len(mats)):
+        if sum(n) > max_degree:
+            continue
+        j = next((i for i, d in enumerate(n) if d), None)
+        if j is None:
+            box = np.eye(mats[0].shape[0], dtype=np.complex128)
+        else:
+            prev = n[:j] + (n[j] - 1,) + n[j + 1:]
+            x, t = live.pop(prev) if j == 0 else live[prev], mats[j]
+            box = x - np.conj(t).T @ x @ t
+        if sum(n) < max_degree:
+            live[n] = box
+        checked += 1
+        v = psd_check(box, tol)
+        if not v.is_psd:
+            return report(
+                "fail", checked, v.min_eigenvalue, {"n": list(n)},
+                ("first failing degree tuple in lexicographic order within "
+                 f"sum <= {max_degree}",), tolerance_used=v.tolerance_used)
+        if worst is None or v.min_eigenvalue < worst:
+            worst = v.min_eigenvalue
+    return report("pass", checked, worst, notes=(
+        f"pass swept over all degree tuples with sum <= {max_degree}",))
 
 
 def _hermitian_grid(n, entry):

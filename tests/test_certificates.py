@@ -11,12 +11,18 @@ non-commuting tuples against the explicit binomial expansion in conftest.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import explicit_box_sum, regularity_kernels, sznagy_kernels
+from conftest import (
+    explicit_box_sum,
+    regularity_kernels,
+    sweep_oracle,
+    sznagy_kernels,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +33,7 @@ from normex import (
     InputError,
     InvolutionPoint,
     MembershipError,
+    NotHermitianError,
     SzNagyConfig,
     UnsupportedStructureError,
     Representation,
@@ -50,6 +57,7 @@ from normex import (
     involution_point,
     loewner_leq,
     make_commuting_normals,
+    make_gallery,
     make_representation,
     numerical,
     product,
@@ -903,6 +911,22 @@ class TestExtensionResidual:
         assert lhs <= 1e-14 and rhs <= 1e-14
 
 
+def _grow(x, corner):
+    """The block diagonal corner (+) x, corner 2 x 2."""
+    dim = np.shape(x)[0]
+    out = np.zeros((dim + 2, dim + 2), dtype=np.complex128)
+    out[:2, :2], out[2:, 2:] = corner, x
+    return out
+
+
+def _outcome(sweep, mats, degree, tol):
+    """A sweep's report as a dict, or the type and message it raised."""
+    try:
+        return sweep(mats, degree, tol).as_dict()
+    except NotHermitianError as e:
+        return type(e), str(e)
+
+
 class TestGeneratorSweep:
     def test_gap_rep_passes_through_bound(self):
         lam = 0.5
@@ -952,11 +976,7 @@ class TestGeneratorSweep:
         # (floor(1/r^2) + 1, 0, ...) after a run of passing tuples
         mats = [np.asarray(x) for x in make_commuting_normals(seed, dim, m)]
         if radius is not None:
-            def grow(x, corner):
-                out = np.zeros((dim + 2, dim + 2), dtype=np.complex128)
-                out[:2, :2], out[2:, 2:] = corner, x
-                return out
-            mats = [grow(x, radius * J2 if i == 0 else 0.5 * np.eye(2))
+            mats = [_grow(x, radius * J2 if i == 0 else 0.5 * np.eye(2))
                     for i, x in enumerate(mats)]
         margin, witness, checked = None, None, 0
         for n in itertools.product(range(max_degree + 1), repeat=m):
@@ -977,6 +997,132 @@ class TestGeneratorSweep:
             first = int(1 / radius ** 2) + 1
             assert witness == {"n": [first] + [0] * (m - 1)}
             assert checked > math.comb(first - 1 + m, m)
+
+    def test_zero_dimensional_operators_pass_with_zero_margin(self):
+        mats = [np.zeros((0, 0))] * 2
+        rep = generator_certificate(mats, 3)
+        assert rep.as_dict() == sweep_oracle(mats, 3).as_dict()
+        assert (rep.verdict, rep.margin) == ("pass", 0.0)
+        assert rep.parameters["tuples_checked"] == 10
+
+    @pytest.mark.parametrize("case", [
+        "fail-then-not-hermitian", "not-hermitian-then-fail"])
+    def test_first_deciding_box_of_a_group_wins(self, case):
+        # one m = 1 chain of 4 x 4 boxes, all in one group.  r J (+) N
+        # fails at n = floor(1/r^2) + 1; the rounding of a rotated normal N
+        # makes later boxes non-Hermitian (at tol 1e-8 with |eig N| near 1
+        # from n ~ 40 on; at tol 1e-17 from n = 2 on)
+        if case == "fail-then-not-hermitian":
+            n = np.array([[0.999, 0.01], [0.01, -0.999]])
+            mats, degree, tol = [_grow(n, J2)], 60, 1e-8
+        else:
+            n = np.asarray(make_commuting_normals(2, 2, 1)[0])
+            mats, degree, tol = [_grow(n, J2 / math.sqrt(4.5))], 15, 1e-17
+        assert math.comb(degree + 1, 1) <= certificates._GROUP_ENTRIES // 16
+        with pytest.raises(NotHermitianError):
+            psd_check(box_operator(mats, (degree,)), tol)
+        if case == "fail-then-not-hermitian":
+            rep = generator_certificate(mats, degree, tol)
+            assert rep.witness == {"n": [2]} and rep.margin == -1.0
+            assert rep.as_dict() == sweep_oracle(mats, degree, tol).as_dict()
+        else:
+            with pytest.raises(NotHermitianError) as got:
+                generator_certificate(mats, degree, tol)
+            with pytest.raises(NotHermitianError) as want:
+                sweep_oracle(mats, degree, tol)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("mins, want", [
+        ([1.0, 0.0, -0.0, 0.5], "0.0"), ([1.0, -0.0, 0.0, 0.5], "-0.0")])
+    def test_a_zero_margin_keeps_its_sign(self, monkeypatch, mins, want):
+        # the worst margin is the first of equal ones, as a strict < keeps
+        real = linalg._psd_stack
+
+        def signed(a, tol):
+            _, tolerance, defect = real(a, tol)
+            return np.array(mins[:len(a)]), tolerance, defect
+        monkeypatch.setattr(certificates, "_psd_stack", signed)
+        assert repr(generator_certificate([0.5 * np.eye(2)], 3).margin) == want
+
+    @pytest.mark.parametrize("mats", [
+        [np.eye(2), np.diag([1.0, 0.5])], [np.diag([1j, -1.0])],
+        [np.diag([0.6, 0.8j]), np.diag([0.8, 0.6])]])
+    def test_exact_zero_margins_equal_the_oracle(self, mats):
+        rep, want = generator_certificate(mats, 5), sweep_oracle(mats, 5)
+        assert rep.as_dict() == want.as_dict()
+        assert repr(rep.margin) == repr(want.margin)
+
+    @pytest.mark.parametrize("seed, dim, degree", [(1, 4, 60), (13, 8, 40)])
+    def test_working_precision_repros_equal_the_oracle(self, seed, dim,
+                                                        degree):
+        # ROADMAP item 1: normal pairs that fail or raise at high degree
+        # only through rounding; the sweep must reach the same wrong answer
+        mats = make_gallery("normal_pair", seed=seed,
+                            dim=dim).generator_images
+        assert _outcome(generator_certificate, mats, degree, 1e-8) == \
+            _outcome(sweep_oracle, mats, degree, 1e-8)
+
+    @settings(max_examples=80)
+    @given(kind=st.sampled_from(["normal", "jordan", "shift"]),
+           m=st.integers(1, 4), dim=st.integers(1, 8),
+           degree=st.integers(0, 10), seed=st.integers(0, 2 ** 16),
+           radius=st.floats(0.3, 0.9), log_tol=st.floats(-17, -8))
+    def test_sweep_equals_the_per_box_oracle(self, kind, m, dim, degree,
+                                             seed, radius, log_tol):
+        # r J (+) normals fails mid-sweep, the shift (r = 1) at n = 2, and
+        # a tolerance near 1e-17 makes rounded boxes non-Hermitian
+        mats = [np.asarray(x) for x in make_commuting_normals(seed, dim, m)]
+        if kind != "normal":
+            r = 1.0 if kind == "shift" else radius
+            mats = [_grow(x, r * J2 if i == 0 else 0.5 * np.eye(2))
+                    for i, x in enumerate(mats)]
+        tol = 10.0 ** log_tol
+        assert _outcome(generator_certificate, mats, degree, tol) == \
+            _outcome(sweep_oracle, mats, degree, tol)
+
+    def test_one_eigensolve_per_group(self, monkeypatch):
+        # m = 3, dim 4, D = 6: 84 boxes of 16 entries are one group, so the
+        # gate's two stacked norm scans and the group make 3 eigensolves
+        calls = []
+
+        def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        mats = make_commuting_normals(3, 4, 3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rep = generator_certificate(mats, 6)
+        assert rep.passed and rep.parameters["tuples_checked"] == 84
+        assert calls == [(3, 4, 4), (3, 4, 4), (84, 4, 4)]
+
+    def test_an_m1_chain_is_not_stored_whole(self):
+        # 2001 boxes of 8 x 8; the sweep keeps a ring of one group
+        mats, degree = [0.5 * np.eye(8)], 2000
+        tracemalloc.start()
+        try:
+            rep = generator_certificate(mats, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.parameters["tuples_checked"] == 2001
+        assert peak < degree * 8 * 8 * 16
+
+    def test_tuple_budget_is_checked_before_the_gate(self):
+        cap = certificates._SWEEP_TUPLE_CAP
+        with pytest.raises(CapExceededError) as exc:
+            generator_certificate([2.0 * np.eye(2)], cap)  # not a contraction
+        assert (exc.value.requested, exc.value.cap) == (cap + 1, cap)
+        assert str(exc.value) == (f"degree sweep over {cap + 1} tuples "
+                                  f"exceeds cap {cap} tuples")
+        with pytest.raises(CapExceededError) as exc:
+            generator_certificate([J2, J2], 361)  # C(363, 2) > 2^16
+        assert "65703 tuples" in str(exc.value)
+        assert math.comb(60 + 2, 2) <= cap  # the acceptance sweep's 1891
+        with pytest.raises(CapExceededError) as exc:
+            athavale_vs_brehmer([J2], (17,))
+        assert str(exc.value) == ("subset enumeration over 17 letters "
+                                  "exceeds cap 16 (would need 131072 subset "
+                                  "evaluations)")
+        assert generator_certificate([J2], cap - 1).verdict == "fail"
 
     def test_requires_finitely_generated(self):
         t = Representation(rationals(), 1, (identity(1),))

@@ -558,6 +558,14 @@ def test_an_allocation_no_machine_can_make_exits_two(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_sweep_beyond_the_tuple_budget_exits_two(neil_path, capsys):
+    code, out, err = _run(capsys, "check", "athavale", "--input", neil_path,
+                          "--max-degree", "100000")
+    assert (code, out) == (2, "")
+    assert err == ("error: degree sweep over 5000150001 tuples exceeds cap "
+                   "65536 tuples\n")
+
+
 def test_overflowing_bound_constant_exits_two(tmp_path, capsys):
     # 1e200 ** 2 overflows; the sznagy check compares with C^2 K, and every
     # command rejects the document, not only those that run sznagy

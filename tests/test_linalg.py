@@ -23,7 +23,13 @@ from normex import (
     operator_norm,
     psd_check,
 )
-from normex.linalg import operator_norms
+from normex.linalg import (
+    _psd_stack,
+    commutator_residual,
+    largest,
+    norm_excess,
+    operator_norms,
+)
 
 
 def _attempt_cholesky(h: np.ndarray) -> bool:
@@ -79,6 +85,12 @@ class TestPsdCheck:
         for field in ("min_eigenvalue", "hermitian_defect", "tolerance_used"):
             want = getattr(small, field) * 2.0 ** k
             assert getattr(big, field) == pytest.approx(want, rel=1e-12)
+
+    def test_integer_input(self):
+        v = psd_check(np.array([[1, 2], [2, 1]]))
+        assert (v.is_psd, v.min_eigenvalue) == (False, -1.0)
+        assert v.tolerance_used == 1e-8 * 3.0
+        assert type(v.tolerance_used) is float
 
     def test_entries_near_the_float_maximum(self):
         v = psd_check(np.diag([1.5e308, 1.0]))
@@ -172,6 +184,96 @@ class TestPsdCheck:
             checked += 1
             assert v.is_psd == o, f"disagreement at sample {i}"
         assert checked > 600  # the band must not swallow the test
+
+
+class TestPsdStack:
+    """The stacked rule that psd_check is the one-matrix case of."""
+
+    def test_verdicts_equal_one_by_one(self):
+        # PSD stacks, some matrices beyond the 2^800 rescale threshold and
+        # some with a Frobenius defect above the tolerance
+        rng = np.random.default_rng(21)
+        rot = 0.45e-8 * np.kron(np.eye(3), np.array([[0.0, 1.0],
+                                                     [-1.0, 0.0]]))
+        spectral = huge = 0
+        for trial in range(40):
+            stack = []
+            for i in range(5):
+                x = _rand(rng, 6)
+                a = x @ np.conj(x).T
+                a = a / (2.0 * operator_norm(a))  # ||H|| < 1: tolerance 1e-8
+                if (trial + i) % 4 == 0:
+                    a = a * 2.0 ** 500
+                elif (trial + i) % 3 == 0:
+                    a = a + rot
+                stack.append(a)
+            stack = np.array(stack)
+            mins, tolerance, defect = _psd_stack(stack, 1e-8)
+            want = [psd_check(a) for a in stack]
+            assert np.array_equal(mins, [v.min_eigenvalue for v in want])
+            assert np.array_equal(tolerance, [v.tolerance_used for v in want])
+            assert defect == want[-1].hermitian_defect
+            spectral += sum(v.hermitian_defect == pytest.approx(0.9e-8)
+                            for v in want)
+            huge += sum(t > 1e100 for t in tolerance)
+        assert spectral > 10 and huge > 10  # both paths are exercised
+
+    def test_empty_matrices_pass_with_zero_margin(self):
+        mins, tolerance, defect = _psd_stack(np.zeros((3, 0, 0)), 1e-8)
+        assert np.array_equal(mins, [0.0] * 3)
+        assert np.array_equal(tolerance, [1e-8] * 3)
+        assert defect == 0.0
+
+    PSD = np.eye(2)
+    FAIL = np.diag([-1.0, 1.0])
+    SKEW = np.array([[0.0, 1.0], [0.0, 0.0]])
+    NAN = np.diag([np.nan, 1.0])
+
+    @pytest.mark.parametrize("order, decides", [
+        (("PSD", "FAIL", "SKEW", "NAN"), 1),
+        (("PSD", "SKEW", "FAIL"), NotHermitianError),
+        (("FAIL", "NAN"), 0),
+        (("PSD", "NAN", "FAIL"), InputError),
+        (("NAN", "PSD"), InputError),
+        (("PSD", "PSD", "NAN"), InputError),
+    ])
+    def test_the_first_deciding_matrix_wins(self, order, decides):
+        stack = np.array([getattr(self, name) for name in order],
+                         dtype=np.complex128)
+        if isinstance(decides, int):
+            mins, tolerance, _ = _psd_stack(stack, 1e-8)
+            assert len(mins) == decides + 1
+            assert mins[-1] == -1.0 and tolerance[-1] == 1e-8
+        else:
+            with pytest.raises(decides):
+                _psd_stack(stack, 1e-8)
+
+    def test_a_frobenius_excess_alone_decides_nothing(self):
+        rot = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        near = np.eye(8) + 0.45e-8 * rot
+        mins, _, defect = _psd_stack(np.array([near, np.eye(8)]), 1e-8)
+        assert len(mins) == 2 and defect == 0.0
+        mins, _, defect = _psd_stack(np.array([np.eye(8), near]), 1e-8)
+        assert len(mins) == 2 and abs(defect - 0.9e-8) <= 1e-20
+
+
+class TestGateScans:
+    @pytest.mark.parametrize("m, dim", [(0, 3), (1, 0), (1, 4), (2, 3),
+                                        (3, 1), (4, 5)])
+    def test_stacked_scans_equal_one_by_one(self, m, dim):
+        rng = np.random.default_rng([m, dim])
+        for scale in (0.2, 0.6):
+            mats = [cmatrix(scale * _rand(rng, dim)) for _ in range(m)]
+            mats += [mats[0]] if m == 4 else []  # a repeat: equal residuals
+            assert norm_excess(mats) == largest(
+                (i, operator_norm(a) - 1.0) for i, a in enumerate(mats))
+            for others in (mats, [np.conj(a).T for a in mats]):
+                want = largest(
+                    ((i, j), operator_norm(mats[i] @ others[j]
+                                           - others[j] @ mats[i]))
+                    for i in range(len(mats))
+                    for j in range(i + 1, len(mats)))
+                assert commutator_residual(mats, others) == want
 
 
 class TestLoewner:
