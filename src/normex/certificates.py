@@ -130,10 +130,11 @@ def _adjoint_pairs(mats) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.conj(m).T, m) for m in map(np.asarray, mats)]
 
 
-def _delta(x: np.ndarray, pair) -> np.ndarray:
-    """One step Delta_i(X) = X - T_i* X T_i, with pair = (T_i*, T_i)."""
+def _delta(x: np.ndarray, pair, out=None) -> np.ndarray:
+    """One step Delta_i(X) = X - T_i* X T_i, with pair = (T_i*, T_i), of a
+    box or of a stack of boxes, into ``out`` when given."""
     t_adj, t = pair
-    return x - t_adj @ x @ t
+    return np.subtract(x, (t_adj @ x) @ t, out=out)
 
 
 def _defect_map(mats, order, dim: int) -> CMatrix:
@@ -149,6 +150,17 @@ def _defect_map(mats, order, dim: int) -> CMatrix:
     return _freeze(x)
 
 
+def _box_args(ts, n) -> tuple[list[CMatrix], DegreeTuple]:
+    """Read an operator tuple and a degree box with one degree per
+    operator."""
+    mats, n = _operators(ts), degree_tuple(n)
+    if not mats:
+        raise InputError("at least one operator required")
+    if len(mats) != len(n):
+        raise InputError("one degree per operator required")
+    return mats, n
+
+
 def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
     """The alternating multi-binomial operator
 
@@ -157,12 +169,7 @@ def box_operator(mats, degrees: DegreeTuple) -> CMatrix:
     over the box 0 <= k_i <= n_i, evaluated by the defect-map kernel as
     Delta_1^{n1} o ... o Delta_m^{nm}(I).  Delta_1 is outermost, which gives
     exactly the adjoint ordering above, also for non-commuting input."""
-    mats = _operators(mats)
-    degrees = degree_tuple(degrees)
-    if not mats:
-        raise InputError("at least one operator required")
-    if len(mats) != len(degrees):
-        raise InputError("one degree per operator required")
+    mats, degrees = _box_args(mats, degrees)
     order = [i for i, d in enumerate(degrees) for _ in range(d)]
     return _defect_map(mats, order, mats[0].shape[0])
 
@@ -238,8 +245,7 @@ def agler_certificate(
     t: CMatrix, n: int, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
     """Positivity of the alternating binomial sum of *-powers at degree n."""
-    (t,) = _operators((t,))
-    (n,) = degree_tuple((n,))
+    (t,), (n,) = _box_args((t,), (n,))
     gated, _ = _gate("agler", {"n": n}, (t,), tol)
     if gated is not None:
         return gated
@@ -252,10 +258,7 @@ def athavale_certificate(
 ) -> CertificateReport:
     """Positivity of the multi-binomial alternating sum for a commuting
     contraction tuple at the degree box n."""
-    mats = _operators(ts)
-    n = degree_tuple(n)
-    if len(mats) != len(n):
-        raise InputError("one degree per operator required")
+    mats, n = _box_args(ts, n)
     gated, comm = _gate("athavale", {"n": list(n)}, mats, tol)
     if gated is not None:
         return gated
@@ -333,10 +336,7 @@ def athavale_vs_brehmer(
     same defect-map kernel; for commuting operators the two sums are equal,
     so the deviation measures rounding.  The independent check of the
     kernel is the explicit binomial expansion kept in the test suite."""
-    mats = _operators(ts)
-    n = degree_tuple(n)
-    if len(mats) != len(n):
-        raise InputError("one degree per operator required")
+    mats, n = _box_args(ts, n)
     total = sum(n)
     if total > cap:
         raise CapExceededError(total, cap, 2 ** total)
@@ -515,39 +515,37 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     equal to ``box_operator(mats, n)``.  A run is kept while a later run
     steps from it (m > 1 and sum(p) < max_degree), and its e_1 successor,
     the last, overwrites it in place; so the live runs hold at most
-    C(max_degree + m - 1, m - 1) boxes.  An m = 1 chain is kept in a ring
-    of one chunk."""
+    C(max_degree + m - 1, m - 1) boxes, and a run that is not kept is
+    dropped chunk by chunk."""
     m, live = len(pairs), {}
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
         keep = m > 1 and sum(p) < max_degree
         j = next((i for i, d in enumerate(p) if d), None)
-        t_adj, t = pairs[-1 if j is None else j]
+        pair = pairs[-1 if j is None else j]
         run = []
         if j is None:
-            ring = None if keep else np.empty((min(size, length), dim, dim),
-                                              dtype=np.complex128)
             before = np.eye(dim, dtype=np.complex128)
             for lo in range(0, length, size):
-                count = min(size, length - lo)
-                chunk = ring[:count] if ring is not None else np.empty(
-                    (count, dim, dim), dtype=np.complex128)
+                chunk = np.empty((min(size, length - lo), dim, dim),
+                                 dtype=np.complex128)
                 for i, box in enumerate(chunk):
                     if lo + i:
-                        np.subtract(before, (t_adj @ before) @ t, out=box)
+                        _delta(before, pair, out=box)
                     else:
                         box[...] = before
                     before = box
-                run.append(chunk)
+                if keep:
+                    run.append(chunk)
                 yield chunk
         else:
             source = p[:j] + (p[j] - 1,) + p[j + 1:]
             src = live.pop(source) if j == 0 else live[source]
             for lo, x in zip(range(0, length, size), src):
                 x = x[:length - lo]
-                out = x if j == 0 else np.empty_like(x)
-                np.subtract(x, (t_adj @ x) @ t, out=out)
-                run.append(out)
+                out = _delta(x, pair, out=x if j == 0 else None)
+                if keep:
+                    run.append(out)
                 yield out
         if keep:
             live[p] = run

@@ -56,19 +56,17 @@ def adjoint(a: CMatrix) -> CMatrix:
 
 
 def operator_norm(a: CMatrix) -> float:
-    """Largest singular value, via the top eigenvalue of A*A."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    gram = np.conj(a).T @ a
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    """Largest singular value: the one-matrix case of ``operator_norms``."""
+    return operator_norms(np.asarray(a)[None])[0].item()
 
 
 def operator_norms(a) -> np.ndarray:
-    """operator_norm of each matrix in a stack (k, m, n), bitwise, from one
-    stacked Gram product and one batched eigensolve."""
+    """The largest singular value of each matrix in a stack (k, m, n), via
+    the top eigenvalue of A*A: one stacked Gram product and one batched
+    eigensolve.  The root is taken in float64, whatever the input's
+    precision."""
     top = np.linalg.eigvalsh(np.conj(a).swapaxes(-1, -2) @ a)[..., -1:]
+    top = top.astype(float, copy=False)
     return np.sqrt(top.max(axis=-1, initial=0.0))  # 0 for an empty matrix
 
 
@@ -165,15 +163,16 @@ def _psd_stack(a, tol: float):
     scale, stop = None, k
     # the norm of the whole stack clears every matrix of the rescale: each
     # matrix's own squared norm stays below 2^800 while the total is < 2^799
-    if not np.vdot(a, a).real < 2.0 ** 799:  # NaN, inf or perhaps huge
+    # (as Python floats: 2^799 overflows a float32)
+    if not float(np.vdot(a, a).real) < 2.0 ** 799:  # NaN, inf or perhaps huge
         peak = np.abs(a).max(axis=(1, 2))
         finite = np.isfinite(peak)
         stop = k if finite.all() else int(finite.argmin())
         if stop == 0:
             raise InputError(_NOT_FINITE)
         a, peak = a[:stop], peak[:stop]
-        huge = np.array([not np.vdot(x, x).real < 2.0 ** 800 for x in a],
-                        dtype=bool)
+        huge = np.array([not float(np.vdot(x, x).real) < 2.0 ** 800
+                         for x in a], dtype=bool)
         scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
         a = a / scale[:, None, None]
     adj = np.conj(a).swapaxes(-1, -2)

@@ -6,7 +6,9 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 
 ``explicit_box_sum`` is the independent oracle for ``box_operator``: the
 package evaluates alternating sums by the iterated defect map, this module
-by the explicit binomial expansion.  ``sweep_oracle`` is the per-box
+by the explicit binomial expansion.  ``reference_norm`` is the one-matrix
+oracle of ``operator_norm`` and ``operator_norms``: one Gram product and
+one eigensolve per matrix.  ``sweep_oracle`` is the per-box
 oracle of the stacked generator sweep: one ``operator_norm`` per gate
 norm, one Delta step and one ``psd_check`` per degree tuple.
 ``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
@@ -69,6 +71,16 @@ def explicit_box_sum(mats, degrees):
         coeff = math.prod(math.comb(n, ki) for n, ki in zip(degrees, k))
         total += (-1) ** sum(k) * coeff * (np.conj(left).T @ left)
     return total
+
+
+def reference_norm(a):
+    """Largest singular value, via the top eigenvalue of A*A, the root taken
+    in float64; 0.0 for an empty matrix."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0
+    top = float(np.linalg.eigvalsh(np.conj(a).T @ a)[-1])
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def sweep_oracle(mats, max_degree, tol=1e-8):

@@ -1095,7 +1095,8 @@ class TestGeneratorSweep:
         assert calls == [(3, 4, 4), (3, 4, 4), (84, 4, 4)]
 
     def test_an_m1_chain_is_not_stored_whole(self):
-        # 2001 boxes of 8 x 8; the sweep keeps a ring of one group
+        # 2001 boxes of 8 x 8; a run that no later run steps from is
+        # dropped chunk by chunk
         mats, degree = [0.5 * np.eye(8)], 2000
         tracemalloc.start()
         try:
@@ -1105,6 +1106,21 @@ class TestGeneratorSweep:
             tracemalloc.stop()
         assert rep.passed and rep.parameters["tuples_checked"] == 2001
         assert peak < degree * 8 * 8 * 16
+
+    def test_kept_runs_are_stepped_in_place(self):
+        # m = 2, D = 200: 20301 boxes of 8 x 8 (about 20 MB) pass.  The run
+        # of a prefix p is popped when its successor p + e_1 steps from it,
+        # in place, so one run of at most 201 boxes is live, plus the
+        # group and the temporaries of a step and a verdict
+        mats, degree, group = [0.5 * np.eye(8)] * 2, 200, 2048 // 64
+        tracemalloc.start()
+        try:
+            rep = generator_certificate(mats, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.parameters["tuples_checked"] == 20301
+        assert peak < (degree + 1 + 8 * group) * 8 * 8 * 16
 
     def test_tuple_budget_is_checked_before_the_gate(self):
         cap = certificates._SWEEP_TUPLE_CAP
@@ -1272,6 +1288,40 @@ def test_reports_are_pinned(run, expected):
 def test_malformed_operator_tuples_raise_input_error(run):
     with pytest.raises(InputError):
         run()
+
+
+_BOX_READERS = {"box_operator": box_operator,
+                "athavale_certificate": athavale_certificate,
+                "athavale_vs_brehmer": athavale_vs_brehmer}
+_BOX_INPUTS = {"empty": ([], ()), "empty-one-degree": ([], (1,)),
+               "mismatched": ([J2, J2], (1,)),
+               "non-square": ([np.zeros((2, 3))], (1,))}
+_BOX_MESSAGES = {"empty": "at least one operator required",
+                 "empty-one-degree": "at least one operator required",
+                 "mismatched": "one degree per operator required",
+                 "non-square": "operators must share a square shape"}
+
+
+@pytest.mark.parametrize("run, message", [
+    *((lambda f=f, args=args: f(*args), _BOX_MESSAGES[case])
+      for f in _BOX_READERS.values() for case, args in _BOX_INPUTS.items()),
+    (lambda: agler_certificate([], ()),
+     "matrix data must be 2-dimensional, got ndim=1"),
+    (lambda: agler_certificate([], (1,)),
+     "matrix data must be 2-dimensional, got ndim=1"),
+    (lambda: agler_certificate(J2, (1, 1)),
+     "degree entries must be non-negative ints, got (1, 1)"),
+    (lambda: agler_certificate(np.zeros((2, 3)), 1),
+     "operators must share a square shape"),
+], ids=[*(f"{name}-{case}" for name in _BOX_READERS for case in _BOX_INPUTS),
+        *(f"agler_certificate-{case}" for case in _BOX_INPUTS)])
+def test_box_readers_share_their_messages(run, message):
+    # the operator tuple and its degree box are read in one order
+    # everywhere: operators, degrees, at least one operator, one degree
+    # per operator
+    with pytest.raises(InputError) as exc:
+        run()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("run", [

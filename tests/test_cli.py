@@ -4,6 +4,7 @@ exit codes, and byte-level determinism of machine reports."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -671,6 +672,63 @@ def test_numeric_run_fields_keep_the_exit_contract(
     _assert_exit_contract(
         [*command, "--input", str(p), "--format", fmt,
          *(f"{k}={v}" for k, v in flags.items())], env_seed)
+
+
+#: any JSON value, the kind names among its strings, whose numbers, and
+#: the integers its text can spell, stay small: a free-abelian rank k builds
+#: k generators of k coordinates before the image count is checked, so a
+#: drawn k is at most 99
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats(-30, 30)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=2)
+    | st.sampled_from(["free_abelian", "numerical", "rationals", "product",
+                       "infinite_power"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8)
+
+
+@settings(max_examples=60)
+@given(doc=st.sampled_from(["shift", "neil_matrix", "product"]),
+       command=st.sampled_from([("check", "all"), ("validate",)]),
+       fields=st.dictionaries(st.sampled_from(["kind", "k", "gaps",
+                                               "factors"]),
+                              _SMALL_JSON, max_size=2),
+       in_factor=st.booleans(),
+       entry=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from([None, 0, 1]),
+                                   _SMALL_JSON),
+       fmt=st.sampled_from(["human", "machine"]))
+def test_descriptor_and_matrix_values_keep_the_exit_contract(
+        tmp_path_factory, fuzz_documents, doc, command, fields, in_factor,
+        entry, fmt):
+    # a descriptor field (of the product's second factor, when drawn) and
+    # one matrix entry, or one part of it, become any JSON value, NaN and
+    # Infinity literals included
+    doc = json.loads(json.dumps(fuzz_documents[doc]))
+    factors = doc["descriptor"].get("factors")
+    (factors[1] if factors and in_factor else doc["descriptor"]).update(fields)
+    if entry is not None:
+        i, j, part, value = entry
+        rows = doc["representation"]["generators"][0]
+        row = rows[i % len(rows)]
+        if part is None:
+            row[j % len(row)] = value
+        else:
+            row[j % len(row)][part] = value
+    p = tmp_path_factory.getbasetemp() / "values.json"
+    p.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_command([*command, "--input", str(p), "--format", fmt])
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n"), err
+    else:
+        assert err == "", err
 
 
 @settings(max_examples=80)

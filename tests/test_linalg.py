@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_norm
 
 from normex import (
     BlockDecomposition,
@@ -91,6 +92,33 @@ class TestPsdCheck:
         assert (v.is_psd, v.min_eigenvalue) == (False, -1.0)
         assert v.tolerance_used == 1e-8 * 3.0
         assert type(v.tolerance_used) is float
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, int])
+    def test_low_precision_and_integer_input(self, dtype):
+        # the rescale test compares Python floats, so 2^799 is never cast
+        # to float32, which overflows (a warning fails the test); each
+        # verdict is that of the same entries in complex128, up to the
+        # input's precision
+        x = np.random.default_rng(3).standard_normal((4, 4))
+        for a in (np.eye(3), 2.0 * x @ x.T - 3.0 * np.eye(4)):
+            a = a.astype(dtype)
+            v, want = psd_check(a), psd_check(a.astype(complex))
+            assert v.is_psd == want.is_psd
+            assert v.min_eigenvalue == pytest.approx(
+                want.min_eigenvalue, rel=1e-5, abs=1e-5)
+            assert type(v.min_eigenvalue) is float
+
+    def test_float32_beyond_its_own_range(self):
+        # ||A||_F^2 = 3e40 overflows float32: the rescale runs in float64
+        a = np.float32(1e20) * np.eye(3, dtype=np.float32)
+        a[0, 1] = a[1, 0] = np.float32(-3e20)
+        assert np.vdot(a, a) == np.inf
+        v, want = psd_check(a), psd_check(a.astype(complex))
+        assert (v.is_psd, v.hermitian_defect) == (False, 0.0)
+        assert v.min_eigenvalue == pytest.approx(want.min_eigenvalue,
+                                                 rel=1e-12)
+        assert v.tolerance_used == pytest.approx(want.tolerance_used,
+                                                 rel=1e-12)
 
     def test_entries_near_the_float_maximum(self):
         v = psd_check(np.diag([1.5e308, 1.0]))
@@ -324,17 +352,27 @@ class TestOperatorNorm:
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
 
     @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 2), (3, 5),
-                                       (5, 3), (8, 8), (31, 31), (64, 64)])
+                                       (5, 3), (8, 8), (31, 31), (64, 64),
+                                       (0, 3), (3, 0)])
     def test_stacked_norms_equal_one_by_one(self, shape):
         # one stacked Gram product and one batched eigensolve give each
-        # matrix's operator_norm bitwise, zero matrices and empty ones too
+        # matrix's norm bitwise as one Gram product and one eigensolve per
+        # matrix do, zero matrices and empty ones too, whatever the dtype
+        # and memory order; operator_norm is the one-matrix case
         rng = np.random.default_rng(shape)
-        stack = rng.standard_normal((4, *shape)) \
-            + 1j * rng.standard_normal((4, *shape))
+        real = rng.standard_normal((4, *shape)) * 10.0 ** np.arange(-1, 3)[
+            :, None, None]
+        stack = real + 1j * rng.standard_normal((4, *shape))
         stack[1] = 0
-        got = operator_norms(stack)
-        assert got.shape == (4,)
-        assert np.array_equal(got, [operator_norm(m) for m in stack])
+        for a in (real, stack, real.astype(np.float32),
+                  stack.astype(np.complex64), np.round(real).astype(int),
+                  np.asfortranarray(stack)):
+            want = [reference_norm(m) for m in a]
+            got = operator_norms(a)
+            assert got.shape == (4,) and got.dtype == np.float64
+            assert np.array_equal(got, want), a.dtype
+            singles = [operator_norm(np.asfortranarray(m)) for m in a]
+            assert singles == want and {type(v) for v in singles} == {float}
         assert operator_norms(stack[:0]).shape == (0,)
 
 

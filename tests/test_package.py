@@ -63,3 +63,34 @@ def test_every_imported_name_is_used(module):
     tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+#: the functions that may call an eigensolver: each eigensolve of the
+#: package is one of theirs, so a second code path for a norm or a PSD
+#: verdict cannot grow beside them
+EIGENSOLVERS = {("linalg.py", "operator_norms"), ("linalg.py", "_psd_stack"),
+                ("linalg.py", "hermitian_eig")}
+
+
+def _eigensolver_callers(tree):
+    """(enclosing function, line) of each eigvalsh or eigh call."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if name in ("eigvalsh", "eigh"):
+                    yield where, child.lineno
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def test_every_eigensolve_is_in_the_linalg_kernel():
+    calls = [(p.name, where, line) for p in sorted(SOURCE.glob("*.py"))
+             for where, line in _eigensolver_callers(
+                 ast.parse(p.read_text(encoding="utf-8")))]
+    assert calls and [c for c in calls if c[:2] not in EIGENSOLVERS] == []
