@@ -103,15 +103,7 @@ class CertificateReport:
         return self.verdict == "pass"
 
     def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "parameters": _plain(self.parameters),
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": _plain(self.witness),
-            "tolerances": _plain(self.tolerances),
-            "notes": list(self.notes),
-        }
+        return _plain(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def _letters_to_indices(t: Representation, u) -> list[int]:
     idxs = []
     for item in letters:
         if _is_int(item):
-            if d.kind != sg.FREE_ABELIAN:
+            if not isinstance(d, sg.FreeAbelian):
                 raise InputError(
                     "plain integer letters need a free-abelian descriptor; "
                     "use (generator, copy) pairs"

@@ -196,9 +196,9 @@ _DESCRIPTOR_FIELDS = {
 def _generator_label_map(d: SemigroupDescriptor) -> dict[str, int]:
     """Relation keys: numerical generators are named by their value, all
     other kinds by 1-based position."""
-    if d.kind == sg.NUMERICAL:
+    if isinstance(d, sg.Numerical):
         return {str(g.coords): i for i, g in enumerate(d.generators)}
-    return {str(i + 1): i for i in range(len(d.generators))}
+    return {str(i + 1): i for i in range(d.generator_count)}
 
 
 def relations_to_json(d: SemigroupDescriptor, relations) -> list:
@@ -311,7 +311,9 @@ def parse_spec(path: str, flags: dict | None = None):
                 "no relations declared: homomorphism property is sampled only"
             )
         rel_objs = []
-    relations = _each(partial(_relation, _generator_label_map(d)))(
+    # the map has a key per generator: none is built without relations
+    labels = _generator_label_map(d) if rel_objs else {}
+    relations = _each(partial(_relation, labels))(
         rel_objs, "representation.relations")
 
     rep = make_representation(d, images, relations)
@@ -387,14 +389,14 @@ def _emit(machine: str, human: str | None, path: str | None) -> None:
 # condition dispatch
 
 def _default_subset(d: SemigroupDescriptor, rep: Representation) -> tuple:
-    if d.kind == sg.FREE_ABELIAN:
+    if isinstance(d, sg.FreeAbelian):
         return tuple(range(1, d.k + 1))
     return tuple((i, 1) for i in range(1, len(rep.generator_images) + 1))
 
 
 def _default_regular_args(d: SemigroupDescriptor):
     e = sg.unit(d)
-    if d.kind == sg.FREE_ABELIAN and d.k >= 2:
+    if isinstance(d, sg.FreeAbelian) and d.k >= 2:
         e1 = d.generators[0]
         ps = [e, e1, sg.add(d, e1, e1)]
         return ps, d.generators[1]

@@ -133,12 +133,7 @@ class PsdVerdict:
     tolerance_used: float
 
     def as_dict(self) -> dict:
-        return {
-            "is_psd": self.is_psd,
-            "min_eigenvalue": self.min_eigenvalue,
-            "hermitian_defect": self.hermitian_defect,
-            "tolerance_used": self.tolerance_used,
-        }
+        return dict(vars(self))
 
 
 def _psd_stack(a, tol: float):

@@ -3,10 +3,11 @@
 A representation is specified by generator images plus an explicit relation
 list; elements are evaluated through the deterministic factorization policy,
 so commuting images make the evaluation a well-defined homomorphism (this is
-sampled, not proved — see validate_rep).  Also here: normal maps (finite
-enumerated extensions), the group kernel T~(g) = T(g_minus)* T(g_plus) and
-the involution-pair kernel, one checked entry at a time; the sampled checks
-gather their images, unchecked, with ``_image_table``.
+sampled, not proved — see validate_rep, which returns a ValidationVerdict).
+Also here: normal maps (finite enumerated extensions), the group kernel
+T~(g) = T(g_minus)* T(g_plus) and the involution-pair kernel, one checked
+entry at a time; the sampled checks gather their images, unchecked, with
+``_image_table``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .linalg import (
     operator_norms,
 )
 from .semigroups import Factorization, GroupElement, SemigroupDescriptor
-from .validation import ValidationVerdict
 
 #: Default residual tolerance for representation-level validation.
 DEFAULT_REP_TOL = 1e-9
@@ -55,9 +55,9 @@ def make_representation(
 ) -> Representation:
     """Shape-check generator images; semantic checks live in validate_rep."""
     mats = tuple(cmatrix(m) for m in images)
-    if len(mats) != len(descriptor.generators):
+    if len(mats) != descriptor.generator_count:
         raise InputError(
-            f"expected {len(descriptor.generators)} generator images, "
+            f"expected {descriptor.generator_count} generator images, "
             f"got {len(mats)}"
         )
     if mats:
@@ -123,6 +123,49 @@ def _image_table(t: Representation, coords):
         [product_of(t, Factorization(tuple(sorted(d.factorize(c).items()))))
          for c in slots], np.complex128).reshape(shape)
     return index, images
+
+
+# ---------------------------------------------------------------------------
+# validation verdicts
+
+@dataclass(frozen=True)
+class ValidationCheck:
+    name: str
+    passed: bool
+    detail: str = ""
+    advisory: bool = False
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
+
+
+@dataclass
+class ValidationVerdict:
+    """Outcome of a validator: every check that ran, and the overall flag.
+
+    Validators never raise on semantic failure; the verdict lists each check,
+    so callers (and the CLI report) can show which property broke and by how
+    much.  Checks marked ``advisory`` do not affect the flag: they record
+    conditions that the theory expects but that the data structure cannot
+    enforce (e.g. unitality of a normal-map assignment on an empty generator
+    list)."""
+
+    checks: list[ValidationCheck] = field(default_factory=list)
+
+    def add(self, name: str, passed: bool, detail: str = "", *,
+            advisory: bool = False) -> None:
+        self.checks.append(ValidationCheck(name, passed, detail, advisory))
+
+    @property
+    def failures(self) -> list[ValidationCheck]:
+        return [c for c in self.checks if not c.passed and not c.advisory]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def as_dict(self) -> dict:
+        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
 def validate_rep(

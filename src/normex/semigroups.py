@@ -21,7 +21,8 @@ write its record: the fields ``kind`` and the parameters (checked in
 ``__post_init__``), the unit ``zero``, ``canon`` (the one check of the
 coordinate format), ``pointwise``, ``contains`` and ``sample``;
 ``lattice_ordered`` if the order is no lattice; ``generators`` and
-``factorize`` if P is finitely generated.  The CLI reads it once
+``factorize`` if P is finitely generated, and ``generator_count`` if they can
+be counted without building them.  The CLI reads it once
 ``cli._DESCRIPTOR_FIELDS`` has a reader for each parameter.
 """
 
@@ -34,12 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, MembershipError, UnsupportedStructureError
-
-FREE_ABELIAN = "free_abelian"
-NUMERICAL = "numerical"
-RATIONALS = "rationals"
-PRODUCT = "product"
-INFINITE_POWER = "infinite_power"
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,13 @@ class SemigroupDescriptor:
     generators = ()  # GroupElements; empty unless finitely generated
 
     @property
+    def generator_count(self) -> int:
+        """len(generators); FreeAbelian and Product count without building."""
+        return len(self.generators)
+
+    @property
     def finitely_generated(self) -> bool:
-        return bool(self.generators)
+        return self.generator_count > 0
 
     def pointwise(self, op, a, b):
         """op on each pair of coordinates; here the coordinate is a number."""
@@ -113,7 +113,7 @@ class SemigroupDescriptor:
 @dataclass(frozen=True)
 class FreeAbelian(SemigroupDescriptor):
     k: int
-    kind: str = field(default=FREE_ABELIAN, init=False)
+    kind: str = field(default="free_abelian", init=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -122,6 +122,10 @@ class FreeAbelian(SemigroupDescriptor):
     @cached_property
     def zero(self):
         return (0,) * self.k
+
+    @property
+    def generator_count(self):
+        return self.k
 
     @cached_property
     def generators(self):
@@ -150,7 +154,7 @@ class FreeAbelian(SemigroupDescriptor):
 @dataclass(frozen=True)
 class Numerical(SemigroupDescriptor):
     gaps: tuple[int, ...]  # ascending
-    kind: str = field(default=NUMERICAL, init=False)
+    kind: str = field(default="numerical", init=False)
     zero = 0
 
     def __post_init__(self):
@@ -224,7 +228,7 @@ class Numerical(SemigroupDescriptor):
 
 @dataclass(frozen=True)
 class Rationals(SemigroupDescriptor):
-    kind: str = field(default=RATIONALS, init=False)
+    kind: str = field(default="rationals", init=False)
     zero = Fraction(0)
 
     def canon(self, raw):
@@ -242,7 +246,7 @@ class Rationals(SemigroupDescriptor):
 @dataclass(frozen=True)
 class Product(SemigroupDescriptor):
     factors: tuple[SemigroupDescriptor, ...]
-    kind: str = field(default=PRODUCT, init=False)
+    kind: str = field(default="product", init=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -257,10 +261,15 @@ class Product(SemigroupDescriptor):
         return tuple(f.zero for f in self.factors)
 
     @cached_property
+    def generator_count(self):
+        counts = [f.generator_count for f in self.factors]
+        return sum(counts) if all(counts) else 0
+
+    @cached_property
     def generators(self):
         """Each factor's generators in turn, unit in the other components;
         none unless every factor is finitely generated."""
-        if not all(f.finitely_generated for f in self.factors):
+        if not self.generator_count:
             return ()
         e = self.zero
         return tuple(GroupElement(e[:i] + (g.coords,) + e[i + 1:])
@@ -285,7 +294,7 @@ class Product(SemigroupDescriptor):
         terms, offset = {}, 0
         for f, x in zip(self.factors, c):
             terms.update((offset + i, n) for i, n in f.factorize(x).items())
-            offset += len(f.generators)
+            offset += f.generator_count
         return terms
 
 
@@ -295,7 +304,7 @@ class InfinitePower(SemigroupDescriptor):
     ascending order, unit values omitted."""
 
     base: SemigroupDescriptor
-    kind: str = field(default=INFINITE_POWER, init=False)
+    kind: str = field(default="infinite_power", init=False)
     zero = ()
 
     @cached_property

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -559,6 +560,38 @@ def test_an_allocation_no_machine_can_make_exits_two(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, where, message", [
+    ([], None, "top level must be an object"),
+    ({"descriptor": J2_DOC["descriptor"]}, None,
+     "missing 'representation' section"),
+    ({**J2_DOC, "run": []}, "run", "must be an object"),
+], ids=["top-level-array", "no-representation", "run-list"])
+def test_malformed_sections_exit_two_on_validate(tmp_path, capsys, doc,
+                                                 where, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", "--input", str(p))
+    assert (code, out, err) == (2, "", f"error: {where or p}: {message}\n")
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "free_abelian", "k": 10 ** 6},
+    {"kind": "product", "factors": [{"kind": "free_abelian", "k": 10 ** 6}]},
+], ids=["free-abelian", "product-factor"])
+def test_a_large_rank_exits_two_before_its_generators_exist(
+        tmp_path, capsys, descriptor):
+    # the image count is checked against the rank; building the rank's
+    # k generators of k coordinates first took hours at k = 10**6
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"descriptor": descriptor, "representation": {
+        "generators": [[[[0.5, 0]]]]}}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--input", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: expected 1000000 generator images, got 1\n")
+
+
 def test_a_sweep_beyond_the_tuple_budget_exits_two(neil_path, capsys):
     code, out, err = _run(capsys, "check", "athavale", "--input", neil_path,
                           "--max-degree", "100000")
@@ -675,9 +708,8 @@ def test_numeric_run_fields_keep_the_exit_contract(
 
 
 #: any JSON value, the kind names among its strings, whose numbers, and
-#: the integers its text can spell, stay small: a free-abelian rank k builds
-#: k generators of k coordinates before the image count is checked, so a
-#: drawn k is at most 99
+#: the integers its text can spell, stay small: a numerical gap set is
+#: checked in time quadratic in its largest gap, so a drawn gap is at most 99
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 20) | st.floats(-30, 30)
     | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=2)

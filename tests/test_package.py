@@ -94,3 +94,22 @@ def test_every_eigensolve_is_in_the_linalg_kernel():
              for where, line in _eigensolver_callers(
                  ast.parse(p.read_text(encoding="utf-8")))]
     assert calls and [c for c in calls if c[:2] not in EIGENSOLVERS] == []
+
+
+def _kind_comparisons(tree):
+    """Line of each comparison with an operand ``<expr>.kind``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "kind"
+                for x in (node.left, *node.comparators)):
+            yield node.lineno
+
+
+def test_no_kind_chains_outside_the_records():
+    # each semigroup kind is named once, by its record class: code that
+    # branches on a kind asks isinstance, not ``d.kind == ...``
+    found = [(p.name, line) for p in sorted(SOURCE.glob("*.py"))
+             if p.name != "semigroups.py"
+             for line in _kind_comparisons(
+                 ast.parse(p.read_text(encoding="utf-8")))]
+    assert found == []

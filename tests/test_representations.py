@@ -7,6 +7,7 @@ commutator norm of sqrt(2).
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from normex import (
     operator_norm,
     point_mul,
     product,
+    rationals,
     sample_group,
     sample_member,
     star_kernel,
@@ -62,6 +64,17 @@ class TestMakeRepresentation:
     def test_image_count_mismatch(self):
         with pytest.raises(InputError):
             make_representation(free_abelian(2), [identity(2)])
+
+    def test_no_images_rejected(self):
+        with pytest.raises(InputError, match="at least one generator image"):
+            make_representation(rationals(), [])
+
+    def test_large_rank_is_rejected_before_its_generators_exist(self):
+        start = time.perf_counter()
+        with pytest.raises(InputError,
+                           match="expected 1000000 generator images, got 1"):
+            make_representation(free_abelian(10 ** 6), [[[0.5]]])
+        assert time.perf_counter() - start < 1.0
 
     def test_non_square_image(self):
         with pytest.raises(InputError):

@@ -122,6 +122,23 @@ class TestDescriptors:
         assert not d.finitely_generated
         assert d.lattice_ordered
 
+    def test_product_of_a_free_and_a_rational_factor_has_no_generators(self):
+        d = product(free_abelian(2), rationals())
+        assert (d.generators, d.generator_count) == ((), 0)
+        assert not d.finitely_generated
+
+    def test_generator_counts_match_the_generators(self):
+        for d in (free_abelian(3), numerical(GAPS1), rationals(),
+                  product(free_abelian(2), numerical(GAPS1)),
+                  infinite_power(free_abelian(1))):
+            assert d.generator_count == len(d.generators)
+
+    def test_a_large_rank_is_counted_without_its_generators(self):
+        d = product(free_abelian(10 ** 9), free_abelian(1))
+        assert d.generator_count == 10 ** 9 + 1
+        assert "generators" not in vars(d) and "generators" not in vars(
+            d.factors[0])
+
     def test_product_flattens(self):
         d = product(free_abelian(2), numerical(GAPS1))
         assert contains(d, element(d, ((1, 0), 2)))
