@@ -38,14 +38,12 @@ from .semigroups import (
     factorization,
     factorize,
     free_abelian,
-    infinite_power,
     leq,
     meet_join,
     neg,
     numerical,
     pos_neg_parts,
     product,
-    rationals,
     sample_group,
     sample_member,
     sub,

@@ -21,7 +21,6 @@ from . import semigroups as sg
 from .errors import (
     CapExceededError,
     InputError,
-    UnsupportedStructureError,
     _TupleCapExceededError,
 )
 from .linalg import (
@@ -587,10 +586,6 @@ def generator_certificate(
     at a time, plus one group and the temporaries of one stacked step over
     a chunk of one group; no array holds more than one group or box."""
     if isinstance(t, Representation):
-        if not t.descriptor.finitely_generated:
-            raise UnsupportedStructureError(
-                "generator_certificate requires a finitely generated descriptor"
-            )
         mats = list(t.generator_images)
     else:
         mats = _operators(t)

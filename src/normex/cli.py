@@ -189,7 +189,6 @@ _DESCRIPTOR_FIELDS = {
     "k": (_number, 1),
     "gaps": (_each(_number), []),
     "factors": (_each(descriptor_from_json), []),
-    "base": (descriptor_from_json, None),
 }
 
 

@@ -60,10 +60,7 @@ def make_representation(
             f"expected {descriptor.generator_count} generator images, "
             f"got {len(mats)}"
         )
-    if mats:
-        dim = mats[0].shape[0]
-    else:
-        raise InputError("representation needs at least one generator image")
+    dim = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise InputError(
@@ -200,17 +197,15 @@ def validate_rep(
           + (f" at {rel_bad}" if rel_bad and rel_res > tol else ""))
 
     d = t.descriptor
-    if d.finitely_generated:
-        rng = random.Random(seed)
-        pairs = [(d.sample(rng), d.sample(rng)) for _ in range(sample_budget)]
-        index, images = _image_table(t, [
-            c for p, q in pairs
-            for c in (d.pointwise(operator.add, p, q), p, q)])
-        pq, p, q = (images[index[k::3]] for k in range(3))
-        hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
-        # scaled: long products magnify commutator noise
-        v.add("homomorphism_sampled", hom <= max(tol, 100 * comm + tol),
-              f"max residual {hom:.3e} over {sample_budget} sampled pairs")
+    rng = random.Random(seed)
+    pairs = [(d.sample(rng), d.sample(rng)) for _ in range(sample_budget)]
+    index, images = _image_table(t, [
+        c for p, q in pairs for c in (d.pointwise(operator.add, p, q), p, q)])
+    pq, p, q = (images[index[k::3]] for k in range(3))
+    hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
+    # scaled: long products magnify commutator noise
+    v.add("homomorphism_sampled", hom <= max(tol, 100 * comm + tol),
+          f"max residual {hom:.3e} over {sample_budget} sampled pairs")
     return v
 
 

@@ -6,24 +6,23 @@ Each kind is one frozen record, a subclass of SemigroupDescriptor:
 
   free_abelian(k)    FreeAbelian    P = N^k inside Z^k (componentwise lattice)
   numerical(gaps)    Numerical      P = N \\ gaps inside Z (lattice iff no gaps)
-  rationals()        Rationals      P = Q>=0 inside Q (total order; Fractions)
   product(*factors)  Product        componentwise structure on the product
-  infinite_power(b)  InfinitePower  finitely supported maps index -> base
 
-All coordinates are exact (ints / Fractions / nested tuples, never bools or
-floats); equality of canonical forms is element identity, and zero
-coordinates are never stored.  Every kind's group and lattice operations act
-coordinate by coordinate, so add, neg and meet_join pass +, - and min/max to
-the record's one ``pointwise``.  The laws therefore hold by construction
-once a record accepts its parameters (a numerical gap set must be
-additively closed), and no descriptor validator is needed.  To add a kind,
-write its record: the fields ``kind`` and the parameters (checked in
-``__post_init__``), the unit ``zero``, ``canon`` (the one check of the
-coordinate format), ``pointwise``, ``contains`` and ``sample``;
-``lattice_ordered`` if the order is no lattice; ``generators`` and
-``factorize`` if P is finitely generated, and ``generator_count`` if they can
-be counted without building them.  The CLI reads it once
-``cli._DESCRIPTOR_FIELDS`` has a reader for each parameter.
+Every kind is finitely generated, since a representation is fixed by the
+images of the generators.  All coordinates are exact (ints / nested tuples,
+never bools or floats), and equality of canonical forms is element identity.
+Every kind's group and lattice operations act coordinate by coordinate, so
+add, neg and meet_join pass +, - and min/max to the record's one
+``pointwise``.  The laws therefore hold by construction once a record
+accepts its parameters (a numerical gap set must be additively closed), and
+no descriptor validator is needed.  To add a kind, write its record: the
+fields ``kind`` and the parameters (checked in ``__post_init__``), the unit
+``zero``, ``canon`` (the one check of the coordinate format), ``pointwise``,
+``contains``, ``sample``, ``generators`` and ``factorize`` ({generator
+index: multiplicity > 0} for a member); ``lattice_ordered`` if the order is
+no lattice, and ``generator_count`` if the generators can be counted without
+building them.  The CLI reads it once ``cli._DESCRIPTOR_FIELDS`` has a
+reader for each parameter.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
 from .errors import InputError, MembershipError, UnsupportedStructureError
 
@@ -89,25 +88,15 @@ class SemigroupDescriptor:
     canonical coordinates, which ``canon`` makes from raw ones."""
 
     lattice_ordered = True  # a record whose order is no lattice derives it
-    generators = ()  # GroupElements; empty unless finitely generated
 
     @property
     def generator_count(self) -> int:
         """len(generators); FreeAbelian and Product count without building."""
         return len(self.generators)
 
-    @property
-    def finitely_generated(self) -> bool:
-        return self.generator_count > 0
-
     def pointwise(self, op, a, b):
         """op on each pair of coordinates; here the coordinate is a number."""
         return op(a, b)
-
-    def factorize(self, c):
-        """{generator index: multiplicity > 0} for the member c."""
-        raise UnsupportedStructureError(
-            f"{self.kind} descriptor is not finitely generated")
 
 
 @dataclass(frozen=True)
@@ -166,9 +155,11 @@ class Numerical(SemigroupDescriptor):
                 raise InputError("0 in gap set rejects the unit: not a semigroup")
             if g < 0:
                 raise InputError("gap entries must be positive")
-        # closedness under addition: no gap may split as a sum of two members
+        # closedness under addition: no gap may split as a sum of two
+        # members; the smallest positive member bounds the split from below
+        least = next(n for n in count(1) if n not in gaps)
         for g in sorted(gaps):
-            for a in range(1, g):
+            for a in range(least, g // 2 + 1):
                 if a not in gaps and (g - a) not in gaps:
                     raise InputError(
                         f"gap set not additively closed: {a} + {g - a} = {g} "
@@ -181,26 +172,32 @@ class Numerical(SemigroupDescriptor):
         return not self.gaps
 
     @cached_property
+    def _gap_set(self) -> frozenset:
+        return frozenset(self.gaps)
+
+    @cached_property
     def frobenius(self) -> int:
         """The largest gap, -1 when there is none."""
         return max(self.gaps, default=-1)
 
     def members(self, upto: int) -> list[int]:
-        return [n for n in range(upto + 1) if n not in self.gaps]
+        return [n for n in range(upto + 1) if n not in self._gap_set]
 
     @cached_property
     def generators(self):
         if not self.gaps:
             return (GroupElement(1),)
-        members = set(self.members(2 * self.frobenius + 2))
-        positives = sorted(m for m in members if m > 0)
+        positives = self.members(2 * self.frobenius + 2)[1:]
+        members = set(positives)
         smallest = positives[0]
         gens = []
-        # minimal generators all lie in [smallest, frobenius + smallest]
+        # minimal generators all lie in [smallest, frobenius + smallest]; n is
+        # one unless n = a + (n - a) for members a <= n - a
         for n in positives:
             if n > self.frobenius + smallest:
                 break
-            if not any(a in members and (n - a) in members for a in range(1, n)):
+            if not any(a in members and (n - a) in members
+                       for a in range(smallest, n // 2 + 1)):
                 gens.append(GroupElement(n))
         return tuple(gens)
 
@@ -210,13 +207,13 @@ class Numerical(SemigroupDescriptor):
         return raw
 
     def contains(self, c):
-        return c >= 0 and c not in self.gaps
+        return c >= 0 and c not in self._gap_set
 
     def sample(self, rng):
         hi = self.frobenius + 20
         while True:
             n = rng.randint(0, hi)
-            if n not in self.gaps:
+            if n not in self._gap_set:
                 return n
 
     def factorize(self, c):
@@ -224,23 +221,6 @@ class Numerical(SemigroupDescriptor):
         if counts is None:  # unreachable for a valid numerical semigroup
             raise MembershipError(f"{c!r} admits no factorization")
         return {i: n for i, n in enumerate(counts) if n}
-
-
-@dataclass(frozen=True)
-class Rationals(SemigroupDescriptor):
-    kind: str = field(default="rationals", init=False)
-    zero = Fraction(0)
-
-    def canon(self, raw):
-        if not (_is_int(raw) or isinstance(raw, Fraction)):
-            raise InputError("rational coordinates must be exact (int/Fraction)")
-        return Fraction(raw)
-
-    def contains(self, c):
-        return c >= 0
-
-    def sample(self, rng):
-        return Fraction(rng.randint(0, 240), rng.randint(1, 12))
 
 
 @dataclass(frozen=True)
@@ -262,15 +242,11 @@ class Product(SemigroupDescriptor):
 
     @cached_property
     def generator_count(self):
-        counts = [f.generator_count for f in self.factors]
-        return sum(counts) if all(counts) else 0
+        return sum(f.generator_count for f in self.factors)
 
     @cached_property
     def generators(self):
-        """Each factor's generators in turn, unit in the other components;
-        none unless every factor is finitely generated."""
-        if not self.generator_count:
-            return ()
+        """Each factor's generators in turn, unit in the other components."""
         e = self.zero
         return tuple(GroupElement(e[:i] + (g.coords,) + e[i + 1:])
                      for i, f in enumerate(self.factors) for g in f.generators)
@@ -298,55 +274,6 @@ class Product(SemigroupDescriptor):
         return terms
 
 
-@dataclass(frozen=True)
-class InfinitePower(SemigroupDescriptor):
-    """Coordinates are (index, base coordinates) pairs, indices >= 1 in
-    ascending order, unit values omitted."""
-
-    base: SemigroupDescriptor
-    kind: str = field(default="infinite_power", init=False)
-    zero = ()
-
-    @cached_property
-    def lattice_ordered(self):
-        return self.base.lattice_ordered
-
-    def canon(self, raw):
-        pairs = tuple(raw.items()) if isinstance(raw, dict) else raw
-        if not (isinstance(pairs, (tuple, list)) and all(
-                isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs)):
-            raise InputError("power coordinates must be (index, value) pairs")
-        out = {}
-        for idx, val in pairs:
-            if not _is_int(idx) or idx < 1:
-                raise InputError("power indices must be integers >= 1")
-            if idx in out:
-                raise InputError(f"power index {idx} given twice")
-            out[idx] = self.base.canon(val)
-        return self._support(out)
-
-    def _support(self, values: dict):
-        e = self.base.zero
-        return tuple(sorted((i, v) for i, v in values.items() if v != e))
-
-    def pointwise(self, op, a, b):
-        e, da, db = self.base.zero, dict(a), dict(b)
-        return self._support({i: self.base.pointwise(op, da.get(i, e), db.get(i, e))
-                              for i in da.keys() | db.keys()})
-
-    def contains(self, c):
-        return all(self.base.contains(val) for _, val in c)
-
-    def sample(self, rng):
-        out = {}
-        for _ in range(rng.randint(0, 3)):
-            idx = rng.randint(1, 8)
-            val = self.base.sample(rng)
-            if val != self.base.zero:
-                out[idx] = val
-        return tuple(sorted(out.items()))
-
-
 #: every kind record by its ``kind`` name
 KINDS = {r.kind: r for r in SemigroupDescriptor.__subclasses__()}
 
@@ -359,16 +286,8 @@ def numerical(gaps) -> SemigroupDescriptor:
     return Numerical(tuple(gaps))
 
 
-def rationals() -> SemigroupDescriptor:
-    return Rationals()
-
-
 def product(*factors: SemigroupDescriptor) -> SemigroupDescriptor:
     return Product(factors)
-
-
-def infinite_power(base: SemigroupDescriptor) -> SemigroupDescriptor:
-    return InfinitePower(base)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +303,8 @@ def element(d: SemigroupDescriptor, raw) -> GroupElement:
 
 def _check(d: SemigroupDescriptor, g: GroupElement) -> None:
     """Raise InputError unless g's coordinates are canonical in d's group:
-    equal to their canonical form and of its types, so 1 stands in for
-    neither True nor Fraction(1)."""
+    equal to their canonical form and of its types, so no bool stands in
+    for an int and no list for a tuple."""
     if not _same(d.canon(g.coords), g.coords):
         raise InputError(f"non-canonical {d.kind} coordinates {g.coords!r}")
 

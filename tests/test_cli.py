@@ -23,13 +23,11 @@ from normex import (
     descriptor_from_json,
     descriptor_to_json,
     free_abelian,
-    infinite_power,
     matrix_from_json,
     matrix_to_json,
     numerical,
     parse_spec,
     product,
-    rationals,
     run_command,
 )
 
@@ -115,21 +113,14 @@ class TestMatrixJson:
 @pytest.mark.parametrize("d, text", [
     (free_abelian(3), '{"k":3,"kind":"free_abelian"}'),
     (numerical((1, 2, 4)), '{"gaps":[1,2,4],"kind":"numerical"}'),
-    (rationals(), '{"kind":"rationals"}'),
     (product(free_abelian(2), numerical({1})),
      '{"factors":[{"k":2,"kind":"free_abelian"},'
      '{"gaps":[1],"kind":"numerical"}],"kind":"product"}'),
-    (infinite_power(free_abelian(1)),
-     '{"base":{"k":1,"kind":"free_abelian"},"kind":"infinite_power"}'),
-    (product(infinite_power(free_abelian(2)), numerical({1})),
-     '{"factors":[{"base":{"k":2,"kind":"free_abelian"},'
-     '"kind":"infinite_power"},{"gaps":[1],"kind":"numerical"}],'
-     '"kind":"product"}'),
-    (infinite_power(product(free_abelian(1), rationals())),
-     '{"base":{"factors":[{"k":1,"kind":"free_abelian"},'
-     '{"kind":"rationals"}],"kind":"product"},"kind":"infinite_power"}'),
-], ids=["free_abelian", "numerical", "rationals", "product",
-        "infinite_power", "product-of-power", "power-of-product"])
+    (product(product(free_abelian(1), numerical({1})), free_abelian(2)),
+     '{"factors":[{"factors":[{"k":1,"kind":"free_abelian"},'
+     '{"gaps":[1],"kind":"numerical"}],"kind":"product"},'
+     '{"k":2,"kind":"free_abelian"}],"kind":"product"}'),
+], ids=["free_abelian", "numerical", "product", "nested-product"])
 def test_descriptor_json_roundtrip(d, text):
     obj = descriptor_to_json(d)
     assert canonical_json(obj) == text
@@ -592,6 +583,51 @@ def test_a_large_rank_exits_two_before_its_generators_exist(
         2, "", "error: expected 1000000 generator images, got 1\n")
 
 
+def test_a_long_gap_run_exits_two_in_linear_time(tmp_path, capsys):
+    # gaps 1..4000 leave the 4001 generators 4001..8001; the closure check
+    # and the generator scan took seconds when each paired every integer
+    # below its target, and every gap lookup scanned the gap tuple
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({
+        "descriptor": {"kind": "numerical", "gaps": list(range(1, 4001))},
+        "representation": {"generators": [[[[0.5, 0]]]]}}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--input", str(p))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (
+        2, "", "error: expected 4001 generator images, got 1\n")
+
+
+@pytest.mark.parametrize("descriptor, path", [
+    ({"kind": "rationals"}, "descriptor"),
+    ({"kind": "infinite_power", "base": {"kind": "free_abelian", "k": 1}},
+     "descriptor"),
+    ({"kind": "product", "factors": [{"kind": "free_abelian", "k": 1},
+                                     {"kind": "rationals"}]},
+     "descriptor.factors[1]"),
+    ({"kind": "product", "factors": [{"kind": "free_abelian", "k": 1}, {
+        "kind": "infinite_power", "base": {"kind": "free_abelian", "k": 1}}]},
+     "descriptor.factors[1]"),
+], ids=["rationals", "infinite_power", "rationals-factor",
+        "infinite_power-factor"])
+@pytest.mark.parametrize("command", [("validate",), ("check", "all")],
+                         ids=["validate", "check-all"])
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_a_kind_without_generators_is_unknown(tmp_path, capsys, descriptor,
+                                              path, command, fmt):
+    # a representation is given by its generator images, so no kind
+    # without generators is read
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"descriptor": descriptor, "representation": {
+        "generators": [[[[0.5, 0]]]]}}))
+    code, out, err = _run(capsys, *command, "--input", str(p),
+                          "--format", fmt)
+    kind = (descriptor["factors"][1] if "factors" in descriptor
+            else descriptor)["kind"]
+    assert (code, out, err) == (
+        2, "", f"error: {path}.kind: unknown kind {kind!r}\n")
+
+
 def test_a_sweep_beyond_the_tuple_budget_exits_two(neil_path, capsys):
     code, out, err = _run(capsys, "check", "athavale", "--input", neil_path,
                           "--max-degree", "100000")
@@ -707,9 +743,9 @@ def test_numeric_run_fields_keep_the_exit_contract(
          *(f"{k}={v}" for k, v in flags.items())], env_seed)
 
 
-#: any JSON value, the kind names among its strings, whose numbers, and
-#: the integers its text can spell, stay small: a numerical gap set is
-#: checked in time quadratic in its largest gap, so a drawn gap is at most 99
+#: any JSON value, the kind names among its strings (two of them unknown),
+#: whose numbers, and the integers its text can spell, stay small, so a
+#: drawn gap is at most 99 and each example runs in milliseconds
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 20) | st.floats(-30, 30)
     | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=2)

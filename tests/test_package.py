@@ -28,13 +28,13 @@ PUBLIC_NAMES = [
     "degree_tuple", "descriptor_from_json", "descriptor_to_json", "element",
     "eval_rep", "extension_residual", "factorization", "factorize",
     "free_abelian", "generator_certificate", "hermitian_eig", "identity",
-    "infinite_power", "involution_point", "kolmogorov_factor", "leq",
+    "involution_point", "kolmogorov_factor", "leq",
     "loewner_leq", "make_commuting_normals", "make_dilation_family",
     "make_gallery", "make_normal_map", "make_orthogonal_defect_family",
     "make_representation", "matrix_from_json", "matrix_to_json",
     "meet_join", "neg", "numerical", "operator_norm", "parse_spec",
     "point_mul", "pos_neg_parts", "product", "product_of", "psd_check",
-    "rationals", "regularity_check", "run_command", "sample_group",
+    "regularity_check", "run_command", "sample_group",
     "sample_member", "star_kernel", "sub", "sznagy_check", "tilde_eval",
     "uniform_weights", "unit", "validate_normal_map", "validate_rep",
 ]

@@ -14,6 +14,7 @@ import pytest
 from conftest import homomorphism_residuals
 
 from normex import representations
+from normex import semigroups as sg
 from normex import (
     InputError,
     InvolutionPoint,
@@ -34,7 +35,6 @@ from normex import (
     operator_norm,
     point_mul,
     product,
-    rationals,
     sample_group,
     sample_member,
     star_kernel,
@@ -66,8 +66,21 @@ class TestMakeRepresentation:
             make_representation(free_abelian(2), [identity(2)])
 
     def test_no_images_rejected(self):
-        with pytest.raises(InputError, match="at least one generator image"):
-            make_representation(rationals(), [])
+        with pytest.raises(InputError,
+                           match="expected 1 generator images, got 0"):
+            make_representation(free_abelian(1), [])
+
+    def test_every_kind_carries_a_representation(self):
+        # one descriptor per record; a kind added without an entry here,
+        # or without generators, fails
+        examples = {"free_abelian": free_abelian(2),
+                    "numerical": numerical((1,)),
+                    "product": product(free_abelian(1), numerical((1,)))}
+        assert set(examples) == set(sg.KINDS)
+        for d in examples.values():
+            assert d.generator_count >= 1
+            t = make_representation(d, [identity(1)] * d.generator_count)
+            assert len(t.generator_images) == d.generator_count
 
     def test_large_rank_is_rejected_before_its_generators_exist(self):
         start = time.perf_counter()
