@@ -21,6 +21,7 @@ from . import semigroups as sg
 from .errors import (
     CapExceededError,
     InputError,
+    NotHermitianError,
     _TupleCapExceededError,
 )
 from .linalg import (
@@ -28,6 +29,7 @@ from .linalg import (
     CMatrix,
     PsdVerdict,
     _freeze,
+    _psd_screen,
     _psd_stack,
     adjoint,
     block_decompose,
@@ -47,9 +49,9 @@ DEFAULT_SUBSET_CAP = 16
 DEFAULT_MAX_DEGREE = 6
 #: Budget of one generator sweep in degree tuples, C(max_degree + m, m).
 _SWEEP_TUPLE_CAP = 2 ** 16
-#: Matrix entries per stacked eigensolve of the generator sweep: boxes of
-#: dim <= 8 go 32 or more to a call, where Python dispatch would dominate;
-#: a box of dim >= 46, whose eigensolve dominates, goes alone.
+#: Matrix entries per group of the generator sweep: boxes of dim <= 8 go 32
+#: or more to one eigensolve or Cholesky screen, where Python dispatch would
+#: dominate; a box of dim >= 46, whose factorization dominates, goes alone.
 _GROUP_ENTRIES = 2048
 
 # A DegreeTuple is a tuple of non-negative ints, one per operator under test.
@@ -494,8 +496,10 @@ def _lex_degree_tuples(m: int, max_degree: int):
 
 def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     """Every box of the generator sweep in lexicographic order of n, as
-    consecutive stacks of at most ``size`` boxes; a stack is read before
-    the next one is requested.
+    consecutive stacks of at most ``size`` boxes, each read before the
+    next is requested; but a run that fills a stack (m > 1 and a length of
+    at least ``size``) comes once all its stacks are stepped, as the tuple
+    of them.
 
     The tuples come in runs of the last coordinate, one run per prefix
     p = n[:-1], each held as chunks of ``size`` boxes.  The run of the zero
@@ -507,11 +511,12 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     steps from it (m > 1 and sum(p) < max_degree), and its e_1 successor,
     the last, overwrites it in place; so the live runs hold at most
     C(max_degree + m - 1, m - 1) boxes, and a run that is not kept is
-    dropped chunk by chunk."""
+    dropped chunk by chunk or, if it fills a stack, whole."""
     m, live = len(pairs), {}
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
         keep = m > 1 and sum(p) < max_degree
+        whole = m > 1 and length >= size
         j = next((i for i, d in enumerate(p) if d), None)
         pair = pairs[-1 if j is None else j]
         run = []
@@ -526,29 +531,40 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
                     else:
                         box[...] = before
                     before = box
-                if keep:
+                if keep or whole:
                     run.append(chunk)
-                yield chunk
+                if not whole:
+                    yield chunk
         else:
             source = p[:j] + (p[j] - 1,) + p[j + 1:]
             src = live.pop(source) if j == 0 else live[source]
             for lo, x in zip(range(0, length, size), src):
                 x = x[:length - lo]
                 out = _delta(x, pair, out=x if j == 0 else None)
-                if keep:
+                if keep or whole:
                     run.append(out)
-                yield out
+                if not whole:
+                    yield out
+        if whole:
+            yield tuple(run)
         if keep:
             live[p] = run
 
 
 def _groups(stacks, size: int, dim: int):
     """The boxes of ``stacks`` (each of at most ``size`` boxes) in groups
-    of ``size``, the last perhaps shorter.  A group that one stack holds
-    alone is that stack; the others are gathered into one buffer, which
-    the next gathered group overwrites."""
+    of ``size``, the last perhaps shorter, and each whole run of
+    ``_sweep_boxes`` as it comes, after the group before it.  A group that
+    one stack holds alone is that stack; the others are gathered into one
+    buffer, which the next gathered group overwrites."""
     group, filled = None, 0
     for boxes in stacks:
+        if isinstance(boxes, tuple):
+            if filled:
+                yield group[:filled]
+                filled = 0
+            yield boxes
+            continue
         if not filled and len(boxes) == size:
             yield boxes
             continue
@@ -565,6 +581,38 @@ def _groups(stacks, size: int, dim: int):
         yield group[:filled]
 
 
+def _verdicts(boxes, tol: float):
+    """``_psd_stack``'s (mins, tolerances, defect) for a group of boxes, or
+    for each chunk of a whole run (a tuple of chunks) in lexicographic
+    order, up to the chunk that decides, where a box the screen clears
+    reads as an infinite margin.  For commuting contractions Delta_m(X) =
+    X - T_m* X T_m <= X when X >= 0, so a passing run has its least
+    eigenvalue at its last box.  That box gets a spectrum first; if it
+    passes, ``_psd_screen`` clears the other chunks above max(its margin,
+    -tol), and a cleared box neither decides nor is the least margin.  The
+    exact rule judges a chunk the screen does not clear (a tie, a rescale,
+    a Hermitian defect), and every chunk when the last box fails."""
+    if not isinstance(boxes, tuple):
+        yield _psd_stack(boxes, tol)
+        return
+    try:
+        last = _psd_stack(boxes[-1][-1:], tol)
+    except (InputError, NotHermitianError):  # an earlier box may decide
+        last = None
+    if last is None or last[0][0] < -last[1][0]:
+        for chunk in boxes:
+            yield _psd_stack(chunk, tol)
+        return
+    floor = max(last[0][0].item(), -tol)
+    for chunk in filter(len, boxes[:-1] + (boxes[-1][:-1],)):
+        if _psd_screen(chunk, floor, tol):
+            cleared = np.full(len(chunk), np.inf)
+            yield cleared, cleared, 0.0
+        else:
+            yield _psd_stack(chunk, tol)
+    yield last
+
+
 def generator_certificate(
     t, max_degree: int = DEFAULT_MAX_DEGREE, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
@@ -576,15 +624,19 @@ def generator_certificate(
 
     Each run of the last coordinate is one stacked Delta step from a run
     already swept (see ``_sweep_boxes``), and every box is bitwise equal
-    to ``box_operator(mats, n)``.  Consecutive boxes are judged in groups
-    of at most 2048 matrix entries (one box at least), one stacked
-    eigensolve per group, by the rule of ``psd_check``; within a group the
-    first box in lexicographic order that fails or is not Hermitian
-    decides, so a failure wastes at most the rest of its group and the
-    Delta steps of less than one more.  Live memory: the kept runs, at
-    most C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box
-    at a time, plus one group and the temporaries of one stacked step over
-    a chunk of one group; no array holds more than one group or box."""
+    to ``box_operator(mats, n)``.  Boxes are judged by the rule of
+    ``psd_check`` in groups of at most 2048 matrix entries (one box at
+    least).  Runs shorter than a group, and the m = 1 chain, share one
+    stacked eigensolve per group.  A run that fills a group gets one
+    spectrum, of its last box, and a Cholesky screen clears its other boxes
+    above that box's margin (see ``_verdicts``), so reports are
+    byte-identical to judging every box by its spectrum.  The first box in
+    lexicographic order that fails or is not Hermitian decides, so a
+    failure wastes at most the rest of its group or run and the Delta steps
+    of less than one more group.  Live memory: the kept runs, at most
+    C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box at a
+    time, plus one group and the temporaries of one stacked step, verdict
+    or screen over a chunk; no array holds more than one group or box."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:
@@ -611,21 +663,21 @@ def generator_certificate(
     checked, worst = 0, None
     for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
                                       size), size, dim):
-        mins, tolerances, defect = _psd_stack(boxes, tol)
-        checked += len(mins)
-        if mins[-1] < -tolerances[-1]:
-            n = next(itertools.islice(
-                _lex_degree_tuples(m, max_degree), checked - 1, None))
-            verdict = PsdVerdict(False, mins[-1].item(), defect,
-                                 tolerances[-1].item())
-            return _psd_report(
-                "generator_sweep",
-                {"max_degree": max_degree, "tuples_checked": checked},
-                verdict, tol, {"n": list(n)},
-                notes=(f"first failing degree tuple in lexicographic order "
-                       f"within sum <= {max_degree}",))
-        low = mins[mins.argmin()]  # the first of equal margins: -0.0 stays
-        if worst is None or low < worst:
-            worst = low.item()
+        for mins, tolerances, defect in _verdicts(boxes, tol):
+            checked += len(mins)
+            if mins[-1] < -tolerances[-1]:
+                n = next(itertools.islice(
+                    _lex_degree_tuples(m, max_degree), checked - 1, None))
+                verdict = PsdVerdict(False, mins[-1].item(), defect,
+                                     tolerances[-1].item())
+                return _psd_report(
+                    "generator_sweep",
+                    {"max_degree": max_degree, "tuples_checked": checked},
+                    verdict, tol, {"n": list(n)},
+                    notes=(f"first failing degree tuple in lexicographic "
+                           f"order within sum <= {max_degree}",))
+            low = mins[mins.argmin()]  # the first of equal margins: -0.0 stays
+            if worst is None or low < worst:
+                worst = low.item()
     return passed(checked, worst,
                   f"pass swept over all degree tuples with sum <= {max_degree}")

@@ -151,7 +151,9 @@ def _psd_stack(a, tol: float):
     the Hermitian defect by its Frobenius norm, or by its spectral norm when
     the Frobenius norm exceeds the tolerance.  All spectra come from one
     batched eigensolve, and each verdict is bitwise that of ``psd_check``
-    on its matrix alone."""
+    on its matrix alone.  ``_psd_screen`` only clears matrices that this
+    rule would pass above a given floor; it never decides a verdict or a
+    margin."""
     k, n = a.shape[0], a.shape[-1]
     if n == 0:
         return np.zeros(k), np.full(k, tol), 0.0
@@ -212,6 +214,47 @@ def _psd_stack(a, tol: float):
         last = math.sqrt(total if stop == 1
                          else np.vdot(skew[s], skew[s]).real)
     return mins[:s + 1], tolerance[:s + 1], last
+
+
+def _psd_screen(a, floor: float, tol: float) -> bool:
+    """Whether one batched Cholesky clears every matrix of the stack ``a``
+    above ``floor`` >= -tol: then the rule of ``_psd_stack`` passes each of
+    them, from a least eigenvalue that its eigensolve would compute > floor.
+    False when some matrix is not cleared, and when ``a`` would take the
+    rule's rescale (||a||_F^2 >= 2^799) or could reach its Hermitian-defect
+    branch (a skew Frobenius norm above tol * (1 - 2^-20)).
+
+    The screen factors H - cI, with H = (A + A*)/2 formed as ``_psd_stack``
+    forms it, c = floor + s and s = 64 n u (||a||_F + n |floor|), where n is
+    the order and u = 2^-53.  Write F = ||a||_F >= ||H||_F >= ||H||_2,
+    phi = |floor| >= -c and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3).  To first order in u, three
+    errors lie between c and the least eigenvalue eigvalsh computes:
+    - Cholesky's backward error (Higham, Thm 10.3): a factorization that
+      completes is exact for A + dA, A = fl(H - cI), with ||dA||_2 <=
+      gamma_{n+1} trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H)
+      <= sqrt(n) ||H||_F; so lambda_min(A) > -||dA||_2;
+    - the rounding of the shift: fl(floor + s) >= floor + s - u |c|, and
+      fl(h_ii - c) is off by at most u |h_ii - c| <= u (F + |c|);
+    - eigvalsh's backward error, at most p(n) u ||H||_2 for a modest p(n).
+    Their sum, u ((n + 1) sqrt(n) + 1 + p(n)) F + u ((n + 1) n + 2) phi,
+    is below s, as (n + 1) n + 2 <= 64 n^2, while p(n) <= 64 n - (n + 1)
+    sqrt(n) - 1: at least 30 n for every n <= 1000."""
+    square = float(np.vdot(a, a).real)
+    if not square < 2.0 ** 799:
+        return False
+    adj = np.conj(a).swapaxes(-1, -2)
+    skew = a - adj
+    if not math.sqrt(np.vdot(skew, skew).real) <= tol * (1.0 - 2.0 ** -20):
+        return False
+    n, h = a.shape[-1], (a + adj) / 2.0
+    h.reshape(len(a), n * n)[:, ::n + 1] -= floor + 64 * n * 2.0 ** -53 * (
+        math.sqrt(square) + n * abs(floor))
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def psd_check(a: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:

@@ -1068,6 +1068,64 @@ class TestGeneratorSweep:
         assert rep.passed and rep.parameters["tuples_checked"] == 84
         assert calls == [(3, 4, 4), (3, 4, 4), (84, 4, 4)]
 
+    def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
+        # m = 2, dim 64, D = 6: seven runs of 7..1 boxes, one box a group.
+        # Each run's last box gets a spectrum and the Cholesky screen
+        # clears the other 21.  A zero last generator makes every box of a
+        # run equal its last: no screen clears, so each box gets a spectrum
+        calls = {"eigvalsh": [], "cholesky": []}
+        for name in calls:
+            def counted(a, *args, real=getattr(np.linalg, name), name=name,
+                        **kwargs):
+                calls[name].append(np.shape(a))
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        normals = make_commuting_normals(3, 64, 2)
+        tie = normals[:1] + [np.zeros((64, 64))]
+        gate, box = [(2, 64, 64), (1, 64, 64)], (1, 64, 64)
+        for mats, spectra in [(normals, 7), (tie, 28)]:
+            for got in calls.values():
+                got.clear()
+            rep = generator_certificate(mats, 6)
+            assert rep.passed and rep.parameters["tuples_checked"] == 28
+            assert calls["eigvalsh"] == gate + [box] * spectra
+            assert calls["cholesky"] == [box] * 21
+            assert repr(rep.as_dict()) == repr(
+                sweep_oracle(mats, 6).as_dict())
+
+    @settings(max_examples=20)
+    @given(case=st.sampled_from([
+        ("normal", 2, 64, 4), ("normal", 3, 16, 8), ("jordan", 2, 46, 5),
+        ("jordan", 3, 16, 9), ("scalar", 2, 64, 3), ("scalar", 3, 16, 8),
+        ("zero", 2, 46, 4), ("zero", 3, 16, 8), ("mixed", 2, 64, 4),
+        ("mixed", 3, 16, 10)]),
+           tol=st.sampled_from([1e-17, 1e-12, 1e-8]),
+           seed=st.integers(0, 2 ** 16), radius=st.floats(0.45, 0.9))
+    def test_screened_runs_equal_the_per_box_oracle(self, case, tol, seed,
+                                                    radius):
+        # runs that fill a group: one box a group at dim >= 46, eight at
+        # dim 16 from D = 8.  r J on the last generator fails mid-run at
+        # floor(1/r^2) + 1 <= 5, so the exact rule decides once the last
+        # box fails; c I tuples and a zero last generator tie boxes; a
+        # normal with c I beside it passes the gate at tol 1e-17, where
+        # rounded boxes fall to the Hermitian-defect rule
+        kind, m, dim, degree = case
+        scalars = [c * np.eye(dim) for c in
+                   np.random.default_rng(seed).uniform(0.2, 0.9, m)]
+        mats = [np.asarray(x) for x in make_commuting_normals(
+            seed, dim - 2 * (kind == "jordan"), m)]
+        if kind == "jordan":
+            mats = [_grow(x, radius * J2 if i == m - 1 else 0.5 * np.eye(2))
+                    for i, x in enumerate(mats)]
+        elif kind == "scalar":
+            mats = scalars
+        elif kind == "zero":
+            mats[-1] = np.zeros((dim, dim))
+        elif kind == "mixed":
+            mats = mats[:1] + scalars[1:]
+        assert repr(_outcome(generator_certificate, mats, degree, tol)) == \
+            repr(_outcome(sweep_oracle, mats, degree, tol))
+
     def test_an_m1_chain_is_not_stored_whole(self):
         # 2001 boxes of 8 x 8; a run that no later run steps from is
         # dropped chunk by chunk

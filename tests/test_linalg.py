@@ -25,6 +25,7 @@ from normex import (
     psd_check,
 )
 from normex.linalg import (
+    _psd_screen,
     _psd_stack,
     commutator_residual,
     largest,
@@ -283,6 +284,60 @@ class TestPsdStack:
         assert len(mins) == 2 and defect == 0.0
         mins, _, defect = _psd_stack(np.array([np.eye(8), near]), 1e-8)
         assert len(mins) == 2 and abs(defect - 0.9e-8) <= 1e-20
+
+
+class TestPsdScreen:
+    """The shifted Cholesky screen clears matrices that the exact rule passes
+    above a floor; what it does not clear is left to that rule."""
+
+    def test_a_cleared_matrix_passes_above_the_floor(self):
+        # PSD stacks of full and deficient rank, least eigenvalues from 0
+        # (up to rounding) to 0.5, floors from well below the least margin
+        # to a few slacks above it
+        rng = np.random.default_rng(31)
+        cleared = kept = 0
+        for trial in range(300):
+            n, k = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            stack = []
+            for _ in range(k):
+                x = _rand(rng, n, int(rng.integers(1, n + 1)))
+                a = x @ np.conj(x).T
+                a = a / (2.0 * operator_norm(a)) + rng.uniform(0, 0.5) * (
+                    trial % 2) * np.eye(n)
+                stack.append(a)
+            stack = np.array(stack)
+            want = [psd_check(a) for a in stack]
+            low = min(v.min_eigenvalue for v in want)
+            slack = 64 * n * 2.0 ** -53 * np.linalg.norm(stack)
+            floor = max(low - rng.uniform(-2.0, 4.0) * slack, -1e-8)
+            if _psd_screen(stack, floor, 1e-8):
+                cleared += 1
+                assert all(v.is_psd and v.min_eigenvalue > floor
+                           for v in want)
+            else:
+                kept += 1
+        assert cleared > 50 and kept > 50  # both outcomes are exercised
+
+    def test_a_matrix_nearer_the_floor_than_rounding_is_kept(self):
+        near = np.diag([0.5 + 2.0 ** -50, 1.0])[None].astype(np.complex128)
+        assert not _psd_screen(near, 0.5, 1e-8)
+        assert _psd_screen(near, 0.5 - 1e-12, 1e-8)
+
+    ROT = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("case", ["rescale", "defect", "nan", "tie"])
+    def test_what_the_screen_cannot_judge_is_kept(self, case):
+        # the clean matrix is cleared alone, but not beside one that takes
+        # the rescale, may reach the Hermitian-defect rule, is not finite
+        # or ties the floor
+        clean = 0.5 * np.eye(8)
+        odd = {"rescale": 2.0 ** 500 * np.eye(8),
+               "defect": np.eye(8) + 0.45e-8 * self.ROT,
+               "nan": np.diag([np.nan] + [1.0] * 7),
+               "tie": 0.25 * np.eye(8)}[case]
+        assert _psd_screen(clean[None].astype(np.complex128), 0.25, 1e-8)
+        assert not _psd_screen(np.array([clean, odd], dtype=np.complex128),
+                               0.25, 1e-8)
 
 
 class TestGateScans:
