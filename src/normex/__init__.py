@@ -51,19 +51,16 @@ from .semigroups import (
 )
 from .representations import (
     InvolutionPoint,
-    NormalMap,
     Representation,
     ValidationCheck,
     ValidationVerdict,
     eval_rep,
     involution_point,
-    make_normal_map,
     make_representation,
     point_mul,
     product_of,
     star_kernel,
     tilde_eval,
-    validate_normal_map,
     validate_rep,
 )
 from .certificates import (

@@ -29,7 +29,6 @@ from .linalg import (
     CMatrix,
     PsdVerdict,
     _freeze,
-    _psd_screen,
     _psd_stack,
     adjoint,
     block_decompose,
@@ -587,29 +586,26 @@ def _verdicts(boxes, tol: float):
     order, up to the chunk that decides, where a box the screen clears
     reads as an infinite margin.  For commuting contractions Delta_m(X) =
     X - T_m* X T_m <= X when X >= 0, so a passing run has its least
-    eigenvalue at its last box.  That box gets a spectrum first; if it
-    passes, ``_psd_screen`` clears the other chunks above max(its margin,
-    -tol), and a cleared box neither decides nor is the least margin.  The
-    exact rule judges a chunk the screen does not clear (a tie, a rescale,
-    a Hermitian defect), and every chunk when the last box fails."""
+    eigenvalue at its last box.  That box is judged first, alone; if it
+    passes, ``_psd_stack`` screens each other chunk above max(its margin,
+    -tol), where a cleared box neither decides nor is the least margin,
+    and else judges them by the exact rule.  The last box's own verdict,
+    or what it raised, comes after them, so no box is solved twice."""
     if not isinstance(boxes, tuple):
         yield _psd_stack(boxes, tol)
         return
+    floor = error = None
     try:
         last = _psd_stack(boxes[-1][-1:], tol)
-    except (InputError, NotHermitianError):  # an earlier box may decide
-        last = None
-    if last is None or last[0][0] < -last[1][0]:
-        for chunk in boxes:
-            yield _psd_stack(chunk, tol)
-        return
-    floor = max(last[0][0].item(), -tol)
+    except (InputError, NotHermitianError) as e:  # an earlier box may decide
+        error = e
+    else:
+        if not last[0][0] < -last[1][0]:
+            floor = max(last[0][0].item(), -tol)
     for chunk in filter(len, boxes[:-1] + (boxes[-1][:-1],)):
-        if _psd_screen(chunk, floor, tol):
-            cleared = np.full(len(chunk), np.inf)
-            yield cleared, cleared, 0.0
-        else:
-            yield _psd_stack(chunk, tol)
+        yield _psd_stack(chunk, tol, floor)
+    if error is not None:
+        raise error
     yield last
 
 
@@ -628,15 +624,16 @@ def generator_certificate(
     ``psd_check`` in groups of at most 2048 matrix entries (one box at
     least).  Runs shorter than a group, and the m = 1 chain, share one
     stacked eigensolve per group.  A run that fills a group gets one
-    spectrum, of its last box, and a Cholesky screen clears its other boxes
-    above that box's margin (see ``_verdicts``), so reports are
-    byte-identical to judging every box by its spectrum.  The first box in
-    lexicographic order that fails or is not Hermitian decides, so a
-    failure wastes at most the rest of its group or run and the Delta steps
-    of less than one more group.  Live memory: the kept runs, at most
-    C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box at a
-    time, plus one group and the temporaries of one stacked step, verdict
-    or screen over a chunk; no array holds more than one group or box."""
+    spectrum, of its last box, and the Cholesky screen of ``_psd_stack``
+    clears its other boxes above that box's margin; no box is solved twice
+    (see ``_verdicts``), and reports are byte-identical to judging every
+    box by its spectrum.  The first box in lexicographic order that fails
+    or is not Hermitian decides, so a failure wastes at most the rest of
+    its group or run and the Delta steps of less than one more group.  Live
+    memory: the kept runs, at most C(max_degree + m - 1, m - 1) boxes of
+    dim^2 entries as for one box at a time, plus one group and the
+    temporaries of one stacked step or verdict over a chunk; no array holds
+    more than one group or box."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:

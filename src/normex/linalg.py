@@ -136,7 +136,7 @@ class PsdVerdict:
         return dict(vars(self))
 
 
-def _psd_stack(a, tol: float):
+def _psd_stack(a, tol: float, floor: float | None = None):
     """The PSD verdicts of a stack ``a`` of k square matrices, in order, up
     to the first matrix that decides: one that is not PSD, not Hermitian or
     not finite.  Returns the arrays (min_eigenvalue, tolerance_used) of
@@ -151,9 +151,30 @@ def _psd_stack(a, tol: float):
     the Hermitian defect by its Frobenius norm, or by its spectral norm when
     the Frobenius norm exceeds the tolerance.  All spectra come from one
     batched eigensolve, and each verdict is bitwise that of ``psd_check``
-    on its matrix alone.  ``_psd_screen`` only clears matrices that this
-    rule would pass above a given floor; it never decides a verdict or a
-    margin."""
+    on its matrix alone.
+
+    Given a ``floor`` >= -tol, a stack that takes neither the rescale
+    (||a||_F^2 >= 2^799) nor the Hermitian-defect branch (a skew Frobenius
+    norm above tol * (1 - 2^-20)) is first screened by one batched
+    Cholesky of H - cI, with c = floor + s and s = 64 n u (||a||_F +
+    n |floor|), where n is the order and u = 2^-53.  If it completes, the
+    rule passes every matrix from a least eigenvalue that its eigensolve
+    would compute > floor, and the stack reads as all-inf margins and
+    tolerances with defect 0; else the rule runs as without a floor.
+    Write F = ||a||_F >= ||H||_F >= ||H||_2, phi = |floor| >= -c and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  To first order in u, three errors lie between c
+    and the least eigenvalue eigvalsh computes:
+    - Cholesky's backward error (Higham, Thm 10.3): a factorization that
+      completes is exact for A + dA, A = fl(H - cI), with ||dA||_2 <=
+      gamma_{n+1} trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H)
+      <= sqrt(n) ||H||_F; so lambda_min(A) > -||dA||_2;
+    - the rounding of the shift: fl(floor + s) >= floor + s - u |c|, and
+      fl(h_ii - c) is off by at most u |h_ii - c| <= u (F + |c|);
+    - eigvalsh's backward error, at most p(n) u ||H||_2 for a modest p(n).
+    Their sum, u ((n + 1) sqrt(n) + 1 + p(n)) F + u ((n + 1) n + 2) phi,
+    is below s, as (n + 1) n + 2 <= 64 n^2, while p(n) <= 64 n - (n + 1)
+    sqrt(n) - 1: at least 30 n for every n <= 1000."""
     k, n = a.shape[0], a.shape[-1]
     if n == 0:
         return np.zeros(k), np.full(k, tol), 0.0
@@ -161,7 +182,8 @@ def _psd_stack(a, tol: float):
     # the norm of the whole stack clears every matrix of the rescale: each
     # matrix's own squared norm stays below 2^800 while the total is < 2^799
     # (as Python floats: 2^799 overflows a float32)
-    if not float(np.vdot(a, a).real) < 2.0 ** 799:  # NaN, inf or perhaps huge
+    square = float(np.vdot(a, a).real)
+    if not square < 2.0 ** 799:  # NaN, inf or perhaps huge
         peak = np.abs(a).max(axis=(1, 2))
         finite = np.isfinite(peak)
         stop = k if finite.all() else int(finite.argmin())
@@ -174,20 +196,33 @@ def _psd_stack(a, tol: float):
         a = a / scale[:, None, None]
     adj = np.conj(a).swapaxes(-1, -2)
     skew = a - adj
+    h = (a + adj) / 2.0
+    # squared Frobenius defects as np.vdot sums them; that of the whole
+    # stack clears every matrix while its root is below tol, the least
+    # tolerance (the margin covers the rounding of either sum)
+    total = np.vdot(skew, skew).real
+    defect_cleared = scale is None and (
+        math.sqrt(total) <= tol * (1.0 - 2.0 ** -20))
+    if floor is not None and defect_cleared:
+        h.reshape(k, n * n)[:, ::n + 1] -= floor + 64 * n * 2.0 ** -53 * (
+            math.sqrt(square) + n * abs(floor))
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            h = (a + adj) / 2.0
+        else:
+            cleared = np.full(k, np.inf)
+            return cleared, cleared, 0.0
     # verdicts in float64, whatever the input's precision
-    spectra = np.linalg.eigvalsh((a + adj) / 2.0).astype(float, copy=False)
+    spectra = np.linalg.eigvalsh(h).astype(float, copy=False)
     mins, top = spectra[:, 0], spectra[:, -1]
     if scale is not None:  # scaled back, a result may overflow to inf
         with np.errstate(over="ignore"):
             mins, top = mins * scale, top * scale
     neg = -mins
     tolerance = tol * np.maximum(np.maximum(neg, top), 1.0)
-    # squared Frobenius defects as np.vdot sums them; that of the whole
-    # stack clears every matrix while its root is below tol, the least
-    # tolerance (the margin covers the rounding of either sum)
-    total = np.vdot(skew, skew).real
     defect = None
-    if scale is not None or not math.sqrt(total) <= tol * (1.0 - 2.0 ** -20):
+    if not defect_cleared:
         defect = np.sqrt(np.array([np.vdot(x, x).real for x in skew],
                                   dtype=float))
         with np.errstate(over="ignore"):
@@ -214,47 +249,6 @@ def _psd_stack(a, tol: float):
         last = math.sqrt(total if stop == 1
                          else np.vdot(skew[s], skew[s]).real)
     return mins[:s + 1], tolerance[:s + 1], last
-
-
-def _psd_screen(a, floor: float, tol: float) -> bool:
-    """Whether one batched Cholesky clears every matrix of the stack ``a``
-    above ``floor`` >= -tol: then the rule of ``_psd_stack`` passes each of
-    them, from a least eigenvalue that its eigensolve would compute > floor.
-    False when some matrix is not cleared, and when ``a`` would take the
-    rule's rescale (||a||_F^2 >= 2^799) or could reach its Hermitian-defect
-    branch (a skew Frobenius norm above tol * (1 - 2^-20)).
-
-    The screen factors H - cI, with H = (A + A*)/2 formed as ``_psd_stack``
-    forms it, c = floor + s and s = 64 n u (||a||_F + n |floor|), where n is
-    the order and u = 2^-53.  Write F = ||a||_F >= ||H||_F >= ||H||_2,
-    phi = |floor| >= -c and gamma_k = k u / (1 - k u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3).  To first order in u, three
-    errors lie between c and the least eigenvalue eigvalsh computes:
-    - Cholesky's backward error (Higham, Thm 10.3): a factorization that
-      completes is exact for A + dA, A = fl(H - cI), with ||dA||_2 <=
-      gamma_{n+1} trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H)
-      <= sqrt(n) ||H||_F; so lambda_min(A) > -||dA||_2;
-    - the rounding of the shift: fl(floor + s) >= floor + s - u |c|, and
-      fl(h_ii - c) is off by at most u |h_ii - c| <= u (F + |c|);
-    - eigvalsh's backward error, at most p(n) u ||H||_2 for a modest p(n).
-    Their sum, u ((n + 1) sqrt(n) + 1 + p(n)) F + u ((n + 1) n + 2) phi,
-    is below s, as (n + 1) n + 2 <= 64 n^2, while p(n) <= 64 n - (n + 1)
-    sqrt(n) - 1: at least 30 n for every n <= 1000."""
-    square = float(np.vdot(a, a).real)
-    if not square < 2.0 ** 799:
-        return False
-    adj = np.conj(a).swapaxes(-1, -2)
-    skew = a - adj
-    if not math.sqrt(np.vdot(skew, skew).real) <= tol * (1.0 - 2.0 ** -20):
-        return False
-    n, h = a.shape[-1], (a + adj) / 2.0
-    h.reshape(len(a), n * n)[:, ::n + 1] -= floor + 64 * n * 2.0 ** -53 * (
-        math.sqrt(square) + n * abs(floor))
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def psd_check(a: CMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:

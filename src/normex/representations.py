@@ -4,10 +4,11 @@ A representation is specified by generator images plus an explicit relation
 list; elements are evaluated through the deterministic factorization policy,
 so commuting images make the evaluation a well-defined homomorphism (this is
 sampled, not proved — see validate_rep, which returns a ValidationVerdict).
-Also here: normal maps (finite enumerated extensions), the group kernel
-T~(g) = T(g_minus)* T(g_plus) and the involution-pair kernel, one checked
-entry at a time; the sampled checks gather their images, unchecked, with
-``_image_table``.
+Also here: the group kernel T~(g) = T(g_minus)* T(g_plus) and the
+involution-pair kernel, one checked entry at a time; the sampled checks
+gather their images, unchecked, with ``_image_table``.  No normal map is
+built here: a representation extends to commuting normals exactly when its
+generators do, so that question is asked of the generator images.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .linalg import (
     CMatrix,
     _freeze,
     adjoint,
-    block_decompose,
     cmatrix,
     commutator_residual,
     identity,
@@ -144,8 +144,8 @@ class ValidationVerdict:
     so callers (and the CLI report) can show which property broke and by how
     much.  Checks marked ``advisory`` do not affect the flag: they record
     conditions that the theory expects but that the data structure cannot
-    enforce (e.g. unitality of a normal-map assignment on an empty generator
-    list)."""
+    enforce.  ``validate_rep`` marks none; every serialized check carries
+    the flag."""
 
     checks: list[ValidationCheck] = field(default_factory=list)
 
@@ -206,84 +206,6 @@ def validate_rep(
     # scaled: long products magnify commutator noise
     v.add("homomorphism_sampled", hom <= max(tol, 100 * comm + tol),
           f"max residual {hom:.3e} over {sample_budget} sampled pairs")
-    return v
-
-
-# ---------------------------------------------------------------------------
-# normal maps
-
-@dataclass(frozen=True)
-class NormalMap:
-    base: Representation
-    ambient_dim: int
-    images: tuple[tuple[GroupElement, CMatrix], ...]
-
-
-def make_normal_map(base: Representation, ambient_dim: int, images) -> NormalMap:
-    if ambient_dim < base.dimension:
-        raise InputError(
-            f"ambient dimension {ambient_dim} smaller than base {base.dimension}"
-        )
-    pairs = []
-    items = images.items() if isinstance(images, dict) else images
-    for p, m in items:
-        p = sg.element(base.descriptor, p)
-        m = cmatrix(m)
-        if m.shape != (ambient_dim, ambient_dim):
-            raise InputError(
-                f"image at {p.coords!r} has shape {m.shape}, "
-                f"expected {(ambient_dim, ambient_dim)}"
-            )
-        pairs.append((p, m))
-    return NormalMap(base, ambient_dim, tuple(pairs))
-
-
-def validate_normal_map(
-    n: NormalMap, tol: float = DEFAULT_REP_TOL
-) -> ValidationVerdict:
-    """Normality, commutation, *-commutation (doubly-commuting consequence),
-    contractivity and the extension blocks against the base representation."""
-    v = ValidationVerdict()
-    mats = [m for _, m in n.images]
-
-    norm_res, norm_bad = largest(
-        (p.coords, operator_norm(adjoint(m) @ m - m @ adjoint(m)))
-        for p, m in n.images)
-    v.add("normal", norm_res <= tol,
-          f"max normality residual {norm_res:.3e}"
-          + (f" at {norm_bad!r}" if norm_bad is not None and norm_res > tol
-             else ""))
-    contr = norm_excess(mats)[0]
-    v.add("contractive", contr <= tol, f"max norm excess {contr:.3e}")
-
-    comm = commutator_residual(mats)[0]
-    star_comm = commutator_residual(mats, [adjoint(m) for m in mats])[0]
-    v.add("commuting", comm <= tol, f"max commutator residual {comm:.3e}")
-    v.add("star_commuting", star_comm <= tol,
-          f"max adjoint-commutator residual {star_comm:.3e}")
-
-    ext_lower, ext_corner = 0.0, 0.0
-    h = n.base.dimension
-    for p, m in n.images:
-        bd = block_decompose(m, h)
-        ext_lower = max(ext_lower, operator_norm(bd.lower_left))
-        ext_corner = max(
-            ext_corner, operator_norm(bd.corner - eval_rep(n.base, p))
-        )
-    v.add("extension_invariant_subspace", ext_lower <= tol,
-          f"max lower-left block norm {ext_lower:.3e}")
-    v.add("extension_corner", ext_corner <= tol,
-          f"max corner mismatch {ext_corner:.3e}")
-
-    e = sg.unit(n.base.descriptor)
-    unital = next((m for p, m in n.images if p == e), None)
-    if unital is not None:
-        r = operator_norm(unital - identity(n.ambient_dim))
-        # advisory: unitality of the extension is expected but not part of
-        # the enumerated-set contract
-        v.add("unital", r <= tol, f"residual at unit {r:.3e}", advisory=True)
-    else:
-        v.add("unital", True, "unit not in the enumerated set", advisory=True)
     return v
 
 

@@ -303,23 +303,10 @@ def element(d: SemigroupDescriptor, raw) -> GroupElement:
 
 def _check(d: SemigroupDescriptor, g: GroupElement) -> None:
     """Raise InputError unless g's coordinates are canonical in d's group:
-    equal to their canonical form and of its types, so no bool stands in
-    for an int and no list for a tuple."""
-    if not _same(d.canon(g.coords), g.coords):
+    equal to their canonical form, which ``canon`` returns as ints and
+    tuples (it rejects bools and floats), so no list stands for a tuple."""
+    if d.canon(g.coords) != g.coords:
         raise InputError(f"non-canonical {d.kind} coordinates {g.coords!r}")
-
-
-def _same(a, b) -> bool:
-    """a == b with equal types, tuple coordinates compared one by one.
-    ``canon`` hands canonical coordinates back as the same objects, so the
-    identity test settles the common case."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple:
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
 
 
 def unit(d: SemigroupDescriptor) -> GroupElement:

@@ -1072,7 +1072,9 @@ class TestGeneratorSweep:
         # m = 2, dim 64, D = 6: seven runs of 7..1 boxes, one box a group.
         # Each run's last box gets a spectrum and the Cholesky screen
         # clears the other 21.  A zero last generator makes every box of a
-        # run equal its last: no screen clears, so each box gets a spectrum
+        # run equal its last: no screen clears, so each box gets a spectrum.
+        # 0.42 J on the last generator fails the first run at its last box,
+        # n = (0, 6): its seven boxes get one spectrum each, none twice
         calls = {"eigvalsh": [], "cholesky": []}
         for name in calls:
             def counted(a, *args, real=getattr(np.linalg, name), name=name,
@@ -1082,14 +1084,18 @@ class TestGeneratorSweep:
             monkeypatch.setattr(np.linalg, name, counted)
         normals = make_commuting_normals(3, 64, 2)
         tie = normals[:1] + [np.zeros((64, 64))]
+        jordan = [_grow(x, 0.42 * J2 if i else 0.5 * np.eye(2))
+                  for i, x in enumerate(make_commuting_normals(3, 62, 2))]
         gate, box = [(2, 64, 64), (1, 64, 64)], (1, 64, 64)
-        for mats, spectra in [(normals, 7), (tie, 28)]:
+        for mats, checked, spectra, screened in [
+                (normals, 28, 7, 21), (tie, 28, 28, 21), (jordan, 7, 7, 0)]:
             for got in calls.values():
                 got.clear()
             rep = generator_certificate(mats, 6)
-            assert rep.passed and rep.parameters["tuples_checked"] == 28
+            assert rep.parameters["tuples_checked"] == checked
+            assert rep.passed == (checked == 28)
             assert calls["eigvalsh"] == gate + [box] * spectra
-            assert calls["cholesky"] == [box] * 21
+            assert calls["cholesky"] == [box] * screened
             assert repr(rep.as_dict()) == repr(
                 sweep_oracle(mats, 6).as_dict())
 

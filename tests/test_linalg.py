@@ -25,7 +25,6 @@ from normex import (
     psd_check,
 )
 from normex.linalg import (
-    _psd_screen,
     _psd_stack,
     commutator_residual,
     largest,
@@ -286,9 +285,27 @@ class TestPsdStack:
         assert len(mins) == 2 and abs(defect - 0.9e-8) <= 1e-20
 
 
+def _bits(verdicts):
+    """_psd_stack's (mins, tolerances, defect) as bytes: equal bitwise."""
+    mins, tolerance, defect = verdicts
+    return mins.tobytes(), tolerance.tobytes(), np.float64(defect).tobytes()
+
+
+def _screened(stack, floor, tol=1e-8):
+    """Whether _psd_stack's screen clears the stack above ``floor``; a
+    stack it does not clear gets bitwise the verdicts of the plain rule."""
+    got = _psd_stack(stack, tol, floor)
+    if np.isinf(got[0]).all():
+        assert np.isinf(got[1]).all() and got[2] == 0.0
+        return True
+    assert _bits(got) == _bits(_psd_stack(stack, tol))
+    return False
+
+
 class TestPsdScreen:
-    """The shifted Cholesky screen clears matrices that the exact rule passes
-    above a floor; what it does not clear is left to that rule."""
+    """Given a floor, the shifted Cholesky screen of ``_psd_stack`` clears
+    matrices that the exact rule passes above it; what it does not clear is
+    left to that rule."""
 
     def test_a_cleared_matrix_passes_above_the_floor(self):
         # PSD stacks of full and deficient rank, least eigenvalues from 0
@@ -310,7 +327,7 @@ class TestPsdScreen:
             low = min(v.min_eigenvalue for v in want)
             slack = 64 * n * 2.0 ** -53 * np.linalg.norm(stack)
             floor = max(low - rng.uniform(-2.0, 4.0) * slack, -1e-8)
-            if _psd_screen(stack, floor, 1e-8):
+            if _screened(stack, floor):
                 cleared += 1
                 assert all(v.is_psd and v.min_eigenvalue > floor
                            for v in want)
@@ -320,8 +337,8 @@ class TestPsdScreen:
 
     def test_a_matrix_nearer_the_floor_than_rounding_is_kept(self):
         near = np.diag([0.5 + 2.0 ** -50, 1.0])[None].astype(np.complex128)
-        assert not _psd_screen(near, 0.5, 1e-8)
-        assert _psd_screen(near, 0.5 - 1e-12, 1e-8)
+        assert not _screened(near, 0.5)
+        assert _screened(near, 0.5 - 1e-12)
 
     ROT = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -335,9 +352,13 @@ class TestPsdScreen:
                "defect": np.eye(8) + 0.45e-8 * self.ROT,
                "nan": np.diag([np.nan] + [1.0] * 7),
                "tie": 0.25 * np.eye(8)}[case]
-        assert _psd_screen(clean[None].astype(np.complex128), 0.25, 1e-8)
-        assert not _psd_screen(np.array([clean, odd], dtype=np.complex128),
-                               0.25, 1e-8)
+        assert _screened(clean[None].astype(np.complex128), 0.25)
+        stack = np.array([clean, odd], dtype=np.complex128)
+        if case == "nan":
+            with pytest.raises(InputError, match="finite"):
+                _psd_stack(stack, 1e-8, 0.25)
+        else:
+            assert not _screened(stack, 0.25)
 
 
 class TestGateScans:

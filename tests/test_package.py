@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "BlockDecomposition", "CapExceededError", "CertificateReport",
     "ConvexWeights", "DEFAULT_PSD_TOL", "DilationFamily", "Factorization",
     "GroupElement", "InputError", "InvolutionPoint", "MembershipError",
-    "NormalMap", "NormexError", "NotHermitianError", "NotPsdError",
+    "NormexError", "NotHermitianError", "NotPsdError",
     "PsdVerdict", "Representation", "SemigroupDescriptor", "SzNagyConfig",
     "UnsupportedStructureError", "ValidationCheck", "ValidationVerdict",
     "add", "adjoint", "agler_certificate", "athavale_certificate",
@@ -30,13 +30,13 @@ PUBLIC_NAMES = [
     "free_abelian", "generator_certificate", "hermitian_eig", "identity",
     "involution_point", "kolmogorov_factor", "leq",
     "loewner_leq", "make_commuting_normals", "make_dilation_family",
-    "make_gallery", "make_normal_map", "make_orthogonal_defect_family",
+    "make_gallery", "make_orthogonal_defect_family",
     "make_representation", "matrix_from_json", "matrix_to_json",
     "meet_join", "neg", "numerical", "operator_norm", "parse_spec",
     "point_mul", "pos_neg_parts", "product", "product_of", "psd_check",
     "regularity_check", "run_command", "sample_group",
     "sample_member", "star_kernel", "sub", "sznagy_check", "tilde_eval",
-    "uniform_weights", "unit", "validate_normal_map", "validate_rep",
+    "uniform_weights", "unit", "validate_rep",
 ]
 
 
@@ -65,15 +65,19 @@ def test_every_imported_name_is_used(module):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
-#: the functions that may call an eigensolver: each eigensolve of the
-#: package is one of theirs, so a second code path for a norm or a PSD
-#: verdict cannot grow beside them
-EIGENSOLVERS = {("linalg.py", "operator_norms"), ("linalg.py", "_psd_stack"),
-                ("linalg.py", "hermitian_eig")}
+#: the functions that may call each LAPACK factorization: every PSD
+#: verdict, norm and spectrum of the package comes from one of them, so a
+#: second copy of the PSD rule or of a norm cannot grow beside them
+SOLVER_CALLERS = {
+    "eigvalsh": {("linalg.py", "operator_norms"), ("linalg.py", "_psd_stack")},
+    "eigh": {("linalg.py", "hermitian_eig")},
+    "cholesky": {("linalg.py", "_psd_stack")},
+}
 
 
-def _eigensolver_callers(tree):
-    """(enclosing function, line) of each eigvalsh or eigh call."""
+def _solver_callers(tree):
+    """(solver, enclosing function, line) of each call of a solver in
+    SOLVER_CALLERS."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
@@ -83,17 +87,25 @@ def _eigensolver_callers(tree):
                 f = child.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(
                     f, "id", None)
-                if name in ("eigvalsh", "eigh"):
-                    yield where, child.lineno
+                if name in SOLVER_CALLERS:
+                    yield name, where, child.lineno
             yield from visit(child, inner)
     yield from visit(tree, None)
 
 
+def _stray_calls(solvers):
+    """Each call of one of ``solvers`` outside its allowed functions, and
+    whether any call was found at all."""
+    calls = [(name, p.name, where, line) for p in sorted(SOURCE.glob("*.py"))
+             for name, where, line in _solver_callers(
+                 ast.parse(p.read_text(encoding="utf-8")))
+             if name in solvers]
+    return bool(calls), [c for c in calls
+                         if (c[1], c[2]) not in SOLVER_CALLERS[c[0]]]
+
+
 def test_every_eigensolve_is_in_the_linalg_kernel():
-    calls = [(p.name, where, line) for p in sorted(SOURCE.glob("*.py"))
-             for where, line in _eigensolver_callers(
-                 ast.parse(p.read_text(encoding="utf-8")))]
-    assert calls and [c for c in calls if c[:2] not in EIGENSOLVERS] == []
+    assert _stray_calls({"eigvalsh", "eigh"}) == (True, [])
 
 
 def _kind_comparisons(tree):
@@ -113,3 +125,9 @@ def test_no_kind_chains_outside_the_records():
              for line in _kind_comparisons(
                  ast.parse(p.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def test_the_cholesky_screen_is_inside_the_psd_rule():
+    # the screen that clears boxes above a floor is part of the one PSD
+    # rule: no other function factors a matrix to decide positivity
+    assert _stray_calls({"cholesky"}) == (True, [])

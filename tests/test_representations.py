@@ -28,7 +28,6 @@ from normex import (
     identity,
     involution_point,
     make_commuting_normals,
-    make_normal_map,
     make_representation,
     neg,
     numerical,
@@ -41,7 +40,6 @@ from normex import (
     tilde_eval,
     product_of,
     unit,
-    validate_normal_map,
     validate_rep,
 )
 
@@ -249,127 +247,27 @@ class TestHomomorphismSample:
 J = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def _normal_map(images):
-    base = make_representation(free_abelian(2), [[[0.0]], [[0.0]]])
-    return make_normal_map(base, 2, images)
-
-
-@pytest.mark.parametrize("validate, arg, passed, details", [
-    (validate_rep, lambda: _diag_rep(2, [(0.5, -0.25), (0.75, 0.1)])[1], True,
+@pytest.mark.parametrize("arg, passed, details", [
+    (lambda: _diag_rep(2, [(0.5, -0.25), (0.75, 0.1)])[1], True,
      {"contractive": "max norm excess 0.000e+00",
       "commuting": "max commutator residual 0.000e+00"}),
-    (validate_rep,  # ties: the first generator and pair are named
-     lambda: make_representation(free_abelian(3), [J.T, 2 * J, 2 * J]), False,
+    # ties: the first generator and pair are named
+    (lambda: make_representation(free_abelian(3), [J.T, 2 * J, 2 * J]), False,
      {"contractive": "max norm excess 1.000e+00 at generator 1",
       "commuting": "max commutator residual 2.000e+00 at pair (0, 1)"}),
-    (validate_normal_map,
-     lambda: _normal_map({(1, 0): np.diag([0.5, 1.0]),
-                          (0, 1): np.diag([0.25, -1.0])}), True,
-     {"normal": "max normality residual 0.000e+00",
-      "contractive": "max norm excess 0.000e+00",
-      "commuting": "max commutator residual 0.000e+00",
-      "star_commuting": "max adjoint-commutator residual 0.000e+00"}),
-    (validate_normal_map,
-     lambda: _normal_map({(1, 0): 2 * J, (0, 1): J, (1, 1): 0.5 * J.T}),
-     False,
-     {"normal": "max normality residual 4.000e+00 at (1, 0)",
-      "contractive": "max norm excess 1.000e+00",
-      "commuting": "max commutator residual 1.000e+00",
-      "star_commuting": "max adjoint-commutator residual 2.000e+00"}),
-    (validate_rep,  # the first relation of largest residual is named
-     lambda: make_representation(
-         numerical((1,)), [[[0.5]], [[0.0]]],
-         relations=[({0: 1}, {0: 1}), ({0: 2}, {1: 1}), ({1: 1}, {0: 2})]),
+    # the first relation of largest residual is named
+    (lambda: make_representation(
+        numerical((1,)), [[[0.5]], [[0.0]]],
+        relations=[({0: 1}, {0: 1}), ({0: 2}, {1: 1}), ({1: 1}, {0: 2})]),
      False, {"relations": "max relation residual 2.500e-01 at "
                           "({0: 2}, {1: 1})"}),
-], ids=["rep-pass", "rep-fail", "normal-pass", "normal-fail",
-        "relation-fail"])
-def test_precondition_details_are_pinned(validate, arg, passed, details):
+], ids=["rep-pass", "rep-fail", "relation-fail"])
+def test_precondition_details_are_pinned(arg, passed, details):
     # the details reach every machine report through the validation echo,
     # so they must not change byte for byte
-    checks = {c.name: c for c in validate(arg()).checks}
+    checks = {c.name: c for c in validate_rep(arg()).checks}
     assert {name: checks[name].detail for name in details} == details
     assert all(checks[name].passed == passed for name in details)
-
-
-class TestNormalMap:
-    def _extension(self, seed=0, dim=6, h=3, m=2):
-        # commuting normals conjugated by a block-diagonal unitary: dense,
-        # but the leading h-dimensional subspace stays invariant
-        rng = np.random.default_rng(seed)
-
-        def haar(n):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, r = np.linalg.qr(z)
-            ph = np.diag(r)
-            return q * (ph / np.abs(ph))
-
-        w = np.zeros((dim, dim), dtype=complex)
-        w[:h, :h] = haar(h)
-        w[h:, h:] = haar(dim - h)
-        mats = []
-        for _ in range(m):
-            diag = rng.uniform(0.0, 1.0, dim) * np.exp(
-                2j * np.pi * rng.uniform(0.0, 1.0, dim))
-            mats.append(w @ np.diag(diag) @ np.conj(w).T)
-        d = free_abelian(m)
-        base = make_representation(d, [a[:h, :h] for a in mats])
-        gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-        images = {g: a for g, a in zip(gens, mats)}
-        images[(0,) * m] = identity(dim)
-        return make_normal_map(base, dim, images)
-
-    def test_ambient_too_small(self):
-        d, t = _diag_rep(1, [(0.5, 0.2)])
-        with pytest.raises(InputError):
-            make_normal_map(t, 1, {(1,): identity(1)})
-
-    def test_diagonal_extension_validates(self):
-        # jointly diagonal normals leave the leading subspace invariant
-        n = self._extension()
-        v = validate_normal_map(n)
-        assert v.ok, v.failures
-
-    def test_rotation_extension_rejected(self):
-        d = free_abelian(1)
-        base = make_representation(d, [np.array([[0.6]])])
-        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
-        n = make_normal_map(base, 2, {(1,): rot})
-        v = validate_normal_map(n)
-        inv = next(c for c in v.checks
-                   if c.name == "extension_invariant_subspace")
-        assert not inv.passed
-
-    def test_star_commutation_of_commuting_normals(self):
-        # adjoint commutation follows from normality plus commutation; the
-        # checker must see residuals at working precision
-        for seed in range(10):
-            n = self._extension(seed=seed, dim=16, h=4)
-            star = next(c for c in validate_normal_map(n).checks
-                        if c.name == "star_commuting")
-            assert star.passed, (seed, star.detail)
-
-    def test_non_commuting_normals_caught(self):
-        d = free_abelian(2)
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        base = make_representation(d, [h[:1, :1], x[:1, :1]])
-        n = make_normal_map(base, 2, {(1, 0): h, (0, 1): x})
-        v = validate_normal_map(n)
-        assert not next(c for c in v.checks if c.name == "commuting").passed
-        assert not next(c for c in v.checks if c.name == "star_commuting").passed
-
-    def test_unitality_is_advisory(self):
-        d = free_abelian(1)
-        base = make_representation(d, [np.array([[0.5]])])
-        n = make_normal_map(
-            base, 2,
-            {(1,): np.diag([0.5, 0.5]), (0,): np.diag([1.0, 0.5])},
-        )
-        v = validate_normal_map(n)
-        unital = next(c for c in v.checks if c.name == "unital")
-        assert unital.advisory and not unital.passed
-        assert v.ok  # advisory findings do not flip the verdict
 
 
 class TestTildeEval:

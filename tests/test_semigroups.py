@@ -152,8 +152,11 @@ class TestMembership:
         (numerical(GAPS1), 2.0),                       # float numerical
         (numerical(GAPS1), True),                      # bool numerical
         (product(free_abelian(1), numerical(GAPS1)), ((1.0,), 2)),  # nested
+        (free_abelian(2), [1, 0]),                     # list for a tuple
+        (product(free_abelian(1), numerical(GAPS1)), ([1], 2)),  # nested
     ], ids=["free_abelian", "numerical", "product", "float-coords",
-            "bool-coord", "float-numerical", "bool-numerical", "product-float"])
+            "bool-coord", "float-numerical", "bool-numerical", "product-float",
+            "list-coords", "product-list"])
     def test_incompatible_coordinates_rejected(self, d, coords):
         # built directly, bypassing element(): add/contains must check
         g = GroupElement(coords)
