@@ -580,28 +580,35 @@ def _groups(stacks, size: int, dim: int):
         yield group[:filled]
 
 
-def _verdicts(boxes, tol: float):
+def _verdicts(boxes, tol: float, worst: float | None = None):
     """``_psd_stack``'s (mins, tolerances, defect) for a group of boxes, or
     for each chunk of a whole run (a tuple of chunks) in lexicographic
     order, up to the chunk that decides, where a box the screen clears
-    reads as an infinite margin.  For commuting contractions Delta_m(X) =
-    X - T_m* X T_m <= X when X >= 0, so a passing run has its least
-    eigenvalue at its last box.  That box is judged first, alone; if it
-    passes, ``_psd_stack`` screens each other chunk above max(its margin,
-    -tol), where a cleared box neither decides nor is the least margin,
-    and else judges them by the exact rule.  The last box's own verdict,
-    or what it raised, comes after them, so no box is solved twice."""
+    reads as an infinite margin.  ``worst`` is the least margin of the
+    sweep so far (None before any).
+
+    For commuting contractions Delta_m(X) = X - T_m* X T_m <= X when
+    X >= 0, so a passing run has its least eigenvalue at its last box.
+    That box is judged first, alone, screened above start = max(worst,
+    -tol); if it passes or is cleared, ``_psd_stack`` screens each other
+    chunk above max(min(its margin, start), -tol), and else judges them by
+    the exact rule.  A cleared box has a margin above one already found,
+    or about to be, and above -tol, so it neither decides nor is the least
+    margin.  The last box's own verdict, or what it raised, comes after
+    the other chunks, so no box is solved twice."""
     if not isinstance(boxes, tuple):
         yield _psd_stack(boxes, tol)
         return
+    start = None if worst is None else max(worst, -tol)
     floor = error = None
     try:
-        last = _psd_stack(boxes[-1][-1:], tol)
+        last = _psd_stack(boxes[-1][-1:], tol, start)
     except (InputError, NotHermitianError) as e:  # an earlier box may decide
         error = e
     else:
         if not last[0][0] < -last[1][0]:
-            floor = max(last[0][0].item(), -tol)
+            floor = max(min(last[0][0].item(),
+                            math.inf if start is None else start), -tol)
     for chunk in filter(len, boxes[:-1] + (boxes[-1][:-1],)):
         yield _psd_stack(chunk, tol, floor)
     if error is not None:
@@ -623,11 +630,13 @@ def generator_certificate(
     to ``box_operator(mats, n)``.  Boxes are judged by the rule of
     ``psd_check`` in groups of at most 2048 matrix entries (one box at
     least).  Runs shorter than a group, and the m = 1 chain, share one
-    stacked eigensolve per group.  A run that fills a group gets one
-    spectrum, of its last box, and the Cholesky screen of ``_psd_stack``
-    clears its other boxes above that box's margin; no box is solved twice
-    (see ``_verdicts``), and reports are byte-identical to judging every
-    box by its spectrum.  The first box in lexicographic order that fails
+    stacked eigensolve per group.  In a run that fills a group, the
+    Cholesky screen of ``_psd_stack`` clears boxes above a running floor,
+    the least margin found so far (at least -tol): first the run's last
+    box, which gets a spectrum only when it is not cleared, then its other
+    boxes, above the lower of that floor and the last box's margin.  No
+    box is solved twice (see ``_verdicts``), and reports are byte-identical
+    to judging every box by its spectrum.  The first box in lexicographic order that fails
     or is not Hermitian decides, so a failure wastes at most the rest of
     its group or run and the Delta steps of less than one more group.  Live
     memory: the kept runs, at most C(max_degree + m - 1, m - 1) boxes of
@@ -660,7 +669,7 @@ def generator_certificate(
     checked, worst = 0, None
     for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
                                       size), size, dim):
-        for mins, tolerances, defect in _verdicts(boxes, tol):
+        for mins, tolerances, defect in _verdicts(boxes, tol, worst):
             checked += len(mins)
             if mins[-1] < -tolerances[-1]:
                 n = next(itertools.islice(

@@ -56,18 +56,24 @@ def adjoint(a: CMatrix) -> CMatrix:
 
 
 def operator_norm(a: CMatrix) -> float:
-    """Largest singular value: the one-matrix case of ``operator_norms``."""
-    return operator_norms(np.asarray(a)[None])[0].item()
+    """Largest singular value: the one-matrix case of ``operator_norms``,
+    without stacking the matrix."""
+    return operator_norms(np.asarray(a)).item()
 
 
-def operator_norms(a) -> np.ndarray:
-    """The largest singular value of each matrix in a stack (k, m, n), via
-    the top eigenvalue of A*A: one stacked Gram product and one batched
-    eigensolve.  The root is taken in float64, whatever the input's
-    precision."""
-    top = np.linalg.eigvalsh(np.conj(a).swapaxes(-1, -2) @ a)[..., -1:]
-    top = top.astype(float, copy=False)
-    return np.sqrt(top.max(axis=-1, initial=0.0))  # 0 for an empty matrix
+def operator_norms(a, gram=None) -> np.ndarray:
+    """The largest singular value of each matrix in a stack (..., m, n), via
+    the top eigenvalue of A*A: one stacked Gram product, or ``gram`` when
+    the caller has formed it, and one batched eigensolve.  The root is
+    taken in float64, whatever the input's precision, and a matrix without
+    columns has norm 0."""
+    a = np.asarray(a)
+    if not a.shape[-1]:  # an empty Gram matrix has no eigenvalue
+        return np.zeros(a.shape[:-2])
+    if gram is None:
+        gram = np.conj(a).swapaxes(-1, -2) @ a
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(np.maximum(0.0, top, dtype=float))
 
 
 def largest(pairs) -> tuple[float, object]:
@@ -87,11 +93,57 @@ def _stack(mats) -> np.ndarray:
     return a if a.ndim == 3 else a.reshape(0, 0, 0)
 
 
+def _cholesky_clears(h, c: float) -> bool:
+    """Whether one batched Cholesky factorization of H - cI completes for
+    every matrix H of the stack ``h`` (each read from its lower triangle),
+    which it shifts in place.  This is the one place where a matrix is
+    factored to decide positivity: a completed factorization shows that
+    each H exceeds cI up to the rounding that the callers' slacks cover
+    (see ``norm_excess`` and ``_psd_stack``)."""
+    n = h.shape[-1]
+    h.reshape(-1, n * n)[:, ::n + 1] -= c
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def norm_excess(mats) -> tuple[float, int | None]:
     """How far a tuple is from being contractive: the largest ||M_i|| - 1,
     floored at 0, and the first index attaining it (None when no operator
-    exceeds norm 1).  The norms come from one ``operator_norms`` call."""
-    return largest(enumerate((operator_norms(_stack(mats)) - 1.0).tolist()))
+    exceeds norm 1).
+
+    The Gram stack G_i = M_i* M_i is formed once.  One batched Cholesky of
+    (1 - s)I - G_i, with s = 64 n^2 u (n the order, u = 2^-53 the unit
+    roundoff of the complex128 matrices every route passes), screens it
+    first: if it completes, the result is (0.0, None), bitwise what the
+    eigensolve path returns, since that path floors at 0.  Else the norms
+    come from one ``operator_norms`` call on the same G.  Write G for the
+    Hermitian matrix of one computed Gram product's lower triangle, which
+    both LAPACK routines read, t for the top eigenvalue that eigvalsh
+    computes from it, and A = fl((1 - s)I - G), where 1 - s is exact and
+    A_ii <= 1 because g_ii >= 0, so trace(A) <= n.  To first order in u,
+    and with ||G||_2 <= 1 + O(u) once the factorization completes
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    - Cholesky's backward error (Higham, Thm 10.3): a factorization that
+      completes is exact for A + dA with ||dA||_2 <= gamma_{n+1} trace(A)
+      <= (n + 1) n u; so lambda_min(A) > -(n + 1) n u;
+    - the rounding of the shifted diagonal is at most u (1 + g_ii) <= 2u,
+      so lambda_max(G) <= 1 - s + ((n + 1) n + 2) u;
+    - eigvalsh's backward error gives t <= lambda_max(G) + p(n) u for a
+      modest p(n).
+    So t <= 1 whenever p(n) <= 63 n^2 - n - 2, which is 60 at n = 1
+    (where eigvalsh is exact) and grows as n^2; then sqrt(max(0, t)) <= 1,
+    and no excess is positive."""
+    a = _stack(mats)
+    n = a.shape[-1]
+    if not n:  # every matrix is empty: norm 0
+        return 0.0, None
+    gram = np.conj(a).swapaxes(-1, -2) @ a
+    if _cholesky_clears(-gram, 64 * n * n * 2.0 ** -53 - 1.0):
+        return 0.0, None
+    return largest(enumerate((operator_norms(a, gram) - 1.0).tolist()))
 
 
 def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
@@ -156,11 +208,12 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     Given a ``floor`` >= -tol, a stack that takes neither the rescale
     (||a||_F^2 >= 2^799) nor the Hermitian-defect branch (a skew Frobenius
     norm above tol * (1 - 2^-20)) is first screened by one batched
-    Cholesky of H - cI, with c = floor + s and s = 64 n u (||a||_F +
-    n |floor|), where n is the order and u = 2^-53.  If it completes, the
-    rule passes every matrix from a least eigenvalue that its eigensolve
-    would compute > floor, and the stack reads as all-inf margins and
-    tolerances with defect 0; else the rule runs as without a floor.
+    Cholesky of H - cI (``_cholesky_clears``), with c = floor + s and
+    s = 64 n u (||a||_F + n |floor|), where n is the order and u = 2^-53.
+    If it completes, the rule passes every matrix from a least eigenvalue
+    that its eigensolve would compute > floor, and the stack reads as
+    all-inf margins and tolerances with defect 0; else the rule runs as
+    without a floor.
     Write F = ||a||_F >= ||H||_F >= ||H||_2, phi = |floor| >= -c and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3).  To first order in u, three errors lie between c
@@ -194,7 +247,8 @@ def _psd_stack(a, tol: float, floor: float | None = None):
                          for x in a], dtype=bool)
         scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
         a = a / scale[:, None, None]
-    adj = np.conj(a).swapaxes(-1, -2)
+    # one transposing pass, so that both passes below read contiguously
+    adj = np.conj(a.swapaxes(-1, -2), order="C")
     skew = a - adj
     h = (a + adj) / 2.0
     # squared Frobenius defects as np.vdot sums them; that of the whole
@@ -204,15 +258,11 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     defect_cleared = scale is None and (
         math.sqrt(total) <= tol * (1.0 - 2.0 ** -20))
     if floor is not None and defect_cleared:
-        h.reshape(k, n * n)[:, ::n + 1] -= floor + 64 * n * 2.0 ** -53 * (
-            math.sqrt(square) + n * abs(floor))
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            h = (a + adj) / 2.0
-        else:
+        if _cholesky_clears(h, floor + 64 * n * 2.0 ** -53 * (
+                math.sqrt(square) + n * abs(floor))):
             cleared = np.full(k, np.inf)
             return cleared, cleared, 0.0
+        np.divide(np.add(a, adj, out=h), 2.0, out=h)  # unshifted again
     # verdicts in float64, whatever the input's precision
     spectra = np.linalg.eigvalsh(h).astype(float, copy=False)
     mins, top = spectra[:, 0], spectra[:, -1]

@@ -142,20 +142,17 @@ class ValidationVerdict:
 
     Validators never raise on semantic failure; the verdict lists each check,
     so callers (and the CLI report) can show which property broke and by how
-    much.  Checks marked ``advisory`` do not affect the flag: they record
-    conditions that the theory expects but that the data structure cannot
-    enforce.  ``validate_rep`` marks none; every serialized check carries
-    the flag."""
+    much.  Every failing check vetoes.  Each serialized check carries an
+    ``advisory`` flag, which no validator sets."""
 
     checks: list[ValidationCheck] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, detail: str = "", *,
-            advisory: bool = False) -> None:
-        self.checks.append(ValidationCheck(name, passed, detail, advisory))
+    def add(self, name: str, passed: bool, detail: str = "") -> None:
+        self.checks.append(ValidationCheck(name, passed, detail))
 
     @property
     def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed and not c.advisory]
+        return [c for c in self.checks if not c.passed]
 
     @property
     def ok(self) -> bool:

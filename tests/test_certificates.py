@@ -57,6 +57,7 @@ from normex import (
     make_gallery,
     make_representation,
     numerical,
+    operator_norm,
     product,
     psd_check,
     regularity_check,
@@ -901,6 +902,14 @@ def _outcome(sweep, mats, degree, tol):
         return type(e), str(e)
 
 
+def _lows(mats, radius):
+    """Commuting normals rescaled to norm ``radius`` for the first and
+    radius / 2 for the others: the margins of the sweep's run ends fall
+    as the first degree grows."""
+    return [np.asarray(x) * (radius / (1 if i == 0 else 2) / operator_norm(x))
+            for i, x in enumerate(mats)]
+
+
 class TestGeneratorSweep:
     def test_gap_rep_passes_through_bound(self):
         lam = 0.5
@@ -1055,8 +1064,9 @@ class TestGeneratorSweep:
             _outcome(sweep_oracle, mats, degree, tol)
 
     def test_one_eigensolve_per_group(self, monkeypatch):
-        # m = 3, dim 4, D = 6: 84 boxes of 16 entries are one group, so the
-        # gate's two stacked norm scans and the group make 3 eigensolves
+        # m = 3, dim 4, D = 6: 84 boxes of 16 entries are one group.  The
+        # gate's Cholesky screen clears the norm scan (every norm is below
+        # 1), so the commutator scan and the group make 2 eigensolves
         calls = []
 
         def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
@@ -1066,15 +1076,29 @@ class TestGeneratorSweep:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rep = generator_certificate(mats, 6)
         assert rep.passed and rep.parameters["tuples_checked"] == 84
-        assert calls == [(3, 4, 4), (3, 4, 4), (84, 4, 4)]
+        assert calls == [(3, 4, 4), (84, 4, 4)]
 
     def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
         # m = 2, dim 64, D = 6: seven runs of 7..1 boxes, one box a group.
-        # Each run's last box gets a spectrum and the Cholesky screen
-        # clears the other 21.  A zero last generator makes every box of a
-        # run equal its last: no screen clears, so each box gets a spectrum.
-        # 0.42 J on the last generator fails the first run at its last box,
-        # n = (0, 6): its seven boxes get one spectrum each, none twice
+        # The gate factors the two Gram matrices once (both norms are below
+        # 1, so no norm spectrum) and solves one commutator spectrum.  The
+        # first run's last box, n = (0, 6), gets a spectrum; every later
+        # box is screened above the least margin so far (at least -tol)
+        # and gets a spectrum only when that screen fails.
+        # - normals: the run ends (0, 6), (1, 5), ..., (6, 0) have margins
+        #   3.8e-8, 1.1e-7, 3.1e-7, 8.6e-7, 2.2e-6, 9.6e-8 and 4.1e-9, so
+        #   only (6, 0) lies below (0, 6)'s and needs a spectrum: 2 spectra
+        #   and 27 screens, every box but (0, 6);
+        # - a zero last generator makes every box of a run equal its last,
+        #   and each run's margin lies below the one before, so every
+        #   screen fails: 28 spectra and the same 27 screens;
+        # - lows: the first generator has the largest norm, so each run's
+        #   last box sets a new low.  Its screen fails and it gets a
+        #   spectrum (7); the run's other boxes clear above it (21 screens
+        #   and 6 failed ones);
+        # - 0.42 J on the last generator fails the first run at its last
+        #   box, (0, 6): its seven boxes get one spectrum each, none twice,
+        #   and nothing is screened
         calls = {"eigvalsh": [], "cholesky": []}
         for name in calls:
             def counted(a, *args, real=getattr(np.linalg, name), name=name,
@@ -1084,18 +1108,20 @@ class TestGeneratorSweep:
             monkeypatch.setattr(np.linalg, name, counted)
         normals = make_commuting_normals(3, 64, 2)
         tie = normals[:1] + [np.zeros((64, 64))]
+        lows = _lows(normals, 0.9)
         jordan = [_grow(x, 0.42 * J2 if i else 0.5 * np.eye(2))
                   for i, x in enumerate(make_commuting_normals(3, 62, 2))]
-        gate, box = [(2, 64, 64), (1, 64, 64)], (1, 64, 64)
+        box = (1, 64, 64)
         for mats, checked, spectra, screened in [
-                (normals, 28, 7, 21), (tie, 28, 28, 21), (jordan, 7, 7, 0)]:
+                (normals, 28, 2, 27), (tie, 28, 28, 27), (lows, 28, 7, 27),
+                (jordan, 7, 7, 0)]:
             for got in calls.values():
                 got.clear()
             rep = generator_certificate(mats, 6)
             assert rep.parameters["tuples_checked"] == checked
             assert rep.passed == (checked == 28)
-            assert calls["eigvalsh"] == gate + [box] * spectra
-            assert calls["cholesky"] == [box] * screened
+            assert calls["eigvalsh"] == [box] * (1 + spectra)
+            assert calls["cholesky"] == [(2, 64, 64)] + [box] * screened
             assert repr(rep.as_dict()) == repr(
                 sweep_oracle(mats, 6).as_dict())
 
@@ -1104,7 +1130,7 @@ class TestGeneratorSweep:
         ("normal", 2, 64, 4), ("normal", 3, 16, 8), ("jordan", 2, 46, 5),
         ("jordan", 3, 16, 9), ("scalar", 2, 64, 3), ("scalar", 3, 16, 8),
         ("zero", 2, 46, 4), ("zero", 3, 16, 8), ("mixed", 2, 64, 4),
-        ("mixed", 3, 16, 10)]),
+        ("mixed", 3, 16, 10), ("lows", 2, 64, 5), ("lows", 3, 16, 9)]),
            tol=st.sampled_from([1e-17, 1e-12, 1e-8]),
            seed=st.integers(0, 2 ** 16), radius=st.floats(0.45, 0.9))
     def test_screened_runs_equal_the_per_box_oracle(self, case, tol, seed,
@@ -1114,7 +1140,9 @@ class TestGeneratorSweep:
         # floor(1/r^2) + 1 <= 5, so the exact rule decides once the last
         # box fails; c I tuples and a zero last generator tie boxes; a
         # normal with c I beside it passes the gate at tol 1e-17, where
-        # rounded boxes fall to the Hermitian-defect rule
+        # rounded boxes fall to the Hermitian-defect rule; the largest norm
+        # on the first generator makes later runs set new lows, so their
+        # last boxes fail the screen above the sweep's running floor
         kind, m, dim, degree = case
         scalars = [c * np.eye(dim) for c in
                    np.random.default_rng(seed).uniform(0.2, 0.9, m)]
@@ -1129,6 +1157,8 @@ class TestGeneratorSweep:
             mats[-1] = np.zeros((dim, dim))
         elif kind == "mixed":
             mats = mats[:1] + scalars[1:]
+        elif kind == "lows":
+            mats = _lows(mats, radius)
         assert repr(_outcome(generator_certificate, mats, degree, tol)) == \
             repr(_outcome(sweep_oracle, mats, degree, tol))
 

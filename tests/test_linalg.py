@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 from conftest import reference_norm
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normex import (
     BlockDecomposition,
@@ -380,6 +382,59 @@ class TestGateScans:
                 assert commutator_residual(mats, others) == want
 
 
+def _norm_case(kind, dim, rng, norm):
+    """One dim x dim matrix for the contraction screen: scaled to ``norm``
+    (or just above 1), a unitary or the nilpotent shift, both of norm 1
+    (the shift is 0 at dim 1)."""
+    if kind == "unitary":
+        return np.linalg.qr(_rand(rng, dim))[0]
+    if kind == "shift":
+        return np.eye(dim, k=-1)
+    x = _rand(rng, dim)
+    if kind == "above":
+        norm = 1.0 + 10.0 ** rng.uniform(-15, -6)
+    return x * (norm / reference_norm(x)) if dim else x
+
+
+class TestContractionScreen:
+    """``norm_excess`` clears a tuple of contractions by one batched
+    Cholesky of (1 - s)I - M*M; what it does not clear gets the norms from
+    one eigensolve of the same Gram stack."""
+
+    @settings(max_examples=150)
+    @example(kinds=[], dim=3, seed=0, norm=0.5)  # no matrix
+    @example(kinds=["scaled", "shift"], dim=0, seed=0, norm=0.5)  # 0 x 0
+    @given(kinds=st.lists(st.sampled_from(
+        ["scaled", "unitary", "shift", "above"]), max_size=4),
+           dim=st.integers(0, 9), seed=st.integers(0, 2 ** 16),
+           norm=st.floats(0.5, 1 - 1e-15))
+    def test_equals_the_eigensolve_path(self, kinds, dim, seed, norm):
+        # bitwise, the sign of a zero too: every norm from its own
+        # eigensolve, floored at 0 and compared with 1 as largest does
+        rng = np.random.default_rng(seed)
+        mats = [cmatrix(_norm_case(k, dim, rng, norm)) for k in kinds]
+        want = largest((i, reference_norm(a) - 1.0)
+                       for i, a in enumerate(mats))
+        assert repr(norm_excess(mats)) == repr(want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
+    def test_contractions_need_no_spectrum(self, monkeypatch, dim):
+        # a unitary's norm is 1 up to rounding, which the screen leaves to
+        # the one eigensolve of the whole Gram stack
+        rng = np.random.default_rng(dim)
+        mats = [_norm_case("scaled", dim, rng, r) for r in (0.5, 0.999)]
+        unitary = _norm_case("unitary", dim, rng, None)
+        calls = []
+
+        def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert norm_excess(mats) == (0.0, None) and calls == []
+        assert norm_excess(mats + [unitary])[0] < 1e-12
+        assert calls == [(3, dim, dim)]
+
+
 class TestLoewner:
     def test_reflexive(self):
         rng = np.random.default_rng(3)
@@ -450,6 +505,27 @@ class TestOperatorNorm:
             singles = [operator_norm(np.asfortranarray(m)) for m in a]
             assert singles == want and {type(v) for v in singles} == {float}
         assert operator_norms(stack[:0]).shape == (0,)
+
+
+@settings(max_examples=100)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 16), scale=st.floats(1e-3, 1e3),
+       dtype=st.sampled_from([np.complex128, np.float64, np.float32,
+                              np.complex64, np.int64]),
+       zero=st.booleans())
+def test_one_matrix_norm_is_the_stacked_one(rows, cols, seed, scale, dtype,
+                                            zero):
+    # operator_norm skips the stack, but not a bit of the result: equal to
+    # operator_norms(a[None])[0], 0 for a matrix without entries
+    a = scale * (not zero) * _rand(np.random.default_rng(seed), rows, cols)
+    if not np.issubdtype(dtype, np.complexfloating):
+        a = a.real
+    a = (np.round(a) if dtype is np.int64 else a).astype(dtype)
+    got, want = operator_norm(a), operator_norms(a[None])[0]
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+    if not a.size:
+        assert repr(got) == "0.0"
 
 
 class TestSpectralResiduals:

@@ -71,7 +71,7 @@ def test_every_imported_name_is_used(module):
 SOLVER_CALLERS = {
     "eigvalsh": {("linalg.py", "operator_norms"), ("linalg.py", "_psd_stack")},
     "eigh": {("linalg.py", "hermitian_eig")},
-    "cholesky": {("linalg.py", "_psd_stack")},
+    "cholesky": {("linalg.py", "_cholesky_clears")},
 }
 
 
@@ -128,6 +128,7 @@ def test_no_kind_chains_outside_the_records():
 
 
 def test_the_cholesky_screen_is_inside_the_psd_rule():
-    # the screen that clears boxes above a floor is part of the one PSD
-    # rule: no other function factors a matrix to decide positivity
+    # one helper holds the screen that clears boxes above a floor
+    # (_psd_stack) and contractions below norm 1 (norm_excess): no other
+    # function factors a matrix to decide positivity
     assert _stray_calls({"cholesky"}) == (True, [])

@@ -1,4 +1,4 @@
-"""Verdict-container semantics: advisory checks report but never veto."""
+"""Verdict-container semantics: every failing check vetoes."""
 
 import pytest
 
@@ -14,13 +14,15 @@ def test_ok_requires_all_binding_checks():
     assert [c.name for c in v.failures] == ["b"]
 
 
-def test_advisory_failures_do_not_veto():
+def test_a_failing_check_vetoes():
     v = ValidationVerdict()
     v.add("binding", True, "fine")
-    v.add("advice", False, "worth a look", advisory=True)
-    assert v.ok
-    assert v.failures == []
-    assert [c.name for c in v.checks if not c.passed] == ["advice"]
+    v.add("broken", False, "worth a look")
+    v.add("also", True, "fine")
+    assert not v.ok
+    assert v.failures == [ValidationCheck("broken", False, "worth a look",
+                                          False)]
+    assert v.as_dict()["ok"] is False
 
 
 def test_as_dict_is_json_ready():
