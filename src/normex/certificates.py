@@ -28,7 +28,9 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     CMatrix,
     PsdVerdict,
+    _commutators,
     _freeze,
+    _group_size,
     _psd_stack,
     adjoint,
     block_decompose,
@@ -48,10 +50,6 @@ DEFAULT_SUBSET_CAP = 16
 DEFAULT_MAX_DEGREE = 6
 #: Budget of one generator sweep in degree tuples, C(max_degree + m, m).
 _SWEEP_TUPLE_CAP = 2 ** 16
-#: Matrix entries per group of the generator sweep: boxes of dim <= 8 go 32
-#: or more to one eigensolve or Cholesky screen, where Python dispatch would
-#: dominate; a box of dim >= 46, whose factorization dominates, goes alone.
-_GROUP_ENTRIES = 2048
 
 # A DegreeTuple is a tuple of non-negative ints, one per operator under test.
 DegreeTuple = tuple
@@ -213,24 +211,32 @@ def _not_applicable(condition: str, parameters: dict, witness,
 
 
 def _gate(condition: str, parameters: dict, mats,
-          tol: float) -> tuple[CertificateReport | None, float | None]:
-    """The precondition gate of every sum-based certificate.  Returns the
+          tol: float) -> CertificateReport | None:
+    """The precondition gate of every sum-based certificate: the
     not-applicable report when some operator is not a contraction or,
-    failing that, some pair does not commute, else None; and, second, the
-    commutator residual whenever it was computed."""
-    mats = np.asarray(mats)  # one stack for both scans
+    failing that, some pair does not commute, else None.
+
+    Commutation is decided without a spectrum when it can be: the pair
+    commutators, formed in stacks of at most one group as
+    ``commutator_residual`` forms them, pass when the root of their
+    ``np.vdot`` sum is at most tol * (1 - 2^-20), since ||C||_2 <= ||C||_F
+    and the margin covers the rounding of either norm.  Only when that
+    bound fails does ``commutator_residual`` norm them, so a pass is the
+    one it would give, and a non-commuting witness is its worst pair."""
     worst, index = norm_excess(mats)
     if worst > tol:
         witness = {"reason": "not a contraction",
                    "index": index, "norm_excess": worst}
-        comm = None
     else:
+        square = sum(np.vdot(c, c).real for _, c in _commutators(mats))
+        if math.sqrt(square) <= tol * (1.0 - 2.0 ** -20):
+            return None
         comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None, comm
+            return None
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return _not_applicable(condition, parameters, witness, tol), comm
+    return _not_applicable(condition, parameters, witness, tol)
 
 
 def agler_certificate(
@@ -238,7 +244,7 @@ def agler_certificate(
 ) -> CertificateReport:
     """Positivity of the alternating binomial sum of *-powers at degree n."""
     (t,), (n,) = _box_args((t,), (n,))
-    gated, _ = _gate("agler", {"n": n}, (t,), tol)
+    gated = _gate("agler", {"n": n}, (t,), tol)
     if gated is not None:
         return gated
     verdict = psd_check(box_operator((t,), (n,)), tol)
@@ -251,9 +257,10 @@ def athavale_certificate(
     """Positivity of the multi-binomial alternating sum for a commuting
     contraction tuple at the degree box n."""
     mats, n = _box_args(ts, n)
-    gated, comm = _gate("athavale", {"n": list(n)}, mats, tol)
+    gated = _gate("athavale", {"n": list(n)}, mats, tol)
     if gated is not None:
         return gated
+    comm, _ = commutator_residual(mats)
     verdict = psd_check(box_operator(mats, n), tol)
     return _psd_report("athavale", {"n": list(n), "commutator_residual": comm},
                        verdict, tol, {"n": list(n)})
@@ -311,7 +318,7 @@ def brehmer_certificate(
         raise CapExceededError(len(letters), cap, 2 ** len(letters))
     idxs = _letters_to_indices(t, letters)
     parameters = {"letters": letters, "subset_count": 2 ** len(letters)}
-    gated, _ = _gate("brehmer", parameters, t.generator_images, tol)
+    gated = _gate("brehmer", parameters, t.generator_images, tol)
     if gated is not None:
         return gated
     verdict = psd_check(brehmer_sum(t.generator_images, idxs, t.dimension), tol)
@@ -636,13 +643,16 @@ def generator_certificate(
     box, which gets a spectrum only when it is not cleared, then its other
     boxes, above the lower of that floor and the last box's margin.  No
     box is solved twice (see ``_verdicts``), and reports are byte-identical
-    to judging every box by its spectrum.  The first box in lexicographic order that fails
-    or is not Hermitian decides, so a failure wastes at most the rest of
-    its group or run and the Delta steps of less than one more group.  Live
-    memory: the kept runs, at most C(max_degree + m - 1, m - 1) boxes of
-    dim^2 entries as for one box at a time, plus one group and the
-    temporaries of one stacked step or verdict over a chunk; no array holds
-    more than one group or box."""
+    to judging every box by its spectrum.  The first box in lexicographic
+    order that fails or is not Hermitian decides, so a failure wastes at
+    most the rest of its group or run and the Delta steps of less than one
+    more group.  The precondition gate (``_gate``) runs first, on stacks
+    of at most one group as well, and on commuting contractions it solves
+    no eigenproblem: a Cholesky screen clears the norms, and a Frobenius
+    bound the commutators.  Live memory: the kept runs, at most
+    C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box at
+    a time, plus one group and the temporaries of one stacked step or
+    verdict over a chunk; no array holds more than one group or box."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:
@@ -662,10 +672,10 @@ def generator_certificate(
     tuples = math.comb(max_degree + m, m)
     if tuples > _SWEEP_TUPLE_CAP:
         raise _TupleCapExceededError(tuples, _SWEEP_TUPLE_CAP)
-    gated, _ = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
+    gated = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
-    size = max(1, _GROUP_ENTRIES // max(1, dim * dim))
+    size = _group_size(dim)
     checked, worst = 0, None
     for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
                                       size), size, dim):

@@ -86,11 +86,18 @@ def largest(pairs) -> tuple[float, object]:
     return worst, at
 
 
-def _stack(mats) -> np.ndarray:
-    """A sequence of equal-shape matrices as one (k, m, n) array; an empty
-    sequence as a (0, 0, 0) one."""
-    a = np.asarray(mats)
-    return a if a.ndim == 3 else a.reshape(0, 0, 0)
+#: Matrix entries per stack of the gate's scans and per group of the
+#: generator sweep: matrices of order <= 8 go 32 or more to one batched
+#: call, where Python dispatch would dominate; a matrix of order >= 46,
+#: whose factorization dominates, goes alone.  A complex stack then holds
+#: at most 32 KiB or one matrix (64 KiB at order 64), below glibc's
+#: 128 KiB mmap threshold, so its temporaries fault no fresh pages.
+_GROUP_ENTRIES = 2048
+
+
+def _group_size(n: int) -> int:
+    """How many n x n matrices one stack holds: max(1, 2048 // n^2)."""
+    return max(1, _GROUP_ENTRIES // max(1, n * n))
 
 
 def _cholesky_clears(h, c: float) -> bool:
@@ -114,18 +121,23 @@ def norm_excess(mats) -> tuple[float, int | None]:
     floored at 0, and the first index attaining it (None when no operator
     exceeds norm 1).
 
-    The Gram stack G_i = M_i* M_i is formed once.  One batched Cholesky of
-    (1 - s)I - G_i, with s = 64 n^2 u (n the order, u = 2^-53 the unit
-    roundoff of the complex128 matrices every route passes), screens it
-    first: if it completes, the result is (0.0, None), bitwise what the
-    eigensolve path returns, since that path floors at 0.  Else the norms
-    come from one ``operator_norms`` call on the same G.  Write G for the
-    Hermitian matrix of one computed Gram product's lower triangle, which
-    both LAPACK routines read, t for the top eigenvalue that eigvalsh
-    computes from it, and A = fl((1 - s)I - G), where 1 - s is exact and
-    A_ii <= 1 because g_ii >= 0, so trace(A) <= n.  To first order in u,
-    and with ||G||_2 <= 1 + O(u) once the factorization completes
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    The matrices go in stacks of at most ``_group_size(n)`` (n the order),
+    and each stack's Gram matrices G_i = M_i* M_i are formed once.  One
+    batched Cholesky of (1 - s)I - G_i, with s = 64 n^2 u (u = 2^-53 the
+    unit roundoff of the complex128 matrices every route passes), screens
+    the stack first: if it completes, no excess of the stack is positive,
+    bitwise what the eigensolve path finds, since that path floors at 0.
+    A Gram diagonal entry >= 1 - s (a column of norm about 1, as in a
+    unitary or a shift) makes that diagonal entry of (1 - s)I - G_i, and so
+    a pivot, <= 0, so the factorization must fail and is not tried.  A
+    stack the screen does not clear gets its norms from one
+    ``operator_norms`` call on the same G.  Write G for the Hermitian
+    matrix of one computed Gram product's lower triangle, which both LAPACK
+    routines read, t for the top eigenvalue that eigvalsh computes from it,
+    and A = fl((1 - s)I - G), where 1 - s is exact and A_ii <= 1 because
+    g_ii >= 0, so trace(A) <= n.  To first order in u, and with
+    ||G||_2 <= 1 + O(u) once the factorization completes (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3):
     - Cholesky's backward error (Higham, Thm 10.3): a factorization that
       completes is exact for A + dA with ||dA||_2 <= gamma_{n+1} trace(A)
       <= (n + 1) n u; so lambda_min(A) > -(n + 1) n u;
@@ -136,30 +148,48 @@ def norm_excess(mats) -> tuple[float, int | None]:
     So t <= 1 whenever p(n) <= 63 n^2 - n - 2, which is 60 at n = 1
     (where eigvalsh is exact) and grows as n^2; then sqrt(max(0, t)) <= 1,
     and no excess is positive."""
-    a = _stack(mats)
-    n = a.shape[-1]
-    if not n:  # every matrix is empty: norm 0
+    n = np.shape(mats[0])[-1] if len(mats) else 0
+    if not n:  # no matrix, or every matrix has norm 0
         return 0.0, None
-    gram = np.conj(a).swapaxes(-1, -2) @ a
-    if _cholesky_clears(-gram, 64 * n * n * 2.0 ** -53 - 1.0):
-        return 0.0, None
-    return largest(enumerate((operator_norms(a, gram) - 1.0).tolist()))
+    s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
+    worst, at = 0.0, None
+    for lo in range(0, len(mats), size):
+        a = np.asarray(mats[lo:lo + size])
+        gram = np.conj(a).swapaxes(-1, -2) @ a
+        if (gram.reshape(len(a), -1)[:, ::n + 1].real.max() < 1.0 - s
+                and _cholesky_clears(-gram, s - 1.0)):
+            continue
+        excess, i = largest(enumerate((operator_norms(a, gram) - 1.0)
+                                      .tolist()))
+        if excess > worst:
+            worst, at = excess, lo + i
+    return worst, at
+
+
+def _commutators(mats, others=None):
+    """The pairs (i, j), i < j, of a tuple, with their commutators
+    A_i B_j - B_j A_i (B = ``others``, default ``mats`` itself), as
+    consecutive (pairs, stack) chunks of at most ``_group_size(n)``
+    pairs."""
+    a = [np.asarray(x) for x in mats]
+    b = a if others is None else [np.asarray(x) for x in others]
+    pairs = [(i, j) for i in range(len(a)) for j in range(i + 1, len(a))]
+    size = _group_size(a[0].shape[-1]) if a else 1
+    for lo in range(0, len(pairs), size):
+        chunk = pairs[lo:lo + size]
+        left = np.array([a[i] for i, _ in chunk])
+        right = np.array([b[j] for _, j in chunk])
+        yield chunk, left @ right - right @ left
 
 
 def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
     """Largest ||A_i B_j - B_j A_i|| over i < j with B = ``others`` (default
     ``mats`` itself; the adjoints give the *-commutator), and the first pair
-    (i, j) attaining it (None when every commutator vanishes).  All
-    commutators are formed in one stacked product and normed by one
-    ``operator_norms`` call."""
-    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    if not pairs:
-        return 0.0, None
-    i, j = np.array(pairs).T
-    a = _stack(mats)
-    left, right = a[i], (a if others is None else _stack(others))[j]
-    return largest(zip(pairs, operator_norms(left @ right - right @ left)
-                       .tolist()))
+    (i, j) attaining it (None when every commutator vanishes).  The
+    commutators are formed in stacks of at most one group
+    (``_commutators``), each normed by one ``operator_norms`` call."""
+    return largest((pair, r) for pairs, c in _commutators(mats, others)
+                   for pair, r in zip(pairs, operator_norms(c).tolist()))
 
 
 def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -208,20 +238,24 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     Given a ``floor`` >= -tol, a stack that takes neither the rescale
     (||a||_F^2 >= 2^799) nor the Hermitian-defect branch (a skew Frobenius
     norm above tol * (1 - 2^-20)) is first screened by one batched
-    Cholesky of H - cI (``_cholesky_clears``), with c = floor + s and
-    s = 64 n u (||a||_F + n |floor|), where n is the order and u = 2^-53.
-    If it completes, the rule passes every matrix from a least eigenvalue
-    that its eigensolve would compute > floor, and the stack reads as
-    all-inf margins and tolerances with defect 0; else the rule runs as
-    without a floor.
+    Cholesky of 2H - 2cI = fl(a + a*) - 2cI (``_cholesky_clears``), with
+    c = floor + s and s = 64 n u (||a||_F + n |floor|), where n is the
+    order and u = 2^-53; H = fl(a + a*) / 2 is halved only when a spectrum
+    is needed.  If the factorization completes, the rule passes every
+    matrix from a least eigenvalue that its eigensolve would compute
+    > floor, and the stack reads as all-inf margins and tolerances with
+    defect 0; else the rule runs as without a floor.
+    Scaling by 2 is exact (barring underflow), so the factored matrix is
+    2A with A = fl(H - cI), and Cholesky's backward error is relative to
+    the trace, so what holds for A holds for 2A.
     Write F = ||a||_F >= ||H||_F >= ||H||_2, phi = |floor| >= -c and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3).  To first order in u, three errors lie between c
     and the least eigenvalue eigvalsh computes:
-    - Cholesky's backward error (Higham, Thm 10.3): a factorization that
-      completes is exact for A + dA, A = fl(H - cI), with ||dA||_2 <=
-      gamma_{n+1} trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H)
-      <= sqrt(n) ||H||_F; so lambda_min(A) > -||dA||_2;
+    - Cholesky's backward error (Higham, Thm 10.3): a factorization of 2A
+      that completes is exact for 2A + 2dA with ||dA||_2 <= gamma_{n+1}
+      trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H) <= sqrt(n)
+      ||H||_F; so lambda_min(A) > -||dA||_2;
     - the rounding of the shift: fl(floor + s) >= floor + s - u |c|, and
       fl(h_ii - c) is off by at most u |h_ii - c| <= u (F + |c|);
     - eigvalsh's backward error, at most p(n) u ||H||_2 for a modest p(n).
@@ -250,7 +284,7 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     # one transposing pass, so that both passes below read contiguously
     adj = np.conj(a.swapaxes(-1, -2), order="C")
     skew = a - adj
-    h = (a + adj) / 2.0
+    h = a + adj  # 2H, halved below only for a spectrum
     # squared Frobenius defects as np.vdot sums them; that of the whole
     # stack clears every matrix while its root is below tol, the least
     # tolerance (the margin covers the rounding of either sum)
@@ -258,11 +292,13 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     defect_cleared = scale is None and (
         math.sqrt(total) <= tol * (1.0 - 2.0 ** -20))
     if floor is not None and defect_cleared:
-        if _cholesky_clears(h, floor + 64 * n * 2.0 ** -53 * (
-                math.sqrt(square) + n * abs(floor))):
+        if _cholesky_clears(h, 2.0 * (floor + 64 * n * 2.0 ** -53 * (
+                math.sqrt(square) + n * abs(floor)))):
             cleared = np.full(k, np.inf)
             return cleared, cleared, 0.0
-        np.divide(np.add(a, adj, out=h), 2.0, out=h)  # unshifted again
+        np.divide(np.add(a, adj, out=h), 2.0, out=h)  # unshifted, halved
+    else:  # out of place: an integer a + adj halves to float64
+        h = h / 2.0
     # verdicts in float64, whatever the input's precision
     spectra = np.linalg.eigvalsh(h).astype(float, copy=False)
     mins, top = spectra[:, 0], spectra[:, -1]

@@ -140,6 +140,16 @@ class FreeAbelian(SemigroupDescriptor):
         return {i: x for i, x in enumerate(c) if x}
 
 
+def _sums_upto(ws, top: int):
+    """Each sum a + b <= top of entries a <= b of the ascending list
+    ``ws``, in a time linear in their count and in len(ws)."""
+    for i, a in enumerate(ws):
+        for j in range(i, len(ws)):
+            if a + ws[j] > top:
+                break
+            yield a + ws[j]
+
+
 @dataclass(frozen=True)
 class Numerical(SemigroupDescriptor):
     gaps: tuple[int, ...]  # ascending
@@ -155,17 +165,18 @@ class Numerical(SemigroupDescriptor):
                 raise InputError("0 in gap set rejects the unit: not a semigroup")
             if g < 0:
                 raise InputError("gap entries must be positive")
-        # closedness under addition: no gap may split as a sum of two
-        # members; the smallest positive member bounds the split from below
-        least = next(n for n in count(1) if n not in gaps)
-        for g in sorted(gaps):
-            for a in range(least, g // 2 + 1):
-                if a not in gaps and (g - a) not in gaps:
-                    raise InputError(
-                        f"gap set not additively closed: {a} + {g - a} = {g} "
-                        "is a gap"
-                    )
         object.__setattr__(self, "gaps", tuple(sorted(gaps)))
+        if self._apery is None:
+            # name the first split in (gap, member) order: no gap may split
+            # as a sum of two members, the smallest positive one bounds the
+            # split from below, and a set that is not closed has a split
+            least = next(n for n in count(1) if n not in gaps)
+            for g in self.gaps:
+                for a in range(least, g // 2 + 1):
+                    if a not in gaps and (g - a) not in gaps:
+                        raise InputError(
+                            f"gap set not additively closed: {a} + {g - a} "
+                            f"= {g} is a gap")
 
     @cached_property
     def lattice_ordered(self):
@@ -180,26 +191,36 @@ class Numerical(SemigroupDescriptor):
         """The largest gap, -1 when there is none."""
         return max(self.gaps, default=-1)
 
-    def members(self, upto: int) -> list[int]:
-        return [n for n in range(upto + 1) if n not in self._gap_set]
+    @cached_property
+    def _apery(self) -> tuple[int, ...] | None:
+        """The Apery set of m, the smallest positive member: w_i, the least
+        member congruent to i mod m, for i < m; None when the members are not
+        additively closed.  They are closed iff each residue class of
+        members is a tail w_i + mN (no gap g > m has a member g - m) and no
+        sum w_i + w_j is a gap, since a sum of two members is then
+        w_i + w_j + km.  Time O(F + m + the pairs of w's summing to at most
+        F), F the largest gap; so O(F m) at worst."""
+        gaps = self._gap_set
+        m = next(n for n in count(1) if n not in gaps)
+        if any(g > m and g - m not in gaps for g in gaps):
+            return None
+        w = []
+        for i in range(m):
+            while i in gaps:
+                i += m
+            w.append(i)
+        if any(s in gaps for s in _sums_upto(sorted(w[1:]), self.frobenius)):
+            return None
+        return tuple(w)
 
     @cached_property
     def generators(self):
-        if not self.gaps:
-            return (GroupElement(1),)
-        positives = self.members(2 * self.frobenius + 2)[1:]
-        members = set(positives)
-        smallest = positives[0]
-        gens = []
-        # minimal generators all lie in [smallest, frobenius + smallest]; n is
-        # one unless n = a + (n - a) for members a <= n - a
-        for n in positives:
-            if n > self.frobenius + smallest:
-                break
-            if not any(a in members and (n - a) in members
-                       for a in range(smallest, n // 2 + 1)):
-                gens.append(GroupElement(n))
-        return tuple(gens)
+        # m and the w of the Apery set of m that are no sum of two nonzero
+        # w's: a split of such a w into positive members splits it into w's
+        ws = sorted(self._apery[1:])
+        sums = set(_sums_upto(ws, ws[-1] if ws else 0))
+        return tuple(GroupElement(n) for n in
+                     [len(self._apery)] + [w for w in ws if w not in sums])
 
     def canon(self, raw):
         if not _is_int(raw):

@@ -8,9 +8,11 @@ per-criterion outcomes.  The whole suite has a two-minute wall budget.
 package evaluates alternating sums by the iterated defect map, this module
 by the explicit binomial expansion.  ``reference_norm`` is the one-matrix
 oracle of ``operator_norm`` and ``operator_norms``: one Gram product and
-one eigensolve per matrix.  ``sweep_oracle`` is the per-box
-oracle of the stacked generator sweep: one ``operator_norm`` per gate
-norm, one Delta step and one ``psd_check`` per degree tuple.
+one eigensolve per matrix.  ``gate_oracle`` is the oracle of the
+certificates' precondition gate: one ``operator_norm`` per operator and
+per commutator.  ``sweep_oracle`` is the per-box oracle of the stacked
+generator sweep: that gate, then one Delta step and one ``psd_check`` per
+degree tuple.  ``count_solvers`` records the stacks that LAPACK calls see.
 ``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
 are the per-entry oracles of the stacked sampled checks: one
 ``star_kernel``, ``tilde_eval`` or ``operator_norm`` call per block or
@@ -83,6 +85,45 @@ def reference_norm(a):
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _first_largest(items):
+    worst, at = 0.0, None
+    for key, r in items:
+        if r > worst:
+            worst, at = r, key
+    return worst, at
+
+
+def gate_oracle(mats, tol):
+    """The witness of the certificates' precondition gate, or None when it
+    passes, from one ``operator_norm`` per operator and per commutator."""
+    from normex import operator_norm
+    excess, index = _first_largest(
+        (i, operator_norm(m) - 1.0) for i, m in enumerate(mats))
+    if excess > tol:
+        return {"reason": "not a contraction", "index": index,
+                "norm_excess": excess}
+    comm, pair = _first_largest(
+        ((i, j), operator_norm(a @ b - b @ a))
+        for (i, a), (j, b) in itertools.combinations(enumerate(mats), 2))
+    if comm > tol:
+        return {"reason": "non-commuting", "pair": list(pair),
+                "residual": comm}
+    return None
+
+
+def count_solvers(monkeypatch, *names):
+    """Record the shape of the first argument of each call of the named
+    ``np.linalg`` functions: {name: [shape, ...]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(a, *args, real=getattr(np.linalg, name), name=name,
+                    **kwargs):
+            calls[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def sweep_oracle(mats, max_degree, tol=1e-8):
     """``generator_certificate``'s report, one box at a time: the gate
     from one ``operator_norm`` per generator and per commutator, then every
@@ -90,7 +131,7 @@ def sweep_oracle(mats, max_degree, tol=1e-8):
     from a stored predecessor (j the first nonzero index of n) and one
     ``psd_check`` per box, stopping at the first failure.  Raises what
     ``psd_check`` raises."""
-    from normex import CertificateReport, cmatrix, operator_norm, psd_check
+    from normex import CertificateReport, cmatrix, psd_check
     mats = [cmatrix(m) for m in mats]
     ran = {"max_degree": max_degree}
 
@@ -103,24 +144,9 @@ def sweep_oracle(mats, max_degree, tol=1e-8):
     if not mats:
         return report("pass", 0, notes=("vacuous: no generators",))
 
-    def first_largest(items):
-        worst, at = 0.0, None
-        for key, r in items:
-            if r > worst:
-                worst, at = r, key
-        return worst, at
-    excess, index = first_largest(
-        (i, operator_norm(m) - 1.0) for i, m in enumerate(mats))
-    if excess > tol:
-        return report("not-applicable", witness={
-            "reason": "not a contraction", "index": index,
-            "norm_excess": excess})
-    comm, pair = first_largest(
-        ((i, j), operator_norm(a @ b - b @ a))
-        for (i, a), (j, b) in itertools.combinations(enumerate(mats), 2))
-    if comm > tol:
-        return report("not-applicable", witness={
-            "reason": "non-commuting", "pair": list(pair), "residual": comm})
+    gated = gate_oracle(mats, tol)
+    if gated is not None:
+        return report("not-applicable", witness=gated)
     live, worst, checked = {}, None, 0
     for n in itertools.product(range(max_degree + 1), repeat=len(mats)):
         if sum(n) > max_degree:

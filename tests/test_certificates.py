@@ -18,7 +18,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    count_solvers,
     explicit_box_sum,
+    gate_oracle,
     regularity_kernels,
     sweep_oracle,
     sznagy_kernels,
@@ -44,6 +46,7 @@ from normex import (
     brehmer_certificate,
     brehmer_sum,
     canonical_json,
+    cmatrix,
     degree_tuple,
     element,
     eval_rep,
@@ -886,6 +889,101 @@ class TestExtensionResidual:
         assert lhs <= 1e-14 and rhs <= 1e-14
 
 
+def _gaussian(rng, dim):
+    return (rng.standard_normal((dim, dim))
+            + 1j * rng.standard_normal((dim, dim)))
+
+
+class TestGate:
+    """``certificates._gate`` passes commutation when the Frobenius norm of
+    all pair commutators is below the tolerance, and norms them as
+    ``commutator_residual`` does only when it is not."""
+
+    # X Y - Y X = -2i kron(I_2, sigma_y): four singular values 2, so the
+    # commutator of 0.5 I + dX and 0.5 I + dY has spectral norm 2 d^2 and
+    # Frobenius norm 4 d^2
+    SIGMA = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    D = 1e-5
+
+    def _pair(self):
+        return [cmatrix(0.5 * np.eye(4) + self.D * np.kron(np.eye(2), s))
+                for s in self.SIGMA]
+
+    def test_a_pair_the_frobenius_bound_cannot_pass_goes_exact(
+            self, monkeypatch):
+        mats = self._pair()
+        comm, pair = linalg.commutator_residual(mats)
+        assert abs(comm - 2 * self.D ** 2) <= 1e-20 and pair == (0, 1)
+        tol = 3 * self.D ** 2  # ||C||_2 <= tol < ||C||_F
+        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
+        assert certificates._gate("g", {}, mats, tol) is None
+        assert calls == {"eigvalsh": [(1, 4, 4)], "cholesky": [(2, 4, 4)]}
+        assert gate_oracle(mats, tol) is None
+
+    def test_a_non_commuting_witness_is_the_residual_scan(self):
+        mats = self._pair()
+        tol = self.D ** 2  # below ||C||_2
+        comm, pair = linalg.commutator_residual(mats)
+        rep = certificates._gate("g", {}, mats, tol)
+        assert rep.verdict == "not-applicable"
+        assert repr(rep.witness) == repr({
+            "reason": "non-commuting", "pair": list(pair), "residual": comm})
+        assert repr(rep.witness) == repr(gate_oracle(mats, tol))
+
+    @settings(max_examples=150)
+    @given(m=st.integers(1, 4), dim=st.sampled_from([1, 2, 3, 5, 8, 16]),
+           seed=st.integers(0, 2 ** 16), near=st.floats(-2, 1),
+           norm=st.one_of(st.floats(0.3, 1.0),
+                          st.floats(-17, -7).map(lambda e: 1 + 10 ** e)),
+           tol=st.sampled_from([1e-17, 1e-12, 1e-8]))
+    def test_equals_the_per_pair_oracle(self, m, dim, seed, near, norm, tol):
+        # commuting normals of norm ``norm``, on both sides of 1, each
+        # moved by a random matrix of norm about tol * 10^near: commutators
+        # on both sides of tol, some passed by the Frobenius bound, some
+        # only by the spectral norm
+        rng = np.random.default_rng(seed)
+        mats = [cmatrix(norm * np.asarray(x) / operator_norm(x)
+                        + tol * 10.0 ** near * _gaussian(rng, dim) / dim)
+                for x in make_commuting_normals(seed, dim, m)]
+        rep = certificates._gate("g", {}, mats, tol)
+        want = gate_oracle(mats, tol)
+        assert repr(None if rep is None else rep.witness) == repr(want)
+
+    @pytest.mark.parametrize("dim", [4, 64])
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_each_stack_is_one_group(self, monkeypatch, dim, unitary):
+        # three non-commuting operators: one stack of three matrices (or
+        # three pairs) at dim 4, one matrix a stack at dim 64.  A unitary
+        # first is not factored: its Gram diagonal is 1 up to rounding
+        rng = np.random.default_rng(dim)
+        mats = [cmatrix(np.linalg.qr(_gaussian(rng, dim))[0]
+                        if unitary and not i
+                        else 0.3 * _gaussian(rng, dim) / math.sqrt(dim))
+                for i in range(3)]
+        stack, count = ((3, dim, dim), 1) if dim == 4 else ((1, dim, dim), 3)
+        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
+        rep = certificates._gate("g", {}, mats, 1e-8)
+        assert rep.witness["reason"] == "non-commuting"
+        if not unitary:
+            assert calls == {"eigvalsh": [stack] * count,
+                             "cholesky": [stack] * count}
+        elif dim == 4:  # the unitary's stack gets a spectrum, uncleared
+            assert calls == {"eigvalsh": [stack] * 2, "cholesky": []}
+        else:
+            assert calls == {"eigvalsh": [stack] * 4, "cholesky": [stack] * 2}
+        monkeypatch.undo()
+        assert repr(rep.witness) == repr(gate_oracle(mats, 1e-8))
+
+    def test_athavale_reports_the_residual_scan(self):
+        # a residual below tol but above 0 is reported as the scan finds it
+        mats = self._pair()
+        rep = athavale_certificate(mats, (1, 1))
+        assert rep.passed
+        assert rep.parameters["commutator_residual"] == \
+            linalg.commutator_residual(mats)[0] == gate_oracle(
+                mats, 0.0)["residual"]
+
+
 def _grow(x, corner):
     """The block diagonal corner (+) x, corner 2 x 2."""
     dim = np.shape(x)[0]
@@ -1001,7 +1099,7 @@ class TestGeneratorSweep:
         else:
             n = np.asarray(make_commuting_normals(2, 2, 1)[0])
             mats, degree, tol = [_grow(n, J2 / math.sqrt(4.5))], 15, 1e-17
-        assert math.comb(degree + 1, 1) <= certificates._GROUP_ENTRIES // 16
+        assert math.comb(degree + 1, 1) <= linalg._group_size(4)
         with pytest.raises(NotHermitianError):
             psd_check(box_operator(mats, (degree,)), tol)
         if case == "fail-then-not-hermitian":
@@ -1066,22 +1164,19 @@ class TestGeneratorSweep:
     def test_one_eigensolve_per_group(self, monkeypatch):
         # m = 3, dim 4, D = 6: 84 boxes of 16 entries are one group.  The
         # gate's Cholesky screen clears the norm scan (every norm is below
-        # 1), so the commutator scan and the group make 2 eigensolves
-        calls = []
-
-        def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
+        # 1) and the Frobenius bound the commutators, so the group's is the
+        # one eigensolve
         mats = make_commuting_normals(3, 4, 3)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = count_solvers(monkeypatch, "eigvalsh")
         rep = generator_certificate(mats, 6)
         assert rep.passed and rep.parameters["tuples_checked"] == 84
-        assert calls == [(3, 4, 4), (84, 4, 4)]
+        assert calls == {"eigvalsh": [(84, 4, 4)]}
 
     def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
         # m = 2, dim 64, D = 6: seven runs of 7..1 boxes, one box a group.
-        # The gate factors the two Gram matrices once (both norms are below
-        # 1, so no norm spectrum) and solves one commutator spectrum.  The
+        # The gate factors the two Gram matrices one at a time (both norms
+        # are below 1, so no norm spectrum), and the Frobenius bound passes
+        # the commutator without a spectrum.  The
         # first run's last box, n = (0, 6), gets a spectrum; every later
         # box is screened above the least margin so far (at least -tol)
         # and gets a spectrum only when that screen fails.
@@ -1099,13 +1194,7 @@ class TestGeneratorSweep:
         # - 0.42 J on the last generator fails the first run at its last
         #   box, (0, 6): its seven boxes get one spectrum each, none twice,
         #   and nothing is screened
-        calls = {"eigvalsh": [], "cholesky": []}
-        for name in calls:
-            def counted(a, *args, real=getattr(np.linalg, name), name=name,
-                        **kwargs):
-                calls[name].append(np.shape(a))
-                return real(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
         normals = make_commuting_normals(3, 64, 2)
         tie = normals[:1] + [np.zeros((64, 64))]
         lows = _lows(normals, 0.9)
@@ -1120,8 +1209,8 @@ class TestGeneratorSweep:
             rep = generator_certificate(mats, 6)
             assert rep.parameters["tuples_checked"] == checked
             assert rep.passed == (checked == 28)
-            assert calls["eigvalsh"] == [box] * (1 + spectra)
-            assert calls["cholesky"] == [(2, 64, 64)] + [box] * screened
+            assert calls["eigvalsh"] == [box] * spectra
+            assert calls["cholesky"] == [box] * (2 + screened)
             assert repr(rep.as_dict()) == repr(
                 sweep_oracle(mats, 6).as_dict())
 

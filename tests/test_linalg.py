@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_norm
+from conftest import count_solvers, reference_norm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -365,8 +365,10 @@ class TestPsdScreen:
 
 class TestGateScans:
     @pytest.mark.parametrize("m, dim", [(0, 3), (1, 0), (1, 4), (2, 3),
-                                        (3, 1), (4, 5)])
+                                        (3, 1), (4, 5), (6, 16), (3, 64)])
     def test_stacked_scans_equal_one_by_one(self, m, dim):
+        # one stack holds at most 2048 // dim^2 matrices (or pairs): 8 at
+        # dim 16, so 15 pairs go in two stacks, and one at dim 64
         rng = np.random.default_rng([m, dim])
         for scale in (0.2, 0.6):
             mats = [cmatrix(scale * _rand(rng, dim)) for _ in range(m)]
@@ -419,20 +421,41 @@ class TestContractionScreen:
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
     def test_contractions_need_no_spectrum(self, monkeypatch, dim):
-        # a unitary's norm is 1 up to rounding, which the screen leaves to
-        # the one eigensolve of the whole Gram stack
+        # one stack of all three matrices up to dim 16, one matrix a stack
+        # at dim 64.  A unitary's norm is 1 up to rounding, which the
+        # screen leaves to one eigensolve of its stack's Gram matrices
         rng = np.random.default_rng(dim)
         mats = [_norm_case("scaled", dim, rng, r) for r in (0.5, 0.999)]
         unitary = _norm_case("unitary", dim, rng, None)
-        calls = []
-
-        def counted(a, *args, real=np.linalg.eigvalsh, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        assert norm_excess(mats) == (0.0, None) and calls == []
+        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
+        assert norm_excess(mats) == (0.0, None)
+        alone = (1, dim, dim)
+        pair = [(2, dim, dim)] if dim <= 16 else [alone] * 2
+        assert calls == {"eigvalsh": [], "cholesky": pair}
+        calls["cholesky"].clear()
         assert norm_excess(mats + [unitary])[0] < 1e-12
-        assert calls == [(3, dim, dim)]
+        if dim <= 16:  # the unitary's stack is not factored
+            assert calls == {"eigvalsh": [(3, dim, dim)], "cholesky": []}
+        else:
+            assert calls == {"eigvalsh": [alone], "cholesky": [alone] * 2}
+
+    @pytest.mark.parametrize("kind", ["unitary", "shift"])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_a_column_of_norm_one_is_not_factored(self, monkeypatch, kind,
+                                                  dim):
+        # a Gram diagonal entry >= 1 - s makes a pivot of (1 - s)I - G
+        # non-positive, so the factorization would fail: the stack that
+        # holds x is not factored (at dim 64, 0.5 x has a stack alone)
+        x = cmatrix(_norm_case(kind, dim, np.random.default_rng(dim), None))
+        if kind == "shift" and dim == 1:
+            x = cmatrix([[1.0]])  # the shift is 0 at dim 1
+        mats = [0.5 * x, x]
+        calls = count_solvers(monkeypatch, "cholesky")
+        got = norm_excess(mats)
+        assert calls["cholesky"] == ([] if dim < 64 else [(1, dim, dim)])
+        monkeypatch.undo()
+        assert repr(got) == repr(largest(
+            (i, reference_norm(a) - 1.0) for i, a in enumerate(mats)))
 
 
 class TestLoewner:

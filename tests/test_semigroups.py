@@ -5,10 +5,12 @@ factorization policy) are checked against brute-force enumeration oracles
 written directly in this file.
 """
 
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normex import (
@@ -34,6 +36,47 @@ from normex import (
 )
 
 GAPS1 = (1,)  # nonnegative integers with 1 removed
+
+
+def _gaps_of(gens):
+    """The gaps of the semigroup the positive ints ``gens`` generate, when
+    their gcd is 1; else of the semigroup they generate with 1 added, so
+    that the set is finite (it is then empty)."""
+    if math.gcd(*gens) != 1:
+        return frozenset()
+    bound = max(gens) ** 2
+    member = [True] + [False] * bound
+    for n in range(1, bound + 1):
+        member[n] = any(n >= g and member[n - g] for g in gens)
+    return frozenset(n for n in range(bound + 1) if not member[n])
+
+
+def _scan_split(gaps):
+    """The closure scan's message for the first split gap = a + b of a gap
+    set into members a <= b (in gap, then member order), or None when no
+    gap splits: the quadratic oracle of ``Numerical``'s Apery test."""
+    least = next(n for n in itertools.count(1) if n not in gaps)
+    for g in sorted(gaps):
+        for a in range(least, g // 2 + 1):
+            if a not in gaps and (g - a) not in gaps:
+                return (f"gap set not additively closed: {a} + {g - a} = "
+                        f"{g} is a gap")
+    return None
+
+
+def _scan_generators(gaps):
+    """The minimal generators of a closed gap set by the quadratic scan: each
+    member up to F + m (m the least positive member) that is no sum of two
+    positive members."""
+    if not gaps:
+        return (GroupElement(1),)
+    top = max(gaps)
+    positives = [n for n in range(1, 2 * top + 3) if n not in gaps]
+    members, smallest = set(positives), positives[0]
+    return tuple(GroupElement(n) for n in positives
+                 if n <= top + smallest and not any(
+                     a in members and (n - a) in members
+                     for a in range(smallest, n // 2 + 1)))
 
 # one descriptor per kind, plus a product nested in a product
 KINDS = {
@@ -110,6 +153,30 @@ class TestDescriptors:
         # removing only 2 leaves 1 as a member, yet 1 + 1 = 2
         with pytest.raises(InputError):
             numerical((2,))
+
+    @settings(max_examples=300)
+    @given(gaps=st.one_of(
+        st.frozensets(st.integers(1, 40), max_size=12),
+        st.lists(st.integers(2, 25), min_size=1, max_size=4).map(_gaps_of),
+        st.tuples(st.lists(st.integers(2, 25), min_size=1, max_size=4)
+                  .map(_gaps_of), st.integers(1, 60))
+        .map(lambda pair: pair[0] ^ {pair[1]})))
+    def test_apery_closure_and_generators_equal_the_scans(self, gaps):
+        # random gap sets (mostly not closed), the gaps of a semigroup with
+        # up to four random generators (closed), and those with one gap
+        # added or removed: the message or the generators equal the scans
+        want = _scan_split(gaps)
+        if want is not None:
+            with pytest.raises(InputError) as exc:
+                numerical(gaps)
+            assert str(exc.value) == want
+        else:
+            assert numerical(gaps).generators == _scan_generators(gaps)
+
+    def test_a_small_multiplicity_is_linear(self):
+        # the semigroup <2, F + 2>: every odd number up to F is a gap
+        d = numerical(range(1, 8002, 2))
+        assert d.generators == (GroupElement(2), GroupElement(8003))
 
     def test_generator_counts_match_the_generators(self):
         for d in KINDS.values():
