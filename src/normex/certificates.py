@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -500,12 +501,41 @@ def _lex_degree_tuples(m: int, max_degree: int):
             yield (first,) + rest
 
 
+@dataclass(frozen=True)
+class _Run:
+    """A run of the generator sweep that fills a group, judged from its ends
+    (see ``_verdicts``): its length, its first and last boxes as one-box
+    stacks, and the chunks of every box but the last, in order, as a lazy
+    re-walk when the run is not stored."""
+    length: int
+    first: np.ndarray
+    last: np.ndarray
+    earlier: object
+
+
+def _chain(pair, dim: int, length: int, size: int):
+    """The boxes Delta^k(I), 0 <= k < length, of the chain of ``pair``, as
+    fresh chunks of at most ``size`` boxes, each box stepped from the one
+    before it.  The steps are deterministic, so a re-walk is bitwise the
+    first walk."""
+    before = np.eye(dim, dtype=np.complex128)
+    for lo in range(0, length, size):
+        chunk = np.empty((min(size, length - lo), dim, dim),
+                         dtype=np.complex128)
+        for i, box in enumerate(chunk):
+            if lo + i:
+                _delta(before, pair, out=box)
+            else:
+                box[...] = before
+            before = box
+        yield chunk
+
+
 def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     """Every box of the generator sweep in lexicographic order of n, as
     consecutive stacks of at most ``size`` boxes, each read before the
-    next is requested; but a run that fills a stack (m > 1 and a length of
-    at least ``size``) comes once all its stacks are stepped, as the tuple
-    of them.
+    next is requested; but a run of at least ``size`` boxes comes as one
+    ``_Run``, once its last box is stepped.
 
     The tuples come in runs of the last coordinate, one run per prefix
     p = n[:-1], each held as chunks of ``size`` boxes.  The run of the zero
@@ -516,27 +546,40 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     equal to ``box_operator(mats, n)``.  A run is kept while a later run
     steps from it (m > 1 and sum(p) < max_degree), and its e_1 successor,
     the last, overwrites it in place; so the live runs hold at most
-    C(max_degree + m - 1, m - 1) boxes, and a run that is not kept is
-    dropped chunk by chunk or, if it fills a stack, whole."""
+    C(max_degree + m - 1, m - 1) boxes.  A run that is not kept is dropped
+    chunk by chunk, or whole once judged; and a chain that is not kept
+    (the m = 1 chain) is never stored: it is stepped to its last box
+    through two live boxes, and re-walked from I only if its ends do not
+    decide it.
+
+    Why the ends can decide a run (``_verdicts``): for commuting
+    contractions T_1..T_m and one run X_k = box(p, k), 0 <= k <= L, so
+    X_{k+1} = Delta_m(X_k), X_L >= 0 gives X_k >= X_L for 1 <= k <= L.
+    The eigenvectors of T_m for unimodular eigenvalues span a subspace U
+    that, with its complement, is a sum of generalized eigenspaces of T_m
+    (a contraction has no Jordan block at such an eigenvalue), so both
+    reduce every T_j and every box is block diagonal.  On U, T_m is
+    unitary, so by Fuglede's theorem T_m* commutes with every T_j and
+    X_k = 0 there for k >= 1.  On the complement T_m^k -> 0, so
+    X = sum_i T_m*^i Delta_m(X) T_m^i: going down from X_L >= 0, each
+    X_k >= 0, and X_k - X_{k+1} = T_m* X_k T_m >= 0.  Box 0 is covered
+    only where U = 0, as when X_L > 0; but a computed margin > 0 can be a
+    rounded 0, so the sweep judges box 0."""
     m, live = len(pairs), {}
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
         keep = m > 1 and sum(p) < max_degree
-        whole = m > 1 and length >= size
+        whole = length >= size
         j = next((i for i, d in enumerate(p) if d), None)
         pair = pairs[-1 if j is None else j]
+        if j is None and whole and not keep:
+            last = deque(_chain(pair, dim, length, 1), maxlen=1).pop()
+            yield _Run(length, np.eye(dim, dtype=np.complex128)[None], last,
+                       _chain(pair, dim, length - 1, size))
+            continue
         run = []
         if j is None:
-            before = np.eye(dim, dtype=np.complex128)
-            for lo in range(0, length, size):
-                chunk = np.empty((min(size, length - lo), dim, dim),
-                                 dtype=np.complex128)
-                for i, box in enumerate(chunk):
-                    if lo + i:
-                        _delta(before, pair, out=box)
-                    else:
-                        box[...] = before
-                    before = box
+            for chunk in _chain(pair, dim, length, size):
                 if keep or whole:
                     run.append(chunk)
                 if not whole:
@@ -552,20 +595,21 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
                 if not whole:
                     yield out
         if whole:
-            yield tuple(run)
+            yield _Run(length, run[0][:1], run[-1][-1:],
+                       filter(len, run[:-1] + [run[-1][:-1]]))
         if keep:
             live[p] = run
 
 
 def _groups(stacks, size: int, dim: int):
     """The boxes of ``stacks`` (each of at most ``size`` boxes) in groups
-    of ``size``, the last perhaps shorter, and each whole run of
+    of ``size``, the last perhaps shorter, and each ``_Run`` of
     ``_sweep_boxes`` as it comes, after the group before it.  A group that
     one stack holds alone is that stack; the others are gathered into one
     buffer, which the next gathered group overwrites."""
     group, filled = None, 0
     for boxes in stacks:
-        if isinstance(boxes, tuple):
+        if isinstance(boxes, _Run):
             if filled:
                 yield group[:filled]
                 filled = 0
@@ -589,38 +633,57 @@ def _groups(stacks, size: int, dim: int):
 
 def _verdicts(boxes, tol: float, worst: float | None = None):
     """``_psd_stack``'s (mins, tolerances, defect) for a group of boxes, or
-    for each chunk of a whole run (a tuple of chunks) in lexicographic
-    order, up to the chunk that decides, where a box the screen clears
-    reads as an infinite margin.  ``worst`` is the least margin of the
-    sweep so far (None before any).
+    for a ``_Run`` in lexicographic order, up to the box that decides,
+    where a box the screen clears or the run's end covers reads as an
+    infinite margin.  ``worst`` is the least margin of the sweep so far
+    (None before any); the running floor is max(worst, -tol).
 
-    For commuting contractions Delta_m(X) = X - T_m* X T_m <= X when
-    X >= 0, so a passing run has its least eigenvalue at its last box.
-    That box is judged first, alone, screened above start = max(worst,
-    -tol); if it passes or is cleared, ``_psd_stack`` screens each other
-    chunk above max(min(its margin, start), -tol), and else judges them by
-    the exact rule.  A cleared box has a margin above one already found,
-    or about to be, and above -tol, so it neither decides nor is the least
-    margin.  The last box's own verdict, or what it raised, comes after
-    the other chunks, so no box is solved twice."""
-    if not isinstance(boxes, tuple):
+    A run is decided by its ends.  Its last box X_L is judged first, alone,
+    screened above the floor (no screen before any margin).
+    - If its margin is known to be > 0 (its spectrum says so, or the
+      screen cleared it above a floor >= 0), then X_L >= 0 and every X_k,
+      1 <= k < L, exceeds it (the run-end fact of ``_sweep_boxes``): they
+      pass without a margin of their own.  Box 0 alone is judged, screened
+      above the lower of the floor and the end's margin, so a box the
+      screen clears neither decides nor is the least margin.
+    - Else, if it passes, the other boxes are screened above that same
+      floor and judged by the exact rule where not cleared.  An end at a
+      margin <= 0 marks a unimodular eigenvalue of T_m or a margin lost in
+      rounding, where the boxes between can tie it and so set the least
+      margin.
+    - If it fails or raises, the sweep stops inside the run, and a failing
+      report carries only its deciding box.  So the other boxes are
+      screened above -tol, where a cleared box passes by the rule, and the
+      exact rule decides every box that is not cleared.
+    The end's own verdict, or what it raised, comes last, so no box is
+    solved twice."""
+    if not isinstance(boxes, _Run):
         yield _psd_stack(boxes, tol)
         return
+    run, floor, error = boxes, -tol, None
     start = None if worst is None else max(worst, -tol)
-    floor = error = None
     try:
-        last = _psd_stack(boxes[-1][-1:], tol, start)
+        end = _psd_stack(run.last, tol, start)
     except (InputError, NotHermitianError) as e:  # an earlier box may decide
         error = e
     else:
-        if not last[0][0] < -last[1][0]:
-            floor = max(min(last[0][0].item(),
-                            math.inf if start is None else start), -tol)
-    for chunk in filter(len, boxes[:-1] + (boxes[-1][:-1],)):
+        margin = end[0][0].item()  # inf where the screen cleared it
+        if not margin < -end[1][0]:
+            floor = max(min(margin, math.inf if start is None else start),
+                        -tol)
+        if margin > 0.0 and (margin < math.inf or start >= 0.0):
+            if run.length > 1:
+                yield _psd_stack(run.first, tol, floor)
+            if run.length > 2:
+                covered = np.full(run.length - 2, np.inf)
+                yield covered, covered, 0.0
+            yield end
+            return
+    for chunk in run.earlier:
         yield _psd_stack(chunk, tol, floor)
     if error is not None:
         raise error
-    yield last
+    yield end
 
 
 def generator_certificate(
@@ -636,23 +699,29 @@ def generator_certificate(
     already swept (see ``_sweep_boxes``), and every box is bitwise equal
     to ``box_operator(mats, n)``.  Boxes are judged by the rule of
     ``psd_check`` in groups of at most 2048 matrix entries (one box at
-    least).  Runs shorter than a group, and the m = 1 chain, share one
-    stacked eigensolve per group.  In a run that fills a group, the
-    Cholesky screen of ``_psd_stack`` clears boxes above a running floor,
-    the least margin found so far (at least -tol): first the run's last
-    box, which gets a spectrum only when it is not cleared, then its other
-    boxes, above the lower of that floor and the last box's margin.  No
-    box is solved twice (see ``_verdicts``), and reports are byte-identical
-    to judging every box by its spectrum.  The first box in lexicographic
-    order that fails or is not Hermitian decides, so a failure wastes at
-    most the rest of its group or run and the Delta steps of less than one
-    more group.  The precondition gate (``_gate``) runs first, on stacks
-    of at most one group as well, and on commuting contractions it solves
-    no eigenproblem: a Cholesky screen clears the norms, and a Frobenius
-    bound the commutators.  Live memory: the kept runs, at most
-    C(max_degree + m - 1, m - 1) boxes of dim^2 entries as for one box at
-    a time, plus one group and the temporaries of one stacked step or
-    verdict over a chunk; no array holds more than one group or box."""
+    least).  Runs shorter than a group share one stacked eigensolve per
+    group.  A run that fills a group, the m = 1 chain included, is decided
+    by its ends (see ``_verdicts``).  For commuting contractions, a run
+    X_k = box(p, k), 0 <= k <= L, whose last box X_L is PSD has
+    X_k >= X_L for 1 <= k <= L: Fuglede's theorem on the unitary part of
+    T_m, and X = sum_i T_m*^i Delta_m(X) T_m^i on the rest (the proof is
+    in ``_sweep_boxes``).  So the last box is judged first, screened by
+    the Cholesky step of ``_psd_stack`` above the running floor, the least
+    margin so far (at least -tol), and given a spectrum only when not
+    cleared; if its margin is known to be > 0, only box 0 is judged
+    besides it, and the boxes between pass.  A run whose last box fails
+    has its other boxes screened above -tol.  The
+    first box in lexicographic order that fails or is not Hermitian
+    decides, so a failure wastes at most the rest of its group or run and
+    the Delta steps of less than one more group; and every box that is
+    judged is judged as ``psd_check`` judges it.  The precondition gate
+    (``_gate``) runs first, on stacks of at most one group as well, and on
+    commuting contractions it solves no eigenproblem: a Cholesky screen
+    clears the norms, and a Frobenius bound the commutators.  Live memory:
+    the kept runs, at most C(max_degree + m - 1, m - 1) boxes of dim^2
+    entries as for one box at a time, plus one group and the temporaries
+    of one stacked step or verdict over a chunk; no array holds more than
+    one group or box, and the m = 1 chain holds two boxes."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:

@@ -152,18 +152,23 @@ def norm_excess(mats) -> tuple[float, int | None]:
     if not n:  # no matrix, or every matrix has norm 0
         return 0.0, None
     s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
+    if len(mats) <= size:  # one stack holds the tuple
+        return _stack_excess(np.asarray(mats), s)
     worst, at = 0.0, None
     for lo in range(0, len(mats), size):
-        a = np.asarray(mats[lo:lo + size])
-        gram = np.conj(a).swapaxes(-1, -2) @ a
-        if (gram.reshape(len(a), -1)[:, ::n + 1].real.max() < 1.0 - s
-                and _cholesky_clears(-gram, s - 1.0)):
-            continue
-        excess, i = largest(enumerate((operator_norms(a, gram) - 1.0)
-                                      .tolist()))
+        excess, i = _stack_excess(np.asarray(mats[lo:lo + size]), s)
         if excess > worst:
             worst, at = excess, lo + i
     return worst, at
+
+
+def _stack_excess(a, s: float) -> tuple[float, int | None]:
+    """``norm_excess`` of one stack ``a``, screened with the slack s."""
+    gram = np.conj(a).swapaxes(-1, -2) @ a
+    if (gram.diagonal(0, -2, -1).real.max() < 1.0 - s
+            and _cholesky_clears(-gram, s - 1.0)):
+        return 0.0, None
+    return largest(enumerate((operator_norms(a, gram) - 1.0).tolist()))
 
 
 def _commutators(mats, others=None):

@@ -150,6 +150,30 @@ def _sums_upto(ws, top: int):
             yield a + ws[j]
 
 
+def _first_split(gaps, top: int) -> tuple[int, int] | None:
+    """The first split of a gap set in (gap, member) order: (a, g) with g
+    the least gap that is a sum a + b of positive members and a <= b the
+    least such summand, or None when no gap splits.  The positive members
+    up to ``top``, the largest gap, form one bit mask; its shift by a
+    member a marks every sum a + b, and a runs only up to half the least
+    split gap found so far.  So the search takes O(top) shifts of a
+    top-bit integer, not a scan of every gap against every summand."""
+    members = [a for a in range(1, top) if a not in gaps]
+    mask = sum(1 << a for a in members)
+    gap_mask = ((1 << top + 1) - 2) ^ mask
+    least = None
+    for a in members:
+        if least is not None and 2 * a > least:
+            break
+        hits = (mask << a) & gap_mask
+        if hits:
+            low = (hits & -hits).bit_length() - 1
+            least = low if least is None else min(least, low)
+    if least is None:
+        return None
+    return next(a for a in members if least - a not in gaps), least
+
+
 @dataclass(frozen=True)
 class Numerical(SemigroupDescriptor):
     gaps: tuple[int, ...]  # ascending
@@ -166,17 +190,10 @@ class Numerical(SemigroupDescriptor):
             if g < 0:
                 raise InputError("gap entries must be positive")
         object.__setattr__(self, "gaps", tuple(sorted(gaps)))
-        if self._apery is None:
-            # name the first split in (gap, member) order: no gap may split
-            # as a sum of two members, the smallest positive one bounds the
-            # split from below, and a set that is not closed has a split
-            least = next(n for n in count(1) if n not in gaps)
-            for g in self.gaps:
-                for a in range(least, g // 2 + 1):
-                    if a not in gaps and (g - a) not in gaps:
-                        raise InputError(
-                            f"gap set not additively closed: {a} + {g - a} "
-                            f"= {g} is a gap")
+        if self._apery is None:  # then some gap splits
+            a, g = _first_split(gaps, self.frobenius)
+            raise InputError(f"gap set not additively closed: {a} + "
+                             f"{g - a} = {g} is a gap")
 
     @cached_property
     def lattice_ordered(self):

@@ -12,7 +12,8 @@ one eigensolve per matrix.  ``gate_oracle`` is the oracle of the
 certificates' precondition gate: one ``operator_norm`` per operator and
 per commutator.  ``sweep_oracle`` is the per-box oracle of the stacked
 generator sweep: that gate, then one Delta step and one ``psd_check`` per
-degree tuple.  ``count_solvers`` records the stacks that LAPACK calls see.
+degree tuple.  ``count_solvers`` records the stacks that LAPACK calls see,
+and whether each Cholesky factorization completed.
 ``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
 are the per-entry oracles of the stacked sampled checks: one
 ``star_kernel``, ``tilde_eval`` or ``operator_norm`` call per block or
@@ -111,15 +112,33 @@ def gate_oracle(mats, tol):
     return None
 
 
+class SolverCalls(dict):
+    """{name: [shape, ...]}, the shape of the first argument of each call
+    of the named ``np.linalg`` functions, and ``completed``, one bool per
+    ``cholesky`` call: whether its factorization completed."""
+
+    def __init__(self, names):
+        super().__init__((name, []) for name in names)
+        self.completed = []
+
+
 def count_solvers(monkeypatch, *names):
-    """Record the shape of the first argument of each call of the named
-    ``np.linalg`` functions: {name: [shape, ...]}."""
-    calls = {name: [] for name in names}
+    """Record the calls of the named ``np.linalg`` functions in a
+    ``SolverCalls``, which compares equal to its dict of shapes."""
+    calls = SolverCalls(names)
     for name in names:
         def counted(a, *args, real=getattr(np.linalg, name), name=name,
                     **kwargs):
             calls[name].append(np.shape(a))
-            return real(a, *args, **kwargs)
+            if name != "cholesky":
+                return real(a, *args, **kwargs)
+            try:
+                out = real(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.completed.append(False)
+                raise
+            calls.completed.append(True)
+            return out
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 

@@ -1008,6 +1008,54 @@ def _lows(mats, radius):
             for i, x in enumerate(mats)]
 
 
+def _hadamard(dim):
+    """The Sylvester-Hadamard matrix of order ``dim`` (a power of 2) over
+    sqrt(dim): a real symmetric unitary with entries +-1/4 at dim 16 and
+    +-1/8 at dim 64."""
+    h = np.ones((1, 1))
+    while len(h) < dim:
+        h = np.block([[h, h], [h, -h]])
+    return h / math.sqrt(dim)
+
+
+def _exactly_commuting(kind, m, dim, rng):
+    """m contractions whose products are exact in floating point, so they
+    commute exactly.  hadamard: U diag(d_i) U, U = ``_hadamard(dim)`` and
+    d_i with 6-bit dyadic real and imaginary parts, |d| < 0.9; toeplitz:
+    polynomials sum_l a_l S^l, l <= 3, in the upper shift S, with 6-bit
+    dyadic a_l times a power of i and sum |a_l| <= 1, so their boxes can
+    fail.  Every entry and product has fewer than 53 significant bits."""
+    if kind == "hadamard":
+        u = _hadamard(dim)
+        parts = rng.integers(-40, 41, size=(2, m, dim))
+        return [(u * d) @ u for d in (parts[0] + 1j * parts[1]) / 64]
+    shifts = [np.eye(dim, k=l) for l in range(4)]
+    weights = rng.integers(0, 17, size=(m, 4)) * 1j ** rng.integers(
+        0, 4, size=(m, 4))
+    return [sum(a / 64 * s for a, s in zip(w, shifts)) for w in weights]
+
+
+def _conclusive(report, mats, degree, tol):
+    """Whether a per-box sweep report is decided beyond rounding, for
+    exactly commuting contractions.  Each computed margin lies within
+    band = 1e-12 * 2^degree of the exact one, as boxes have norm at most
+    2^degree.  A fail must lie below -band.  A pass must lie more than
+    band below every box n with n_m >= 1 and sum(n) < degree, the boxes
+    that a run's end can cover: exactly, such a box is at least its run's
+    end, so a run end that passes at margin >= 0 can hide neither a fail
+    nor the least margin there.  A raise is never conclusive."""
+    if not isinstance(report, dict):
+        return False
+    band = 1e-12 * 2.0 ** degree
+    if report["verdict"] == "fail":
+        return report["margin"] < -band
+    return all(
+        psd_check(box_operator(mats, n), tol).min_eigenvalue
+        > report["margin"] + band
+        for n in certificates._lex_degree_tuples(len(mats), degree)
+        if n[-1] and sum(n) < degree)
+
+
 class TestGeneratorSweep:
     def test_gap_rep_passes_through_bound(self):
         lam = 0.5
@@ -1136,7 +1184,7 @@ class TestGeneratorSweep:
     @pytest.mark.parametrize("seed, dim, degree", [(1, 4, 60), (13, 8, 40)])
     def test_working_precision_repros_equal_the_oracle(self, seed, dim,
                                                         degree):
-        # ROADMAP item 1: normal pairs that fail or raise at high degree
+        # ROADMAP item 2: normal pairs that fail or raise at high degree
         # only through rounding; the sweep must reach the same wrong answer
         mats = make_gallery("normal_pair", seed=seed,
                             dim=dim).generator_images
@@ -1173,46 +1221,65 @@ class TestGeneratorSweep:
         assert calls == {"eigvalsh": [(84, 4, 4)]}
 
     def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
-        # m = 2, dim 64, D = 6: seven runs of 7..1 boxes, one box a group.
-        # The gate factors the two Gram matrices one at a time (both norms
-        # are below 1, so no norm spectrum), and the Frobenius bound passes
-        # the commutator without a spectrum.  The
-        # first run's last box, n = (0, 6), gets a spectrum; every later
-        # box is screened above the least margin so far (at least -tol)
-        # and gets a spectrum only when that screen fails.
+        # dim 64: one box a group, so every run is judged from its ends.
+        # The gate factors the Gram matrices one at a time (every norm is
+        # below 1, so no norm spectrum), and the Frobenius bound passes the
+        # commutator without a spectrum.  The sweep's first run end gets a
+        # spectrum; every later end is screened above the least margin so
+        # far (here always positive) and gets a spectrum only when that
+        # screen fails.  An end that passes at a margin > 0 covers boxes
+        # 1..L-1 of its run; box 0 alone is screened, above the lower of
+        # that floor and the end's margin.  An end that fails sends its
+        # run's other boxes to a screen above -tol.
+        # m = 2, D = 6: seven runs of 7..1 boxes.
         # - normals: the run ends (0, 6), (1, 5), ..., (6, 0) have margins
         #   3.8e-8, 1.1e-7, 3.1e-7, 8.6e-7, 2.2e-6, 9.6e-8 and 4.1e-9, so
-        #   only (6, 0) lies below (0, 6)'s and needs a spectrum: 2 spectra
-        #   and 27 screens, every box but (0, 6);
+        #   only (6, 0)'s screen fails: 2 spectra, and 12 screens, the ends
+        #   after the first and the six boxes 0 besides them;
         # - a zero last generator makes every box of a run equal its last,
         #   and each run's margin lies below the one before, so every
-        #   screen fails: 28 spectra and the same 27 screens;
-        # - lows: the first generator has the largest norm, so each run's
-        #   last box sets a new low.  Its screen fails and it gets a
-        #   spectrum (7); the run's other boxes clear above it (21 screens
-        #   and 6 failed ones);
-        # - 0.42 J on the last generator fails the first run at its last
-        #   box, (0, 6): its seven boxes get one spectrum each, none twice,
-        #   and nothing is screened
+        #   screen fails: the six later ends and the six boxes 0 each get
+        #   a spectrum after a failed screen, 13 spectra with the first
+        #   end's;
+        # - lows: the first generator has the largest norm, so each end
+        #   after the first sets a new low: its screen fails (6) and it
+        #   gets a spectrum (7 in all), and box 0 clears above it;
+        # - 0.42 J on the last generator fails the first run at its end,
+        #   (0, 6), which gets the one spectrum; its six other boxes clear
+        #   above -tol.
+        # m = 1, D = 8: the chain is one run of nine boxes, stepped to its
+        # end first.
+        # - chain: the end passes, so the one spectrum is its own, and box
+        #   0, the identity, clears above its margin;
+        # - jchain: 0.42 J fails the end and box 6: the re-walk screens
+        #   boxes 0..6, and the first failed screen gets the other
+        #   spectrum, which decides
         calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
         normals = make_commuting_normals(3, 64, 2)
         tie = normals[:1] + [np.zeros((64, 64))]
         lows = _lows(normals, 0.9)
         jordan = [_grow(x, 0.42 * J2 if i else 0.5 * np.eye(2))
                   for i, x in enumerate(make_commuting_normals(3, 62, 2))]
+        chain = make_commuting_normals(3, 64, 1)
+        jchain = [_grow(make_commuting_normals(3, 62, 1)[0], 0.42 * J2)]
         box = (1, 64, 64)
-        for mats, checked, spectra, screened in [
-                (normals, 28, 2, 27), (tie, 28, 28, 27), (lows, 28, 7, 27),
-                (jordan, 7, 7, 0)]:
+        for mats, degree, checked, spectra, screened, failed in [
+                (normals, 6, 28, 2, 12, 1), (tie, 6, 28, 13, 12, 12),
+                (lows, 6, 28, 7, 12, 6), (jordan, 6, 7, 1, 6, 0),
+                (chain, 8, 9, 1, 1, 0), (jchain, 8, 7, 2, 7, 1)]:
             for got in calls.values():
                 got.clear()
-            rep = generator_certificate(mats, 6)
+            calls.completed.clear()
+            rep = generator_certificate(mats, degree)
             assert rep.parameters["tuples_checked"] == checked
-            assert rep.passed == (checked == 28)
+            assert rep.passed == (checked == math.comb(degree + len(mats),
+                                                       len(mats)))
             assert calls["eigvalsh"] == [box] * spectra
-            assert calls["cholesky"] == [box] * (2 + screened)
+            gate = len(mats)
+            assert calls["cholesky"] == [box] * (gate + screened)
+            assert calls.completed.count(False) == failed
             assert repr(rep.as_dict()) == repr(
-                sweep_oracle(mats, 6).as_dict())
+                sweep_oracle(mats, degree).as_dict())
 
     @settings(max_examples=20)
     @given(case=st.sampled_from([
@@ -1250,6 +1317,61 @@ class TestGeneratorSweep:
             mats = _lows(mats, radius)
         assert repr(_outcome(generator_certificate, mats, degree, tol)) == \
             repr(_outcome(sweep_oracle, mats, degree, tol))
+
+    @settings(max_examples=30)
+    @given(kind=st.sampled_from(["hadamard", "toeplitz"]),
+           dim=st.sampled_from([16, 64]), m=st.integers(1, 3),
+           step=st.integers(0, 3), tol=st.sampled_from([1e-12, 1e-8]),
+           seed=st.integers(0, 2 ** 16))
+    def test_exactly_commuting_runs_equal_the_per_box_oracle(
+            self, kind, dim, m, step, tol, seed):
+        # runs fill groups: one box a group at dim 64 (D = 3..6), eight at
+        # dim 16 from D = 7 (D = 7..10); Toeplitz ends fail, and the
+        # sweep then screens their runs' other boxes above -tol
+        degree = step + (3 if dim == 64 else 7)
+        mats = _exactly_commuting(kind, m, dim, np.random.default_rng(seed))
+        assert not linalg.commutator_residual(mats)[0]
+        want = _outcome(sweep_oracle, mats, degree, tol)
+        if _conclusive(want, mats, degree, tol):
+            assert repr(_outcome(generator_certificate, mats, degree,
+                                 tol)) == repr(want)
+
+    def test_unimodular_ends_keep_the_floor_screen(self, monkeypatch):
+        # unitary pairs at dim 64, m = 2, D = 6: every box past box 0 is 0
+        # up to rounding, so run ends pass at margins near 0 and the boxes
+        # between can tie them.  A diagonal pair's ends read 0.0 while
+        # boxes between read -2.2e-16, so they are not covered but
+        # screened above the floor, as each end is: 8 spectra and 5 failed
+        # screens; a rotated pair's ends read about -3.6e-14: 5 spectra
+        # and 2 failed screens (two more Cholesky calls are the gate's)
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.normal(size=(64, 64))
+                         + 1j * rng.normal(size=(64, 64)))[0]
+        unitaries = [np.diag(np.exp(1j * a))
+                     for a in rng.uniform(0, 2 * math.pi, size=(2, 64))]
+        rotated = [u @ x @ np.conj(u).T for x in unitaries]
+        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
+        for mats, spectra, failed in [(unitaries, 8, 5), (rotated, 5, 2)]:
+            for got in calls.values():
+                got.clear()
+            calls.completed.clear()
+            rep = generator_certificate(mats, 6)
+            assert (len(calls["eigvalsh"]), calls.completed.count(False)) == (
+                spectra, failed)
+            assert repr(rep.as_dict()) == repr(
+                sweep_oracle(mats, 6).as_dict())
+
+    def test_a_failing_box_0_beside_a_zero_end_decides(self):
+        # J (+) N1 and I (+) N2 at dim 64: the run of prefix (2,) starts
+        # at box(2, 0) = diag(-1, 1) (+) ..., and the identity block of the
+        # last generator, a unitary part, makes its other boxes exactly 0
+        # there, so its end passes at margin 0.0 while box 0 fails at -1:
+        # an end at 0 covers nothing, and box 0 decides
+        n1, n2 = make_commuting_normals(4, 62, 2)
+        mats = [_grow(n1, J2), _grow(n2, np.eye(2))]
+        rep = generator_certificate(mats, 4)
+        assert (rep.witness, rep.margin) == ({"n": [2, 0]}, -1.0)
+        assert repr(rep.as_dict()) == repr(sweep_oracle(mats, 4).as_dict())
 
     def test_an_m1_chain_is_not_stored_whole(self):
         # 2001 boxes of 8 x 8; a run that no later run steps from is

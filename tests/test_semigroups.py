@@ -177,6 +177,31 @@ class TestDescriptors:
         # the semigroup <2, F + 2>: every odd number up to F is a gap
         d = numerical(range(1, 8002, 2))
         assert d.generators == (GroupElement(2), GroupElement(8003))
+        # one even gap above them splits, and only as a sum of evens
+        with pytest.raises(InputError) as exc:
+            numerical(list(range(1, 8002, 2)) + [8002])
+        assert str(exc.value) == ("gap set not additively closed: "
+                                  "2 + 8000 = 8002 is a gap")
+
+    @settings(max_examples=50)
+    @given(closed=st.one_of(
+        st.integers(1, 400).map(lambda f: frozenset(range(1, f + 1, 2))),
+        st.lists(st.integers(2, 30), min_size=2, max_size=3).map(_gaps_of)),
+           toggled=st.frozensets(st.integers(1, 1000), min_size=1,
+                                 max_size=3))
+    def test_a_split_far_up_is_named_as_the_scan_names_it(self, closed,
+                                                          toggled):
+        # a closed gap set with up to three numbers added or removed: the
+        # first split can lie far above the first gap, so the scan passes
+        # many gaps that do not split before it names one
+        gaps = closed ^ toggled
+        want = _scan_split(gaps)
+        if want is None:
+            numerical(gaps)
+        else:
+            with pytest.raises(InputError) as exc:
+                numerical(gaps)
+            assert str(exc.value) == want
 
     def test_generator_counts_match_the_generators(self):
         for d in KINDS.values():
