@@ -32,13 +32,13 @@ from .linalg import (
     _commutators,
     _freeze,
     _group_size,
+    _norm_screen,
     _psd_stack,
     adjoint,
     block_decompose,
     cmatrix,
     commutator_residual,
     loewner_leq,
-    norm_excess,
     operator_norm,
     psd_check,
 )
@@ -224,20 +224,40 @@ def _gate(condition: str, parameters: dict, mats,
     and the margin covers the rounding of either norm.  Only when that
     bound fails does ``commutator_residual`` norm them, so a pass is the
     one it would give, and a non-commuting witness is its worst pair."""
-    worst, index = norm_excess(mats)
+    return _gate_runs(condition, parameters, mats, tol)[0]
+
+
+def _gate_runs(condition: str, parameters: dict, mats,
+               tol: float) -> tuple[CertificateReport | None, bool]:
+    """``_gate``'s report, and whether the generator sweep's runs over
+    ``mats`` are monotone (see ``_sweep_boxes``).  They are when the norm
+    screen of ``norm_excess`` cleared every operator, so each is a strict
+    contraction, and the last one's commutator C with each other one has
+    ||C||_F <= 2 n^2 u (n the order, u = 2^-53): the first-order bound on
+    the rounding of the two products of contractions that form C, so the
+    tuple commutes as far as its products can show.  The gate admits
+    norms up to 1 + tol and commutators up to tol, and the runs' order
+    does not survive those."""
+    worst, index, monotone = _norm_screen(mats)
     if worst > tol:
         witness = {"reason": "not a contraction",
                    "index": index, "norm_excess": worst}
     else:
-        square = sum(np.vdot(c, c).real for _, c in _commutators(mats))
+        last, square = len(mats) - 1, 0.0
+        for pairs, c in _commutators(mats):
+            square += np.vdot(c, c).real
+            bound = (2.0 * c.shape[-1] ** 2 * 2.0 ** -53) ** 2
+            monotone = monotone and all(np.vdot(x, x).real <= bound
+                                        for (_, j), x in zip(pairs, c)
+                                        if j == last)
         if math.sqrt(square) <= tol * (1.0 - 2.0 ** -20):
-            return None
+            return None, monotone
         comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None
+            return None, monotone
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return _not_applicable(condition, parameters, witness, tol)
+    return _not_applicable(condition, parameters, witness, tol), False
 
 
 def agler_certificate(
@@ -531,11 +551,13 @@ def _chain(pair, dim: int, length: int, size: int):
         yield chunk
 
 
-def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
+def _sweep_boxes(pairs, dim: int, max_degree: int, size: int,
+                 monotone: bool):
     """Every box of the generator sweep in lexicographic order of n, as
     consecutive stacks of at most ``size`` boxes, each read before the
     next is requested; but a run of at least ``size`` boxes comes as one
-    ``_Run``, once its last box is stepped.
+    ``_Run``, once its last box is stepped, unless it is the m = 1 chain
+    of a tuple whose runs are not ``monotone``.
 
     The tuples come in runs of the last coordinate, one run per prefix
     p = n[:-1], each held as chunks of ``size`` boxes.  The run of the zero
@@ -548,28 +570,29 @@ def _sweep_boxes(pairs, dim: int, max_degree: int, size: int):
     the last, overwrites it in place; so the live runs hold at most
     C(max_degree + m - 1, m - 1) boxes.  A run that is not kept is dropped
     chunk by chunk, or whole once judged; and a chain that is not kept
-    (the m = 1 chain) is never stored: it is stepped to its last box
-    through two live boxes, and re-walked from I only if its ends do not
-    decide it.
+    (the m = 1 chain) is never stored: as a ``_Run`` it is stepped to its
+    last box through two live boxes, and re-walked from I only if its
+    ends do not decide it.
 
-    Why the ends can decide a run (``_verdicts``): for commuting
-    contractions T_1..T_m and one run X_k = box(p, k), 0 <= k <= L, so
-    X_{k+1} = Delta_m(X_k), X_L >= 0 gives X_k >= X_L for 1 <= k <= L.
-    The eigenvectors of T_m for unimodular eigenvalues span a subspace U
-    that, with its complement, is a sum of generalized eigenspaces of T_m
-    (a contraction has no Jordan block at such an eigenvalue), so both
-    reduce every T_j and every box is block diagonal.  On U, T_m is
-    unitary, so by Fuglede's theorem T_m* commutes with every T_j and
-    X_k = 0 there for k >= 1.  On the complement T_m^k -> 0, so
-    X = sum_i T_m*^i Delta_m(X) T_m^i: going down from X_L >= 0, each
-    X_k >= 0, and X_k - X_{k+1} = T_m* X_k T_m >= 0.  Box 0 is covered
-    only where U = 0, as when X_L > 0; but a computed margin > 0 can be a
-    rounded 0, so the sweep judges box 0."""
+    Why the ends can decide a run (``_verdicts``): the runs are monotone
+    when T_m is a strict contraction that commutes with every T_j, which
+    ``_gate_runs`` decides up to rounding.  Then Delta_j and Delta_m
+    commute, so a run X_k = box(p, k), 0 <= k <= L, has
+    X_{k+1} = Delta_m(X_k); and Delta_m is invertible, with the positive
+    inverse Y -> sum_i T_m*^i Y T_m^i.  So X_L >= 0 gives X_{L-1} >= 0 and
+    X_{L-1} - X_L = T_m* X_{L-1} T_m >= 0, and going down,
+    X_0 >= X_1 >= ... >= X_L.  Box 0 is covered too, but the sweep judges
+    it, as a check where an end's rounding says least: a computed margin
+    > 0 can be a rounded 0, and X_L >= -eI gives only
+    X_k >= -e (1 - ||T_m||^2)^(k - L) I.  Without a strict contraction,
+    or with a commutator that rounding cannot explain, the order fails:
+    T = (1 + 7.5e-9) I, inside the gate's tol = 1e-8, has the chain
+    I, -1.5e-8 I, 2.25e-16 I."""
     m, live = len(pairs), {}
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
         keep = m > 1 and sum(p) < max_degree
-        whole = length >= size
+        whole = length >= size and (m > 1 or monotone)
         j = next((i for i, d in enumerate(p) if d), None)
         pair = pairs[-1 if j is None else j]
         if j is None and whole and not keep:
@@ -631,7 +654,7 @@ def _groups(stacks, size: int, dim: int):
         yield group[:filled]
 
 
-def _verdicts(boxes, tol: float, worst: float | None = None):
+def _verdicts(boxes, tol: float, worst: float | None, monotone: bool):
     """``_psd_stack``'s (mins, tolerances, defect) for a group of boxes, or
     for a ``_Run`` in lexicographic order, up to the box that decides,
     where a box the screen clears or the run's end covers reads as an
@@ -640,17 +663,16 @@ def _verdicts(boxes, tol: float, worst: float | None = None):
 
     A run is decided by its ends.  Its last box X_L is judged first, alone,
     screened above the floor (no screen before any margin).
-    - If its margin is known to be > 0 (its spectrum says so, or the
-      screen cleared it above a floor >= 0), then X_L >= 0 and every X_k,
-      1 <= k < L, exceeds it (the run-end fact of ``_sweep_boxes``): they
-      pass without a margin of their own.  Box 0 alone is judged, screened
-      above the lower of the floor and the end's margin, so a box the
-      screen clears neither decides nor is the least margin.
-    - Else, if it passes, the other boxes are screened above that same
-      floor and judged by the exact rule where not cleared.  An end at a
-      margin <= 0 marks a unimodular eigenvalue of T_m or a margin lost in
-      rounding, where the boxes between can tie it and so set the least
-      margin.
+    - If the runs are ``monotone`` and its margin is known to be > 0 (its
+      spectrum says so, or the screen cleared it above a floor >= 0),
+      then X_L >= 0 and every X_k, 1 <= k < L, exceeds it (the run-end
+      fact of ``_sweep_boxes``): they pass without a margin of their own,
+      and box 0 alone is judged besides it.
+    - Else, if it passes, every other box is judged.
+    Such a box is screened above the lower of the floor and the end's
+    margin, and judged by the exact rule where not cleared: a cleared box
+    has a margin above one already found and above -tol, so it neither
+    decides nor is the least margin.
     - If it fails or raises, the sweep stops inside the run, and a failing
       report carries only its deciding box.  So the other boxes are
       screened above -tol, where a cleared box passes by the rule, and the
@@ -671,7 +693,8 @@ def _verdicts(boxes, tol: float, worst: float | None = None):
         if not margin < -end[1][0]:
             floor = max(min(margin, math.inf if start is None else start),
                         -tol)
-        if margin > 0.0 and (margin < math.inf or start >= 0.0):
+        if monotone and margin > 0.0 and (margin < math.inf
+                                          or start >= 0.0):
             if run.length > 1:
                 yield _psd_stack(run.first, tol, floor)
             if run.length > 2:
@@ -700,17 +723,19 @@ def generator_certificate(
     to ``box_operator(mats, n)``.  Boxes are judged by the rule of
     ``psd_check`` in groups of at most 2048 matrix entries (one box at
     least).  Runs shorter than a group share one stacked eigensolve per
-    group.  A run that fills a group, the m = 1 chain included, is decided
-    by its ends (see ``_verdicts``).  For commuting contractions, a run
-    X_k = box(p, k), 0 <= k <= L, whose last box X_L is PSD has
-    X_k >= X_L for 1 <= k <= L: Fuglede's theorem on the unitary part of
-    T_m, and X = sum_i T_m*^i Delta_m(X) T_m^i on the rest (the proof is
-    in ``_sweep_boxes``).  So the last box is judged first, screened by
-    the Cholesky step of ``_psd_stack`` above the running floor, the least
+    group.  A run that fills a group is decided by its ends (see
+    ``_verdicts``).  When the last generator T_m is a strict contraction
+    that commutes with the others (up to rounding, as ``_gate_runs``
+    finds), a run X_k = box(p, k), 0 <= k <= L, whose last box X_L is PSD
+    has X_0 >= X_1 >= ... >= X_L: Delta_m steps the run, and its inverse
+    Y -> sum_i T_m*^i Y T_m^i is positive (the proof is in
+    ``_sweep_boxes``).  So the last box is judged first, screened by the
+    Cholesky step of ``_psd_stack`` above the running floor, the least
     margin so far (at least -tol), and given a spectrum only when not
     cleared; if its margin is known to be > 0, only box 0 is judged
-    besides it, and the boxes between pass.  A run whose last box fails
-    has its other boxes screened above -tol.  The
+    besides it, and the boxes between pass.  The m = 1 chain is then one
+    such run.  A run whose last box fails has its other boxes screened
+    above -tol.  The
     first box in lexicographic order that fails or is not Hermitian
     decides, so a failure wastes at most the rest of its group or run and
     the Delta steps of less than one more group; and every box that is
@@ -741,14 +766,16 @@ def generator_certificate(
     tuples = math.comb(max_degree + m, m)
     if tuples > _SWEEP_TUPLE_CAP:
         raise _TupleCapExceededError(tuples, _SWEEP_TUPLE_CAP)
-    gated = _gate("generator_sweep", {"max_degree": max_degree}, mats, tol)
+    gated, monotone = _gate_runs("generator_sweep",
+                                 {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
     size = _group_size(dim)
     checked, worst = 0, None
     for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
-                                      size), size, dim):
-        for mins, tolerances, defect in _verdicts(boxes, tol, worst):
+                                      size, monotone), size, dim):
+        for mins, tolerances, defect in _verdicts(boxes, tol, worst,
+                                                  monotone):
             checked += len(mins)
             if mins[-1] < -tolerances[-1]:
                 n = next(itertools.islice(

@@ -148,27 +148,30 @@ def norm_excess(mats) -> tuple[float, int | None]:
     So t <= 1 whenever p(n) <= 63 n^2 - n - 2, which is 60 at n = 1
     (where eigvalsh is exact) and grows as n^2; then sqrt(max(0, t)) <= 1,
     and no excess is positive."""
+    return _norm_screen(mats)[:2]
+
+
+def _norm_screen(mats) -> tuple[float, int | None, bool]:
+    """``norm_excess``, and whether its screen cleared every stack, which
+    shows lambda_max(G_i) <= 1 - s + ((n + 1) n + 2) u < 1: every matrix
+    is a strict contraction."""
     n = np.shape(mats[0])[-1] if len(mats) else 0
     if not n:  # no matrix, or every matrix has norm 0
-        return 0.0, None
+        return 0.0, None, True
     s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
-    if len(mats) <= size:  # one stack holds the tuple
-        return _stack_excess(np.asarray(mats), s)
-    worst, at = 0.0, None
+    worst, at, cleared = 0.0, None, True
     for lo in range(0, len(mats), size):
-        excess, i = _stack_excess(np.asarray(mats[lo:lo + size]), s)
+        a = np.asarray(mats[lo:lo + size])
+        gram = np.conj(a).swapaxes(-1, -2) @ a
+        if (gram.reshape(len(a), -1)[:, ::n + 1].real.max() < 1.0 - s
+                and _cholesky_clears(-gram, s - 1.0)):
+            continue
+        cleared = False
+        excess, i = largest(enumerate((operator_norms(a, gram) - 1.0)
+                                      .tolist()))
         if excess > worst:
             worst, at = excess, lo + i
-    return worst, at
-
-
-def _stack_excess(a, s: float) -> tuple[float, int | None]:
-    """``norm_excess`` of one stack ``a``, screened with the slack s."""
-    gram = np.conj(a).swapaxes(-1, -2) @ a
-    if (gram.diagonal(0, -2, -1).real.max() < 1.0 - s
-            and _cholesky_clears(-gram, s - 1.0)):
-        return 0.0, None
-    return largest(enumerate((operator_norms(a, gram) - 1.0).tolist()))
+    return worst, at, cleared
 
 
 def _commutators(mats, others=None):

@@ -949,6 +949,21 @@ class TestGate:
         want = gate_oracle(mats, tol)
         assert repr(None if rep is None else rep.witness) == repr(want)
 
+    def test_runs_are_monotone_only_for_strict_commuting_tuples(self):
+        # the gate passes every tuple here.  Strict contractions whose
+        # commutators are rounding (the normals' read about 3e-15 against
+        # 2 n^2 u = 9.1e-13) have monotone runs; a norm the screen cannot
+        # clear (1, or 1 + tol / 2) or the pair's commutator, 4 d^2 = 4e-10
+        # in Frobenius norm, rules them out
+        normals = [cmatrix(x) for x in make_commuting_normals(3, 64, 2)]
+        for mats, tol, monotone in [
+                (normals, 1e-8, True), (normals[:1], 1e-8, True),
+                (normals[:1] + [cmatrix(np.eye(64))], 1e-8, False),
+                ([cmatrix((1 + 5e-9) * np.eye(64))], 1e-8, False),
+                (self._pair(), 3 * self.D ** 2, False)]:
+            assert certificates._gate_runs("g", {}, mats, tol) == (
+                None, monotone)
+
     @pytest.mark.parametrize("dim", [4, 64])
     @pytest.mark.parametrize("unitary", [False, True])
     def test_each_stack_is_one_group(self, monkeypatch, dim, unitary):
@@ -1373,6 +1388,20 @@ class TestGeneratorSweep:
         assert (rep.witness, rep.margin) == ({"n": [2, 0]}, -1.0)
         assert repr(rep.as_dict()) == repr(sweep_oracle(mats, 4).as_dict())
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_norm_above_1_inside_tol_covers_no_box(self, m):
+        # (1 + 0.75 tol) I passes the gate, not its norm screen; its chain
+        # I, -1.5e-8 I, 2.25e-16 I ends above 0 with box 1 below -tol.  At
+        # dim 64 the chain is one run, and its end must not cover box 1
+        tol = 1e-8
+        mats = make_commuting_normals(5, 64, 1)[:m - 1] + [
+            (1 + 0.75 * tol) * np.eye(64)]
+        rep = generator_certificate(mats, 2, tol)
+        assert (rep.verdict, rep.witness) == ("fail",
+                                              {"n": [0] * (m - 1) + [1]})
+        assert repr(rep.as_dict()) == repr(
+            sweep_oracle(mats, 2, tol).as_dict())
+
     def test_an_m1_chain_is_not_stored_whole(self):
         # 2001 boxes of 8 x 8; a run that no later run steps from is
         # dropped chunk by chunk
@@ -1385,6 +1414,27 @@ class TestGeneratorSweep:
             tracemalloc.stop()
         assert rep.passed and rep.parameters["tuples_checked"] == 2001
         assert peak < degree * 8 * 8 * 16
+
+    def test_a_chain_that_is_not_monotone_goes_a_group_at_a_time(
+            self, monkeypatch):
+        # the identity has norm 1 (the gate's one norm spectrum), so its
+        # chain's end covers nothing: the 2001 boxes of 8 x 8 are judged in
+        # 63 groups of up to 32 as they are stepped, each dropped when
+        # judged, with no second walk
+        mats, degree = [np.eye(8)], 2000
+        calls = count_solvers(monkeypatch, "eigvalsh")
+        tracemalloc.start()
+        try:
+            rep = generator_certificate(mats, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < degree * 8 * 8 * 16
+        assert calls["eigvalsh"] == [(1, 8, 8)] + [(32, 8, 8)] * 62 + [
+            (17, 8, 8)]
+        monkeypatch.undo()
+        assert repr(rep.as_dict()) == repr(
+            sweep_oracle(mats, degree).as_dict())
 
     def test_kept_runs_are_stepped_in_place(self):
         # m = 2, D = 200: 20301 boxes of 8 x 8 (about 20 MB) pass.  The run
