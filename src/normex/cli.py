@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -454,7 +454,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, so every run_command reuses it."""
     parser = _Parser(
         prog="normex",
         description="certificate checks for commuting contraction semigroups",

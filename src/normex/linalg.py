@@ -131,11 +131,13 @@ def norm_excess(mats) -> tuple[float, int | None]:
     unitary or a shift) makes that diagonal entry of (1 - s)I - G_i, and so
     a pivot, <= 0, so the factorization must fail and is not tried.  A
     stack the screen does not clear gets its norms from one
-    ``operator_norms`` call on the same G.  Write G for the Hermitian
-    matrix of one computed Gram product's lower triangle, which both LAPACK
-    routines read, t for the top eigenvalue that eigvalsh computes from it,
-    and A = fl((1 - s)I - G), where 1 - s is exact and A_ii <= 1 because
-    g_ii >= 0, so trace(A) <= n.  To first order in u, and with
+    ``operator_norms`` call on the same G; when a matrix of the stack has
+    ||M_i||_F^2 >= 2^800, the call is on the stack with each such matrix
+    divided by a power of two, so that a finite norm is reported finite.
+    Write G for the Hermitian matrix of one computed Gram product's lower
+    triangle, which both LAPACK routines read, t for the top eigenvalue
+    that eigvalsh computes from it, and A = fl((1 - s)I - G), where 1 - s
+    is exact and A_ii <= 1 because g_ii >= 0, so trace(A) <= n.  To first order in u, and with
     ||G||_2 <= 1 + O(u) once the factorization completes (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 3):
     - Cholesky's backward error (Higham, Thm 10.3): a factorization that
@@ -160,17 +162,27 @@ def _norm_screen(mats) -> tuple[float, int | None, bool]:
         return 0.0, None, True
     s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
     worst, at, cleared = 0.0, None, True
-    for lo in range(0, len(mats), size):
-        a = np.asarray(mats[lo:lo + size])
-        gram = np.conj(a).swapaxes(-1, -2) @ a
-        if (gram.reshape(len(a), -1)[:, ::n + 1].real.max() < 1.0 - s
-                and _cholesky_clears(-gram, s - 1.0)):
-            continue
-        cleared = False
-        excess, i = largest(enumerate((operator_norms(a, gram) - 1.0)
-                                      .tolist()))
-        if excess > worst:
-            worst, at = excess, lo + i
+    # a Gram product of entries beyond about 2^511 overflows, and its stack
+    # never clears: there each matrix whose ||M||_F^2 = trace(G) is not
+    # below 2^800 is divided by a power of two, as in _psd_stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(mats), size):
+            a = np.asarray(mats[lo:lo + size])
+            gram = np.conj(a).swapaxes(-1, -2) @ a
+            diag = gram.reshape(len(a), -1)[:, ::n + 1].real
+            if diag.max() < 1.0 - s and _cholesky_clears(-gram, s - 1.0):
+                continue
+            cleared = False
+            huge = ~(diag.sum(axis=1) < 2.0 ** 800)
+            if huge.any():
+                peak = np.abs(a).max(axis=(1, 2))
+                scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
+                norms = operator_norms(a / scale[:, None, None]) * scale
+            else:
+                norms = operator_norms(a, gram)
+            excess, i = largest(enumerate((norms - 1.0).tolist()))
+            if excess > worst:
+                worst, at = excess, lo + i
     return worst, at, cleared
 
 
@@ -201,7 +213,8 @@ def commutator_residual(mats, others=None) -> tuple[float, tuple | None]:
 
 
 def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``a``.
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of
+    ``a``, both read-only.
 
     The symmetric method is the LAPACK Hermitian solver; the test suite checks
     its residuals against the documented 1e-10 bounds and cross-validates PSD
@@ -212,7 +225,7 @@ def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("hermitian_eig requires a square matrix")
     h = (a + np.conj(a).T) / 2.0
     w, v = np.linalg.eigh(h)
-    return w, v
+    return _freeze(w), _freeze(v)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ A representation is specified by generator images plus an explicit relation
 list; elements are evaluated through the deterministic factorization policy,
 so commuting images make the evaluation a well-defined homomorphism (this is
 sampled, not proved — see validate_rep, which returns a ValidationVerdict).
-Also here: the group kernel T~(g) = T(g_minus)* T(g_plus) and the
-involution-pair kernel, one checked entry at a time; the sampled checks
-gather their images, unchecked, with ``_image_table``.  No normal map is
+Each representation keeps the images it has formed in one bounded cache,
+keyed by canonical member coordinate (and generator powers by index and
+multiplicity), and read and written by ``_cached`` alone: ``eval_rep``
+and the sampled checks' gather ``_image_table`` factorize an element and
+multiply out its powers only when its coordinate misses.  A coordinate and
+its factorization name each other one to one, so the cache needs no
+second key.  Also here: the group kernel T~(g) = T(g_minus)* T(g_plus) and
+the involution-pair kernel, one checked entry at a time.  No normal map is
 built here: a representation extends to commuting normals exactly when its
 generators do, so that question is asked of the generator images.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +44,11 @@ from .semigroups import Factorization, GroupElement, SemigroupDescriptor
 #: Default residual tolerance for representation-level validation.
 DEFAULT_REP_TOL = 1e-9
 
+#: Bytes of images one representation's cache holds; beyond them the least
+#: recently used image goes first.  The largest representation of the
+#: benchmark's oneshot pool holds about 620 images in 663 KiB.
+_CACHE_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -45,7 +56,8 @@ class Representation:
     dimension: int
     generator_images: tuple[CMatrix, ...]
     relations: tuple[tuple[Factorization, Factorization], ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False,
+                                compare=False)
 
 
 def make_representation(
@@ -78,47 +90,68 @@ def make_representation(
     return Representation(descriptor, dim, mats, tuple(rels))
 
 
-def _image_power(t: Representation, idx: int, mult: int) -> CMatrix:
-    key = ("pow", idx, mult)
-    hit = t._cache.get(key)
-    if hit is None:
-        hit = _freeze(np.linalg.matrix_power(t.generator_images[idx], mult))
-        t._cache[key] = hit
-    return hit
+def _cached(t: Representation, keys, make) -> list[CMatrix]:
+    """The image cached under each key of ``keys``, in order, made by
+    ``make(t, key)`` and frozen on a miss.  This is the one reader and
+    writer of ``t._cache``.  A canonical member coordinate names its image,
+    ("pow", index, multiplicity) a generator power; no coordinate holds a
+    string, so the two never meet.  Every image is a dim x dim complex128
+    matrix, so ``_CACHE_BYTES`` allows a fixed number of entries, and
+    beyond it the least recently used entry is dropped.  Like the rest of
+    a representation's evaluation, it serves one thread at a time."""
+    cache = t._cache
+    out = []
+    for key in keys:
+        image = cache.get(key)
+        if image is None:
+            image = cache[key] = _freeze(make(t, key))
+            room = _CACHE_BYTES // max(1, image.nbytes)
+            while len(cache) > room:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        out.append(image)
+    return out
+
+
+def _power(t: Representation, key) -> CMatrix:
+    _, idx, mult = key
+    return np.linalg.matrix_power(t.generator_images[idx], mult)
 
 
 def product_of(t: Representation, fact: Factorization) -> CMatrix:
-    """Matrix for a generator multiset: powers multiplied in ascending
-    generator order (deterministic)."""
-    key = ("prod", fact.terms)
-    hit = t._cache.get(key)
-    if hit is None:
-        acc = identity(t.dimension)
-        for idx, mult in fact.terms:
-            acc = acc @ _image_power(t, idx, mult)
-        hit = _freeze(acc)
-        t._cache[key] = hit
-    return hit
+    """Matrix for a generator multiset: the cached powers multiplied in
+    ascending generator order (deterministic)."""
+    acc = identity(t.dimension)
+    for idx, mult in fact.terms:
+        acc = acc @ _cached(t, [("pow", idx, mult)], _power)[0]
+    return _freeze(acc)
+
+
+def _product_at(t: Representation, c) -> CMatrix:
+    """product_of at the record's factorization of the member c."""
+    return product_of(t, Factorization(
+        tuple(sorted(t.descriptor.factorize(c).items()))))
 
 
 def eval_rep(t: Representation, p: GroupElement) -> CMatrix:
-    """Image of p, through the deterministic factorization; unit maps to I."""
-    fact = sg.factorize(t.descriptor, p)
-    return product_of(t, fact)
+    """Image of p, through the deterministic factorization; unit maps to I.
+    p is checked for canonical form and membership before its coordinate
+    is looked up, since 1 and True are equal keys."""
+    return _cached(t, [sg._member(t.descriptor, p).coords], _product_at)[0]
 
 
 def _image_table(t: Representation, coords):
     """Gather: the image of each distinct coordinate of ``coords``, once, in
-    first-seen order, by the record's ``factorize`` and product_of.  It
-    checks nothing: pass canonical members (1 and True are equal keys).
-    Returns each coordinate's index into the stack of images, and it."""
-    d = t.descriptor
+    first-seen order, looked up in the cache and formed by product_of at
+    the record's factorization on a miss.  It checks nothing: pass
+    canonical members (1 and True are equal keys).  Returns each
+    coordinate's index into the stack of images, and it."""
     slots = {}
     index = np.array([slots.setdefault(c, len(slots)) for c in coords], int)
     shape = (len(slots), t.dimension, t.dimension)  # also with no slots
-    images = np.array(
-        [product_of(t, Factorization(tuple(sorted(d.factorize(c).items()))))
-         for c in slots], np.complex128).reshape(shape)
+    images = np.array(_cached(t, slots, _product_at),
+                      np.complex128).reshape(shape)
     return index, images
 
 
@@ -180,26 +213,28 @@ def validate_rep(
           + (f" at generator {bad}" if bad is not None and worst > tol
              else ""))
 
-    comm, pair = commutator_residual(t.generator_images)
+    # the products of generators far from contractions may overflow; the
+    # contractive check above reports them, so the overflow warns nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm, pair = commutator_residual(t.generator_images)
+        rel_res, rel_bad = largest(
+            ((lhs.as_dict(), rhs.as_dict()),
+             operator_norm(product_of(t, lhs) - product_of(t, rhs)))
+            for lhs, rhs in t.relations)
+        d = t.descriptor
+        rng = random.Random(seed)
+        pairs = [(d.sample(rng), d.sample(rng)) for _ in range(sample_budget)]
+        index, images = _image_table(t, [
+            c for p, q in pairs
+            for c in (d.pointwise(operator.add, p, q), p, q)])
+        pq, p, q = (images[index[k::3]] for k in range(3))
+        hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
     v.add("commuting", comm <= tol,
           f"max commutator residual {comm:.3e}"
           + (f" at pair {pair}" if pair and comm > tol else ""))
-
-    rel_res, rel_bad = largest(
-        ((lhs.as_dict(), rhs.as_dict()),
-         operator_norm(product_of(t, lhs) - product_of(t, rhs)))
-        for lhs, rhs in t.relations)
     v.add("relations", rel_res <= tol,
           f"max relation residual {rel_res:.3e}"
           + (f" at {rel_bad}" if rel_bad and rel_res > tol else ""))
-
-    d = t.descriptor
-    rng = random.Random(seed)
-    pairs = [(d.sample(rng), d.sample(rng)) for _ in range(sample_budget)]
-    index, images = _image_table(t, [
-        c for p, q in pairs for c in (d.pointwise(operator.add, p, q), p, q)])
-    pq, p, q = (images[index[k::3]] for k in range(3))
-    hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
     # scaled: long products magnify commutator noise
     v.add("homomorphism_sampled", hom <= max(tol, 100 * comm + tol),
           f"max residual {hom:.3e} over {sample_budget} sampled pairs")
@@ -219,7 +254,7 @@ def tilde_eval(t: Representation, g: GroupElement) -> CMatrix:
     g_plus, g_minus = sg.pos_neg_parts(d, g)
     if g_minus == sg.unit(d):
         return eval_rep(t, g_plus)
-    return adjoint(eval_rep(t, g_minus)) @ eval_rep(t, g_plus)
+    return _freeze(adjoint(eval_rep(t, g_minus)) @ eval_rep(t, g_plus))
 
 
 @dataclass(frozen=True)
@@ -250,4 +285,4 @@ def star_kernel(
     involution pairs; components must lie in P (eval_rep raises
     MembershipError, left component first)."""
     x = point_mul(t.descriptor, s.star(), u)
-    return adjoint(eval_rep(t, x.left)) @ eval_rep(t, x.right)
+    return _freeze(adjoint(eval_rep(t, x.left)) @ eval_rep(t, x.right))

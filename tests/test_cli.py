@@ -30,6 +30,7 @@ from normex import (
     product,
     run_command,
 )
+from normex import cli
 
 J2_DOC = {
     "descriptor": {"kind": "free_abelian", "k": 1},
@@ -647,6 +648,42 @@ def test_overflowing_bound_constant_exits_two(tmp_path, capsys):
         code, out, err = _run(capsys, *command, "--input", str(p))
         assert (code, out) == (2, ""), command
         assert err.startswith("error: run.bound_constant: "), (command, err)
+
+
+@pytest.mark.parametrize("command", [("check", "all"), ("validate",)])
+def test_huge_finite_entries_exit_two_with_one_line(tmp_path, capsys,
+                                                    command):
+    # products and Gram matrices of an entry near 1e308 overflow; the one
+    # output is the error line, whose norm excess is finite (once "inf",
+    # after seven numpy warnings; warnings are errors here)
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["representation"]["generators"] = [[[[1e308, 0], [0, 0]],
+                                            [[0, 0], [0.5, 0]]]]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    assert _run(capsys, *command, "--input", str(p)) == (
+        2, "", "error: representation failed validation: contractive: "
+               "max norm excess 1.000e+308 at generator 0\n")
+
+
+def test_one_parser_serves_every_call(neil_path, capsys):
+    # malformed argvs in one process: each exits with its code and an
+    # error line, no traceback, and leaves the shared parser as it was
+    assert cli._build_parser() is cli._build_parser()
+    for argv, code in ((["frobnicate"], 2),
+                       (["check", "all", "--input", neil_path,
+                         "--format", "xml"], 2),
+                       (["check", "all"], 2),
+                       (["--help"], 0)):
+        got, out, err = _run(capsys, *argv)
+        assert got == code, argv
+        assert "Traceback" not in out + err
+        assert (err.startswith("error: ") and err.count("\n") == 1
+                if code else out.startswith("usage: normex"))
+    argv = ["check", "all", "--input", neil_path, "--format", "machine"]
+    after = _run(capsys, *argv)
+    cli._build_parser.cache_clear()  # the next call builds a new parser
+    assert _run(capsys, *argv) == after and after[0] == 0
 
 
 def test_sznagy_pass_margin_is_within_its_tolerance(tmp_path, capsys):

@@ -458,6 +458,27 @@ class TestContractionScreen:
             (i, reference_norm(a) - 1.0) for i, a in enumerate(mats)))
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_huge_entries_give_a_finite_excess(self, dim):
+        # a Gram product of entries near 1e308 overflows; each such matrix
+        # is normed on its power-of-two rescale, the others of its stack as
+        # they are (warnings are errors here)
+        rng = np.random.default_rng(dim)
+        small = cmatrix(_norm_case("scaled", dim, rng, 0.5))
+        unitary = cmatrix(_norm_case("unitary", dim, rng, None))
+        x = _rand(rng, dim)
+        for peak in (1e155, 1e200, 1e306):  # norm <= dim * peak
+            big = cmatrix(x * (peak / np.abs(x).max()))
+            excess, at = norm_excess([small, big, unitary])
+            assert at == 1 and math.isfinite(excess)
+            want = reference_norm(big / peak) * peak
+            assert excess == pytest.approx(want, rel=1e-12)
+        mats = [small, unitary]  # the same stack without the huge matrix
+        assert repr(norm_excess(mats)) == repr(largest(
+            (i, reference_norm(a) - 1.0) for i, a in enumerate(mats)))
+        assert norm_excess([cmatrix([[1e308]])]) == (1e308, 0)
+
+
 class TestLoewner:
     def test_reflexive(self):
         rng = np.random.default_rng(3)

@@ -5,9 +5,13 @@ only on purpose; everything else stays importable from its module.  No
 module imports a name it never uses."""
 
 import ast
+import contextlib
+import io
+import random
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normex
@@ -132,3 +136,161 @@ def test_the_cholesky_screen_is_inside_the_psd_rule():
     # (_psd_stack) and contractions below norm 1 (norm_excess): no other
     # function factors a matrix to decide positivity
     assert _stray_calls({"cholesky"}) == (True, [])
+
+
+#: the functions that may read or write ``Representation._cache``: one
+#: helper keys every image by its coordinate, so a second cache (by
+#: factorization, say) cannot grow beside it
+CACHE_USERS = {("representations.py", "_cached")}
+
+
+def _cache_uses(tree):
+    """(enclosing function, line) of each ``<expr>._cache``."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Attribute) and child.attr == "_cache":
+                yield where, child.lineno
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def test_the_image_cache_has_one_helper():
+    uses = [(p.name, where, line) for p in sorted(SOURCE.glob("*.py"))
+            for where, line in _cache_uses(
+                ast.parse(p.read_text(encoding="utf-8")))]
+    assert uses and [u for u in uses if u[:2] not in CACHE_USERS] == []
+
+
+def _exported_calls(tmp_path):
+    """One call of each exported function, by name."""
+    d = normex.free_abelian(2)
+    t = normex.make_representation(d, [np.diag([0.5, 0.25]),
+                                       np.diag([0.3, 0.2])])
+    m, mats = normex.cmatrix(np.diag([0.5, 0.25])), t.generator_images
+    g, h = normex.element(d, (1, 2)), normex.element(d, (2, 0))
+    pt = normex.involution_point(d, (1, 0), (0, 1))
+    family = normex.make_orthogonal_defect_family(0.5, 3)
+    doc = str(tmp_path / "neil.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        normex.run_command(["gallery", "neil_scalar", "--out", doc])
+    return {
+        "add": lambda: normex.add(d, g, h),
+        "adjoint": lambda: normex.adjoint(m),
+        "agler_certificate": lambda: normex.agler_certificate(m, 3),
+        "athavale_certificate":
+            lambda: normex.athavale_certificate(mats, (2, 1)),
+        "athavale_vs_brehmer":
+            lambda: normex.athavale_vs_brehmer(mats, (2, 1)),
+        "block_assemble": lambda: normex.block_assemble([[m, m], [m, m]]),
+        "block_decompose": lambda: normex.block_decompose(m, 1),
+        "box_operator": lambda: normex.box_operator(mats, (2, 1)),
+        "brehmer_certificate":
+            lambda: normex.brehmer_certificate(t, [(1, 1), (2, 1)]),
+        "brehmer_sum": lambda: normex.brehmer_sum(mats, [0, 1], 2),
+        "canonical_json": lambda: normex.canonical_json({"a": 1.5}),
+        "cmatrix": lambda: normex.cmatrix([[1, 2], [3, 4]]),
+        "contains": lambda: normex.contains(d, g),
+        "convex_average": lambda: normex.convex_average(
+            family, normex.uniform_weights(len(family.members))),
+        "convex_weights": lambda: normex.convex_weights([0.5, 0.5]),
+        "degree_tuple": lambda: normex.degree_tuple([1, 2]),
+        "descriptor_from_json": lambda: normex.descriptor_from_json(
+            {"kind": "free_abelian", "k": 2}, "descriptor"),
+        "descriptor_to_json": lambda: normex.descriptor_to_json(d),
+        "element": lambda: normex.element(d, (1, 1)),
+        "eval_rep": lambda: normex.eval_rep(t, g),
+        "extension_residual": lambda: normex.extension_residual(m, 1),
+        "factorization": lambda: normex.factorization({0: 2}),
+        "factorize": lambda: normex.factorize(d, g),
+        "free_abelian": lambda: normex.free_abelian(2),
+        "generator_certificate":
+            lambda: normex.generator_certificate(t, 3),
+        "hermitian_eig": lambda: normex.hermitian_eig(m),
+        "identity": lambda: normex.identity(2),
+        "involution_point":
+            lambda: normex.involution_point(d, (1, 0), (0, 1)),
+        "kolmogorov_factor":
+            lambda: normex.kolmogorov_factor([[normex.identity(2)]]),
+        "leq": lambda: normex.leq(d, g, h),
+        "loewner_leq": lambda: normex.loewner_leq(m, normex.identity(2)),
+        "make_commuting_normals":
+            lambda: normex.make_commuting_normals(0, 3, 2),
+        "make_dilation_family":
+            lambda: normex.make_dilation_family(family.members, 2, 1),
+        "make_gallery": lambda: [normex.make_gallery("jordan", dim=2),
+                                 normex.make_gallery("normal_pair", seed=0,
+                                                     dim=3)],
+        "make_orthogonal_defect_family":
+            lambda: normex.make_orthogonal_defect_family(0.5, 3),
+        "make_representation":
+            lambda: normex.make_representation(d, [m, m]),
+        "matrix_from_json":
+            lambda: normex.matrix_from_json([[[1, 0]]], "matrix"),
+        "matrix_to_json": lambda: normex.matrix_to_json(m),
+        "meet_join": lambda: normex.meet_join(d, g, h),
+        "neg": lambda: normex.neg(d, g),
+        "numerical": lambda: normex.numerical((1,)),
+        "operator_norm": lambda: normex.operator_norm(m),
+        "parse_spec": lambda: normex.parse_spec(doc),
+        "point_mul": lambda: normex.point_mul(d, pt, pt),
+        "pos_neg_parts":
+            lambda: normex.pos_neg_parts(d, normex.sub(d, g, h)),
+        "product": lambda: normex.product(d, normex.numerical(())),
+        "product_of":
+            lambda: normex.product_of(t, normex.factorization({0: 2})),
+        "psd_check": lambda: normex.psd_check(m),
+        "regularity_check":
+            lambda: normex.regularity_check(t, [(0, 0), (1, 0)], (0, 1)),
+        "run_command": lambda: normex.run_command(
+            ["gallery", "jordan", "--out", str(tmp_path / "j.json")]),
+        "sample_group": lambda: normex.sample_group(d, random.Random(0)),
+        "sample_member": lambda: normex.sample_member(d, random.Random(0)),
+        "star_kernel": lambda: normex.star_kernel(t, pt, pt),
+        "sub": lambda: normex.sub(d, g, h),
+        "sznagy_check":
+            lambda: normex.sznagy_check(t, normex.SzNagyConfig((pt,), pt)),
+        "tilde_eval": lambda: normex.tilde_eval(t, normex.sub(d, g, h)),
+        "uniform_weights": lambda: normex.uniform_weights(3),
+        "unit": lambda: normex.unit(d),
+        "validate_rep": lambda: normex.validate_rep(t),
+    }
+
+
+def _arrays(x, seen):
+    """Every ndarray reachable from x through sequences, dict values and
+    the fields of records."""
+    if id(x) in seen or isinstance(x, type):
+        return
+    seen.add(id(x))
+    if isinstance(x, np.ndarray):
+        yield x
+        return
+    if isinstance(x, (list, tuple)):
+        items = x
+    elif isinstance(x, dict):
+        items = x.values()
+    else:
+        items = vars(x).values() if hasattr(x, "__dict__") else ()
+    for y in items:
+        yield from _arrays(y, seen)
+
+
+def test_every_exported_array_is_read_only(tmp_path):
+    # the linalg contract: a caller writing into a result raises, so no
+    # cached image or shared matrix can change under another caller
+    calls = _exported_calls(tmp_path)
+    functions = sorted(n for n in PUBLIC_NAMES
+                       if not isinstance(getattr(normex, n), type)
+                       and callable(getattr(normex, n)))
+    assert sorted(calls) == functions
+    found = 0
+    for name in functions:
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = calls[name]()
+        for a in _arrays(result, set()):
+            found += 1
+            assert not a.flags.writeable, (name, a.shape)
+    assert found > 30

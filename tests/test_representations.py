@@ -12,6 +12,8 @@ import time
 import numpy as np
 import pytest
 from conftest import homomorphism_residuals
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normex import representations
 from normex import semigroups as sg
@@ -148,6 +150,99 @@ class TestEvalRep:
             product_of(t, factorize(d, element(d, (0, 4))))[1, 1] = 99
 
 
+#: descriptors whose members the cache oracle draws: each kind, and a
+#: numerical semigroup with two generators, where the factorization search
+#: backtracks
+CACHE_KINDS = [free_abelian(2), free_abelian(3), numerical((1,)),
+               numerical((1, 2, 4, 5, 8)),
+               product(free_abelian(1), numerical((1,)))]
+
+
+def _cache_rep(d, seed, dim=3):
+    """Commuting normal contractions on d's generators (dim x dim)."""
+    return make_representation(
+        d, make_commuting_normals(seed, dim, len(d.generators)))
+
+
+class TestImageCache:
+    """Images are cached by canonical coordinate, in one bounded
+    least-recently-used cache per representation; each is bitwise what a
+    fresh representation's product_of gives at its factorization."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(range(len(CACHE_KINDS))),
+           seed=st.integers(0, 2 ** 16), count=st.integers(0, 40),
+           room=st.integers(0, 6))
+    def test_gathered_images_equal_a_fresh_product(self, kind, seed, count,
+                                                   room):
+        d = CACHE_KINDS[kind]
+        rng = random.Random(seed)
+        coords = [d.sample(rng) for _ in range(count)]
+        coords += coords[:count // 3]  # repeats share a slot
+        fresh = _cache_rep(d, seed)
+
+        def want(c):
+            return product_of(_cache_rep(d, seed),
+                              factorize(d, element(d, c))).tobytes()
+
+        def gathered(t):
+            index, images = representations._image_table(t, coords)
+            return [images[i].tobytes() for i in index]
+        expected = [want(c) for c in coords]
+        assert gathered(fresh) == expected  # cold
+        assert gathered(fresh) == expected  # warm
+        with pytest.MonkeyPatch.context() as mp:
+            # room for ``room`` images: a miss evicts, so the cold gather
+            # evicts as it goes; the warm one hits and evicts nothing
+            mp.setattr(representations, "_CACHE_BYTES", room * 16 * 3 * 3)
+            cold = _cache_rep(d, seed)
+            for t in (fresh, cold):
+                assert gathered(t) == expected
+                assert gathered(t) == expected
+            assert len(cold._cache) <= room
+            for c, b in zip(coords, expected):
+                assert eval_rep(fresh, element(d, c)).tobytes() == b
+
+    def test_eval_rep_and_the_gather_share_each_image(self):
+        d = product(free_abelian(1), numerical((1,)))
+        t = _cache_rep(d, 5)
+        index, images = representations._image_table(t, [((2,), 3)])
+        image = eval_rep(t, element(d, ((2,), 3)))
+        assert image is t._cache[((2,), 3)]
+        assert np.array_equal(images[index[0]], image)
+
+    def test_bytes_stay_within_the_budget(self, monkeypatch):
+        # 4 x 4 complex images of 256 bytes: the budget holds ten of them,
+        # however many distinct coordinates pass
+        monkeypatch.setattr(representations, "_CACHE_BYTES", 2600)
+        d = free_abelian(2)
+        t = _cache_rep(d, 1, dim=4)
+        for lo in range(0, 400, 40):
+            coords = [(x, y) for x in range(lo, lo + 40) for y in (0, 1)]
+            representations._image_table(t, coords)
+            assert sum(a.nbytes for a in t._cache.values()) <= 2600
+            assert len(t._cache) == 10
+        assert eval_rep(t, element(d, (3, 4))).nbytes == 256
+
+    def test_the_least_recently_used_image_goes_first(self, monkeypatch):
+        _, t = _diag_rep(2, [(0.5, 0.1), (0.2, 0.3)])
+        one = t.generator_images[0].nbytes
+        monkeypatch.setattr(representations, "_CACHE_BYTES", 3 * one)
+        made = []
+
+        def make(t, key):
+            made.append(key)
+            return np.zeros((2, 2), complex)
+        representations._cached(t, ["a", "b", "c"], make)
+        first = t._cache["a"]
+        assert representations._cached(t, ["a", "d"], make)[0] is first
+        assert list(t._cache) == ["c", "a", "d"]  # b was least recent
+        representations._cached(t, ["b"], make)
+        assert made == ["a", "b", "c", "d", "b"]
+        assert list(t._cache) == ["a", "d", "b"]
+        assert not t._cache["b"].flags.writeable
+
+
 class TestValidateRep:
     def test_diagonal_rep_ok(self):
         _, t = _diag_rep(2, [(0.5, -0.25), (0.75, 0.1)])
@@ -184,6 +279,20 @@ class TestValidateRep:
         v = validate_rep(t)
         rel = next(c for c in v.checks if c.name == "relations")
         assert not rel.passed
+
+
+    @pytest.mark.parametrize("d", [free_abelian(1), numerical((1,))],
+                             ids=["free_abelian(1)", "numerical"])
+    def test_huge_entries_warn_nothing(self, d):
+        # products of entries near 1e308 overflow; the norm excess stays
+        # finite, and no step warns (warnings are errors here)
+        images = [[[1e308, 0.0], [0.0, 0.5]], [[1e300, 0.0], [0.0, 0.25]]]
+        t = make_representation(d, images[:len(d.generators)])
+        v = validate_rep(t)
+        contractive = v.checks[0]
+        assert not contractive.passed
+        assert contractive.detail == ("max norm excess 1.000e+308 at "
+                                      "generator 0")
 
 
 class TestHomomorphismSample:
