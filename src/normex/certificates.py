@@ -9,10 +9,8 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,7 +228,7 @@ def _gate(condition: str, parameters: dict, mats,
 def _gate_runs(condition: str, parameters: dict, mats,
                tol: float) -> tuple[CertificateReport | None, bool]:
     """``_gate``'s report, and whether the generator sweep's runs over
-    ``mats`` are monotone (see ``_sweep_boxes``).  They are when the norm
+    ``mats`` are monotone (see ``_judge``).  They are when the norm
     screen of ``norm_excess`` cleared every operator, so each is a strict
     contraction, and the last one's commutator C with each other one has
     ||C||_F <= 2 n^2 u (n the order, u = 2^-53): the first-order bound on
@@ -521,18 +519,6 @@ def _lex_degree_tuples(m: int, max_degree: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class _Run:
-    """A run of the generator sweep that fills a group, judged from its ends
-    (see ``_verdicts``): its length, its first and last boxes as one-box
-    stacks, and the chunks of every box but the last, in order, as a lazy
-    re-walk when the run is not stored."""
-    length: int
-    first: np.ndarray
-    last: np.ndarray
-    earlier: object
-
-
 def _chain(pair, dim: int, length: int, size: int):
     """The boxes Delta^k(I), 0 <= k < length, of the chain of ``pair``, as
     fresh chunks of at most ``size`` boxes, each box stepped from the one
@@ -551,123 +537,69 @@ def _chain(pair, dim: int, length: int, size: int):
         yield chunk
 
 
-def _sweep_boxes(pairs, dim: int, max_degree: int, size: int,
-                 monotone: bool):
-    """Every box of the generator sweep in lexicographic order of n, as
-    consecutive stacks of at most ``size`` boxes, each read before the
-    next is requested; but a run of at least ``size`` boxes comes as one
-    ``_Run``, once its last box is stepped, unless it is the m = 1 chain
-    of a tuple whose runs are not ``monotone``.
+def _walk(pairs, dim: int, max_degree: int, size: int):
+    """The runs of the generator sweep, one (p, length, run) per prefix
+    p = n[:-1], in lexicographic order: ``run()`` iterates the boxes of
+    n = p + (k,), 0 <= k < length, as consecutive chunks of at most
+    ``size`` boxes.  A run must be read before the next is requested,
+    which may overwrite it.
 
-    The tuples come in runs of the last coordinate, one run per prefix
-    p = n[:-1], each held as chunks of ``size`` boxes.  The run of the zero
-    prefix is the chain Delta_m^k(I), stepped one box at a time.  Every
-    other run is one stacked Delta step per chunk from the run of p - e_j,
-    j the first nonzero index of p: box(n) = Delta_j(box(n - e_j)), the
-    outermost step of ``box_operator``'s order, so every box is bitwise
-    equal to ``box_operator(mats, n)``.  A run is kept while a later run
-    steps from it (m > 1 and sum(p) < max_degree), and its e_1 successor,
-    the last, overwrites it in place; so the live runs hold at most
-    C(max_degree + m - 1, m - 1) boxes.  A run that is not kept is dropped
-    chunk by chunk, or whole once judged; and a chain that is not kept
-    (the m = 1 chain) is never stored: as a ``_Run`` it is stepped to its
-    last box through two live boxes, and re-walked from I only if its
-    ends do not decide it.
-
-    Why the ends can decide a run (``_verdicts``): the runs are monotone
-    when T_m is a strict contraction that commutes with every T_j, which
-    ``_gate_runs`` decides up to rounding.  Then Delta_j and Delta_m
-    commute, so a run X_k = box(p, k), 0 <= k <= L, has
-    X_{k+1} = Delta_m(X_k); and Delta_m is invertible, with the positive
-    inverse Y -> sum_i T_m*^i Y T_m^i.  So X_L >= 0 gives X_{L-1} >= 0 and
-    X_{L-1} - X_L = T_m* X_{L-1} T_m >= 0, and going down,
-    X_0 >= X_1 >= ... >= X_L.  Box 0 is covered too, but the sweep judges
-    it, as a check where an end's rounding says least: a computed margin
-    > 0 can be a rounded 0, and X_L >= -eI gives only
-    X_k >= -e (1 - ||T_m||^2)^(k - L) I.  Without a strict contraction,
-    or with a commutator that rounding cannot explain, the order fails:
-    T = (1 + 7.5e-9) I, inside the gate's tol = 1e-8, has the chain
-    I, -1.5e-8 I, 2.25e-16 I."""
+    The run of the zero prefix is the chain Delta_m^k(I), stepped one box
+    at a time.  Every other run is one stacked Delta step per chunk from
+    the run of p - e_j, j the first nonzero index of p:
+    box(n) = Delta_j(box(n - e_j)), the outermost step of
+    ``box_operator``'s order, so every box is bitwise equal to
+    ``box_operator(mats, n)``.  A run is kept while a later run steps from
+    it (sum(p) < max_degree, so length > 1), and its e_1 successor, the
+    last, overwrites it in place; so the kept runs hold at most C(max_degree + m - 1, m - 1)
+    boxes.  The m = 1 chain is never stored: each ``run()`` walks it
+    afresh from I."""
     m, live = len(pairs), {}
+    if m == 1:
+        length = max_degree + 1
+        yield (), length, lambda: _chain(pairs[0], dim, length, size)
+        return
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
-        keep = m > 1 and sum(p) < max_degree
-        whole = length >= size and (m > 1 or monotone)
         j = next((i for i, d in enumerate(p) if d), None)
-        pair = pairs[-1 if j is None else j]
-        if j is None and whole and not keep:
-            last = deque(_chain(pair, dim, length, 1), maxlen=1).pop()
-            yield _Run(length, np.eye(dim, dtype=np.complex128)[None], last,
-                       _chain(pair, dim, length - 1, size))
-            continue
-        run = []
         if j is None:
-            for chunk in _chain(pair, dim, length, size):
-                if keep or whole:
-                    run.append(chunk)
-                if not whole:
-                    yield chunk
+            run = list(_chain(pairs[-1], dim, length, size))
         else:
             source = p[:j] + (p[j] - 1,) + p[j + 1:]
             src = live.pop(source) if j == 0 else live[source]
+            run = []
             for lo, x in zip(range(0, length, size), src):
                 x = x[:length - lo]
-                out = _delta(x, pair, out=x if j == 0 else None)
-                if keep or whole:
-                    run.append(out)
-                if not whole:
-                    yield out
-        if whole:
-            yield _Run(length, run[0][:1], run[-1][-1:],
-                       filter(len, run[:-1] + [run[-1][:-1]]))
-        if keep:
+                run.append(_delta(x, pairs[j], out=x if j == 0 else None))
+        yield p, length, run.__iter__
+        if length > 1:
             live[p] = run
 
 
-def _groups(stacks, size: int, dim: int):
-    """The boxes of ``stacks`` (each of at most ``size`` boxes) in groups
-    of ``size``, the last perhaps shorter, and each ``_Run`` of
-    ``_sweep_boxes`` as it comes, after the group before it.  A group that
-    one stack holds alone is that stack; the others are gathered into one
-    buffer, which the next gathered group overwrites."""
-    group, filled = None, 0
-    for boxes in stacks:
-        if isinstance(boxes, _Run):
-            if filled:
-                yield group[:filled]
-                filled = 0
-            yield boxes
-            continue
-        if not filled and len(boxes) == size:
-            yield boxes
-            continue
-        if group is None:
-            group = np.empty((size, dim, dim), dtype=np.complex128)
-        take = min(size - filled, len(boxes))
-        group[filled:filled + take] = boxes[:take]
-        filled += take
-        if filled == size:
-            yield group
-            filled = len(boxes) - take
-            group[:filled] = boxes[take:]
-    if filled:
-        yield group[:filled]
+def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
+    """Judge the boxes of ``_walk``'s runs by the rule of ``psd_check``, in
+    lexicographic order of n, up to the first that fails.  Returns
+    (checked, worst, failure): the number of boxes judged, their least
+    margin (the first of equal margins, so -0.0 stays; None before any),
+    and (n, PsdVerdict) of the failing box n, or None.  Raises what
+    ``psd_check`` raises on the first box that decides.
 
+    A run shorter than a group of ``size`` boxes is packed with its
+    neighbours into groups of ``size``, the last perhaps shorter, and so
+    is an m = 1 chain (p = ()) whose runs are not ``monotone``: its ends
+    could decide nothing, and judging them first would walk it twice.  A
+    chunk that fills a group alone is judged as it is; the others are
+    copied into one buffer, which the next packed group overwrites.  One
+    ``_psd_stack`` call judges a group, so its first box that fails or is
+    not Hermitian decides.
 
-def _verdicts(boxes, tol: float, worst: float | None, monotone: bool):
-    """``_psd_stack``'s (mins, tolerances, defect) for a group of boxes, or
-    for a ``_Run`` in lexicographic order, up to the box that decides,
-    where a box the screen clears or the run's end covers reads as an
-    infinite margin.  ``worst`` is the least margin of the sweep so far
-    (None before any); the running floor is max(worst, -tol).
-
-    A run is decided by its ends.  Its last box X_L is judged first, alone,
-    screened above the floor (no screen before any margin).
+    Every other run fills a group and is decided by its ends.  Its last
+    box X_L is judged first, alone, screened above the running floor
+    max(worst, -tol) (no screen before any margin).
     - If the runs are ``monotone`` and its margin is known to be > 0 (its
-      spectrum says so, or the screen cleared it above a floor >= 0),
-      then X_L >= 0 and every X_k, 1 <= k < L, exceeds it (the run-end
-      fact of ``_sweep_boxes``): they pass without a margin of their own,
-      and box 0 alone is judged besides it.
+      spectrum says so, or the screen cleared it above a floor >= 0), then
+      X_L >= 0 and every X_k, 1 <= k < L, exceeds it (below): they pass
+      without a margin of their own, and box 0 alone is judged besides it.
     - Else, if it passes, every other box is judged.
     Such a box is screened above the lower of the floor and the end's
     margin, and judged by the exact rule where not cleared: a cleared box
@@ -678,35 +610,96 @@ def _verdicts(boxes, tol: float, worst: float | None, monotone: bool):
       screened above -tol, where a cleared box passes by the rule, and the
       exact rule decides every box that is not cleared.
     The end's own verdict, or what it raised, comes last, so no box is
-    solved twice."""
-    if not isinstance(boxes, _Run):
-        yield _psd_stack(boxes, tol)
-        return
-    run, floor, error = boxes, -tol, None
-    start = None if worst is None else max(worst, -tol)
-    try:
-        end = _psd_stack(run.last, tol, start)
-    except (InputError, NotHermitianError) as e:  # an earlier box may decide
-        error = e
-    else:
-        margin = end[0][0].item()  # inf where the screen cleared it
-        if not margin < -end[1][0]:
-            floor = max(min(margin, math.inf if start is None else start),
-                        -tol)
-        if monotone and margin > 0.0 and (margin < math.inf
-                                          or start >= 0.0):
-            if run.length > 1:
-                yield _psd_stack(run.first, tol, floor)
-            if run.length > 2:
-                covered = np.full(run.length - 2, np.inf)
-                yield covered, covered, 0.0
-            yield end
-            return
-    for chunk in run.earlier:
-        yield _psd_stack(chunk, tol, floor)
-    if error is not None:
-        raise error
-    yield end
+    solved twice.
+
+    Why the ends can decide a run: the runs are monotone when T_m is a
+    strict contraction that commutes with every T_j, which ``_gate_runs``
+    decides up to rounding.  Then Delta_j and Delta_m commute, so a run
+    X_k = box(p, k), 0 <= k <= L, has X_{k+1} = Delta_m(X_k); and Delta_m
+    is invertible, with the positive inverse Y -> sum_i T_m*^i Y T_m^i.
+    So X_L >= 0 gives X_{L-1} >= 0 and X_{L-1} - X_L = T_m* X_{L-1} T_m
+    >= 0, and going down, X_0 >= X_1 >= ... >= X_L.  Box 0 is covered too,
+    but it is judged, as a check where an end's rounding says least: a
+    computed margin > 0 can be a rounded 0, and X_L >= -eI gives only
+    X_k >= -e (1 - ||T_m||^2)^(k - L) I.  Without a strict contraction, or
+    with a commutator that rounding cannot explain, the order fails:
+    T = (1 + 7.5e-9) I, inside the gate's tol = 1e-8, has the chain
+    I, -1.5e-8 I, 2.25e-16 I."""
+    checked, worst = 0, None
+
+    def stacks():
+        # (verdicts, pieces) per judged stack, where each piece (i, p, k)
+        # says that box i of the stack, and those after it up to the next
+        # piece, are p + (k,), p + (k + 1,), ...
+        group, filled, pieces = None, 0, []
+        for p, length, run in runs:
+            if length < size or not (monotone or p):
+                lo = 0  # k of the chunk's first box
+                for boxes in run():
+                    if not filled and len(boxes) == size:
+                        yield _psd_stack(boxes, tol), ((0, p, lo),)
+                    else:
+                        if group is None:
+                            group = np.empty((size, dim, dim),
+                                             dtype=np.complex128)
+                        take = min(size - filled, len(boxes))
+                        group[filled:filled + take] = boxes[:take]
+                        pieces.append((filled, p, lo))
+                        filled += take
+                        if filled == size:
+                            yield _psd_stack(group, tol), pieces
+                            filled = len(boxes) - take
+                            group[:filled] = boxes[take:]
+                            pieces = [(0, p, lo + take)] if filled else []
+                    lo += size
+                continue
+            if filled:
+                yield _psd_stack(group[:filled], tol), pieces
+                filled, pieces = 0, []
+            start = None if worst is None else max(worst, -tol)
+            chunks = run()
+            first = last = next(chunks)
+            for last in chunks:  # to the run's end
+                pass
+            floor, error = -tol, None
+            try:  # an earlier box may decide before what the end raises
+                end = _psd_stack(last[-1:], tol, start)
+            except (InputError, NotHermitianError) as e:
+                error = e
+            else:
+                margin = end[0][0].item()  # inf where the screen cleared it
+                if not margin < -end[1][0]:
+                    floor = max(min(margin, math.inf if start is None
+                                    else start), -tol)
+                if monotone and margin > 0.0 and (margin < math.inf
+                                                  or start >= 0.0):
+                    if length > 1:
+                        yield _psd_stack(first[:1], tol, floor), ((0, p, 0),)
+                    if length > 2:
+                        covered = np.full(length - 2, np.inf)
+                        yield (covered, covered, 0.0), ()
+                    yield end, ((0, p, length - 1),)
+                    continue
+            for lo, boxes in zip(range(0, length - 1, size), run()):
+                yield (_psd_stack(boxes[:length - 1 - lo], tol, floor),
+                       ((0, p, lo),))
+            if error is not None:
+                raise error
+            yield end, ((0, p, length - 1),)
+        if filled:
+            yield _psd_stack(group[:filled], tol), pieces
+
+    for (mins, tolerances, defect), pieces in stacks():
+        checked += len(mins)
+        if mins[-1] < -tolerances[-1]:
+            i = len(mins) - 1
+            at, p, k = next(x for x in reversed(pieces) if x[0] <= i)
+            return checked, worst, (p + (k + i - at,), PsdVerdict(
+                False, mins[-1].item(), defect, tolerances[-1].item()))
+        low = mins[mins.argmin()]  # the first of equal margins: -0.0 stays
+        if worst is None or low < worst:
+            worst = low.item()
+    return checked, worst, None
 
 
 def generator_certificate(
@@ -714,39 +707,28 @@ def generator_certificate(
 ) -> CertificateReport:
     """Sweep the multi-binomial certificate over the generator images for all
     degree tuples with sum <= max_degree, lexicographically, stopping at the
-    first failure.  A pass is only a pass up to the swept bound.  A sweep
-    over more than 2^16 degree tuples (C(max_degree + m, m) for m
-    generators) raises CapExceededError before any work.
+    first failure, which the report names.  A pass is only a pass up to the
+    swept bound.  A sweep over more than 2^16 degree tuples
+    (C(max_degree + m, m) for m generators) raises CapExceededError before
+    any work.
 
-    Each run of the last coordinate is one stacked Delta step from a run
-    already swept (see ``_sweep_boxes``), and every box is bitwise equal
-    to ``box_operator(mats, n)``.  Boxes are judged by the rule of
-    ``psd_check`` in groups of at most 2048 matrix entries (one box at
-    least).  Runs shorter than a group share one stacked eigensolve per
-    group.  A run that fills a group is decided by its ends (see
-    ``_verdicts``).  When the last generator T_m is a strict contraction
-    that commutes with the others (up to rounding, as ``_gate_runs``
-    finds), a run X_k = box(p, k), 0 <= k <= L, whose last box X_L is PSD
-    has X_0 >= X_1 >= ... >= X_L: Delta_m steps the run, and its inverse
-    Y -> sum_i T_m*^i Y T_m^i is positive (the proof is in
-    ``_sweep_boxes``).  So the last box is judged first, screened by the
-    Cholesky step of ``_psd_stack`` above the running floor, the least
-    margin so far (at least -tol), and given a spectrum only when not
-    cleared; if its margin is known to be > 0, only box 0 is judged
-    besides it, and the boxes between pass.  The m = 1 chain is then one
-    such run.  A run whose last box fails has its other boxes screened
-    above -tol.  The
-    first box in lexicographic order that fails or is not Hermitian
-    decides, so a failure wastes at most the rest of its group or run and
-    the Delta steps of less than one more group; and every box that is
-    judged is judged as ``psd_check`` judges it.  The precondition gate
-    (``_gate``) runs first, on stacks of at most one group as well, and on
-    commuting contractions it solves no eigenproblem: a Cholesky screen
-    clears the norms, and a Frobenius bound the commutators.  Live memory:
-    the kept runs, at most C(max_degree + m - 1, m - 1) boxes of dim^2
-    entries as for one box at a time, plus one group and the temporaries
-    of one stacked step or verdict over a chunk; no array holds more than
-    one group or box, and the m = 1 chain holds two boxes."""
+    The precondition gate (``_gate``) runs first, on stacks of at most one
+    group; on commuting contractions it solves no eigenproblem.  Then
+    ``_walk`` steps the boxes, each bitwise equal to
+    ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
+    most 2048 matrix entries (one box at least), each judged box as
+    ``psd_check`` judges it alone.  The first box in lexicographic order
+    that fails or is not Hermitian decides, so a failure wastes at most the
+    rest of its group or run and the Delta steps of less than one more
+    group.  Boxes between a run's ends pass unjudged only where the ends
+    show them PSD (the proof is in ``_judge``); such a box could change a
+    report only by tying its run's end, or failing, within rounding.
+    Live memory: the kept runs, at most C(max_degree + m - 1, m - 1)
+    boxes of dim^2 entries as for one box at a time, plus one group and
+    the temporaries of one stacked step or verdict over a chunk; no array
+    holds more than one group or box.  The m = 1 chain is not stored: at
+    most four of its chunks, of at most one group each, are live at a
+    time (its first and last while it is walked again)."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:
@@ -771,25 +753,16 @@ def generator_certificate(
     if gated is not None:
         return gated
     size = _group_size(dim)
-    checked, worst = 0, None
-    for boxes in _groups(_sweep_boxes(_adjoint_pairs(mats), dim, max_degree,
-                                      size, monotone), size, dim):
-        for mins, tolerances, defect in _verdicts(boxes, tol, worst,
-                                                  monotone):
-            checked += len(mins)
-            if mins[-1] < -tolerances[-1]:
-                n = next(itertools.islice(
-                    _lex_degree_tuples(m, max_degree), checked - 1, None))
-                verdict = PsdVerdict(False, mins[-1].item(), defect,
-                                     tolerances[-1].item())
-                return _psd_report(
-                    "generator_sweep",
-                    {"max_degree": max_degree, "tuples_checked": checked},
-                    verdict, tol, {"n": list(n)},
-                    notes=(f"first failing degree tuple in lexicographic "
-                           f"order within sum <= {max_degree}",))
-            low = mins[mins.argmin()]  # the first of equal margins: -0.0 stays
-            if worst is None or low < worst:
-                worst = low.item()
-    return passed(checked, worst,
-                  f"pass swept over all degree tuples with sum <= {max_degree}")
+    checked, worst, failure = _judge(
+        _walk(_adjoint_pairs(mats), dim, max_degree, size), tol, size, dim,
+        monotone)
+    if failure is None:
+        return passed(checked, worst, "pass swept over all degree tuples "
+                      f"with sum <= {max_degree}")
+    n, verdict = failure
+    return _psd_report(
+        "generator_sweep",
+        {"max_degree": max_degree, "tuples_checked": checked},
+        verdict, tol, {"n": list(n)},
+        notes=("first failing degree tuple in lexicographic order within "
+               f"sum <= {max_degree}",))

@@ -78,10 +78,12 @@ def operator_norms(a, gram=None) -> np.ndarray:
 
 def largest(pairs) -> tuple[float, object]:
     """The largest residual over (key, residual) pairs, floored at 0, and the
-    first key attaining it (None when no residual is positive)."""
+    first key attaining it (None when no residual is positive).  A NaN
+    residual, the trace of an overflow, is larger than any other, so a
+    check that compares the result with a tolerance fails on it."""
     worst, at = 0.0, None
     for key, r in pairs:
-        if r > worst:
+        if r > worst or (r != r and worst == worst):  # the first NaN wins
             worst, at = r, key
     return worst, at
 

@@ -231,10 +231,10 @@ def validate_rep(
         hom = float(largest(enumerate(operator_norms(pq - p @ q)))[0])
     v.add("commuting", comm <= tol,
           f"max commutator residual {comm:.3e}"
-          + (f" at pair {pair}" if pair and comm > tol else ""))
+          + (f" at pair {pair}" if pair and not comm <= tol else ""))
     v.add("relations", rel_res <= tol,
           f"max relation residual {rel_res:.3e}"
-          + (f" at {rel_bad}" if rel_bad and rel_res > tol else ""))
+          + (f" at {rel_bad}" if rel_bad and not rel_res <= tol else ""))
     # scaled: long products magnify commutator noise
     v.add("homomorphism_sampled", hom <= max(tol, 100 * comm + tol),
           f"max residual {hom:.3e} over {sample_budget} sampled pairs")

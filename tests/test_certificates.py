@@ -13,6 +13,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1450,6 +1451,76 @@ class TestGeneratorSweep:
             tracemalloc.stop()
         assert rep.passed and rep.parameters["tuples_checked"] == 20301
         assert peak < (degree + 1 + 8 * group) * 8 * 8 * 16
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 4, 16, 32, 64])
+    def test_the_walk_yields_every_box_once_in_order(self, m, dim):
+        # groups of 2048 boxes down to 1; at dims 16..64 the runs fill them
+        degree = 9 if dim <= 16 else 4
+        mats = make_commuting_normals(m, dim, m)
+        size = linalg._group_size(dim)
+        walked = []
+        for p, length, run in certificates._walk(
+                certificates._adjoint_pairs(mats), dim, degree, size):
+            chunks = list(run())  # read before the next run is stepped
+            assert all(1 <= len(c) <= size for c in chunks)
+            boxes = [box for c in chunks for box in c]
+            assert len(boxes) == length
+            assert [box.tobytes() for c in run() for box in c] == [
+                box.tobytes() for box in boxes]  # a re-walk is bitwise
+            for k, box in enumerate(boxes):
+                assert box.tobytes() == np.asarray(
+                    box_operator(mats, p + (k,))).tobytes()
+                walked.append(p + (k,))
+        assert walked == list(certificates._lex_degree_tuples(m, degree))
+
+    def test_each_box_is_stepped_once_on_the_sweep_grid(self, monkeypatch):
+        # counted in boxes: one Delta step per box of each stack stepped.
+        # A sweep steps every box but I once up to its deciding group,
+        # and the m = 1 chain at dim 32 (groups of 2), whose end passes,
+        # steps its nine boxes once and takes box 0 from that same walk
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        steps = []
+        real = certificates._delta
+
+        def counted(x, pair, out=None):
+            steps.append(1 if x.ndim == 2 else len(x))
+            return real(x, pair, out=out)
+        ops = workloads.build_sweep(3)
+        monkeypatch.setattr(certificates, "_delta", counted)
+        for op in ops:
+            op.run()
+        assert sum(steps) == 953
+        steps.clear()
+        rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
+        assert rep.passed and sum(steps) == 9
+
+    @settings(max_examples=40)
+    @given(data=st.data(), m=st.integers(2, 3), dim=st.integers(4, 8),
+           degree=st.integers(2, 30), seed=st.integers(0, 2 ** 16))
+    def test_a_witness_deep_in_a_packed_group(self, data, m, dim, degree,
+                                              seed):
+        # x J on generator 1 and y J on the last, on one 2 x 2 block, make
+        # that block of box(n) I - (n_1 x^2 + n_m y^2) E, scaled by the
+        # middle generators: with y^2 = 1 / (j (degree + 1)) and x^2 set
+        # so that j x^2 + (k - 1/2) y^2 = 1, every run of n_1 < j passes
+        # and the first failure is (j, 0, ..., k), k > 0, at margin
+        # -y^2 / 2.  Runs are shorter than a group (32 boxes or more)
+        j = data.draw(st.integers(1, degree - 1))
+        k = data.draw(st.integers(1, degree - j))
+        y2 = 1.0 / (j * (degree + 1))
+        x = math.sqrt((1.0 - (k - 0.5) * y2) / j)
+        normals = [0.5 * np.asarray(a)
+                   for a in make_commuting_normals(seed, dim - 2, m)]
+        corners = [x * J2] + [0.5 * np.eye(2)] * (m - 2) + [
+            math.sqrt(y2) * J2]
+        mats = [_grow(a, c) for a, c in zip(normals, corners)]
+        rep = _outcome(generator_certificate, mats, degree, 1e-8)
+        assert rep["witness"] == {"n": [j] + [0] * (m - 2) + [k]}
+        assert abs(rep["margin"] + y2 / 2) <= 1e-12
+        assert repr(rep) == repr(_outcome(sweep_oracle, mats, degree, 1e-8))
 
     def test_tuple_budget_is_checked_before_the_gate(self):
         cap = certificates._SWEEP_TUPLE_CAP

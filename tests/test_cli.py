@@ -655,7 +655,8 @@ def test_huge_finite_entries_exit_two_with_one_line(tmp_path, capsys,
                                                     command):
     # products and Gram matrices of an entry near 1e308 overflow; the one
     # output is the error line, whose norm excess is finite (once "inf",
-    # after seven numpy warnings; warnings are errors here)
+    # after seven numpy warnings; warnings are errors here), and whose
+    # homomorphism residual, overflowed to NaN, fails (it once read 0)
     doc = json.loads(json.dumps(J2_DOC))
     doc["representation"]["generators"] = [[[[1e308, 0], [0, 0]],
                                             [[0, 0], [0.5, 0]]]]
@@ -663,7 +664,9 @@ def test_huge_finite_entries_exit_two_with_one_line(tmp_path, capsys,
     p.write_text(json.dumps(doc))
     assert _run(capsys, *command, "--input", str(p)) == (
         2, "", "error: representation failed validation: contractive: "
-               "max norm excess 1.000e+308 at generator 0\n")
+               "max norm excess 1.000e+308 at generator 0; "
+               "homomorphism_sampled: max residual nan over 100 sampled "
+               "pairs\n")
 
 
 def test_one_parser_serves_every_call(neil_path, capsys):

@@ -383,6 +383,15 @@ class TestGateScans:
                     for j in range(i + 1, len(mats)))
                 assert commutator_residual(mats, others) == want
 
+    @pytest.mark.parametrize("residuals, want", [
+        ([0.5, 2.0, 2.0], ("2.0", 1)), ([-1.0, 0.0], ("0.0", None)),
+        ([0.5, math.nan, 3.0, math.nan], ("nan", 1)),
+        ([3.0, math.nan], ("nan", 1)), ([math.nan], ("nan", 0))])
+    def test_largest_takes_the_first_nan(self, residuals, want):
+        # a NaN residual (an overflow) is larger than any other
+        worst, at = largest(enumerate(residuals))
+        assert (repr(worst), at) == want
+
 
 def _norm_case(kind, dim, rng, norm):
     """One dim x dim matrix for the contraction screen: scaled to ``norm``

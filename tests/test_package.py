@@ -71,21 +71,27 @@ def test_every_imported_name_is_used(module):
 
 #: the functions that may call each LAPACK factorization: every PSD
 #: verdict, norm and spectrum of the package comes from one of them, so a
-#: second copy of the PSD rule or of a norm cannot grow beside them
+#: second copy of the PSD rule or of a norm cannot grow beside them; and
+#: those that may call the stacked PSD rule or a Delta step: the generator
+#: sweep has one walk that steps boxes and one judge that judges them
 SOLVER_CALLERS = {
     "eigvalsh": {("linalg.py", "operator_norms"), ("linalg.py", "_psd_stack")},
     "eigh": {("linalg.py", "hermitian_eig")},
     "cholesky": {("linalg.py", "_cholesky_clears")},
+    "_psd_stack": {("linalg.py", "psd_check"), ("certificates.py", "_judge")},
+    "_delta": {("certificates.py", "_defect_map"),
+               ("certificates.py", "_chain"), ("certificates.py", "_walk")},
 }
 
 
 def _solver_callers(tree):
-    """(solver, enclosing function, line) of each call of a solver in
-    SOLVER_CALLERS."""
+    """(solver, outermost enclosing function, line) of each call of a
+    solver in SOLVER_CALLERS."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if where is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
             elif isinstance(child, ast.Call):
                 f = child.func
@@ -110,6 +116,10 @@ def _stray_calls(solvers):
 
 def test_every_eigensolve_is_in_the_linalg_kernel():
     assert _stray_calls({"eigvalsh", "eigh"}) == (True, [])
+
+
+def test_one_walk_steps_and_one_judge_judges():
+    assert _stray_calls({"_psd_stack", "_delta"}) == (True, [])
 
 
 def _kind_comparisons(tree):

@@ -294,6 +294,20 @@ class TestValidateRep:
         assert contractive.detail == ("max norm excess 1.000e+308 at "
                                       "generator 0")
 
+    def test_overflowed_residuals_fail_as_nan(self):
+        # every product of these images overflows, so each residual is
+        # NaN: a NaN is the largest residual, and its check fails
+        t = make_representation(numerical((1,)), [[[1e308]], [[1e300]]],
+                                relations=[({0: 3}, {1: 2})])
+        checks = {c.name: c for c in validate_rep(t).checks}
+        assert {name: (c.passed, c.detail) for name, c in checks.items()
+                if name != "contractive"} == {
+            "commuting": (False, "max commutator residual nan at pair (0, 1)"),
+            "relations": (False, "max relation residual nan at "
+                                 "({0: 3}, {1: 2})"),
+            "homomorphism_sampled": (
+                False, "max residual nan over 100 sampled pairs")}
+
 
 class TestHomomorphismSample:
     """validate_rep draws every pair first and takes all residual norms
