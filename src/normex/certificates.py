@@ -36,6 +36,7 @@ from .linalg import (
     block_decompose,
     cmatrix,
     commutator_residual,
+    joint_spectrum,
     loewner_leq,
     operator_norm,
     psd_check,
@@ -226,17 +227,19 @@ def _gate(condition: str, parameters: dict, mats,
 
 
 def _gate_runs(condition: str, parameters: dict, mats,
-               tol: float) -> tuple[CertificateReport | None, bool]:
-    """``_gate``'s report, and whether the generator sweep's runs over
-    ``mats`` are monotone (see ``_judge``).  They are when the norm
-    screen of ``norm_excess`` cleared every operator, so each is a strict
-    contraction, and the last one's commutator C with each other one has
+               tol: float) -> tuple[CertificateReport | None, bool, bool]:
+    """``_gate``'s report; whether the norm screen of ``norm_excess``
+    cleared every operator, so each is a strict contraction; and whether
+    the generator sweep's runs over ``mats`` are monotone (see
+    ``_judge``).  They are when the screen cleared every operator and the
+    last one's commutator C with each other one has
     ||C||_F <= 2 n^2 u (n the order, u = 2^-53): the first-order bound on
     the rounding of the two products of contractions that form C, so the
     tuple commutes as far as its products can show.  The gate admits
     norms up to 1 + tol and commutators up to tol, and the runs' order
     does not survive those."""
-    worst, index, monotone = _norm_screen(mats)
+    worst, index, cleared = _norm_screen(mats)
+    monotone = cleared
     if worst > tol:
         witness = {"reason": "not a contraction",
                    "index": index, "norm_excess": worst}
@@ -249,13 +252,13 @@ def _gate_runs(condition: str, parameters: dict, mats,
                                         for (_, j), x in zip(pairs, c)
                                         if j == last)
         if math.sqrt(square) <= tol * (1.0 - 2.0 ** -20):
-            return None, monotone
+            return None, cleared, monotone
         comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None, monotone
+            return None, cleared, monotone
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return _not_applicable(condition, parameters, witness, tol), False
+    return _not_applicable(condition, parameters, witness, tol), False, False
 
 
 def agler_certificate(
@@ -576,7 +579,14 @@ def _walk(pairs, dim: int, max_degree: int, size: int):
             live[p] = run
 
 
-def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
+def _skew_square(x) -> float:
+    """The squared Frobenius norm of X - X*, summed over a stack."""
+    skew = x - np.conj(x.swapaxes(-1, -2))
+    return np.vdot(skew, skew).real
+
+
+def _judge(runs, tol: float, size: int, dim: int, monotone: bool,
+           max_degree: int):
     """Judge the boxes of ``_walk``'s runs by the rule of ``psd_check``, in
     lexicographic order of n, up to the first that fails.  Returns
     (checked, worst, failure): the number of boxes judged, their least
@@ -624,8 +634,27 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
     X_k >= -e (1 - ||T_m||^2)^(k - L) I.  Without a strict contraction, or
     with a commutator that rounding cannot explain, the order fails:
     T = (1 + 7.5e-9) I, inside the gate's tol = 1e-8, has the chain
-    I, -1.5e-8 I, 2.25e-16 I."""
+    I, -1.5e-8 I, 2.25e-16 I.
+
+    A covered box has no Hermitian defect of its own either, and the rule
+    raises on a defect above tol max(1, ||H||) >= tol.  Exact Delta steps
+    keep a box Hermitian.  In floating point, to first order, a step from
+    a box X of k steps (||X||_2 <= 2^k, as the operators are contractions)
+    adds an error R with ||R||_F <= 2^(k + 1) 2 n^2 u: n^2 u ||X||_2 for
+    each of its two products (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3, with ||T||_F <= sqrt(n)) and u sqrt(n) 2^(k + 1)
+    for the subtraction.  So K_k = ||X_k - X_k*||_F has K_(k+1) <=
+    2 K_k + 2 ||R||_F, and every box has K <= 4 D 2^D n^2 u, D =
+    ``max_degree``.  Where that bound is above tol (1 - 2^-20), the run's
+    boxes are summed into one skew Frobenius norm as it is walked to its
+    end, and its ends cover nothing unless that norm is at most
+    tol (1 - 2^-20)."""
     checked, worst = 0, None
+    limit = tol * (1.0 - 2.0 ** -20)
+    try:
+        free = 4 * max_degree * dim * dim * 2.0 ** (max_degree - 53) <= limit
+    except OverflowError:
+        free = False
 
     def stacks():
         # (verdicts, pieces) per judged stack, where each piece (i, p, k)
@@ -659,8 +688,10 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
             start = None if worst is None else max(worst, -tol)
             chunks = run()
             first = last = next(chunks)
+            skew = 0.0 if free else _skew_square(first)
             for last in chunks:  # to the run's end
-                pass
+                if not free:
+                    skew += _skew_square(last)
             floor, error = -tol, None
             try:  # an earlier box may decide before what the end raises
                 end = _psd_stack(last[-1:], tol, start)
@@ -671,8 +702,9 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
                 if not margin < -end[1][0]:
                     floor = max(min(margin, math.inf if start is None
                                     else start), -tol)
-                if monotone and margin > 0.0 and (margin < math.inf
-                                                  or start >= 0.0):
+                if monotone and margin > 0.0 and (
+                        margin < math.inf or start >= 0.0) and (
+                        math.sqrt(skew) <= limit):
                     if length > 1:
                         yield _psd_stack(first[:1], tol, floor), ((0, p, 0),)
                     if length > 2:
@@ -700,6 +732,82 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool):
         if worst is None or low < worst:
             worst = low.item()
     return checked, worst, None
+
+
+#: ``_closed_form``'s rounding level of a joint eigenbasis residual, in
+#: units of n^2 u: sixteen times the 2 n^2 u that the two products forming
+#: W* T_i W may round by on their own.
+_ROUNDING_LEVEL = 32
+
+
+def _closed_form(mats, max_degree: int, tol: float):
+    """The generator sweep's margin over a commuting normal tuple, read off
+    its joint spectrum where the Delta path provably passes: (margin, r, s)
+    with margin = (min_ij f_ij)^D, f_ij = 1 - |lam_ij|^2 and D =
+    ``max_degree``, from ``joint_spectrum``'s table lam and residual r;
+    else None.  The caller has found every operator a strict contraction
+    by the gate's norm screen; the tuple must also pass three tests, with
+    n >= 1 the order and u = 2^-53:
+    - (a) rho = max |lam_ij| < 1;
+    - (b) r <= 32 n^2 u, the rounding level (``_ROUNDING_LEVEL``): a joint
+      eigenbasis that leaves more, as clustered joint eigenvalues can,
+      is not trusted;
+    - (c) s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <= tol / 2.
+    Before the eigensolve, a necessary check fails fast on the first
+    operator that is not normal at rounding level: the diagonal of
+    T_i T_i* - T_i* T_i, the squared row norms of T_i less its squared
+    column norms, must have norm at most 4 * 32 n^2 u + 10 n^2 u.  For
+    T_i within eps = r + 2 n u of a normal N_i (below), ||T_i T_i* -
+    T_i* T_i||_F <= 4 eps to first order, and forming the squared norms
+    rounds the diagonal by at most 2 n^(3/2) u; so every tuple that
+    passes (b) passes this check, while r J or a shift in its own basis
+    fails it in O(n^2) work.
+
+    Why (c) makes the Delta path pass, to first order in u and r, with
+    each product of factors of norm <= 1 rounding by about n u (normwise,
+    as p(n) in ``norm_excess``).  Write B_i = fl(W* T_i W) =
+    diag(lam_i) + E_i, so ||E_i||_F <= r, and let Q be the unitary nearest
+    W.  Then T_i lies within eps = r + 2 n u of N_i = Q diag(lam_i) Q*, an
+    exactly normal commuting tuple (2 n u for the products forming B_i and
+    W's departure from Q), and ||T_i|| <= rho + eps.  The exact boxes of
+    N are Q diag(prod_i f_ij^{n_i}) Q*, of norm <= 1, and their least
+    eigenvalue over sum(n) <= D is (min f)^D > 0, at D e_i for the i of
+    the least f.  A Delta step X - T_i* X T_i multiplies a box's distance
+    from N's by at most 1 + rho^2 and adds at most 2 eps for T_i - N_i and
+    2 n u rho^2 for its own two products, together at most
+    (1 + rho^2)(2 r + 4 n u); so after at most D steps each computed box
+    lies within s of N's box, and by Weyl's theorem so does its spectrum.
+    With s <= tol / 2, every computed box has least eigenvalue above
+    -tol / 2 (less a few u of subtraction and eigensolve rounding, which
+    the other half of tol covers) and Hermitian defect ||X - X*|| <= 2 s
+    <= tol: the Delta path passes every box, checks all C(D + m, m) of
+    them, and raises nothing.  Its margin, the least over the boxes it
+    judges, which include each D e_i (a run's end), lies within s of the
+    closed form.  (b) keeps that move at rounding level: s then counts
+    only rounding, amplified by the degree."""
+    n, u = mats[0].shape[-1], 2.0 ** -53
+    level = _ROUNDING_LEVEL * n * n * u
+    bound = (4 * level + 10 * n * n * u) ** 2
+    for x in mats:
+        square = np.abs(x)
+        square *= square
+        gap = square.sum(axis=1)
+        gap -= square.sum(axis=0)
+        if not gap @ gap <= bound:
+            return None
+    lam, r = joint_spectrum(mats)
+    square = lam.real ** 2 + lam.imag ** 2
+    rho2 = square.max().item()
+    if not (rho2 < 1.0 and r <= level):
+        return None
+    try:
+        s = (2.0 * max(1, max_degree) * (1.0 + rho2) ** max_degree
+             * (r + 2 * n * u))
+    except OverflowError:
+        return None
+    if not s <= tol / 2:
+        return None
+    return (1.0 - square).min().item() ** max_degree, r, s
 
 
 def generator_certificate(
@@ -736,29 +844,37 @@ def generator_certificate(
     if not _is_int(max_degree) or max_degree < 0:
         raise InputError("max_degree must be a non-negative int")
 
-    def passed(checked, margin, note):
+    def passed(checked, margin, *notes):
         return CertificateReport(
             condition="generator_sweep",
             parameters={"max_degree": max_degree, "tuples_checked": checked},
             verdict="pass", margin=margin, witness=None,
-            tolerances={"tol": tol}, notes=(note,))
+            tolerances={"tol": tol}, notes=notes)
     if not mats:
         return passed(0, None, "vacuous: no generators")
     m, dim = len(mats), mats[0].shape[0]
     tuples = math.comb(max_degree + m, m)
     if tuples > _SWEEP_TUPLE_CAP:
         raise _TupleCapExceededError(tuples, _SWEEP_TUPLE_CAP)
-    gated, monotone = _gate_runs("generator_sweep",
-                                 {"max_degree": max_degree}, mats, tol)
+    gated, cleared, monotone = _gate_runs(
+        "generator_sweep", {"max_degree": max_degree}, mats, tol)
     if gated is not None:
         return gated
+    swept = f"pass swept over all degree tuples with sum <= {max_degree}"
+    closed = _closed_form(mats, max_degree, tol) if cleared and dim else None
+    if closed is not None:
+        margin, r, s = closed
+        return passed(tuples, margin, swept, (
+            "margin read off the joint spectrum: (min_ij (1 - "
+            f"|lambda_ij|^2))^{max_degree}, eigenbasis residual r = {r:.3e}; "
+            f"every box of the Delta path lies within s = {s:.3e} of its "
+            "closed form"))
     size = _group_size(dim)
     checked, worst, failure = _judge(
         _walk(_adjoint_pairs(mats), dim, max_degree, size), tol, size, dim,
-        monotone)
+        monotone, max_degree)
     if failure is None:
-        return passed(checked, worst, "pass swept over all degree tuples "
-                      f"with sum <= {max_degree}")
+        return passed(checked, worst, swept)
     n, verdict = failure
     return _psd_report(
         "generator_sweep",

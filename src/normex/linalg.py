@@ -230,6 +230,36 @@ def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(w), _freeze(v)
 
 
+#: The golden angle: generator k (from 1) enters ``joint_spectrum``'s
+#: combination with weight e^{i k theta}, so no two weights are equal or
+#: opposite, and no weight is a small rational multiple of another.
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def joint_spectrum(mats) -> tuple[np.ndarray, float]:
+    """The joint eigenvalues of a tuple of n x n matrices T_1..T_m in one
+    eigenbasis W, and how far W is from diagonalizing them: the table
+    lam[i, j] = (W* T_i W)_jj, shape (m, n), and the residual
+    r = max_i ||W* T_i W - diag(lam[i])||_F.
+
+    W holds the eigenvectors (``hermitian_eig``) of the Hermitian part of
+    sum_k e^{i k theta} T_k, theta the golden angle: one fixed real
+    combination of the Hermitian parts (T_k + T_k*)/2 and (T_k - T_k*)/2i,
+    with no random state.  For commuting normal T_k it has the joint
+    eigenvectors as eigenvectors, with eigenvalues
+    sum_k Re(e^{i k theta} lam[k, j]); where distinct joint eigenvalues
+    share one of these up to rounding, W mixes them and r shows it."""
+    a = np.asarray(mats)
+    m, n = a.shape[0], a.shape[-1]
+    weights = np.exp(1j * _GOLDEN_ANGLE * np.arange(1, m + 1))
+    _, w = hermitian_eig(np.tensordot(weights, a, axes=1))
+    b = np.conj(w).T @ a @ w
+    lam = np.diagonal(b, axis1=1, axis2=2).copy()
+    b.reshape(m, -1)[:, ::n + 1] = 0.0
+    off = (b.real ** 2 + b.imag ** 2).sum(axis=(1, 2))
+    return _freeze(lam), math.sqrt(off.max())
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     is_psd: bool

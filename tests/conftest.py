@@ -12,7 +12,8 @@ one eigensolve per matrix.  ``gate_oracle`` is the oracle of the
 certificates' precondition gate: one ``operator_norm`` per operator and
 per commutator.  ``sweep_oracle`` is the per-box oracle of the stacked
 generator sweep: that gate, then one Delta step and one ``psd_check`` per
-degree tuple.  ``count_solvers`` records the stacks that LAPACK calls see,
+degree tuple; the ``delta_path`` fixture turns the sweep's closed-form
+route off, so that the sweep takes that path too.  ``count_solvers`` records the stacks that LAPACK calls see,
 and whether each Cholesky factorization completed.
 ``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
 are the per-entry oracles of the stacked sampled checks: one
@@ -190,6 +191,15 @@ def sweep_oracle(mats, max_degree, tol=1e-8):
             worst = v.min_eigenvalue
     return report("pass", checked, worst, notes=(
         f"pass swept over all degree tuples with sum <= {max_degree}",))
+
+
+@pytest.fixture
+def delta_path(monkeypatch):
+    """The generator sweep with its closed-form route off, so that every
+    tuple takes the Delta walk and the judge: for the tests whose subject
+    they are."""
+    from normex import certificates
+    monkeypatch.setattr(certificates, "_closed_form", lambda *args: None)
 
 
 def _hermitian_grid(n, entry):

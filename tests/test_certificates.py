@@ -26,7 +26,7 @@ from conftest import (
     sweep_oracle,
     sznagy_kernels,
 )
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from normex import certificates, linalg, representations, semigroups
@@ -955,15 +955,16 @@ class TestGate:
         # commutators are rounding (the normals' read about 3e-15 against
         # 2 n^2 u = 9.1e-13) have monotone runs; a norm the screen cannot
         # clear (1, or 1 + tol / 2) or the pair's commutator, 4 d^2 = 4e-10
-        # in Frobenius norm, rules them out
+        # in Frobenius norm, rules them out.  The screen clears every
+        # strict contraction, the pair's too
         normals = [cmatrix(x) for x in make_commuting_normals(3, 64, 2)]
-        for mats, tol, monotone in [
-                (normals, 1e-8, True), (normals[:1], 1e-8, True),
-                (normals[:1] + [cmatrix(np.eye(64))], 1e-8, False),
-                ([cmatrix((1 + 5e-9) * np.eye(64))], 1e-8, False),
-                (self._pair(), 3 * self.D ** 2, False)]:
+        for mats, tol, cleared, monotone in [
+                (normals, 1e-8, True, True), (normals[:1], 1e-8, True, True),
+                (normals[:1] + [cmatrix(np.eye(64))], 1e-8, False, False),
+                ([cmatrix((1 + 5e-9) * np.eye(64))], 1e-8, False, False),
+                (self._pair(), 3 * self.D ** 2, True, False)]:
             assert certificates._gate_runs("g", {}, mats, tol) == (
-                None, monotone)
+                None, cleared, monotone)
 
     @pytest.mark.parametrize("dim", [4, 64])
     @pytest.mark.parametrize("unitary", [False, True])
@@ -1113,6 +1114,7 @@ class TestGeneratorSweep:
         (4, 16, 6, 3, None), (2, 6, 30, 4, 0.21), (3, 5, 12, 5, 0.45),
         (4, 3, 8, 6, 0.6),
     ])
+    @pytest.mark.usefixtures("delta_path")
     def test_frontier_matches_lexicographic_box_loop(self, m, dim, max_degree,
                                                      seed, radius):
         # reference: every box recomputed from scratch by box_operator, in
@@ -1179,6 +1181,7 @@ class TestGeneratorSweep:
 
     @pytest.mark.parametrize("mins, want", [
         ([1.0, 0.0, -0.0, 0.5], "0.0"), ([1.0, -0.0, 0.0, 0.5], "-0.0")])
+    @pytest.mark.usefixtures("delta_path")
     def test_a_zero_margin_keeps_its_sign(self, monkeypatch, mins, want):
         # the worst margin is the first of equal ones, as a strict < keeps
         real = linalg._psd_stack
@@ -1192,6 +1195,7 @@ class TestGeneratorSweep:
     @pytest.mark.parametrize("mats", [
         [np.eye(2), np.diag([1.0, 0.5])], [np.diag([1j, -1.0])],
         [np.diag([0.6, 0.8j]), np.diag([0.8, 0.6])]])
+    @pytest.mark.usefixtures("delta_path")
     def test_exact_zero_margins_equal_the_oracle(self, mats):
         rep, want = generator_certificate(mats, 5), sweep_oracle(mats, 5)
         assert rep.as_dict() == want.as_dict()
@@ -1207,11 +1211,13 @@ class TestGeneratorSweep:
         assert _outcome(generator_certificate, mats, degree, 1e-8) == \
             _outcome(sweep_oracle, mats, degree, 1e-8)
 
-    @settings(max_examples=80)
+    @settings(max_examples=80, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["normal", "jordan", "shift"]),
            m=st.integers(1, 4), dim=st.integers(1, 8),
            degree=st.integers(0, 10), seed=st.integers(0, 2 ** 16),
            radius=st.floats(0.3, 0.9), log_tol=st.floats(-17, -8))
+    @pytest.mark.usefixtures("delta_path")
     def test_sweep_equals_the_per_box_oracle(self, kind, m, dim, degree,
                                              seed, radius, log_tol):
         # r J (+) normals fails mid-sweep, the shift (r = 1) at n = 2, and
@@ -1225,6 +1231,7 @@ class TestGeneratorSweep:
         assert _outcome(generator_certificate, mats, degree, tol) == \
             _outcome(sweep_oracle, mats, degree, tol)
 
+    @pytest.mark.usefixtures("delta_path")
     def test_one_eigensolve_per_group(self, monkeypatch):
         # m = 3, dim 4, D = 6: 84 boxes of 16 entries are one group.  The
         # gate's Cholesky screen clears the norm scan (every norm is below
@@ -1236,6 +1243,7 @@ class TestGeneratorSweep:
         assert rep.passed and rep.parameters["tuples_checked"] == 84
         assert calls == {"eigvalsh": [(84, 4, 4)]}
 
+    @pytest.mark.usefixtures("delta_path")
     def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
         # dim 64: one box a group, so every run is judged from its ends.
         # The gate factors the Gram matrices one at a time (every norm is
@@ -1297,7 +1305,8 @@ class TestGeneratorSweep:
             assert repr(rep.as_dict()) == repr(
                 sweep_oracle(mats, degree).as_dict())
 
-    @settings(max_examples=20)
+    @settings(max_examples=20, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
     @given(case=st.sampled_from([
         ("normal", 2, 64, 4), ("normal", 3, 16, 8), ("jordan", 2, 46, 5),
         ("jordan", 3, 16, 9), ("scalar", 2, 64, 3), ("scalar", 3, 16, 8),
@@ -1305,6 +1314,7 @@ class TestGeneratorSweep:
         ("mixed", 3, 16, 10), ("lows", 2, 64, 5), ("lows", 3, 16, 9)]),
            tol=st.sampled_from([1e-17, 1e-12, 1e-8]),
            seed=st.integers(0, 2 ** 16), radius=st.floats(0.45, 0.9))
+    @pytest.mark.usefixtures("delta_path")
     def test_screened_runs_equal_the_per_box_oracle(self, case, tol, seed,
                                                     radius):
         # runs that fill a group: one box a group at dim >= 46, eight at
@@ -1334,11 +1344,13 @@ class TestGeneratorSweep:
         assert repr(_outcome(generator_certificate, mats, degree, tol)) == \
             repr(_outcome(sweep_oracle, mats, degree, tol))
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["hadamard", "toeplitz"]),
            dim=st.sampled_from([16, 64]), m=st.integers(1, 3),
            step=st.integers(0, 3), tol=st.sampled_from([1e-12, 1e-8]),
            seed=st.integers(0, 2 ** 16))
+    @pytest.mark.usefixtures("delta_path")
     def test_exactly_commuting_runs_equal_the_per_box_oracle(
             self, kind, dim, m, step, tol, seed):
         # runs fill groups: one box a group at dim 64 (D = 3..6), eight at
@@ -1389,6 +1401,22 @@ class TestGeneratorSweep:
         assert (rep.witness, rep.margin) == ({"n": [2, 0]}, -1.0)
         assert repr(rep.as_dict()) == repr(sweep_oracle(mats, 4).as_dict())
 
+    @pytest.mark.usefixtures("delta_path")
+    def test_a_covered_box_that_is_not_hermitian_decides(self):
+        # at tol = 1e-17 rounding makes boxes non-Hermitian.  Box (1, 0, 1)
+        # of this tuple is the first, and lies inside a run whose ends pass
+        # at margins > 0: the run's skew norm, summed as it is walked,
+        # keeps its ends from covering it, so it raises as in the oracle
+        seed, dim, tol = 107, 16, 1e-17
+        scalars = np.random.default_rng(seed).uniform(0.2, 0.9, 3)
+        mats = [np.asarray(make_commuting_normals(seed, dim, 3)[0])] + [
+            c * np.eye(dim) for c in scalars[1:]]
+        with pytest.raises(NotHermitianError) as want:
+            psd_check(box_operator(mats, (1, 0, 1)), tol)
+        assert repr(_outcome(generator_certificate, mats, 10, tol)) == \
+            repr(_outcome(sweep_oracle, mats, 10, tol)) == \
+            repr((NotHermitianError, str(want.value)))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_norm_above_1_inside_tol_covers_no_box(self, m):
         # (1 + 0.75 tol) I passes the gate, not its norm screen; its chain
@@ -1403,6 +1431,7 @@ class TestGeneratorSweep:
         assert repr(rep.as_dict()) == repr(
             sweep_oracle(mats, 2, tol).as_dict())
 
+    @pytest.mark.usefixtures("delta_path")
     def test_an_m1_chain_is_not_stored_whole(self):
         # 2001 boxes of 8 x 8; a run that no later run steps from is
         # dropped chunk by chunk
@@ -1437,6 +1466,7 @@ class TestGeneratorSweep:
         assert repr(rep.as_dict()) == repr(
             sweep_oracle(mats, degree).as_dict())
 
+    @pytest.mark.usefixtures("delta_path")
     def test_kept_runs_are_stepped_in_place(self):
         # m = 2, D = 200: 20301 boxes of 8 x 8 (about 20 MB) pass.  The run
         # of a prefix p is popped when its successor p + e_1 steps from it,
@@ -1474,11 +1504,11 @@ class TestGeneratorSweep:
                 walked.append(p + (k,))
         assert walked == list(certificates._lex_degree_tuples(m, degree))
 
-    def test_each_box_is_stepped_once_on_the_sweep_grid(self, monkeypatch):
-        # counted in boxes: one Delta step per box of each stack stepped.
-        # A sweep steps every box but I once up to its deciding group,
-        # and the m = 1 chain at dim 32 (groups of 2), whose end passes,
-        # steps its nine boxes once and takes box 0 from that same walk
+    @staticmethod
+    def _grid_steps(monkeypatch):
+        """The Delta steps of one pass over the sweep grid at seed 3,
+        counted in boxes (one per box of each stack stepped), and the
+        list that counts them."""
         monkeypatch.syspath_prepend(
             str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
@@ -1492,10 +1522,30 @@ class TestGeneratorSweep:
         monkeypatch.setattr(certificates, "_delta", counted)
         for op in ops:
             op.run()
-        assert sum(steps) == 953
+        return sum(steps), steps
+
+    @pytest.mark.usefixtures("delta_path")
+    def test_each_box_is_stepped_once_on_the_sweep_grid(self, monkeypatch):
+        # A sweep steps every box but I once up to its deciding group,
+        # and the m = 1 chain at dim 32 (groups of 2), whose end passes,
+        # steps its nine boxes once and takes box 0 from that same walk
+        total, steps = self._grid_steps(monkeypatch)
+        assert total == 953
         steps.clear()
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
         assert rep.passed and sum(steps) == 9
+
+    def test_the_closed_form_skips_the_walk_on_the_sweep_grid(
+            self, monkeypatch):
+        # of the grid's 16 normal tuples at seed 3, 15 take the closed
+        # form and step no box; m = 1 at dim 64, D = 8, whose slack s
+        # exceeds tol / 2, walks its chain (8 steps), as do the jordan
+        # and shift tuples (314 steps)
+        total, steps = self._grid_steps(monkeypatch)
+        assert total == 322
+        steps.clear()
+        rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
+        assert rep.passed and len(rep.notes) == 2 and not steps
 
     @settings(max_examples=40)
     @given(data=st.data(), m=st.integers(2, 3), dim=st.integers(4, 8),
@@ -1545,6 +1595,135 @@ class TestGeneratorSweep:
             generator_certificate([np.eye(1)], max_degree=-1)
 
 
+def _affordable_degree(m, dim):
+    """The largest D <= 24 for which ``sweep_oracle`` stays cheap: one Delta
+    step and one spectrum per box, C(D + m, m) boxes of cost about
+    1 + (dim / 20)^3 boxes of order 8, within a budget of 1500 of those."""
+    weight = 1.0 + (dim / 20.0) ** 3
+    return max(d for d in range(25) if math.comb(d + m, m) * weight <= 1500)
+
+
+def _routed(rep):
+    """Whether a generator sweep report took the closed-form route."""
+    return any(n.startswith("margin read off the joint spectrum")
+               for n in rep.notes)
+
+
+class TestClosedForm:
+    """The generator sweep's closed-form route for commuting normal tuples
+    (``certificates._closed_form``), against the per-box oracle."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), m=st.integers(1, 4), dim=st.integers(1, 64),
+           scale=st.sampled_from([1.0, 0.9, 0.5]),
+           seed=st.integers(0, 2 ** 16))
+    def test_a_routed_tuple_is_what_the_delta_path_passes(self, data, m, dim,
+                                                          scale, seed):
+        # the Delta path, box by box, must pass every routed tuple with
+        # all C(D + m, m) tuples checked, at a margin within s of the
+        # closed form; D is drawn up to what the per-box oracle affords
+        degree = data.draw(st.integers(0, _affordable_degree(m, dim)))
+        mats = [scale * np.asarray(x)
+                for x in make_commuting_normals(seed, dim, m)]
+        rep = generator_certificate(mats, degree)
+        closed = certificates._closed_form(
+            [cmatrix(x) for x in mats], degree, 1e-8)
+        assert _routed(rep) == (closed is not None)
+        if closed is None:
+            return
+        margin, r, s = closed
+        want = sweep_oracle(mats, degree)
+        assert (rep.verdict, rep.parameters) == (want.verdict,
+                                                 want.parameters)
+        assert rep.margin == margin and abs(margin - want.margin) <= s
+        assert r <= certificates._ROUNDING_LEVEL * dim * dim * 2.0 ** -53
+        assert s <= 0.5e-8
+
+    def test_most_grid_normals_take_the_route(self):
+        # the sweep grid's 16 normal tuples at seed 3: all but m = 1 at dim
+        # 64, D = 8, whose slack s exceeds tol / 2
+        import importlib
+        import sys
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.pop(0)
+        routed = [op.label for op in workloads.build_sweep(3)
+                  if "normal" in op.label and _routed(op.run())]
+        assert len(routed) == 15
+        assert "sweep normal m=1 dim=64 D=8" not in routed
+
+    @pytest.mark.parametrize("case", [
+        "jordan", "shift", "rotated-jordan", "unitary", "near-one",
+        "norm-one"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_no_route_for_tuples_that_are_not_strict_normal(
+            self, monkeypatch, case, m):
+        # r J and the shift fail the self-commutator check before any
+        # eigensolve; r J turned by the Hadamard matrix H, whose
+        # self-commutator 0.36 H diag(-1, 1) H has a zero diagonal, passes
+        # it and fails the residual test; a unitary, (1 + 0.75 tol) I and a
+        # norm-1 generator are not cleared by the gate's screen.  Each
+        # report is bitwise the per-box oracle's
+        tol, dim = 1e-8, 8
+        normal = 0.9 * np.asarray(make_commuting_normals(m, dim - 2, 1)[0])
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        q = np.linalg.qr(np.random.default_rng(m).normal(size=(dim, dim)))[0]
+        first = {
+            "jordan": _grow(normal, 0.6 * J2),
+            "shift": _grow(normal, J2),
+            "rotated-jordan": _grow(normal, 0.6 * h @ J2 @ h),
+            "unitary": q,
+            "near-one": (1 + 0.75 * tol) * np.eye(dim),
+            "norm-one": np.diag([1.0] + [0.5] * (dim - 1)),
+        }[case]
+        mats = [first] + [0.5 * np.eye(dim)] * (m - 1)
+        spectra = []
+        real = certificates.joint_spectrum
+
+        def counted(a):
+            spectra.append(len(a))
+            return real(a)
+        monkeypatch.setattr(certificates, "joint_spectrum", counted)
+        rep = _outcome(generator_certificate, mats, 4, tol)
+        assert spectra == ([m] if case == "rotated-jordan" else [])
+        assert repr(rep) == repr(_outcome(sweep_oracle, mats, 4, tol))
+
+    @pytest.mark.parametrize("m, degree", [(1, 6), (2, 6), (3, 0), (2, 30)])
+    def test_a_repeated_joint_spectrum_takes_the_route(self, m, degree):
+        # 0.5 I: every joint eigenvalue is (0.5, ..., 0.5), the eigenbasis
+        # is I with residual 0, and every box is exactly 0.75^|n| I, so the
+        # closed form 0.75^D equals the oracle's margin; D = 0 reads 1.0
+        mats = [0.5 * np.eye(3)] * m
+        rep, want = generator_certificate(mats, degree), sweep_oracle(
+            mats, degree)
+        assert _routed(rep) and "residual r = 0.000e+00" in rep.notes[1]
+        assert (rep.verdict, rep.parameters) == (want.verdict,
+                                                 want.parameters)
+        assert rep.margin == want.margin == 0.75 ** degree
+        assert rep.notes[0] == want.notes[0]
+
+    def test_dimension_zero_keeps_the_delta_path(self):
+        mats = [np.zeros((0, 0))] * 2
+        rep = generator_certificate(mats, 3)
+        assert not _routed(rep) and (rep.verdict, rep.margin) == ("pass", 0.0)
+        assert rep.as_dict() == sweep_oracle(mats, 3).as_dict()
+
+    def test_reruns_are_byte_identical(self):
+        mats = make_commuting_normals(7, 32, 3)
+        first = canonical_json(generator_certificate(mats, 5).as_dict())
+        assert _routed(generator_certificate(mats, 5))
+        assert canonical_json(generator_certificate(mats, 5).as_dict()) == \
+            first
+
+    @pytest.mark.parametrize("seed, degree", [(0, 60), (1, 60), (13, 40)])
+    def test_high_degree_takes_the_delta_path(self, seed, degree):
+        # (1 + rho^2)^D sends a normal pair at D = 40 or 60 past tol / 2
+        mats = make_gallery("normal_pair", seed=seed, dim=4).generator_images
+        assert certificates._closed_form(mats, degree, 1e-8) is None
+
+
 # Every certificate report as canonical JSON, on pass, fail and
 # not-applicable inputs whose margins are exact in binary floating point.
 H2 = 0.5 * np.eye(2)
@@ -1556,6 +1735,14 @@ NON_COMMUTING = '{"pair":[0,1],"reason":"non-commuting","residual":0.25}'
 REGULAR_NOTE = '"notes":["sampled verdict: checked for the supplied points only"]'
 SZNAGY_NOTE = ('"notes":["sampled verdict: checked on the supplied finite '
                'sample only"]')
+
+
+def _closed_note(s):
+    """The generator sweep's closed-form note at D = 2 for diagonal
+    generators (residual 0), as JSON."""
+    return ('"margin read off the joint spectrum: (min_ij (1 - '
+            '|lambda_ij|^2))^2, eigenbasis residual r = 0.000e+00; every box '
+            f'of the Delta path lies within s = {s} of its closed form"')
 
 
 def _rep(images, k=2):
@@ -1625,12 +1812,14 @@ def _sznagy(image, count):
      '{"index":1,"p":[1,0],"reason":"meet condition violated"}}'),
     (lambda: generator_certificate([[[0.5]]], 2),
      '{"condition":"generator_sweep","margin":0.5625,"notes":["pass swept '
-     'over all degree tuples with sum <= 2"],"parameters":{"max_degree":2,'
-     '"tuples_checked":3},' + NA_TOLS + ',"verdict":"pass","witness":null}'),
+     'over all degree tuples with sum <= 2",' + _closed_note("1.388e-15")
+     + '],"parameters":{"max_degree":2,"tuples_checked":3},' + NA_TOLS
+     + ',"verdict":"pass","witness":null}'),
     (lambda: generator_certificate(_rep(DIAG), 2),
      '{"condition":"generator_sweep","margin":0.5625,"notes":["pass swept '
-     'over all degree tuples with sum <= 2"],"parameters":{"max_degree":2,'
-     '"tuples_checked":6},' + NA_TOLS + ',"verdict":"pass","witness":null}'),
+     'over all degree tuples with sum <= 2",' + _closed_note("2.776e-15")
+     + '],"parameters":{"max_degree":2,"tuples_checked":6},' + NA_TOLS
+     + ',"verdict":"pass","witness":null}'),
     (lambda: generator_certificate((J2, H2), 3),
      '{"condition":"generator_sweep","margin":-1,"notes":["first failing '
      'degree tuple in lexicographic order within sum <= 3"],"parameters":'

@@ -941,3 +941,45 @@ class TestSubprocessEntry:
              "--input", str(tmp_path / "missing.json")], capture_output=True,
         )
         assert err.returncode == 2
+
+
+CLOSED_FORM_NOTE = "margin read off the joint spectrum"
+
+
+@pytest.mark.parametrize("case, routed, code", [
+    ("normal_pair", True, 1), ("unitary_rep", False, 0), ("jordan", False, 1)])
+def test_check_all_notes_the_closed_form_route_where_it_is_taken(
+        tmp_path, capsys, jordan_path, case, routed, code):
+    # the normal pair's sweep reads its margin off the joint spectrum and
+    # names r and s in a second note, in both formats; its exit code stays
+    # 1 from the extension check.  A unitary (norm 1) and the nilpotent
+    # shift take the Delta path, with the one note they had
+    path = jordan_path
+    if case != "jordan":
+        path = str(tmp_path / f"{case}.json")
+        assert run_command(["gallery", case, "--out", path]) == 0
+        capsys.readouterr()
+    got, out, _ = _run(capsys, "check", "all", "--input", path,
+                       "--format", "machine")
+    sweep = json.loads(out)["reports"][0]
+    assert (got, sweep["condition"]) == (code, "generator_sweep")
+    notes = [n for n in sweep["notes"] if n.startswith(CLOSED_FORM_NOTE)]
+    assert len(notes) == routed and len(sweep["notes"]) == 1 + routed
+    if routed:
+        assert "residual r = " in notes[0] and "within s = " in notes[0]
+        human = _run(capsys, "check", "all", "--input", path)
+        assert human[0] == code and f"note: {notes[0]}" in human[1]
+
+
+def test_a_normal_pair_at_degree_sixty_takes_the_delta_path(tmp_path, capsys):
+    # (1 + rho^2)^60 puts the slack s far past tol / 2, so the sweep
+    # steps every box and keeps the rounding-level fail it finds there
+    path = str(tmp_path / "pair.json")
+    assert run_command(["gallery", "normal_pair", "--seed", "1", "--dim", "4",
+                        "--out", path]) == 0
+    capsys.readouterr()
+    got, out, _ = _run(capsys, "check", "athavale", "--input", path,
+                       "--max-degree", "60", "--format", "machine")
+    (sweep,) = json.loads(out)["reports"]
+    assert (got, sweep["verdict"]) == (1, "fail")
+    assert not any(n.startswith(CLOSED_FORM_NOTE) for n in sweep["notes"])
