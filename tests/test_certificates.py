@@ -1507,8 +1507,8 @@ class TestGeneratorSweep:
     @staticmethod
     def _grid_steps(monkeypatch):
         """The Delta steps of one pass over the sweep grid at seed 3,
-        counted in boxes (one per box of each stack stepped), and the
-        list that counts them."""
+        counted in boxes (one per box of each stack stepped), the list
+        that counts them, and each op's report by label."""
         monkeypatch.syspath_prepend(
             str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
@@ -1520,16 +1520,15 @@ class TestGeneratorSweep:
             return real(x, pair, out=out)
         ops = workloads.build_sweep(3)
         monkeypatch.setattr(certificates, "_delta", counted)
-        for op in ops:
-            op.run()
-        return sum(steps), steps
+        reports = {op.label: op.run() for op in ops}
+        return sum(steps), steps, reports
 
     @pytest.mark.usefixtures("delta_path")
     def test_each_box_is_stepped_once_on_the_sweep_grid(self, monkeypatch):
         # A sweep steps every box but I once up to its deciding group,
         # and the m = 1 chain at dim 32 (groups of 2), whose end passes,
         # steps its nine boxes once and takes box 0 from that same walk
-        total, steps = self._grid_steps(monkeypatch)
+        total, steps, _ = self._grid_steps(monkeypatch)
         assert total == 953
         steps.clear()
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
@@ -1541,8 +1540,12 @@ class TestGeneratorSweep:
         # form and step no box; m = 1 at dim 64, D = 8, whose slack s
         # exceeds tol / 2, walks its chain (8 steps), as do the jordan
         # and shift tuples (314 steps)
-        total, steps = self._grid_steps(monkeypatch)
+        total, steps, reports = self._grid_steps(monkeypatch)
         assert total == 322
+        assert [label for label, rep in reports.items()
+                if "normal" in label and not _routed(rep)] == [
+            "sweep normal m=1 dim=64 D=8"]
+        assert sum(map(_routed, reports.values())) == 15
         steps.clear()
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
         assert rep.passed and len(rep.notes) == 2 and not steps
@@ -1639,21 +1642,6 @@ class TestClosedForm:
         assert r <= certificates._ROUNDING_LEVEL * dim * dim * 2.0 ** -53
         assert s <= 0.5e-8
 
-    def test_most_grid_normals_take_the_route(self):
-        # the sweep grid's 16 normal tuples at seed 3: all but m = 1 at dim
-        # 64, D = 8, whose slack s exceeds tol / 2
-        import importlib
-        import sys
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-        try:
-            workloads = importlib.import_module("workloads")
-        finally:
-            sys.path.pop(0)
-        routed = [op.label for op in workloads.build_sweep(3)
-                  if "normal" in op.label and _routed(op.run())]
-        assert len(routed) == 15
-        assert "sweep normal m=1 dim=64 D=8" not in routed
-
     @pytest.mark.parametrize("case", [
         "jordan", "shift", "rotated-jordan", "unitary", "near-one",
         "norm-one"])
@@ -1704,24 +1692,12 @@ class TestClosedForm:
         assert rep.margin == want.margin == 0.75 ** degree
         assert rep.notes[0] == want.notes[0]
 
-    def test_dimension_zero_keeps_the_delta_path(self):
-        mats = [np.zeros((0, 0))] * 2
-        rep = generator_certificate(mats, 3)
-        assert not _routed(rep) and (rep.verdict, rep.margin) == ("pass", 0.0)
-        assert rep.as_dict() == sweep_oracle(mats, 3).as_dict()
-
     def test_reruns_are_byte_identical(self):
         mats = make_commuting_normals(7, 32, 3)
         first = canonical_json(generator_certificate(mats, 5).as_dict())
         assert _routed(generator_certificate(mats, 5))
         assert canonical_json(generator_certificate(mats, 5).as_dict()) == \
             first
-
-    @pytest.mark.parametrize("seed, degree", [(0, 60), (1, 60), (13, 40)])
-    def test_high_degree_takes_the_delta_path(self, seed, degree):
-        # (1 + rho^2)^D sends a normal pair at D = 40 or 60 past tol / 2
-        mats = make_gallery("normal_pair", seed=seed, dim=4).generator_images
-        assert certificates._closed_form(mats, degree, 1e-8) is None
 
 
 # Every certificate report as canonical JSON, on pass, fail and

@@ -29,6 +29,7 @@ from normex import (
 from normex.linalg import (
     _psd_stack,
     commutator_residual,
+    joint_spectrum,
     largest,
     norm_excess,
     operator_norms,
@@ -592,6 +593,33 @@ class TestSpectralResiduals:
             scale = max(1.0, operator_norm(h))
             assert operator_norm(h - q @ np.diag(w) @ np.conj(q).T) <= 1e-10 * scale
             assert operator_norm(np.conj(q).T @ q - np.eye(n)) <= 1e-10
+
+
+class TestJointSpectrum:
+    @pytest.mark.parametrize("m, dim", [(1, 1), (1, 16), (3, 8), (4, 64)])
+    def test_commuting_normals_are_diagonalized_to_rounding(self, m, dim):
+        # N_i = W D_i W*: the table holds each D_i in one joint order, and
+        # the residual is at rounding level
+        rng = np.random.default_rng(dim)
+        w = np.linalg.qr(_rand(rng, dim))[0]
+        diags = rng.uniform(-0.9, 0.9, (m, dim)) + 1j * rng.uniform(
+            -0.4, 0.4, (m, dim))
+        lam, r = joint_spectrum([w @ np.diag(d) @ np.conj(w).T
+                                 for d in diags])
+        assert lam.shape == (m, dim) and not lam.flags.writeable
+        order = np.argsort(lam[0].real)
+        assert np.abs(lam[:, order] - diags[:, np.argsort(diags[0].real)]
+                      ).max() <= 1e-12
+        assert r <= 32 * dim * dim * 2.0 ** -53
+
+    def test_a_scalar_tuple_has_residual_zero(self):
+        lam, r = joint_spectrum([0.5 * np.eye(3), -0.25j * np.eye(3)])
+        assert r == 0.0 and np.array_equal(
+            lam, np.array([[0.5] * 3, [-0.25j] * 3]))
+
+    def test_a_non_normal_matrix_leaves_a_residual(self):
+        j = np.array([[0.0, 0.0], [0.6, 0.0]])
+        assert joint_spectrum([j])[1] >= 0.3
 
 
 class TestBlocks:
