@@ -821,8 +821,18 @@ def generator_certificate(
     any work.
 
     The precondition gate (``_gate``) runs first, on stacks of at most one
-    group; on commuting contractions it solves no eigenproblem.  Then
-    ``_walk`` steps the boxes, each bitwise equal to
+    group; on commuting contractions it solves no eigenproblem.  A tuple of
+    dimension >= 1 whose generators its norm screen clears may then take
+    the closed form (``_closed_form``): when the generators are normal and
+    commute at rounding level, so that one eigenbasis diagonalizes them to
+    a residual r <= 32 n^2 u, and their joint eigenvalues lam satisfy
+    max |lam| = rho < 1 and s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <=
+    tol / 2, the Delta path provably passes, and the report gives the
+    margin (min (1 - |lam|^2))^D, which lies within s of the Delta path's,
+    counts all C(D + m, m) tuples, and adds a note naming r and s.  Every
+    other tuple (not normal, a clustered joint spectrum, a generator of
+    norm about 1, or a degree at which s exceeds tol / 2) falls back to
+    the Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
     most 2048 matrix entries (one box at least), each judged box as
     ``psd_check`` judges it alone.  The first box in lexicographic order
