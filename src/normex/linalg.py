@@ -231,8 +231,8 @@ def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: The golden angle: generator k (from 1) enters ``joint_spectrum``'s
-#: combination with weight e^{i k theta}, so no two weights are equal or
-#: opposite, and no weight is a small rational multiple of another.
+#: combination with weight e^{i k theta}; theta / pi is irrational, so no
+#: two weights are equal or opposite, and no two generators cancel.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 

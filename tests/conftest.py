@@ -13,8 +13,9 @@ certificates' precondition gate: one ``operator_norm`` per operator and
 per commutator.  ``sweep_oracle`` is the per-box oracle of the stacked
 generator sweep: that gate, then one Delta step and one ``psd_check`` per
 degree tuple; the ``delta_path`` fixture turns the sweep's closed-form
-route off, so that the sweep takes that path too.  ``count_solvers`` records the stacks that LAPACK calls see,
-and whether each Cholesky factorization completed.
+route off, so that the sweep takes that path too.  ``count_solvers``
+records the stacks that LAPACK calls see, and whether each Cholesky
+factorization completed.
 ``sznagy_kernels``, ``regularity_kernels`` and ``homomorphism_residuals``
 are the per-entry oracles of the stacked sampled checks: one
 ``star_kernel``, ``tilde_eval`` or ``operator_norm`` call per block or
