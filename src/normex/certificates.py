@@ -32,6 +32,8 @@ from .linalg import (
     _group_size,
     _norm_screen,
     _psd_stack,
+    _screen_clears,
+    _summand_labels,
     adjoint,
     block_decompose,
     cmatrix,
@@ -740,7 +742,23 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool,
 _ROUNDING_LEVEL = 32
 
 
-def _closed_form(mats, max_degree: int, tol: float):
+def _square_sums(a):
+    """The squared row and column norms of each matrix T_i of a stack
+    ``a`` (m, n, n), two arrays (m, n): the diagonals of T_i T_i* and of
+    T_i* T_i, whose difference is that of the self-commutator."""
+    square = np.abs(a)
+    square *= square
+    return square.sum(axis=2), square.sum(axis=1)
+
+
+def _gap_bound(n):
+    """The square of ``_closed_form``'s bound (4 * 32 + 10) n^2 u on the
+    self-commutator diagonal of an operator of order n (an int or an
+    array of them)."""
+    return ((4 * _ROUNDING_LEVEL + 10) * 2.0 ** -53 * n * n) ** 2
+
+
+def _closed_form(mats, max_degree: int, tol: float, gaps=None):
     """The generator sweep's margin over a commuting normal tuple, read off
     its joint spectrum where the Delta path provably passes: (margin, r, s)
     with margin = (min_ij f_ij)^D, f_ij = 1 - |lam_ij|^2 and D =
@@ -753,15 +771,15 @@ def _closed_form(mats, max_degree: int, tol: float):
       eigenbasis that leaves more, as clustered joint eigenvalues can,
       is not trusted;
     - (c) s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <= tol / 2.
-    Before the eigensolve, a necessary check fails fast on the first
-    operator that is not normal at rounding level: the diagonal of
-    T_i T_i* - T_i* T_i, the squared row norms of T_i less its squared
-    column norms, must have norm at most 4 * 32 n^2 u + 10 n^2 u.  For
-    T_i within eps = r + 2 n u of a normal N_i (below), ||T_i T_i* -
-    T_i* T_i||_F <= 4 eps to first order, and forming the squared norms
-    rounds the diagonal by at most 2 n^(3/2) u; so every tuple that
-    passes (b) passes this check, while r J or a shift in its own basis
-    fails it in O(n^2) work.
+    Before the eigensolve, a necessary check fails fast when an operator
+    is not normal at rounding level: the diagonal of T_i T_i* - T_i* T_i,
+    the squared row norms of T_i less its squared column norms (``gaps``,
+    shape (m, n), when the caller has read them), must have norm at most
+    4 * 32 n^2 u + 10 n^2 u.  For T_i within eps = r + 2 n u of a normal
+    N_i (below), ||T_i T_i* - T_i* T_i||_F <= 4 eps to first order, and
+    forming the squared norms rounds the diagonal by at most
+    2 n^(3/2) u; so every tuple that passes (b) passes this check, while
+    r J or a shift in its own basis fails it in O(n^2) work.
 
     Why (c) makes the Delta path pass, to first order in u and r, with
     each product of factors of norm <= 1 rounding by about n u (normwise,
@@ -786,15 +804,12 @@ def _closed_form(mats, max_degree: int, tol: float):
     closed form.  (b) keeps that move at rounding level: s then counts
     only rounding, amplified by the degree."""
     n, u = mats[0].shape[-1], 2.0 ** -53
+    if gaps is None:
+        rows, cols = _square_sums(np.asarray(mats))
+        gaps = rows - cols
+    if not (gaps * gaps).sum(axis=1).max() <= _gap_bound(n):
+        return None
     level = _ROUNDING_LEVEL * n * n * u
-    bound = (4 * level + 10 * n * n * u) ** 2
-    for x in mats:
-        square = np.abs(x)
-        square *= square
-        gap = square.sum(axis=1)
-        gap -= square.sum(axis=0)
-        if not gap @ gap <= bound:
-            return None
     lam, r = joint_spectrum(mats)
     square = lam.real ** 2 + lam.imag ** 2
     rho2 = square.max().item()
@@ -808,6 +823,74 @@ def _closed_form(mats, max_degree: int, tol: float):
     if not s <= tol / 2:
         return None
     return (1.0 - square).min().item() ** max_degree, r, s
+
+
+def _normal_summands(a, gaps, cols):
+    """The generator sweep's direct-sum split of a stack ``a`` (m, n, n),
+    given the diagonals of its self-commutators and Gram matrices (each
+    (m, n), read off ``_square_sums``): (label, normal), the summand
+    labels of ``linalg._summand_labels`` and the mask of the coordinates
+    of the candidate summands; or None, when the tuple has one summand,
+    none is a candidate, or every one is.
+
+    A summand of order k is a candidate when, for each operator, its part
+    of the self-commutator diagonal has norm at most (4 * 32 + 10) k^2 u,
+    the fast check of ``_closed_form``, and its Gram diagonal (squared
+    column norms) lies below 1 - 64 n^2 u, as the norm screen at the
+    tuple's order n asks.  No eigenproblem is solved here.
+
+    Why the split keeps the verdict, to first order as in
+    ``_closed_form``.  In the coordinates of the split the tuple is
+    N (+) R, N the candidates and R the rest, every operator exactly a
+    direct sum (the entries between summands are exact zeros, and the
+    summands' entries are copied, not computed), so each box is
+    box_N(n) (+) box_R(n).  The caller takes the split only when N
+    passes the norm screen and ``_closed_form``: then every box of N that
+    the Delta path would compute lies within s <= tol / 2 of a PSD box of
+    norm <= 1, so it never fails, raises, or sets the least eigenvalue of
+    a failing box.  So the first box of R that fails is the tuple's first
+    failure, with the same witness and ``tuples_checked``; the caller
+    judges the tuple's own box there as the Delta path does, so the
+    report keeps the Delta path's margin and tolerance.  When R passes,
+    the tuple passes with margin min(R's margin, (min_ij f_ij)^D), within
+    s of the Delta path's (rounding at the orders of R and of the tuple
+    aside)."""
+    label = _summand_labels(a)
+    if label is None:
+        return None
+    n = label.shape[0]
+    member = label == label[:, None]  # x and y in one summand
+    square = gaps * gaps
+    normal = (square @ member).max(axis=0) <= _gap_bound(member.sum(axis=0))
+    normal &= ~((cols.max(axis=0) >= 1.0 - 64 * n * n * 2.0 ** -53) @ member)
+    if np.count_nonzero(normal) in (0, n):
+        return None
+    return label, normal
+
+
+def _summand_orders(label, mask) -> tuple[str, str]:
+    """The orders of the summands inside ``mask`` and of those outside it,
+    each as a list from the largest down, "k (xc)" for c summands of
+    order k."""
+    orders, named = np.bincount(label, minlength=len(label)), []
+    roots = label == np.arange(len(label))
+    for inside in (mask, ~mask):
+        ks, cs = np.unique(orders[roots & inside], return_counts=True)
+        named.append(", ".join(f"{k}" if c == 1 else f"{k} (x{c})" for k, c
+                               in zip(ks[::-1].tolist(), cs[::-1].tolist())))
+    return tuple(named)
+
+
+def _last_commutes(a) -> bool:
+    """Whether the last matrix of a stack ``a`` commutes with every other
+    one up to the rounding of their products, ||C||_F <= 2 n^2 u, the
+    rule by which ``_gate_runs`` finds a strict contraction tuple's runs
+    monotone."""
+    if len(a) == 1:
+        return True
+    last, bound = a[-1], (2.0 * a.shape[-1] ** 2 * 2.0 ** -53) ** 2
+    c = a[:-1] @ last - last @ a[:-1]
+    return all(np.vdot(x, x).real <= bound for x in c)
 
 
 def generator_certificate(
@@ -829,10 +912,23 @@ def generator_certificate(
     max |lam| = rho < 1 and s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <=
     tol / 2, the Delta path provably passes, and the report gives the
     margin (min (1 - |lam|^2))^D, which lies within s of the Delta path's,
-    counts all C(D + m, m) tuples, and adds a note naming r and s.  Every
-    other tuple (not normal, a clustered joint spectrum, a generator of
-    norm about 1, or a degree at which s exceeds tol / 2) falls back to
-    the Delta path: ``_walk`` steps the boxes, each bitwise equal to
+    counts all C(D + m, m) tuples, and adds a note naming r and s.
+
+    A tuple that misses the closed form and is a direct sum up to a
+    permutation of its basis (exact zeros between the summands) may split
+    next; ``_normal_summands`` has the argument.  The summands that pass
+    the closed form's self-commutator check, with every column norm below
+    1, take the closed form together, after one norm screen unless the
+    gate's cleared every generator; the others alone walk the Delta path,
+    at their own order.  Where they fail, the tuple's own box is judged
+    as the Delta path judges it, so a fail report is the Delta path's; a
+    pass takes the lower of the two margins and a note naming the
+    summands' orders, r and s.  Every other tuple walks the Delta path
+    whole: one summand, no normal summand or only normal ones, normal
+    summands that miss the screen or the closed form, or other summands
+    that raise or fail where the tuple's box passes.
+
+    The Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
     most 2048 matrix entries (one box at least), each judged box as
     ``psd_check`` judges it alone.  The first box in lexicographic order
@@ -871,24 +967,67 @@ def generator_certificate(
     if gated is not None:
         return gated
     swept = f"pass swept over all degree tuples with sum <= {max_degree}"
-    closed = _closed_form(mats, max_degree, tol) if cleared and dim else None
+
+    def sweep(ops, monotone):
+        order = ops[0].shape[0]
+        size = _group_size(order)
+        return _judge(_walk(_adjoint_pairs(ops), order, max_degree, size),
+                      tol, size, order, monotone, max_degree)
+
+    def failed(checked, n, verdict):
+        return _psd_report(
+            "generator_sweep",
+            {"max_degree": max_degree, "tuples_checked": checked},
+            verdict, tol, {"n": list(n)},
+            notes=("first failing degree tuple in lexicographic order "
+                   f"within sum <= {max_degree}",))
+
+    def read_off(r):
+        return ("read off the joint spectrum: (min_ij (1 - |lambda_ij|^2))"
+                f"^{max_degree}, eigenbasis residual r = {r:.3e}")
+
+    closed = split = None
+    if dim:
+        stack = np.asarray(mats)
+        rows, cols = _square_sums(stack)
+        gaps = rows - cols
+        if cleared:
+            closed = _closed_form(stack, max_degree, tol, gaps)
+        if closed is not None:
+            margin, r, s = closed
+            return passed(tuples, margin, swept, (
+                f"margin {read_off(r)}; every box of the Delta path lies "
+                f"within s = {s:.3e} of its closed form"))
+        split = _normal_summands(stack, gaps, cols)
+    if split is not None:
+        label, mask = split
+        normal, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
+        part = stack[:, normal[:, None], normal]
+        if cleared or _screen_clears(part):
+            closed = _closed_form(part, max_degree, tol, gaps[:, normal])
     if closed is not None:
-        margin, r, s = closed
-        return passed(tuples, margin, swept, (
-            "margin read off the joint spectrum: (min_ij (1 - "
-            f"|lambda_ij|^2))^{max_degree}, eigenbasis residual r = {r:.3e}; "
-            f"every box of the Delta path lies within s = {s:.3e} of its "
-            "closed form"))
-    size = _group_size(dim)
-    checked, worst, failure = _judge(
-        _walk(_adjoint_pairs(mats), dim, max_degree, size), tol, size, dim,
-        monotone, max_degree)
+        residual = stack[:, rest[:, None], rest]
+        try:
+            checked, worst, failure = sweep(
+                residual, cleared and _last_commutes(residual))
+            if failure is None:
+                margin, r, s = closed
+                inside, outside = _summand_orders(label, mask)
+                return passed(checked, min(worst, margin), swept, (
+                    f"direct sum: the normal summands, of orders {inside}, "
+                    f"have their margin {read_off(r)}, within s = {s:.3e} "
+                    "of the Delta path's; the Delta path swept the others, "
+                    f"of orders {outside}"))
+            # the tuple's own box, as the Delta path judges it
+            n = failure[0]
+            verdict = psd_check(_defect_map(
+                mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
+                tol)
+        except (InputError, NotHermitianError):
+            verdict = None  # the Delta path raises, or decides, as before
+        if verdict is not None and not verdict.is_psd:
+            return failed(checked, n, verdict)
+    checked, worst, failure = sweep(mats, monotone)
     if failure is None:
         return passed(checked, worst, swept)
-    n, verdict = failure
-    return _psd_report(
-        "generator_sweep",
-        {"max_degree": max_degree, "tuples_checked": checked},
-        verdict, tol, {"n": list(n)},
-        notes=("first failing degree tuple in lexicographic order within "
-               f"sum <= {max_degree}",))
+    return failed(checked, *failure)

@@ -188,6 +188,45 @@ def _norm_screen(mats) -> tuple[float, int | None, bool]:
     return worst, at, cleared
 
 
+def _screen_clears(a) -> bool:
+    """Whether the screen of ``norm_excess`` clears every matrix of one
+    stack ``a`` (k, n, n), without norming any: one batched Cholesky of
+    (1 - s)I - A_i* A_i, s = 64 n^2 u, whose completion shows each A_i a
+    strict contraction.  The caller has checked the Gram diagonals below
+    1 - s, where that screen would skip the factorization."""
+    n = a.shape[-1]
+    return _cholesky_clears(-(np.conj(a).swapaxes(-1, -2) @ a),
+                            64 * n * n * 2.0 ** -53 - 1.0)
+
+
+def _summand_labels(a) -> np.ndarray | None:
+    """The finest simultaneous block-diagonal form of a stack ``a`` (k, n,
+    n), up to a permutation of the coordinates: label[j] is the least
+    coordinate of the summand that holds coordinate j, or None when there
+    is one summand.  The summands are the connected components of the
+    pattern a_i[x, y] != 0 for some i, symmetrized, an exact zero test;
+    each coordinate takes the least label among its neighbours, then the
+    label of that label, until no label moves.  A tuple whose pattern is
+    full once symmetrized (a tuple without a zero entry, say) leaves after
+    one ``any`` over the stack, and one whose every coordinate neighbours
+    coordinate 0 after one step."""
+    link = a.any(axis=0)
+    link |= link.T
+    n = link.shape[0]
+    link.reshape(-1)[::n + 1] = True
+    if np.count_nonzero(link) == n * n:
+        return None
+    label = np.arange(n)
+    while True:
+        low = np.where(link, label, n).min(axis=1)
+        if not np.count_nonzero(low):
+            return None
+        low = low[low]
+        if not np.count_nonzero(low - label):
+            return label
+        label = low
+
+
 def _commutators(mats, others=None):
     """The pairs (i, j), i < j, of a tuple, with their commutators
     A_i B_j - B_j A_i (B = ``others``, default ``mats`` itself), as
@@ -252,7 +291,9 @@ def joint_spectrum(mats) -> tuple[np.ndarray, float]:
     a = np.asarray(mats)
     m, n = a.shape[0], a.shape[-1]
     weights = np.exp(1j * _GOLDEN_ANGLE * np.arange(1, m + 1))
-    _, w = hermitian_eig(np.tensordot(weights, a, axes=1))
+    # the combination as np.tensordot forms it, without its overhead
+    mix = np.dot(weights[None], a.reshape(m, -1)).reshape(n, n)
+    _, w = hermitian_eig(mix)
     b = np.conj(w).T @ a @ w
     lam = np.diagonal(b, axis1=1, axis2=2).copy()
     b.reshape(m, -1)[:, ::n + 1] = 0.0

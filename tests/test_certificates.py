@@ -1538,14 +1538,32 @@ class TestGeneratorSweep:
             self, monkeypatch):
         # of the grid's 16 normal tuples at seed 3, 15 take the closed
         # form and step no box; m = 1 at dim 64, D = 8, whose slack s
-        # exceeds tol / 2, walks its chain (8 steps), as do the jordan
-        # and shift tuples (314 steps)
+        # exceeds tol / 2, walks its chain (8 steps).  Every jordan and
+        # shift tuple but the bare 2 x 2 shift is a normal summand (+) a
+        # 2 x 2 block: it splits, and walks only the block, packed into
+        # one group and so stepped whole (329 steps with the bare shift's
+        # 6), then steps its failing box at full order (27 steps, the
+        # sum of the witnesses' degrees)
         total, steps, reports = self._grid_steps(monkeypatch)
-        assert total == 322
+        assert total == 8 + 329 + 27
         assert [label for label, rep in reports.items()
                 if "normal" in label and not _routed(rep)] == [
             "sweep normal m=1 dim=64 D=8"]
         assert sum(map(_routed, reports.values())) == 15
+        import workloads  # on the path since _grid_steps
+        walked, real = [], certificates._walk
+        monkeypatch.setattr(certificates, "_walk", lambda pairs, dim, *a: (
+            walked.append(dim) or real(pairs, dim, *a)))
+        split = {}
+        for op in workloads.build_sweep(3):
+            walked.clear()
+            op.run()
+            if walked and walked != [op.size]:
+                split[op.label] = walked[:]
+        bare = "sweep shift m=1 dim=2 D=6"
+        assert split == {label: [2] for label, rep in reports.items()
+                         if rep.witness and label != bare}
+        assert len(split) == 8
         steps.clear()
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
         assert rep.passed and len(rep.notes) == 2 and not steps
@@ -1653,7 +1671,12 @@ class TestClosedForm:
         # self-commutator 0.36 H diag(-1, 1) H has a zero diagonal, passes
         # it and fails the residual test; a unitary, (1 + 0.75 tol) I and a
         # norm-1 generator are not cleared by the gate's screen.  Each
-        # report is bitwise the per-box oracle's
+        # report is bitwise the per-box oracle's, but for the norm-1
+        # generator's pass.  The direct-sum split reads the normal summand
+        # of r J and of the shift, and the coordinates of norm 0.5 beside
+        # the norm-1 one, off one more spectrum; the turned r J has two
+        # summands that pass the self-commutator check, so it takes no
+        # split, and the unitary and (1 + 0.75 tol) I have no candidate
         tol, dim = 1e-8, 8
         normal = 0.9 * np.asarray(make_commuting_normals(m, dim - 2, 1)[0])
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
@@ -1675,8 +1698,13 @@ class TestClosedForm:
             return real(a)
         monkeypatch.setattr(certificates, "joint_spectrum", counted)
         rep = _outcome(generator_certificate, mats, 4, tol)
-        assert spectra == ([m] if case == "rotated-jordan" else [])
-        assert repr(rep) == repr(_outcome(sweep_oracle, mats, 4, tol))
+        want = _outcome(sweep_oracle, mats, 4, tol)
+        assert spectra == ([] if case in ("unitary", "near-one") else [m])
+        if case == "norm-one":  # the pass names the split in a note
+            assert rep["notes"][1].startswith("direct sum: ")
+            assert repr({**rep, "notes": rep["notes"][:1]}) == repr(want)
+        else:
+            assert repr(rep) == repr(want)
 
     @pytest.mark.parametrize("m, degree", [(1, 6), (2, 6), (3, 0), (2, 30)])
     def test_a_repeated_joint_spectrum_takes_the_route(self, m, degree):
@@ -1698,6 +1726,181 @@ class TestClosedForm:
         assert _routed(generator_certificate(mats, 5))
         assert canonical_json(generator_certificate(mats, 5).as_dict()) == \
             first
+
+
+SPLIT_NOTE = "direct sum: "
+SPLIT_KINDS = ["jordan", "shift", "weighted", "contraction", "unitary",
+               "zero"]
+
+
+def _split_note(rep):
+    """The direct-sum split's note of a report dict, or None."""
+    return next((n for n in rep["notes"] if n.startswith(SPLIT_NOTE)), None)
+
+
+def _rest(kind, k, m, rng):
+    """The summand R of order k beside the normal one: x J (k = 2), the
+    nilpotent shift S of order k, w S (k >= 3: each middle coordinate
+    alone looks normal and strictly contractive), or a random non-normal
+    contraction of norm 0.95, each on operator 0 with scalars c I on the
+    others; m diagonal unitaries; or m zero blocks."""
+    if kind == "unitary":
+        return [np.diag(np.exp(2j * math.pi * rng.random(k)))
+                for _ in range(m)]
+    if kind == "zero":
+        return [np.zeros((k, k))] * m
+    if kind == "jordan":
+        first = rng.uniform(0.3, 0.95) * J2
+    elif kind == "shift":
+        first = np.eye(k, k=-1)
+    elif kind == "weighted":
+        first = rng.uniform(0.3, 0.95) * np.eye(k, k=-1)
+    else:
+        z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        first = 0.95 * z / np.linalg.norm(z, 2)
+    return [first] + [rng.uniform(0, 0.9) * np.exp(2j * math.pi * rng.random())
+                      * np.eye(k) for _ in range(m - 1)]
+
+
+def _permuted_sum(normals, rest, perm):
+    """Operator i of N (+) R, its coordinates in the order ``perm``."""
+    out = []
+    for a, b in zip(normals, rest):
+        x = np.zeros((len(perm),) * 2, dtype=np.complex128)
+        d = len(a)
+        x[:d, :d], x[d:, d:] = a, b
+        out.append(x[np.ix_(perm, perm)])
+    return out
+
+
+class TestDirectSumSplit:
+    """The generator sweep's direct-sum split: a normal summand read off
+    its joint spectrum, the rest on the Delta path, against the per-box
+    oracle of the whole tuple."""
+
+    @settings(max_examples=80)
+    @given(data=st.data(), m=st.integers(1, 4),
+           kind=st.sampled_from(SPLIT_KINDS),
+           scale=st.sampled_from([0.5, 0.9]), seed=st.integers(0, 2 ** 16))
+    def test_a_permuted_direct_sum_keeps_the_oracles_report(
+            self, data, m, kind, scale, seed):
+        # fail reports (and what the sweep raises) are the oracle's
+        # bitwise; a pass keeps its verdict, parameters and first note,
+        # and a split pass names the split, its margin within s of the
+        # oracle's.  A zero summand is a candidate too, and a tuple whose
+        # summands are all candidates takes no split
+        rng = np.random.default_rng(seed)
+        k = 2 if kind == "jordan" else data.draw(st.integers(1, 8))
+        if kind in ("shift", "weighted"):
+            k = max(k, 3)
+        d = data.draw(st.integers(1, 48 - k))
+        normals = [scale * np.asarray(x)
+                   for x in make_commuting_normals(seed, d, m)]
+        mats = _permuted_sum(normals, _rest(kind, k, m, rng),
+                             rng.permutation(d + k))
+        degree = data.draw(st.integers(0, _affordable_degree(m, d + k)))
+        rep = _outcome(generator_certificate, mats, degree, 1e-8)
+        want = _outcome(sweep_oracle, mats, degree, 1e-8)
+        if not isinstance(want, dict) or want["verdict"] != "pass":
+            assert repr(rep) == repr(want)
+            return
+        note = _split_note(rep)
+        assert kind != "zero" or note is None
+        assert (rep["verdict"], rep["parameters"], rep["notes"][0]) == (
+            want["verdict"], want["parameters"], want["notes"][0])
+        if note is None:
+            return
+        s = float(note.split("within s = ")[1].split(" ")[0])
+        assert abs(rep["margin"] - want["margin"]) <= s
+        assert rep["notes"][1:] == [note]
+
+    @pytest.mark.parametrize("kind", ["jordan", "shift", "weighted",
+                                      "contraction", "unitary"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_the_split_walks_the_rest_at_its_order(self, monkeypatch, kind,
+                                                    m):
+        # N of order 6 (+) R of order 2 or 3: one spectrum, of N alone,
+        # and one walk, of R alone; reruns are byte-identical, a fail is
+        # the oracle's and a pass lies within s of it
+        rng = np.random.default_rng(m)
+        k = 2 if kind == "jordan" else 3
+        mats = _permuted_sum(
+            [0.9 * np.asarray(x) for x in make_commuting_normals(m, 6, m)],
+            _rest(kind, k, m, rng), rng.permutation(6 + k))
+        spectra, walked = [], []
+        real_spectrum, real_walk = certificates.joint_spectrum, \
+            certificates._walk
+        monkeypatch.setattr(certificates, "joint_spectrum", lambda a: (
+            spectra.append(np.shape(a)) or real_spectrum(a)))
+        monkeypatch.setattr(certificates, "_walk", lambda pairs, dim, *a: (
+            walked.append(dim) or real_walk(pairs, dim, *a)))
+        rep = _outcome(generator_certificate, mats, 6, 1e-8)
+        assert spectra == [(m, 6, 6)] and walked == [k]
+        monkeypatch.undo()
+        assert canonical_json(rep) == canonical_json(
+            _outcome(generator_certificate, mats, 6, 1e-8))
+        want = _outcome(sweep_oracle, mats, 6, 1e-8)
+        if want["verdict"] == "fail":
+            assert repr(rep) == repr(want)
+        else:
+            s = float(_split_note(rep).split("within s = ")[1].split(" ")[0])
+            assert abs(rep["margin"] - want["margin"]) <= s
+
+    @pytest.mark.parametrize("case", [
+        "normal", "contraction", "rotated-shift", "diagonal", "normal+zero",
+        "identity"])
+    def test_no_extra_spectrum_without_a_split(self, monkeypatch, case):
+        # a dense tuple has one summand, and a tuple whose every summand
+        # is a candidate is the whole tuple's closed form: neither solves
+        # more than that route did, so each report is the Delta path's or
+        # the route's, with no split note
+        dim, rng = 8, np.random.default_rng(5)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q = np.linalg.qr(z)[0]
+        normal = 0.9 * np.asarray(make_commuting_normals(5, dim, 1)[0])
+        first = {
+            "normal": normal,
+            "contraction": 0.9 * z / np.linalg.norm(z, 2),
+            "rotated-shift": q @ np.eye(dim, k=-1) @ np.conj(q).T,
+            "diagonal": np.diag(rng.uniform(0, 0.9, dim)),
+            "normal+zero": _grow(0.9 * np.asarray(make_commuting_normals(
+                5, dim - 2, 1)[0]), np.zeros((2, 2))),
+            "identity": np.eye(dim),
+        }[case]
+        mats = [first, 0.5 * np.eye(dim)]
+        calls = count_solvers(monkeypatch, "eigh", "eigvalsh")
+        rep = generator_certificate(mats, 4)
+        assert len(calls["eigh"]) <= 1
+        assert all(not n.startswith(SPLIT_NOTE) for n in rep.notes)
+        if not _routed(rep):
+            monkeypatch.undo()
+            with mock.patch.object(certificates, "_closed_form",
+                                   lambda *args: None):
+                assert repr(rep) == repr(generator_certificate(mats, 4))
+
+    @pytest.mark.parametrize("case", ["slack", "screen"])
+    def test_a_missed_closed_form_takes_the_delta_path(self, monkeypatch,
+                                                       case):
+        # beside a unimodular block: at D = 40 the normal summand's slack
+        # s passes tol / 2, so its closed form misses; a normal summand
+        # of norm 1 - 1e-15 has rho < 1 but fails the norm screen.  Either
+        # way the whole tuple walks, bitwise the oracle's pass
+        if case == "slack":
+            normal, degree = 0.9 * np.asarray(
+                make_commuting_normals(2, 6, 1)[0]), 40
+        else:
+            h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+            normal, degree = h @ np.diag([1 - 1e-15, 0.5]) @ h, 6
+        mats = _permuted_sum([normal], [np.diag([1j, -1.0])],
+                             np.random.default_rng(2).permutation(
+                                 len(normal) + 2))
+        walked, real = [], certificates._walk
+        monkeypatch.setattr(certificates, "_walk", lambda pairs, dim, *a: (
+            walked.append(dim) or real(pairs, dim, *a)))
+        rep = generator_certificate(mats, degree)
+        assert walked == [len(normal) + 2]
+        assert repr(rep.as_dict()) == repr(
+            sweep_oracle(mats, degree).as_dict())
 
 
 # Every certificate report as canonical JSON, on pass, fail and

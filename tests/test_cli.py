@@ -971,6 +971,44 @@ def test_check_all_notes_the_closed_form_route_where_it_is_taken(
         assert human[0] == code and f"note: {notes[0]}" in human[1]
 
 
+SPLIT_DOC = {
+    "descriptor": {"kind": "free_abelian", "k": 1},
+    "representation": {
+        "dimension": 3,
+        # the dense normal block [[0.3, 0.2], [0.2, 0.3]] (+) the scalar i
+        "generators": [[[[0.3, 0], [0.2, 0], [0, 0]],
+                        [[0.2, 0], [0.3, 0], [0, 0]],
+                        [[0, 0], [0, 0], [0, 1]]]],
+        "relations": [],
+    },
+    "run": {},
+}
+
+
+def test_check_all_notes_the_direct_sum_split(tmp_path, capsys):
+    # the normal block's margin is read off its joint spectrum and the
+    # unimodular scalar is swept alone: the sweep passes at margin 0
+    # (the scalar's boxes 1 - |i|^2 = 0), and a second note names the
+    # summands' orders, r and s, in both formats
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(SPLIT_DOC))
+    got, out, _ = _run(capsys, "check", "all", "--input", str(path),
+                       "--format", "machine")
+    sweep = json.loads(out)["reports"][0]
+    assert (got, sweep["condition"], sweep["verdict"]) == (
+        0, "generator_sweep", "pass")
+    assert sweep["margin"] == 0 and sweep["parameters"] == {
+        "max_degree": 6, "tuples_checked": 7}
+    first, note = sweep["notes"]
+    assert first == "pass swept over all degree tuples with sum <= 6"
+    assert note.startswith("direct sum: the normal summands, of orders 2, "
+                           "have their margin read off the joint spectrum")
+    assert "residual r = " in note and "within s = " in note
+    assert note.endswith("the Delta path swept the others, of orders 1")
+    human = _run(capsys, "check", "all", "--input", str(path))
+    assert human[0] == 0 and f"note: {note}" in human[1]
+
+
 def test_a_normal_pair_at_degree_sixty_takes_the_delta_path(tmp_path, capsys):
     # (1 + rho^2)^60 puts the slack s far past tol / 2, so the sweep
     # steps every box and keeps the rounding-level fail it finds there
