@@ -32,7 +32,6 @@ from .linalg import (
     _group_size,
     _norm_screen,
     _psd_stack,
-    _screen_clears,
     _summand_labels,
     adjoint,
     block_decompose,
@@ -224,24 +223,33 @@ def _gate(condition: str, parameters: dict, mats,
     ``np.vdot`` sum is at most tol * (1 - 2^-20), since ||C||_2 <= ||C||_F
     and the margin covers the rounding of either norm.  Only when that
     bound fails does ``commutator_residual`` norm them, so a pass is the
-    one it would give, and a non-commuting witness is its worst pair."""
+    one it would give, and a non-commuting witness is its worst pair.
+
+    The generator sweep gates every tuple that takes none of its routes.
+    A route shows that the tuple would pass this gate (``_closed_form``
+    derives it); it does not replace the gate."""
     return _gate_runs(condition, parameters, mats, tol)[0]
 
 
-def _gate_runs(condition: str, parameters: dict, mats,
-               tol: float) -> tuple[CertificateReport | None, bool, bool]:
-    """``_gate``'s report; whether the norm screen of ``norm_excess``
-    cleared every operator, so each is a strict contraction; and whether
-    the generator sweep's runs over ``mats`` are monotone (see
-    ``_judge``).  They are when the screen cleared every operator and the
-    last one's commutator C with each other one has
-    ||C||_F <= 2 n^2 u (n the order, u = 2^-53): the first-order bound on
-    the rounding of the two products of contractions that form C, so the
-    tuple commutes as far as its products can show.  The gate admits
-    norms up to 1 + tol and commutators up to tol, and the runs' order
-    does not survive those."""
-    worst, index, cleared = _norm_screen(mats)
-    monotone = cleared
+def _gate_runs(condition: str, parameters: dict, mats, tol: float,
+               order=None) -> tuple[CertificateReport | None, bool]:
+    """``_gate``'s report, and whether the generator sweep's runs over
+    ``mats`` are monotone (see ``_judge``).  They are when the norm screen
+    of ``norm_excess``, with the slack of ``order`` (``_norm_screen``),
+    cleared every operator, so each is a strict contraction, and the last
+    one's commutator C with each other one has ||C||_F <= 2 n^2 u (n the
+    order of ``mats``, u = 2^-53): the first-order bound on the rounding
+    of the two products of contractions that form C, so the tuple
+    commutes as far as its products can show.  The gate admits norms up
+    to 1 + tol and commutators up to tol, and the runs' order does not
+    survive those.
+
+    ``_gate`` and the generator sweep call this: the sweep on a tuple
+    that takes no route, and on the rest R of a direct sum whose normal
+    summands take the closed form, with ``order`` the whole tuple's, so
+    that R's flag is the one the whole tuple's screen and R's own
+    commutators give."""
+    worst, index, monotone = _norm_screen(mats, order)
     if worst > tol:
         witness = {"reason": "not a contraction",
                    "index": index, "norm_excess": worst}
@@ -254,13 +262,13 @@ def _gate_runs(condition: str, parameters: dict, mats,
                                         for (_, j), x in zip(pairs, c)
                                         if j == last)
         if math.sqrt(square) <= tol * (1.0 - 2.0 ** -20):
-            return None, cleared, monotone
+            return None, monotone
         comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None, cleared, monotone
+            return None, monotone
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return _not_applicable(condition, parameters, witness, tol), False, False
+    return _not_applicable(condition, parameters, witness, tol), False
 
 
 def agler_certificate(
@@ -743,12 +751,16 @@ _ROUNDING_LEVEL = 32
 
 
 def _square_sums(a):
-    """The squared row and column norms of each matrix T_i of a stack
-    ``a`` (m, n, n), two arrays (m, n): the diagonals of T_i T_i* and of
-    T_i* T_i, whose difference is that of the self-commutator."""
+    """The diagonals of T_i T_i* - T_i* T_i and of T_i* T_i for each
+    matrix T_i of a stack ``a`` (m, n, n), two arrays (m, n): the squared
+    row norms less the squared column norms, and the squared column
+    norms.  Entries near 1e308 overflow them to inf or nan, without a
+    warning: such a tuple is no contraction, and no route takes it."""
     square = np.abs(a)
-    square *= square
-    return square.sum(axis=2), square.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square *= square
+        cols = square.sum(axis=1)
+        return square.sum(axis=2) - cols, cols
 
 
 def _gap_bound(n):
@@ -758,37 +770,62 @@ def _gap_bound(n):
     return ((4 * _ROUNDING_LEVEL + 10) * 2.0 ** -53 * n * n) ** 2
 
 
-def _closed_form(mats, max_degree: int, tol: float, gaps=None):
+def _closed_form(mats, max_degree: int, tol: float, sums=None, order=None):
     """The generator sweep's margin over a commuting normal tuple, read off
     its joint spectrum where the Delta path provably passes: (margin, r, s)
     with margin = (min_ij f_ij)^D, f_ij = 1 - |lam_ij|^2 and D =
     ``max_degree``, from ``joint_spectrum``'s table lam and residual r;
-    else None.  The caller has found every operator a strict contraction
-    by the gate's norm screen; the tuple must also pass three tests, with
-    n >= 1 the order and u = 2^-53:
-    - (a) rho = max |lam_ij| < 1;
+    else None.  ``sums`` is (gaps, cols), the self-commutator diagonals
+    and squared column norms of ``_square_sums`` (each of shape (m, n)),
+    when the caller has read them.  ``order`` is the order o >= n of the
+    tuple the sweep was given: n, the order of ``mats``, by default, and
+    the whole tuple's for a direct sum's normal summands.  With u = 2^-53
+    and eps = r + 2 n u, the tuple must pass four tests:
+    - (a) rho + r + 2 o u <= 1 - 64 o^2 u, rho = max |lam_ij|: the slack
+      of ``norm_excess``'s screen at order o;
     - (b) r <= 32 n^2 u, the rounding level (``_ROUNDING_LEVEL``): a joint
       eigenbasis that leaves more, as clustered joint eigenvalues can,
       is not trusted;
-    - (c) s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <= tol / 2.
-    Before the eigensolve, a necessary check fails fast when an operator
-    is not normal at rounding level: the diagonal of T_i T_i* - T_i* T_i,
-    the squared row norms of T_i less its squared column norms (``gaps``,
-    shape (m, n), when the caller has read them), must have norm at most
-    4 * 32 n^2 u + 10 n^2 u.  For T_i within eps = r + 2 n u of a normal
-    N_i (below), ||T_i T_i* - T_i* T_i||_F <= 4 eps to first order, and
-    forming the squared norms rounds the diagonal by at most
-    2 n^(3/2) u; so every tuple that passes (b) passes this check, while
-    r J or a shift in its own basis fails it in O(n^2) work.
+    - (c) s = 2 max(1, D) (1 + rho^2)^D eps <= tol / 2;
+    - (d) 5 eps <= tol, which (c) implies unless D <= 1 and rho < 1/2.
+    Two necessary checks fail fast before the eigensolve.  A squared
+    column norm >= 1 - 64 o^2 u gives ||T_i|| > 1 - 64 o^2 u, against (a),
+    so a unitary, a shift or (1 + 0.75 tol) I pays no eigensolve.  An
+    operator that is not normal at rounding level fails the other: the
+    diagonal of T_i T_i* - T_i* T_i, the squared row norms of T_i less
+    its squared column norms (``gaps``), must have norm at most
+    4 * 32 n^2 u + 10 n^2 u.  For T_i within eps of a normal N_i (below),
+    ||T_i T_i* - T_i* T_i||_F <= 4 eps to first order, and forming the
+    squared norms rounds the diagonal by at most 2 n^(3/2) u; so every
+    tuple that passes (b) passes this check, while r J or a shift in its
+    own basis fails it in O(n^2) work.
 
-    Why (c) makes the Delta path pass, to first order in u and r, with
-    each product of factors of norm <= 1 rounding by about n u (normwise,
-    as p(n) in ``norm_excess``).  Write B_i = fl(W* T_i W) =
-    diag(lam_i) + E_i, so ||E_i||_F <= r, and let Q be the unitary nearest
-    W.  Then T_i lies within eps = r + 2 n u of N_i = Q diag(lam_i) Q*, an
-    exactly normal commuting tuple (2 n u for the products forming B_i and
-    W's departure from Q), and ||T_i|| <= rho + eps.  The exact boxes of
-    N are Q diag(prod_i f_ij^{n_i}) Q*, of norm <= 1, and their least
+    The argument runs to first order in u and r, with each product of
+    factors of norm <= 1 rounding by about n u (normwise, as p(n) in
+    ``norm_excess``).  Write B_i = fl(W* T_i W) = diag(lam_i) + E_i, so
+    ||E_i||_F <= r, and let Q be the unitary nearest W.  Then T_i lies
+    within eps of N_i = Q diag(lam_i) Q*, an exactly normal commuting
+    tuple (2 n u for the products forming B_i and W's departure from Q).
+
+    Why the tuple passes the precondition gate, so that the sweep takes
+    the route before it.  ||T_i|| <= rho + eps <= 1 - 64 o^2 u by (a), so
+    no norm excess is positive; and the Gram diagonal stays below
+    1 - 64 o^2 u while (1 - 64 o^2 u) I - T_i* T_i >= 64 o^2 u (1 - 64 o^2 u) I
+    exceeds Cholesky's backward error ((o + 1) o + 2) u, so the gate's
+    norm screen at order o clears every operator.  The N_i commute, so
+    [T_i, T_j] = [N_i, F_j] + [F_i, N_j] + [F_i, F_j], F = T - N, has norm
+    <= 4 rho eps + 2 eps^2 <= 4 eps - 2 eps^2 by (a); forming it rounds
+    by about 2 n u <= eps more (a product of a direct sum rounds on a
+    summand as one of the summand's order: the other terms of each entry
+    are exact zeros), so every commutator norm the gate finds is at most
+    5 eps <= tol by (d).  For a direct sum N (+) R (``_normal_summands``)
+    each operator's norm and each commutator's are the larger of N's and
+    R's; so N routed at the whole tuple's order and R passing its own
+    gate make the whole tuple pass the gate, with its screen cleared
+    where R's clears at the tuple's slack.
+
+    Why (c) makes the Delta path pass.  The exact boxes of N are
+    Q diag(prod_i f_ij^{n_i}) Q*, of norm <= 1, and their least
     eigenvalue over sum(n) <= D is (min f)^D > 0, at D e_i for the i of
     the least f.  A Delta step X - T_i* X T_i multiplies a box's distance
     from N's by at most 1 + rho^2 and adds at most 2 eps for T_i - N_i and
@@ -804,20 +841,21 @@ def _closed_form(mats, max_degree: int, tol: float, gaps=None):
     closed form.  (b) keeps that move at rounding level: s then counts
     only rounding, amplified by the degree."""
     n, u = mats[0].shape[-1], 2.0 ** -53
-    if gaps is None:
-        rows, cols = _square_sums(np.asarray(mats))
-        gaps = rows - cols
-    if not (gaps * gaps).sum(axis=1).max() <= _gap_bound(n):
+    o = n if order is None else order
+    gaps, cols = _square_sums(np.asarray(mats)) if sums is None else sums
+    slack = 1.0 - 64 * o * o * u
+    if not (cols.max() < slack
+            and (gaps * gaps).sum(axis=1).max() <= _gap_bound(n)):
         return None
-    level = _ROUNDING_LEVEL * n * n * u
     lam, r = joint_spectrum(mats)
     square = lam.real ** 2 + lam.imag ** 2
     rho2 = square.max().item()
-    if not (rho2 < 1.0 and r <= level):
+    eps = r + 2 * n * u
+    if not (r <= _ROUNDING_LEVEL * n * n * u and 5 * eps <= tol
+            and math.sqrt(rho2) + r + 2 * o * u <= slack):
         return None
     try:
-        s = (2.0 * max(1, max_degree) * (1.0 + rho2) ** max_degree
-             * (r + 2 * n * u))
+        s = 2.0 * max(1, max_degree) * (1.0 + rho2) ** max_degree * eps
     except OverflowError:
         return None
     if not s <= tol / 2:
@@ -845,23 +883,25 @@ def _normal_summands(a, gaps, cols):
     direct sum (the entries between summands are exact zeros, and the
     summands' entries are copied, not computed), so each box is
     box_N(n) (+) box_R(n).  The caller takes the split only when N
-    passes the norm screen and ``_closed_form``: then every box of N that
-    the Delta path would compute lies within s <= tol / 2 of a PSD box of
-    norm <= 1, so it never fails, raises, or sets the least eigenvalue of
-    a failing box.  So the first box of R that fails is the tuple's first
-    failure, with the same witness and ``tuples_checked``; the caller
-    judges the tuple's own box there as the Delta path does, so the
-    report keeps the Delta path's margin and tolerance.  When R passes,
-    the tuple passes with margin min(R's margin, (min_ij f_ij)^D), within
-    s of the Delta path's (rounding at the orders of R and of the tuple
-    aside)."""
+    takes ``_closed_form`` at the tuple's order and R passes the
+    precondition gate, which makes the tuple pass it (``_closed_form``
+    has the argument): then every box of N that the Delta path would
+    compute lies within s <= tol / 2 of a PSD box of norm <= 1, so it
+    never fails, raises, or sets the least eigenvalue of a failing box.
+    So the first box of R that fails is the tuple's first failure, with
+    the same witness and ``tuples_checked``; the caller judges the
+    tuple's own box there as the Delta path does, so the report keeps the
+    Delta path's margin and tolerance.  When R passes, the tuple passes
+    with margin min(R's margin, (min_ij f_ij)^D), within s of the Delta
+    path's (rounding at the orders of R and of the tuple aside)."""
     label = _summand_labels(a)
     if label is None:
         return None
     n = label.shape[0]
     member = label == label[:, None]  # x and y in one summand
-    square = gaps * gaps
-    normal = (square @ member).max(axis=0) <= _gap_bound(member.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308
+        square = (gaps * gaps) @ member
+    normal = square.max(axis=0) <= _gap_bound(member.sum(axis=0))
     normal &= ~((cols.max(axis=0) >= 1.0 - 64 * n * n * 2.0 ** -53) @ member)
     if np.count_nonzero(normal) in (0, n):
         return None
@@ -881,18 +921,6 @@ def _summand_orders(label, mask) -> tuple[str, str]:
     return tuple(named)
 
 
-def _last_commutes(a) -> bool:
-    """Whether the last matrix of a stack ``a`` commutes with every other
-    one up to the rounding of their products, ||C||_F <= 2 n^2 u, the
-    rule by which ``_gate_runs`` finds a strict contraction tuple's runs
-    monotone."""
-    if len(a) == 1:
-        return True
-    last, bound = a[-1], (2.0 * a.shape[-1] ** 2 * 2.0 ** -53) ** 2
-    c = a[:-1] @ last - last @ a[:-1]
-    return all(np.vdot(x, x).real <= bound for x in c)
-
-
 def generator_certificate(
     t, max_degree: int = DEFAULT_MAX_DEGREE, tol: float = DEFAULT_PSD_TOL
 ) -> CertificateReport:
@@ -903,30 +931,36 @@ def generator_certificate(
     (C(max_degree + m, m) for m generators) raises CapExceededError before
     any work.
 
-    The precondition gate (``_gate``) runs first, on stacks of at most one
-    group; on commuting contractions it solves no eigenproblem.  A tuple of
-    dimension >= 1 whose generators its norm screen clears may then take
-    the closed form (``_closed_form``): when the generators are normal and
+    The routes come first, and gate only what walks the Delta path.  A
+    tuple of dimension >= 1 may take the closed form (``_closed_form``):
+    when every column norm is below 1, the generators are normal and
     commute at rounding level, so that one eigenbasis diagonalizes them to
     a residual r <= 32 n^2 u, and their joint eigenvalues lam satisfy
-    max |lam| = rho < 1 and s = 2 max(1, D) (1 + rho^2)^D (r + 2 n u) <=
-    tol / 2, the Delta path provably passes, and the report gives the
-    margin (min (1 - |lam|^2))^D, which lies within s of the Delta path's,
-    counts all C(D + m, m) tuples, and adds a note naming r and s.
+    rho + r + 2 n u <= 1 - 64 n^2 u (rho = max |lam|) and s = 2 max(1, D)
+    (1 + rho^2)^D (r + 2 n u) <= tol / 2, the tuple provably passes the
+    precondition gate and the Delta path provably passes.  The report
+    gives the margin (min (1 - |lam|^2))^D, which lies within s of the
+    Delta path's, counts all C(D + m, m) tuples, and adds a note naming r
+    and s.
 
     A tuple that misses the closed form and is a direct sum up to a
     permutation of its basis (exact zeros between the summands) may split
     next; ``_normal_summands`` has the argument.  The summands that pass
     the closed form's self-commutator check, with every column norm below
-    1, take the closed form together, after one norm screen unless the
-    gate's cleared every generator; the others alone walk the Delta path,
-    at their own order.  Where they fail, the tuple's own box is judged
-    as the Delta path judges it, so a fail report is the Delta path's; a
-    pass takes the lower of the two margins and a note naming the
-    summands' orders, r and s.  Every other tuple walks the Delta path
-    whole: one summand, no normal summand or only normal ones, normal
-    summands that miss the screen or the closed form, or other summands
-    that raise or fail where the tuple's box passes.
+    1, take the closed form together, at the tuple's order; the others
+    alone pass the gate (``_gate_runs``, with the tuple's screen slack)
+    and walk the Delta path, at their own order.  Where they fail, the
+    tuple's own box is judged as the Delta path judges it, so a fail
+    report is the Delta path's; a pass takes the lower of the two margins
+    and a note naming the summands' orders, r and s.
+
+    Every other tuple is gated first (``_gate``, on stacks of at most one
+    group; on commuting contractions it solves no eigenproblem), exactly
+    as without the routes, and walks the Delta path whole: one summand,
+    no normal summand or only normal ones, normal summands that miss the
+    closed form, other summands that miss the gate (the whole tuple's
+    gate then gives the witness, so every not-applicable report is the
+    gate's), or that raise or fail where the tuple's box passes.
 
     The Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
@@ -962,10 +996,7 @@ def generator_certificate(
     tuples = math.comb(max_degree + m, m)
     if tuples > _SWEEP_TUPLE_CAP:
         raise _TupleCapExceededError(tuples, _SWEEP_TUPLE_CAP)
-    gated, cleared, monotone = _gate_runs(
-        "generator_sweep", {"max_degree": max_degree}, mats, tol)
-    if gated is not None:
-        return gated
+    ran = {"max_degree": max_degree}
     swept = f"pass swept over all degree tuples with sum <= {max_degree}"
 
     def sweep(ops, monotone):
@@ -986,30 +1017,24 @@ def generator_certificate(
         return ("read off the joint spectrum: (min_ij (1 - |lambda_ij|^2))"
                 f"^{max_degree}, eigenbasis residual r = {r:.3e}")
 
-    closed = split = None
-    if dim:
-        stack = np.asarray(mats)
-        rows, cols = _square_sums(stack)
-        gaps = rows - cols
-        if cleared:
-            closed = _closed_form(stack, max_degree, tol, gaps)
-        if closed is not None:
-            margin, r, s = closed
-            return passed(tuples, margin, swept, (
-                f"margin {read_off(r)}; every box of the Delta path lies "
-                f"within s = {s:.3e} of its closed form"))
-        split = _normal_summands(stack, gaps, cols)
-    if split is not None:
-        label, mask = split
+    def split(stack, gaps, cols):
+        # the split's report, or None where the tuple is gated and walks
+        found = _normal_summands(stack, gaps, cols)
+        if found is None:
+            return None
+        label, mask = found
         normal, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
-        part = stack[:, normal[:, None], normal]
-        if cleared or _screen_clears(part):
-            closed = _closed_form(part, max_degree, tol, gaps[:, normal])
-    if closed is not None:
+        closed = _closed_form(stack[:, normal[:, None], normal], max_degree,
+                              tol, (gaps[:, normal], cols[:, normal]), dim)
+        if closed is None:
+            return None
         residual = stack[:, rest[:, None], rest]
+        gated, monotone = _gate_runs("generator_sweep", ran, residual, tol,
+                                     dim)
+        if gated is not None:
+            return None
         try:
-            checked, worst, failure = sweep(
-                residual, cleared and _last_commutes(residual))
+            checked, worst, failure = sweep(residual, monotone)
             if failure is None:
                 margin, r, s = closed
                 inside, outside = _summand_orders(label, mask)
@@ -1024,9 +1049,24 @@ def generator_certificate(
                 mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
                 tol)
         except (InputError, NotHermitianError):
-            verdict = None  # the Delta path raises, or decides, as before
-        if verdict is not None and not verdict.is_psd:
-            return failed(checked, n, verdict)
+            return None  # the Delta path raises, or decides, as before
+        return None if verdict.is_psd else failed(checked, n, verdict)
+
+    if dim:
+        stack = np.asarray(mats)
+        gaps, cols = _square_sums(stack)
+        closed = _closed_form(stack, max_degree, tol, (gaps, cols))
+        if closed is not None:
+            margin, r, s = closed
+            return passed(tuples, margin, swept, (
+                f"margin {read_off(r)}; every box of the Delta path lies "
+                f"within s = {s:.3e} of its closed form"))
+        report = split(stack, gaps, cols)
+        if report is not None:
+            return report
+    gated, monotone = _gate_runs("generator_sweep", ran, mats, tol)
+    if gated is not None:
+        return gated
     checked, worst, failure = sweep(mats, monotone)
     if failure is None:
         return passed(checked, worst, swept)

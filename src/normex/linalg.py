@@ -155,14 +155,18 @@ def norm_excess(mats) -> tuple[float, int | None]:
     return _norm_screen(mats)[:2]
 
 
-def _norm_screen(mats) -> tuple[float, int | None, bool]:
+def _norm_screen(mats, order=None) -> tuple[float, int | None, bool]:
     """``norm_excess``, and whether its screen cleared every stack, which
     shows lambda_max(G_i) <= 1 - s + ((n + 1) n + 2) u < 1: every matrix
-    is a strict contraction."""
+    is a strict contraction.  ``order`` (at least n; default n) sets the
+    slack s = 64 order^2 u: the generator sweep screens a direct summand
+    with the slack of the whole tuple's order, and a larger slack only
+    clears less."""
     n = np.shape(mats[0])[-1] if len(mats) else 0
     if not n:  # no matrix, or every matrix has norm 0
         return 0.0, None, True
-    s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
+    k = n if order is None else order
+    s, size = 64 * k * k * 2.0 ** -53, _group_size(n)
     worst, at, cleared = 0.0, None, True
     # a Gram product of entries beyond about 2^511 overflows, and its stack
     # never clears: there each matrix whose ||M||_F^2 = trace(G) is not
@@ -186,17 +190,6 @@ def _norm_screen(mats) -> tuple[float, int | None, bool]:
             if excess > worst:
                 worst, at = excess, lo + i
     return worst, at, cleared
-
-
-def _screen_clears(a) -> bool:
-    """Whether the screen of ``norm_excess`` clears every matrix of one
-    stack ``a`` (k, n, n), without norming any: one batched Cholesky of
-    (1 - s)I - A_i* A_i, s = 64 n^2 u, whose completion shows each A_i a
-    strict contraction.  The caller has checked the Gram diagonals below
-    1 - s, where that screen would skip the factorization."""
-    n = a.shape[-1]
-    return _cholesky_clears(-(np.conj(a).swapaxes(-1, -2) @ a),
-                            64 * n * n * 2.0 ** -53 - 1.0)
 
 
 def _summand_labels(a) -> np.ndarray | None:

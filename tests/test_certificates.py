@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -963,8 +964,9 @@ class TestGate:
                 (normals[:1] + [cmatrix(np.eye(64))], 1e-8, False, False),
                 ([cmatrix((1 + 5e-9) * np.eye(64))], 1e-8, False, False),
                 (self._pair(), 3 * self.D ** 2, True, False)]:
+            assert linalg._norm_screen(mats)[2] == cleared
             assert certificates._gate_runs("g", {}, mats, tol) == (
-                None, cleared, monotone)
+                None, monotone)
 
     @pytest.mark.parametrize("dim", [4, 64])
     @pytest.mark.parametrize("unitary", [False, True])
@@ -1568,6 +1570,26 @@ class TestGeneratorSweep:
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
         assert rep.passed and len(rep.notes) == 2 and not steps
 
+    def test_routed_grid_ops_skip_the_gate(self, monkeypatch):
+        # the normal tuple takes the closed form before the gate: one
+        # eigensolve, its joint spectrum, and no Cholesky factorization.
+        # The jordan tuple's normal summand of order 62 takes it too, and
+        # only the 2 x 2 rest is gated, one factorization of its stack
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        ops = {op.label: op for op in workloads.build_sweep(3)}
+        calls = count_solvers(monkeypatch, "eigh", "cholesky")
+        for label, want in [
+                ("sweep normal m=3 dim=64 D=4",
+                 {"eigh": [(64, 64)], "cholesky": []}),
+                ("sweep jordan m=3 dim=64 D=6",
+                 {"eigh": [(62, 62)], "cholesky": [(3, 2, 2)]})]:
+            for got in calls.values():
+                got.clear()
+            assert ops[label].check(ops[label].run())[0]
+            assert calls == want
+
     @settings(max_examples=40)
     @given(data=st.data(), m=st.integers(2, 3), dim=st.integers(4, 8),
            degree=st.integers(2, 30), seed=st.integers(0, 2 ** 16))
@@ -1670,7 +1692,8 @@ class TestClosedForm:
         # eigensolve; r J turned by the Hadamard matrix H, whose
         # self-commutator 0.36 H diag(-1, 1) H has a zero diagonal, passes
         # it and fails the residual test; a unitary, (1 + 0.75 tol) I and a
-        # norm-1 generator are not cleared by the gate's screen.  Each
+        # norm-1 generator have a column of norm about 1, which rules the
+        # whole tuple's route out before its spectrum.  Each
         # report is bitwise the per-box oracle's, but for the norm-1
         # generator's pass.  The direct-sum split reads the normal summand
         # of r J and of the shift, and the coordinates of norm 0.5 beside
@@ -1883,8 +1906,9 @@ class TestDirectSumSplit:
                                                        case):
         # beside a unimodular block: at D = 40 the normal summand's slack
         # s passes tol / 2, so its closed form misses; a normal summand
-        # of norm 1 - 1e-15 has rho < 1 but fails the norm screen.  Either
-        # way the whole tuple walks, bitwise the oracle's pass
+        # of norm 1 - 1e-15 has rho < 1 but rho + r + 2 n u above
+        # 1 - 64 n^2 u, the slack of the norm screen.  Either way the whole
+        # tuple is gated and walks, bitwise the oracle's pass
         if case == "slack":
             normal, degree = 0.9 * np.asarray(
                 make_commuting_normals(2, 6, 1)[0]), 40
@@ -1901,6 +1925,123 @@ class TestDirectSumSplit:
         assert walked == [len(normal) + 2]
         assert repr(rep.as_dict()) == repr(
             sweep_oracle(mats, degree).as_dict())
+
+
+def _near_unitary(rng, dim, m, radius):
+    """m commuting normals W diag(radius e^{i t_j}) W*, one random unitary
+    W and random phases: every joint eigenvalue has modulus ``radius``."""
+    w = np.linalg.qr(_gaussian(rng, dim))[0]
+    return [w @ np.diag(radius * np.exp(2j * math.pi * rng.random(dim)))
+            @ np.conj(w).T for _ in range(m)]
+
+
+class TestRouteBeforeTheGate:
+    """The generator sweep takes its routes before the precondition gate,
+    and gates only what walks the Delta path: every tuple it routes would
+    pass the gate with its norm screen cleared, and a direct sum's rest
+    is gated alone at the whole tuple's screen slack."""
+
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(
+               ["normal", "near-unitary", "split"]),
+           m=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           degree=st.integers(0, 8), tol=st.sampled_from([1e-12, 1e-8]))
+    def test_a_tuple_routed_before_the_gate_passes_it(
+            self, data, kind, m, seed, degree, tol):
+        # commuting normals, normals with every joint eigenvalue of
+        # modulus 1 - 10^-e, and permuted N (+) R.  A tuple that is not
+        # gated whole passes the per-pair gate oracle, and the part that
+        # took the closed form clears the norm screen at the tuple's
+        # order.  A split gates its rest R alone: the whole tuple's screen
+        # clears where R's does at the tuple's slack, and R's monotone
+        # flag is that screen and R's own commutators at rounding level,
+        # the flag that gating the whole tuple first gave R
+        rng = np.random.default_rng(seed)
+        dim = data.draw(st.integers(1, 24))
+        if kind == "normal":
+            scale = data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+            mats = [scale * np.asarray(x)
+                    for x in make_commuting_normals(seed, dim, m)]
+        elif kind == "near-unitary":
+            mats = _near_unitary(rng, dim, m, 1.0 - 10.0 ** -data.draw(
+                st.integers(2, 15)))
+        else:
+            rest = data.draw(st.sampled_from(SPLIT_KINDS))
+            k = 2 if rest == "jordan" else data.draw(st.integers(
+                3 if rest in ("shift", "weighted") else 1, 6))
+            normals = [0.9 * np.asarray(x)
+                       for x in make_commuting_normals(seed, dim, m)]
+            mats = _permuted_sum(normals, _rest(rest, k, m, rng),
+                                 rng.permutation(dim + k))
+        n = len(mats[0])
+        gates, forms = [], []
+        real_gate, real_form = certificates._gate_runs, \
+            certificates._closed_form
+
+        def gate(*args):
+            gates.append((args[2], args[4:], real_gate(*args)))
+            return gates[-1][2]
+
+        def form(*args):
+            forms.append((args[0], real_form(*args)))
+            return forms[-1][1]
+        with mock.patch.object(certificates, "_gate_runs", gate), \
+                mock.patch.object(certificates, "_closed_form", form):
+            _outcome(generator_certificate, mats, degree, tol)
+        if any(len(ops[0]) == n for ops, _, _ in gates):
+            return  # gated first, as without the routes
+        assert gate_oracle(mats, tol) is None
+        part = next(ops for ops, closed in forms if closed is not None)
+        assert linalg._norm_screen(part, n)[2]
+        cleared = linalg._norm_screen(mats)[2]
+        if not gates:  # the whole tuple took the closed form
+            assert cleared
+            return
+        [(rest, order, (report, monotone))] = gates
+        assert report is None and order == (n,)
+        assert cleared == linalg._norm_screen(rest, n)[2]
+        bound = (2.0 * len(rest[0]) ** 2 * 2.0 ** -53) ** 2
+        commutes = all(np.vdot(c, c).real <= bound for c in (
+            x @ rest[-1] - rest[-1] @ x for x in rest[:-1]))
+        assert monotone == (cleared and commutes)
+
+    @pytest.mark.parametrize("case", ["unitary", "shift", "near-one"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_column_of_norm_1_pays_no_eigensolve(self, monkeypatch, case,
+                                                   m):
+        # a squared column norm >= 1 - 64 n^2 u rules the closed form out
+        # before the joint spectrum, and no summand of these is a
+        # candidate: no eigh, and the gate and the Delta path give the
+        # oracle's report
+        tol, dim = 1e-8, 8
+        first = {
+            "unitary": np.linalg.qr(_gaussian(np.random.default_rng(m),
+                                              dim))[0],
+            "shift": np.eye(dim, k=-1),
+            "near-one": (1 + 0.75 * tol) * np.eye(dim),
+        }[case]
+        mats = [first] + [0.5 * np.eye(dim)] * (m - 1)
+        calls = count_solvers(monkeypatch, "eigh")
+        rep = _outcome(generator_certificate, mats, 4, tol)
+        assert calls == {"eigh": []}
+        monkeypatch.undo()
+        assert repr(rep) == repr(_outcome(sweep_oracle, mats, 4, tol))
+
+    @pytest.mark.parametrize("mats", [
+        [[[1e308, 0], [0, 0]]],
+        [[[0, 1e100, 0], [0, 0, 0], [0, 0, 0.5]]],
+        [[[1e160, 0], [0, 0.5]], [[0, 0], [0, 0.25]]]])
+    def test_entries_near_1e308_warn_nothing(self, mats):
+        # the routes square the entries before the gate, and those
+        # squares overflow; the gate still gives the witness, and no
+        # numpy warning is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = generator_certificate(mats, 3)
+        excess = max(abs(x) for a in mats for row in a for x in row)
+        assert (rep.verdict, rep.witness) == ("not-applicable", {
+            "reason": "not a contraction", "index": 0,
+            "norm_excess": excess})
 
 
 # Every certificate report as canonical JSON, on pass, fail and

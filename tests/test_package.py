@@ -93,6 +93,16 @@ SWEEP_CALLERS = {
 }
 
 
+#: the functions that may call the precondition gate and its norm screen:
+#: the sweep's routes show that a tuple would pass the gate, and do not
+#: replace it, so no second gate grows beside ``_gate``
+GATE_CALLERS = {
+    "_gate_runs": {("certificates.py", "_gate"),
+                   ("certificates.py", "generator_certificate")},
+    "_norm_screen": {("linalg.py", "norm_excess"),
+                     ("certificates.py", "_gate_runs")},
+}
+
 def _solver_callers(tree, allowed=SOLVER_CALLERS):
     """(solver, outermost enclosing function, line) of each call of a
     solver in ``allowed``."""
@@ -135,6 +145,10 @@ def test_one_walk_steps_and_one_judge_judges():
 def test_one_sweep_driver(name):
     assert _stray_calls({name}, SWEEP_CALLERS) == (True, [])
 
+
+@pytest.mark.parametrize("name", sorted(GATE_CALLERS))
+def test_one_gate(name):
+    assert _stray_calls({name}, GATE_CALLERS) == (True, [])
 
 def _kind_comparisons(tree):
     """Line of each comparison with an operand ``<expr>.kind``."""
