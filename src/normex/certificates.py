@@ -25,12 +25,12 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_PSD_TOL,
+    _ROUNDING_LEVEL,
     CMatrix,
     PsdVerdict,
     _commutators,
     _freeze,
     _group_size,
-    _norm_screen,
     _psd_stack,
     _summand_labels,
     adjoint,
@@ -39,6 +39,7 @@ from .linalg import (
     commutator_residual,
     joint_spectrum,
     loewner_leq,
+    norm_excess,
     operator_norm,
     psd_check,
 )
@@ -228,47 +229,20 @@ def _gate(condition: str, parameters: dict, mats,
     The generator sweep gates every tuple that takes none of its routes.
     A route shows that the tuple would pass this gate (``_closed_form``
     derives it); it does not replace the gate."""
-    return _gate_runs(condition, parameters, mats, tol)[0]
-
-
-def _gate_runs(condition: str, parameters: dict, mats, tol: float,
-               order=None) -> tuple[CertificateReport | None, bool]:
-    """``_gate``'s report, and whether the generator sweep's runs over
-    ``mats`` are monotone (see ``_judge``).  They are when the norm screen
-    of ``norm_excess``, with the slack of ``order`` (``_norm_screen``),
-    cleared every operator, so each is a strict contraction, and the last
-    one's commutator C with each other one has ||C||_F <= 2 n^2 u (n the
-    order of ``mats``, u = 2^-53): the first-order bound on the rounding
-    of the two products of contractions that form C, so the tuple
-    commutes as far as its products can show.  The gate admits norms up
-    to 1 + tol and commutators up to tol, and the runs' order does not
-    survive those.
-
-    ``_gate`` and the generator sweep call this: the sweep on a tuple
-    that takes no route, and on the rest R of a direct sum whose normal
-    summands take the closed form, with ``order`` the whole tuple's, so
-    that R's flag is the one the whole tuple's screen and R's own
-    commutators give."""
-    worst, index, monotone = _norm_screen(mats, order)
+    worst, index = norm_excess(mats)
     if worst > tol:
         witness = {"reason": "not a contraction",
                    "index": index, "norm_excess": worst}
     else:
-        last, square = len(mats) - 1, 0.0
-        for pairs, c in _commutators(mats):
-            square += np.vdot(c, c).real
-            bound = (2.0 * c.shape[-1] ** 2 * 2.0 ** -53) ** 2
-            monotone = monotone and all(np.vdot(x, x).real <= bound
-                                        for (_, j), x in zip(pairs, c)
-                                        if j == last)
+        square = sum(np.vdot(c, c).real for _, c in _commutators(mats))
         if math.sqrt(square) <= tol * (1.0 - 2.0 ** -20):
-            return None, monotone
+            return None
         comm, pair = commutator_residual(mats)
         if comm <= tol:
-            return None, monotone
+            return None
         witness = {"reason": "non-commuting", "pair": list(pair),
                    "residual": comm}
-    return _not_applicable(condition, parameters, witness, tol), False
+    return _not_applicable(condition, parameters, witness, tol)
 
 
 def agler_certificate(
@@ -535,8 +509,7 @@ def _lex_degree_tuples(m: int, max_degree: int):
 def _chain(pair, dim: int, length: int, size: int):
     """The boxes Delta^k(I), 0 <= k < length, of the chain of ``pair``, as
     fresh chunks of at most ``size`` boxes, each box stepped from the one
-    before it.  The steps are deterministic, so a re-walk is bitwise the
-    first walk."""
+    before it."""
     before = np.eye(dim, dtype=np.complex128)
     for lo in range(0, length, size):
         chunk = np.empty((min(size, length - lo), dim, dim),
@@ -551,11 +524,11 @@ def _chain(pair, dim: int, length: int, size: int):
 
 
 def _walk(pairs, dim: int, max_degree: int, size: int):
-    """The runs of the generator sweep, one (p, length, run) per prefix
-    p = n[:-1], in lexicographic order: ``run()`` iterates the boxes of
-    n = p + (k,), 0 <= k < length, as consecutive chunks of at most
-    ``size`` boxes.  A run must be read before the next is requested,
-    which may overwrite it.
+    """The runs of the generator sweep, one (p, run) per prefix
+    p = n[:-1], in lexicographic order: ``run`` iterates the boxes of
+    n = p + (k,), 0 <= k <= max_degree - sum(p), as consecutive chunks of
+    at most ``size`` boxes.  A run must be read before the next is
+    requested, which may overwrite it.
 
     The run of the zero prefix is the chain Delta_m^k(I), stepped one box
     at a time.  Every other run is one stacked Delta step per chunk from
@@ -563,14 +536,13 @@ def _walk(pairs, dim: int, max_degree: int, size: int):
     box(n) = Delta_j(box(n - e_j)), the outermost step of
     ``box_operator``'s order, so every box is bitwise equal to
     ``box_operator(mats, n)``.  A run is kept while a later run steps from
-    it (sum(p) < max_degree, so length > 1), and its e_1 successor, the
-    last, overwrites it in place; so the kept runs hold at most C(max_degree + m - 1, m - 1)
-    boxes.  The m = 1 chain is never stored: each ``run()`` walks it
-    afresh from I."""
+    it (sum(p) < max_degree, so it has more than one box), and its e_1
+    successor, the last, overwrites it in place; so the kept runs hold at
+    most C(max_degree + m - 1, m - 1) boxes.  The m = 1 chain is never
+    stored: its chunks are stepped as they are read."""
     m, live = len(pairs), {}
     if m == 1:
-        length = max_degree + 1
-        yield (), length, lambda: _chain(pairs[0], dim, length, size)
+        yield (), _chain(pairs[0], dim, max_degree + 1, size)
         return
     for p in _lex_degree_tuples(m - 1, max_degree):
         length = max_degree - sum(p) + 1
@@ -584,19 +556,12 @@ def _walk(pairs, dim: int, max_degree: int, size: int):
             for lo, x in zip(range(0, length, size), src):
                 x = x[:length - lo]
                 run.append(_delta(x, pairs[j], out=x if j == 0 else None))
-        yield p, length, run.__iter__
+        yield p, run
         if length > 1:
             live[p] = run
 
 
-def _skew_square(x) -> float:
-    """The squared Frobenius norm of X - X*, summed over a stack."""
-    skew = x - np.conj(x.swapaxes(-1, -2))
-    return np.vdot(skew, skew).real
-
-
-def _judge(runs, tol: float, size: int, dim: int, monotone: bool,
-           max_degree: int):
+def _judge(runs, tol: float, size: int, dim: int):
     """Judge the boxes of ``_walk``'s runs by the rule of ``psd_check``, in
     lexicographic order of n, up to the first that fails.  Returns
     (checked, worst, failure): the number of boxes judged, their least
@@ -604,130 +569,37 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool,
     and (n, PsdVerdict) of the failing box n, or None.  Raises what
     ``psd_check`` raises on the first box that decides.
 
-    A run shorter than a group of ``size`` boxes is packed with its
-    neighbours into groups of ``size``, the last perhaps shorter, and so
-    is an m = 1 chain (p = ()) whose runs are not ``monotone``: its ends
-    could decide nothing, and judging them first would walk it twice.  A
-    chunk that fills a group alone is judged as it is; the others are
-    copied into one buffer, which the next packed group overwrites.  One
-    ``_psd_stack`` call judges a group, so its first box that fails or is
-    not Hermitian decides.
-
-    Every other run fills a group and is decided by its ends.  Its last
-    box X_L is judged first, alone, screened above the running floor
-    max(worst, -tol) (no screen before any margin).
-    - If the runs are ``monotone`` and its margin is known to be > 0 (its
-      spectrum says so, or the screen cleared it above a floor >= 0), then
-      X_L >= 0 and every X_k, 1 <= k < L, exceeds it (below): they pass
-      without a margin of their own, and box 0 alone is judged besides it.
-    - Else, if it passes, every other box is judged.
-    Such a box is screened above the lower of the floor and the end's
-    margin, and judged by the exact rule where not cleared: a cleared box
-    has a margin above one already found and above -tol, so it neither
-    decides nor is the least margin.
-    - If it fails or raises, the sweep stops inside the run, and a failing
-      report carries only its deciding box.  So the other boxes are
-      screened above -tol, where a cleared box passes by the rule, and the
-      exact rule decides every box that is not cleared.
-    The end's own verdict, or what it raised, comes last, so no box is
-    solved twice.
-
-    Why the ends can decide a run: the runs are monotone when T_m is a
-    strict contraction that commutes with every T_j, which ``_gate_runs``
-    decides up to rounding.  Then Delta_j and Delta_m commute, so a run
-    X_k = box(p, k), 0 <= k <= L, has X_{k+1} = Delta_m(X_k); and Delta_m
-    is invertible, with the positive inverse Y -> sum_i T_m*^i Y T_m^i.
-    So X_L >= 0 gives X_{L-1} >= 0 and X_{L-1} - X_L = T_m* X_{L-1} T_m
-    >= 0, and going down, X_0 >= X_1 >= ... >= X_L.  Box 0 is covered too,
-    but it is judged, as a check where an end's rounding says least: a
-    computed margin > 0 can be a rounded 0, and X_L >= -eI gives only
-    X_k >= -e (1 - ||T_m||^2)^(k - L) I.  Without a strict contraction, or
-    with a commutator that rounding cannot explain, the order fails:
-    T = (1 + 7.5e-9) I, inside the gate's tol = 1e-8, has the chain
-    I, -1.5e-8 I, 2.25e-16 I.
-
-    A covered box has no Hermitian defect of its own either, and the rule
-    raises on a defect above tol max(1, ||H||) >= tol.  Exact Delta steps
-    keep a box Hermitian.  In floating point, to first order, a step from
-    a box X of k steps (||X||_2 <= 2^k, as the operators are contractions)
-    adds an error R with ||R||_F <= 2^(k + 1) 2 n^2 u: n^2 u ||X||_2 for
-    each of its two products (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3, with ||T||_F <= sqrt(n)) and u sqrt(n) 2^(k + 1)
-    for the subtraction.  So K_k = ||X_k - X_k*||_F has K_(k+1) <=
-    2 K_k + 2 ||R||_F, and every box has K <= 4 D 2^D n^2 u, D =
-    ``max_degree``.  Where that bound is above tol (1 - 2^-20), the run's
-    boxes are summed into one skew Frobenius norm as it is walked to its
-    end, and its ends cover nothing unless that norm is at most
-    tol (1 - 2^-20)."""
+    The runs' chunks are packed, in order, into groups of ``size`` boxes,
+    the last perhaps shorter.  A chunk that fills a group alone is judged
+    as it is; the others are copied into one buffer, which the next packed
+    group overwrites.  One ``_psd_stack`` call judges a group, so its first
+    box that fails or is not Hermitian decides."""
     checked, worst = 0, None
-    limit = tol * (1.0 - 2.0 ** -20)
-    try:
-        free = 4 * max_degree * dim * dim * 2.0 ** (max_degree - 53) <= limit
-    except OverflowError:
-        free = False
 
     def stacks():
         # (verdicts, pieces) per judged stack, where each piece (i, p, k)
         # says that box i of the stack, and those after it up to the next
         # piece, are p + (k,), p + (k + 1,), ...
         group, filled, pieces = None, 0, []
-        for p, length, run in runs:
-            if length < size or not (monotone or p):
-                lo = 0  # k of the chunk's first box
-                for boxes in run():
-                    if not filled and len(boxes) == size:
-                        yield _psd_stack(boxes, tol), ((0, p, lo),)
-                    else:
-                        if group is None:
-                            group = np.empty((size, dim, dim),
-                                             dtype=np.complex128)
-                        take = min(size - filled, len(boxes))
-                        group[filled:filled + take] = boxes[:take]
-                        pieces.append((filled, p, lo))
-                        filled += take
-                        if filled == size:
-                            yield _psd_stack(group, tol), pieces
-                            filled = len(boxes) - take
-                            group[:filled] = boxes[take:]
-                            pieces = [(0, p, lo + take)] if filled else []
-                    lo += size
-                continue
-            if filled:
-                yield _psd_stack(group[:filled], tol), pieces
-                filled, pieces = 0, []
-            start = None if worst is None else max(worst, -tol)
-            chunks = run()
-            first = last = next(chunks)
-            skew = 0.0 if free else _skew_square(first)
-            for last in chunks:  # to the run's end
-                if not free:
-                    skew += _skew_square(last)
-            floor, error = -tol, None
-            try:  # an earlier box may decide before what the end raises
-                end = _psd_stack(last[-1:], tol, start)
-            except (InputError, NotHermitianError) as e:
-                error = e
-            else:
-                margin = end[0][0].item()  # inf where the screen cleared it
-                if not margin < -end[1][0]:
-                    floor = max(min(margin, math.inf if start is None
-                                    else start), -tol)
-                if monotone and margin > 0.0 and (
-                        margin < math.inf or start >= 0.0) and (
-                        math.sqrt(skew) <= limit):
-                    if length > 1:
-                        yield _psd_stack(first[:1], tol, floor), ((0, p, 0),)
-                    if length > 2:
-                        covered = np.full(length - 2, np.inf)
-                        yield (covered, covered, 0.0), ()
-                    yield end, ((0, p, length - 1),)
-                    continue
-            for lo, boxes in zip(range(0, length - 1, size), run()):
-                yield (_psd_stack(boxes[:length - 1 - lo], tol, floor),
-                       ((0, p, lo),))
-            if error is not None:
-                raise error
-            yield end, ((0, p, length - 1),)
+        for p, run in runs:
+            lo = 0  # k of the chunk's first box
+            for boxes in run:
+                if not filled and len(boxes) == size:
+                    yield _psd_stack(boxes, tol), ((0, p, lo),)
+                else:
+                    if group is None:
+                        group = np.empty((size, dim, dim),
+                                         dtype=np.complex128)
+                    take = min(size - filled, len(boxes))
+                    group[filled:filled + take] = boxes[:take]
+                    pieces.append((filled, p, lo))
+                    filled += take
+                    if filled == size:
+                        yield _psd_stack(group, tol), pieces
+                        filled = len(boxes) - take
+                        group[:filled] = boxes[take:]
+                        pieces = [(0, p, lo + take)] if filled else []
+                lo += size
         if filled:
             yield _psd_stack(group[:filled], tol), pieces
 
@@ -742,12 +614,6 @@ def _judge(runs, tol: float, size: int, dim: int, monotone: bool,
         if worst is None or low < worst:
             worst = low.item()
     return checked, worst, None
-
-
-#: ``_closed_form``'s rounding level of a joint eigenbasis residual, in
-#: units of n^2 u: sixteen times the 2 n^2 u that the two products forming
-#: W* T_i W may round by on their own.
-_ROUNDING_LEVEL = 32
 
 
 def _square_sums(a):
@@ -770,26 +636,25 @@ def _gap_bound(n):
     return ((4 * _ROUNDING_LEVEL + 10) * 2.0 ** -53 * n * n) ** 2
 
 
-def _closed_form(mats, max_degree: int, tol: float, sums=None, order=None):
+def _closed_form(mats, max_degree: int, tol: float, sums=None):
     """The generator sweep's margin over a commuting normal tuple, read off
     its joint spectrum where the Delta path provably passes: (margin, r, s)
     with margin = (min_ij f_ij)^D, f_ij = 1 - |lam_ij|^2 and D =
-    ``max_degree``, from ``joint_spectrum``'s table lam and residual r;
+    ``max_degree``, from a table lam and residual r of ``joint_spectrum``;
     else None.  ``sums`` is (gaps, cols), the self-commutator diagonals
     and squared column norms of ``_square_sums`` (each of shape (m, n)),
-    when the caller has read them.  ``order`` is the order o >= n of the
-    tuple the sweep was given: n, the order of ``mats``, by default, and
-    the whole tuple's for a direct sum's normal summands.  With u = 2^-53
-    and eps = r + 2 n u, the tuple must pass four tests:
-    - (a) rho + r + 2 o u <= 1 - 64 o^2 u, rho = max |lam_ij|: the slack
-      of ``norm_excess``'s screen at order o;
+    when the caller has read them.  With n the order, u = 2^-53 and
+    eps = r + 2 n u, the tuple must pass four tests:
+    - (a) rho + r + 2 n u <= 1 - 64 n^2 u, rho = max |lam_ij|;
     - (b) r <= 32 n^2 u, the rounding level (``_ROUNDING_LEVEL``): a joint
-      eigenbasis that leaves more, as clustered joint eigenvalues can,
-      is not trusted;
+      eigenbasis that leaves more is not trusted;
     - (c) s = 2 max(1, D) (1 + rho^2)^D eps <= tol / 2;
     - (d) 5 eps <= tol, which (c) implies unless D <= 1 and rho < 1/2.
+    The tests read the first eigenbasis of ``joint_spectrum``, and where it
+    misses them, its refined one: clustered joint eigenvalues, which the
+    first mixes at a residual above rounding, fall apart there.
     Two necessary checks fail fast before the eigensolve.  A squared
-    column norm >= 1 - 64 o^2 u gives ||T_i|| > 1 - 64 o^2 u, against (a),
+    column norm >= 1 - 64 n^2 u gives ||T_i|| > 1 - 64 n^2 u, against (a),
     so a unitary, a shift or (1 + 0.75 tol) I pays no eigensolve.  An
     operator that is not normal at rounding level fails the other: the
     diagonal of T_i T_i* - T_i* T_i, the squared row norms of T_i less
@@ -808,11 +673,9 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None, order=None):
     tuple (2 n u for the products forming B_i and W's departure from Q).
 
     Why the tuple passes the precondition gate, so that the sweep takes
-    the route before it.  ||T_i|| <= rho + eps <= 1 - 64 o^2 u by (a), so
-    no norm excess is positive; and the Gram diagonal stays below
-    1 - 64 o^2 u while (1 - 64 o^2 u) I - T_i* T_i >= 64 o^2 u (1 - 64 o^2 u) I
-    exceeds Cholesky's backward error ((o + 1) o + 2) u, so the gate's
-    norm screen at order o clears every operator.  The N_i commute, so
+    the route before it.  ||T_i|| <= rho + eps <= 1 - 64 n^2 u by (a), a
+    strict contraction by more than the rounding of the norm the gate
+    computes, so no norm excess is positive.  The N_i commute, so
     [T_i, T_j] = [N_i, F_j] + [F_i, N_j] + [F_i, F_j], F = T - N, has norm
     <= 4 rho eps + 2 eps^2 <= 4 eps - 2 eps^2 by (a); forming it rounds
     by about 2 n u <= eps more (a product of a direct sum rounds on a
@@ -820,9 +683,7 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None, order=None):
     are exact zeros), so every commutator norm the gate finds is at most
     5 eps <= tol by (d).  For a direct sum N (+) R (``_normal_summands``)
     each operator's norm and each commutator's are the larger of N's and
-    R's; so N routed at the whole tuple's order and R passing its own
-    gate make the whole tuple pass the gate, with its screen cleared
-    where R's clears at the tuple's slack.
+    R's; so N routed and R passing the gate make the whole tuple pass it.
 
     Why (c) makes the Delta path pass.  The exact boxes of N are
     Q diag(prod_i f_ij^{n_i}) Q*, of norm <= 1, and their least
@@ -837,30 +698,29 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None, order=None):
     the other half of tol covers) and Hermitian defect ||X - X*|| <= 2 s
     <= tol: the Delta path passes every box, checks all C(D + m, m) of
     them, and raises nothing.  Its margin, the least over the boxes it
-    judges, which include each D e_i (a run's end), lies within s of the
-    closed form.  (b) keeps that move at rounding level: s then counts
-    only rounding, amplified by the degree."""
+    judges, which include each D e_i, lies within s of the closed form.
+    (b) keeps that move at rounding level: s then counts only rounding,
+    amplified by the degree."""
     n, u = mats[0].shape[-1], 2.0 ** -53
-    o = n if order is None else order
     gaps, cols = _square_sums(np.asarray(mats)) if sums is None else sums
-    slack = 1.0 - 64 * o * o * u
+    slack = 1.0 - 64 * n * n * u
     if not (cols.max() < slack
             and (gaps * gaps).sum(axis=1).max() <= _gap_bound(n)):
         return None
-    lam, r = joint_spectrum(mats)
-    square = lam.real ** 2 + lam.imag ** 2
-    rho2 = square.max().item()
-    eps = r + 2 * n * u
-    if not (r <= _ROUNDING_LEVEL * n * n * u and 5 * eps <= tol
-            and math.sqrt(rho2) + r + 2 * o * u <= slack):
-        return None
-    try:
-        s = 2.0 * max(1, max_degree) * (1.0 + rho2) ** max_degree * eps
-    except OverflowError:
-        return None
-    if not s <= tol / 2:
-        return None
-    return (1.0 - square).min().item() ** max_degree, r, s
+    for lam, r in joint_spectrum(mats):
+        square = lam.real ** 2 + lam.imag ** 2
+        rho2 = square.max().item()
+        eps = r + 2 * n * u
+        if not (r <= _ROUNDING_LEVEL * n * n * u and 5 * eps <= tol
+                and math.sqrt(rho2) + r + 2 * n * u <= slack):
+            continue
+        try:
+            s = 2.0 * max(1, max_degree) * (1.0 + rho2) ** max_degree * eps
+        except OverflowError:
+            return None
+        if s <= tol / 2:
+            return (1.0 - square).min().item() ** max_degree, r, s
+    return None
 
 
 def _normal_summands(a, gaps, cols):
@@ -871,11 +731,11 @@ def _normal_summands(a, gaps, cols):
     of the candidate summands; or None, when the tuple has one summand,
     none is a candidate, or every one is.
 
-    A summand of order k is a candidate when, for each operator, its part
-    of the self-commutator diagonal has norm at most (4 * 32 + 10) k^2 u,
-    the fast check of ``_closed_form``, and its Gram diagonal (squared
-    column norms) lies below 1 - 64 n^2 u, as the norm screen at the
-    tuple's order n asks.  No eigenproblem is solved here.
+    A summand of order k is a candidate when it passes the two fast checks
+    of ``_closed_form`` at its order: for each operator, its part of the
+    self-commutator diagonal has norm at most (4 * 32 + 10) k^2 u, and its
+    Gram diagonal (squared column norms) lies below 1 - 64 k^2 u.  No
+    eigenproblem is solved here.
 
     Why the split keeps the verdict, to first order as in
     ``_closed_form``.  In the coordinates of the split the tuple is
@@ -883,26 +743,28 @@ def _normal_summands(a, gaps, cols):
     direct sum (the entries between summands are exact zeros, and the
     summands' entries are copied, not computed), so each box is
     box_N(n) (+) box_R(n).  The caller takes the split only when N
-    takes ``_closed_form`` at the tuple's order and R passes the
-    precondition gate, which makes the tuple pass it (``_closed_form``
-    has the argument): then every box of N that the Delta path would
-    compute lies within s <= tol / 2 of a PSD box of norm <= 1, so it
-    never fails, raises, or sets the least eigenvalue of a failing box.
-    So the first box of R that fails is the tuple's first failure, with
-    the same witness and ``tuples_checked``; the caller judges the
-    tuple's own box there as the Delta path does, so the report keeps the
-    Delta path's margin and tolerance.  When R passes, the tuple passes
-    with margin min(R's margin, (min_ij f_ij)^D), within s of the Delta
-    path's (rounding at the orders of R and of the tuple aside)."""
+    takes ``_closed_form`` and R passes the precondition gate, which
+    makes the tuple pass it (``_closed_form`` has the argument): then
+    every box of N that the Delta path would compute lies within
+    s <= tol / 2 of a PSD box of norm <= 1, so it never fails, raises, or
+    sets the least eigenvalue of a failing box.  So the first box of R
+    that fails is the tuple's first failure, with the same witness and
+    ``tuples_checked``; the caller judges the tuple's own box there as the
+    Delta path does, so the report keeps the Delta path's margin and
+    tolerance.  When R passes, the tuple passes with margin
+    min(R's margin, (min_ij f_ij)^D), within s of the Delta path's
+    (rounding at the orders of R and of the tuple aside)."""
     label = _summand_labels(a)
     if label is None:
         return None
     n = label.shape[0]
     member = label == label[:, None]  # x and y in one summand
+    order = member.sum(axis=0)  # of each coordinate's summand
     with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308
         square = (gaps * gaps) @ member
-    normal = square.max(axis=0) <= _gap_bound(member.sum(axis=0))
-    normal &= ~((cols.max(axis=0) >= 1.0 - 64 * n * n * 2.0 ** -53) @ member)
+    normal = square.max(axis=0) <= _gap_bound(order)
+    normal &= ~((cols.max(axis=0) >= 1.0 - 64 * order * order * 2.0 ** -53)
+                @ member)
     if np.count_nonzero(normal) in (0, n):
         return None
     return label, normal
@@ -934,8 +796,9 @@ def generator_certificate(
     The routes come first, and gate only what walks the Delta path.  A
     tuple of dimension >= 1 may take the closed form (``_closed_form``):
     when every column norm is below 1, the generators are normal and
-    commute at rounding level, so that one eigenbasis diagonalizes them to
-    a residual r <= 32 n^2 u, and their joint eigenvalues lam satisfy
+    commute at rounding level, so that one eigenbasis (refined once where
+    joint eigenvalues cluster) diagonalizes them to a residual
+    r <= 32 n^2 u, and their joint eigenvalues lam satisfy
     rho + r + 2 n u <= 1 - 64 n^2 u (rho = max |lam|) and s = 2 max(1, D)
     (1 + rho^2)^D (r + 2 n u) <= tol / 2, the tuple provably passes the
     precondition gate and the Delta path provably passes.  The report
@@ -946,13 +809,12 @@ def generator_certificate(
     A tuple that misses the closed form and is a direct sum up to a
     permutation of its basis (exact zeros between the summands) may split
     next; ``_normal_summands`` has the argument.  The summands that pass
-    the closed form's self-commutator check, with every column norm below
-    1, take the closed form together, at the tuple's order; the others
-    alone pass the gate (``_gate_runs``, with the tuple's screen slack)
-    and walk the Delta path, at their own order.  Where they fail, the
-    tuple's own box is judged as the Delta path judges it, so a fail
-    report is the Delta path's; a pass takes the lower of the two margins
-    and a note naming the summands' orders, r and s.
+    the closed form's fast checks take the closed form together; the
+    others alone pass the gate and walk the Delta path, at their own
+    order.  Where they fail, the tuple's own box is judged as the Delta
+    path judges it, so a fail report is the Delta path's; a pass takes the
+    lower of the two margins and a note naming the summands' orders, r and
+    s.
 
     Every other tuple is gated first (``_gate``, on stacks of at most one
     group; on commuting contractions it solves no eigenproblem), exactly
@@ -967,16 +829,13 @@ def generator_certificate(
     most 2048 matrix entries (one box at least), each judged box as
     ``psd_check`` judges it alone.  The first box in lexicographic order
     that fails or is not Hermitian decides, so a failure wastes at most the
-    rest of its group or run and the Delta steps of less than one more
-    group.  Boxes between a run's ends pass unjudged only where the ends
-    show them PSD (the proof is in ``_judge``); such a box could change a
-    report only by tying its run's end, or failing, within rounding.
+    rest of its group and the Delta steps of less than one more group.
     Live memory: the kept runs, at most C(max_degree + m - 1, m - 1)
     boxes of dim^2 entries as for one box at a time, plus one group and
     the temporaries of one stacked step or verdict over a chunk; no array
     holds more than one group or box.  The m = 1 chain is not stored: at
-    most four of its chunks, of at most one group each, are live at a
-    time (its first and last while it is walked again)."""
+    most two of its chunks, of at most one group each, are live at a time
+    beside the group."""
     if isinstance(t, Representation):
         mats = list(t.generator_images)
     else:
@@ -999,11 +858,11 @@ def generator_certificate(
     ran = {"max_degree": max_degree}
     swept = f"pass swept over all degree tuples with sum <= {max_degree}"
 
-    def sweep(ops, monotone):
+    def sweep(ops):
         order = ops[0].shape[0]
         size = _group_size(order)
         return _judge(_walk(_adjoint_pairs(ops), order, max_degree, size),
-                      tol, size, order, monotone, max_degree)
+                      tol, size, order)
 
     def failed(checked, n, verdict):
         return _psd_report(
@@ -1025,16 +884,14 @@ def generator_certificate(
         label, mask = found
         normal, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
         closed = _closed_form(stack[:, normal[:, None], normal], max_degree,
-                              tol, (gaps[:, normal], cols[:, normal]), dim)
+                              tol, (gaps[:, normal], cols[:, normal]))
         if closed is None:
             return None
         residual = stack[:, rest[:, None], rest]
-        gated, monotone = _gate_runs("generator_sweep", ran, residual, tol,
-                                     dim)
-        if gated is not None:
+        if _gate("generator_sweep", ran, residual, tol) is not None:
             return None
         try:
-            checked, worst, failure = sweep(residual, monotone)
+            checked, worst, failure = sweep(residual)
             if failure is None:
                 margin, r, s = closed
                 inside, outside = _summand_orders(label, mask)
@@ -1064,10 +921,10 @@ def generator_certificate(
         report = split(stack, gaps, cols)
         if report is not None:
             return report
-    gated, monotone = _gate_runs("generator_sweep", ran, mats, tol)
+    gated = _gate("generator_sweep", ran, mats, tol)
     if gated is not None:
         return gated
-    checked, worst, failure = sweep(mats, monotone)
+    checked, worst, failure = sweep(mats)
     if failure is None:
         return passed(checked, worst, swept)
     return failed(checked, *failure)

@@ -61,19 +61,39 @@ def operator_norm(a: CMatrix) -> float:
     return operator_norms(np.asarray(a)).item()
 
 
+def _scales(a, peak) -> np.ndarray:
+    """The exact power-of-two divisor of each matrix of a stack ``a``
+    (..., m, n) whose ||A||_F^2 is not below 2^800: 2^(e - 1) for its
+    largest entry ``peak`` in [2^(e - 1), 2^e); 1 for every other matrix,
+    so that what is not rescaled keeps its bits."""
+    huge = np.array([not float(np.vdot(x, x).real) < 2.0 ** 800
+                     for x in a.reshape(-1, *a.shape[-2:])],
+                    dtype=bool).reshape(peak.shape)
+    return np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
+
+
 def operator_norms(a, gram=None) -> np.ndarray:
     """The largest singular value of each matrix in a stack (..., m, n), via
     the top eigenvalue of A*A: one stacked Gram product, or ``gram`` when
     the caller has formed it, and one batched eigensolve.  The root is
     taken in float64, whatever the input's precision, and a matrix without
-    columns has norm 0."""
+    columns has norm 0.  A Gram product of entries beyond about 2^511
+    overflows: unless one ``np.vdot`` over the whole stack, below 2^799,
+    clears every matrix, each matrix is normed on its rescale
+    (``_scales``; ``gram`` unused), as in ``psd_check``, so that a finite
+    norm is reported finite."""
     a = np.asarray(a)
     if not a.shape[-1]:  # an empty Gram matrix has no eigenvalue
         return np.zeros(a.shape[:-2])
+    scale = 1.0
+    if not float(np.vdot(a, a).real) < 2.0 ** 799:  # NaN, inf or perhaps huge
+        scale = _scales(a, np.abs(a).max(axis=(-2, -1)))
+        a, gram = a / scale[..., None, None], None
     if gram is None:
         gram = np.conj(a).swapaxes(-1, -2) @ a
     top = np.linalg.eigvalsh(gram)[..., -1]
-    return np.sqrt(np.maximum(0.0, top, dtype=float))
+    with np.errstate(over="ignore"):  # scaled back, a norm may overflow
+        return np.sqrt(np.maximum(0.0, top, dtype=float)) * scale
 
 
 def largest(pairs) -> tuple[float, object]:
@@ -107,8 +127,8 @@ def _cholesky_clears(h, c: float) -> bool:
     every matrix H of the stack ``h`` (each read from its lower triangle),
     which it shifts in place.  This is the one place where a matrix is
     factored to decide positivity: a completed factorization shows that
-    each H exceeds cI up to the rounding that the callers' slacks cover
-    (see ``norm_excess`` and ``_psd_stack``)."""
+    each H exceeds cI up to the rounding that the caller's slack covers
+    (see ``norm_excess``)."""
     n = h.shape[-1]
     h.reshape(-1, n * n)[:, ::n + 1] -= c
     try:
@@ -133,15 +153,15 @@ def norm_excess(mats) -> tuple[float, int | None]:
     unitary or a shift) makes that diagonal entry of (1 - s)I - G_i, and so
     a pivot, <= 0, so the factorization must fail and is not tried.  A
     stack the screen does not clear gets its norms from one
-    ``operator_norms`` call on the same G; when a matrix of the stack has
-    ||M_i||_F^2 >= 2^800, the call is on the stack with each such matrix
-    divided by a power of two, so that a finite norm is reported finite.
+    ``operator_norms`` call on the same G, which rescales a stack whose
+    Gram product overflows.
     Write G for the Hermitian matrix of one computed Gram product's lower
     triangle, which both LAPACK routines read, t for the top eigenvalue
     that eigvalsh computes from it, and A = fl((1 - s)I - G), where 1 - s
-    is exact and A_ii <= 1 because g_ii >= 0, so trace(A) <= n.  To first order in u, and with
-    ||G||_2 <= 1 + O(u) once the factorization completes (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3):
+    is exact and A_ii <= 1 because g_ii >= 0, so trace(A) <= n.  To first
+    order in u, and with ||G||_2 <= 1 + O(u) once the factorization
+    completes (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3):
     - Cholesky's backward error (Higham, Thm 10.3): a factorization that
       completes is exact for A + dA with ||dA||_2 <= gamma_{n+1} trace(A)
       <= (n + 1) n u; so lambda_min(A) > -(n + 1) n u;
@@ -152,25 +172,13 @@ def norm_excess(mats) -> tuple[float, int | None]:
     So t <= 1 whenever p(n) <= 63 n^2 - n - 2, which is 60 at n = 1
     (where eigvalsh is exact) and grows as n^2; then sqrt(max(0, t)) <= 1,
     and no excess is positive."""
-    return _norm_screen(mats)[:2]
-
-
-def _norm_screen(mats, order=None) -> tuple[float, int | None, bool]:
-    """``norm_excess``, and whether its screen cleared every stack, which
-    shows lambda_max(G_i) <= 1 - s + ((n + 1) n + 2) u < 1: every matrix
-    is a strict contraction.  ``order`` (at least n; default n) sets the
-    slack s = 64 order^2 u: the generator sweep screens a direct summand
-    with the slack of the whole tuple's order, and a larger slack only
-    clears less."""
     n = np.shape(mats[0])[-1] if len(mats) else 0
     if not n:  # no matrix, or every matrix has norm 0
-        return 0.0, None, True
-    k = n if order is None else order
-    s, size = 64 * k * k * 2.0 ** -53, _group_size(n)
-    worst, at, cleared = 0.0, None, True
+        return 0.0, None
+    s, size = 64 * n * n * 2.0 ** -53, _group_size(n)
+    worst, at = 0.0, None
     # a Gram product of entries beyond about 2^511 overflows, and its stack
-    # never clears: there each matrix whose ||M||_F^2 = trace(G) is not
-    # below 2^800 is divided by a power of two, as in _psd_stack
+    # never clears: operator_norms then norms it rescaled
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(mats), size):
             a = np.asarray(mats[lo:lo + size])
@@ -178,18 +186,11 @@ def _norm_screen(mats, order=None) -> tuple[float, int | None, bool]:
             diag = gram.reshape(len(a), -1)[:, ::n + 1].real
             if diag.max() < 1.0 - s and _cholesky_clears(-gram, s - 1.0):
                 continue
-            cleared = False
-            huge = ~(diag.sum(axis=1) < 2.0 ** 800)
-            if huge.any():
-                peak = np.abs(a).max(axis=(1, 2))
-                scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
-                norms = operator_norms(a / scale[:, None, None]) * scale
-            else:
-                norms = operator_norms(a, gram)
-            excess, i = largest(enumerate((norms - 1.0).tolist()))
+            excess, i = largest(enumerate(
+                (operator_norms(a, gram) - 1.0).tolist()))
             if excess > worst:
                 worst, at = excess, lo + i
-    return worst, at, cleared
+    return worst, at
 
 
 def _summand_labels(a) -> np.ndarray | None:
@@ -267,31 +268,70 @@ def hermitian_eig(a: CMatrix) -> tuple[np.ndarray, np.ndarray]:
 #: two weights are equal or opposite, and no two generators cancel.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
+#: The rounding level of a joint eigenbasis residual, in units of n^2 u
+#: (u = 2^-53): sixteen times the 2 n^2 u that the two products forming
+#: W* T_i W may round by on their own.  Its per-entry share, 32 n u, is
+#: sixteen times the 2 n u by which one entry of those products may round:
+#: ``joint_spectrum`` takes an entry off the diagonal above it as a link
+#: between two columns, so a basis without a link has r < 32 n^2 u.
+_ROUNDING_LEVEL = 32
 
-def joint_spectrum(mats) -> tuple[np.ndarray, float]:
-    """The joint eigenvalues of a tuple of n x n matrices T_1..T_m in one
-    eigenbasis W, and how far W is from diagonalizing them: the table
-    lam[i, j] = (W* T_i W)_jj, shape (m, n), and the residual
-    r = max_i ||W* T_i W - diag(lam[i])||_F.
 
-    W holds the eigenvectors (``hermitian_eig``) of the Hermitian part of
-    sum_k e^{i k theta} T_k, theta the golden angle: one fixed real
+def joint_spectrum(mats):
+    """The joint eigenvalues of a tuple of n x n matrices T_1..T_m in an
+    eigenbasis W, and how far W is from diagonalizing them: yields the
+    table lam[i, j] = (W* T_i W)_jj, shape (m, n), and the residual
+    r = max_i ||W* T_i W - diag(lam[i])||_F, for one basis and, when asked
+    for more, for at most one refined basis.
+
+    The first W holds the eigenvectors (``hermitian_eig``) of the Hermitian
+    part of sum_k e^{i k theta} T_k, theta the golden angle: one fixed real
     combination of the Hermitian parts (T_k + T_k*)/2 and (T_k - T_k*)/2i,
     with no random state.  For commuting normal T_k it has the joint
     eigenvectors as eigenvectors, with eigenvalues
     sum_k Re(e^{i k theta} lam[k, j]); where distinct joint eigenvalues
-    share one of these up to rounding, W mixes them and r shows it."""
+    share one of these up to rounding, W mixes them and r shows it.
+
+    The refinement deflates such clusters.  Two columns are linked when an
+    entry between them of some W* T_i W exceeds ``_ROUNDING_LEVEL`` n u,
+    and linked columns form groups (``_summand_labels``).  Each group G of
+    2 to n - 1 columns is re-diagonalized by the eigenvectors V of the
+    Hermitian part of sum_k e^{i (k theta + 1)} (W* T_k W)[G, G], the same
+    weights turned by e^i, and W[:, G] becomes W[:, G] V; then the table
+    is formed again.  A cluster of commuting normals is invariant, and the
+    turned combination separates its joint eigenvalues unless they share
+    both projections.  A basis without a link, or whose links join all n
+    columns, as those of two normals that do not commute do, yields
+    nothing more and solves nothing more."""
     a = np.asarray(mats)
     m, n = a.shape[0], a.shape[-1]
     weights = np.exp(1j * _GOLDEN_ANGLE * np.arange(1, m + 1))
     # the combination as np.tensordot forms it, without its overhead
     mix = np.dot(weights[None], a.reshape(m, -1)).reshape(n, n)
-    _, w = hermitian_eig(mix)
-    b = np.conj(w).T @ a @ w
-    lam = np.diagonal(b, axis1=1, axis2=2).copy()
-    b.reshape(m, -1)[:, ::n + 1] = 0.0
-    off = (b.real ** 2 + b.imag ** 2).sum(axis=(1, 2))
-    return _freeze(lam), math.sqrt(off.max())
+
+    def table(w):
+        b = np.conj(w).T @ a @ w
+        lam = np.diagonal(b, axis1=1, axis2=2).copy()
+        b.reshape(m, -1)[:, ::n + 1] = 0.0
+        off = (b.real ** 2 + b.imag ** 2).sum(axis=(1, 2))
+        return _freeze(lam), math.sqrt(off.max()), b
+
+    w = hermitian_eig(mix)[1]
+    lam, r, b = table(w)
+    yield lam, r
+    label = _summand_labels(np.abs(b) > _ROUNDING_LEVEL * n * 2.0 ** -53)
+    groups = [] if label is None else np.flatnonzero(np.bincount(label) > 1)
+    if not len(groups):
+        return
+    w, turned = w.copy(), weights * np.exp(1j)
+    for root in groups:
+        g = np.flatnonzero(label == root)
+        k = len(g)
+        block = b[:, g[:, None], g]
+        block.reshape(m, -1)[:, ::k + 1] = lam[:, g]
+        mix = np.dot(turned[None], block.reshape(m, -1)).reshape(k, k)
+        w[:, g] = w[:, g] @ hermitian_eig(mix)[1]
+    yield table(w)[:2]
 
 
 @dataclass(frozen=True)
@@ -305,7 +345,7 @@ class PsdVerdict:
         return dict(vars(self))
 
 
-def _psd_stack(a, tol: float, floor: float | None = None):
+def _psd_stack(a, tol: float):
     """The PSD verdicts of a stack ``a`` of k square matrices, in order, up
     to the first matrix that decides: one that is not PSD, not Hermitian or
     not finite.  Returns the arrays (min_eigenvalue, tolerance_used) of
@@ -320,35 +360,7 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     the Hermitian defect by its Frobenius norm, or by its spectral norm when
     the Frobenius norm exceeds the tolerance.  All spectra come from one
     batched eigensolve, and each verdict is bitwise that of ``psd_check``
-    on its matrix alone.
-
-    Given a ``floor`` >= -tol, a stack that takes neither the rescale
-    (||a||_F^2 >= 2^799) nor the Hermitian-defect branch (a skew Frobenius
-    norm above tol * (1 - 2^-20)) is first screened by one batched
-    Cholesky of 2H - 2cI = fl(a + a*) - 2cI (``_cholesky_clears``), with
-    c = floor + s and s = 64 n u (||a||_F + n |floor|), where n is the
-    order and u = 2^-53; H = fl(a + a*) / 2 is halved only when a spectrum
-    is needed.  If the factorization completes, the rule passes every
-    matrix from a least eigenvalue that its eigensolve would compute
-    > floor, and the stack reads as all-inf margins and tolerances with
-    defect 0; else the rule runs as without a floor.
-    Scaling by 2 is exact (barring underflow), so the factored matrix is
-    2A with A = fl(H - cI), and Cholesky's backward error is relative to
-    the trace, so what holds for A holds for 2A.
-    Write F = ||a||_F >= ||H||_F >= ||H||_2, phi = |floor| >= -c and
-    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).  To first order in u, three errors lie between c
-    and the least eigenvalue eigvalsh computes:
-    - Cholesky's backward error (Higham, Thm 10.3): a factorization of 2A
-      that completes is exact for 2A + 2dA with ||dA||_2 <= gamma_{n+1}
-      trace(A) <= (n + 1) u (sqrt(n) F + n phi), since trace(H) <= sqrt(n)
-      ||H||_F; so lambda_min(A) > -||dA||_2;
-    - the rounding of the shift: fl(floor + s) >= floor + s - u |c|, and
-      fl(h_ii - c) is off by at most u |h_ii - c| <= u (F + |c|);
-    - eigvalsh's backward error, at most p(n) u ||H||_2 for a modest p(n).
-    Their sum, u ((n + 1) sqrt(n) + 1 + p(n)) F + u ((n + 1) n + 2) phi,
-    is below s, as (n + 1) n + 2 <= 64 n^2, while p(n) <= 64 n - (n + 1)
-    sqrt(n) - 1: at least 30 n for every n <= 1000."""
+    on its matrix alone."""
     k, n = a.shape[0], a.shape[-1]
     if n == 0:
         return np.zeros(k), np.full(k, tol), 0.0
@@ -356,38 +368,26 @@ def _psd_stack(a, tol: float, floor: float | None = None):
     # the norm of the whole stack clears every matrix of the rescale: each
     # matrix's own squared norm stays below 2^800 while the total is < 2^799
     # (as Python floats: 2^799 overflows a float32)
-    square = float(np.vdot(a, a).real)
-    if not square < 2.0 ** 799:  # NaN, inf or perhaps huge
+    if not float(np.vdot(a, a).real) < 2.0 ** 799:  # NaN, inf or perhaps huge
         peak = np.abs(a).max(axis=(1, 2))
         finite = np.isfinite(peak)
         stop = k if finite.all() else int(finite.argmin())
         if stop == 0:
             raise InputError(_NOT_FINITE)
-        a, peak = a[:stop], peak[:stop]
-        huge = np.array([not float(np.vdot(x, x).real) < 2.0 ** 800
-                         for x in a], dtype=bool)
-        scale = np.where(huge, 2.0 ** (np.frexp(peak)[1] - 1.0), 1.0)
+        a = a[:stop]
+        scale = _scales(a, peak[:stop])
         a = a / scale[:, None, None]
     # one transposing pass, so that both passes below read contiguously
     adj = np.conj(a.swapaxes(-1, -2), order="C")
     skew = a - adj
-    h = a + adj  # 2H, halved below only for a spectrum
     # squared Frobenius defects as np.vdot sums them; that of the whole
     # stack clears every matrix while its root is below tol, the least
     # tolerance (the margin covers the rounding of either sum)
     total = np.vdot(skew, skew).real
     defect_cleared = scale is None and (
         math.sqrt(total) <= tol * (1.0 - 2.0 ** -20))
-    if floor is not None and defect_cleared:
-        if _cholesky_clears(h, 2.0 * (floor + 64 * n * 2.0 ** -53 * (
-                math.sqrt(square) + n * abs(floor)))):
-            cleared = np.full(k, np.inf)
-            return cleared, cleared, 0.0
-        np.divide(np.add(a, adj, out=h), 2.0, out=h)  # unshifted, halved
-    else:  # out of place: an integer a + adj halves to float64
-        h = h / 2.0
     # verdicts in float64, whatever the input's precision
-    spectra = np.linalg.eigvalsh(h).astype(float, copy=False)
+    spectra = np.linalg.eigvalsh((a + adj) / 2.0).astype(float, copy=False)
     mins, top = spectra[:, 0], spectra[:, -1]
     if scale is not None:  # scaled back, a result may overflow to inf
         with np.errstate(over="ignore"):

@@ -951,23 +951,6 @@ class TestGate:
         want = gate_oracle(mats, tol)
         assert repr(None if rep is None else rep.witness) == repr(want)
 
-    def test_runs_are_monotone_only_for_strict_commuting_tuples(self):
-        # the gate passes every tuple here.  Strict contractions whose
-        # commutators are rounding (the normals' read about 3e-15 against
-        # 2 n^2 u = 9.1e-13) have monotone runs; a norm the screen cannot
-        # clear (1, or 1 + tol / 2) or the pair's commutator, 4 d^2 = 4e-10
-        # in Frobenius norm, rules them out.  The screen clears every
-        # strict contraction, the pair's too
-        normals = [cmatrix(x) for x in make_commuting_normals(3, 64, 2)]
-        for mats, tol, cleared, monotone in [
-                (normals, 1e-8, True, True), (normals[:1], 1e-8, True, True),
-                (normals[:1] + [cmatrix(np.eye(64))], 1e-8, False, False),
-                ([cmatrix((1 + 5e-9) * np.eye(64))], 1e-8, False, False),
-                (self._pair(), 3 * self.D ** 2, True, False)]:
-            assert linalg._norm_screen(mats)[2] == cleared
-            assert certificates._gate_runs("g", {}, mats, tol) == (
-                None, monotone)
-
     @pytest.mark.parametrize("dim", [4, 64])
     @pytest.mark.parametrize("unitary", [False, True])
     def test_each_stack_is_one_group(self, monkeypatch, dim, unitary):
@@ -1246,64 +1229,29 @@ class TestGeneratorSweep:
         assert calls == {"eigvalsh": [(84, 4, 4)]}
 
     @pytest.mark.usefixtures("delta_path")
-    def test_one_eigensolve_per_run_end_and_per_tie(self, monkeypatch):
-        # dim 64: one box a group, so every run is judged from its ends.
-        # The gate factors the Gram matrices one at a time (every norm is
-        # below 1, so no norm spectrum), and the Frobenius bound passes the
-        # commutator without a spectrum.  The sweep's first run end gets a
-        # spectrum; every later end is screened above the least margin so
-        # far (here always positive) and gets a spectrum only when that
-        # screen fails.  An end that passes at a margin > 0 covers boxes
-        # 1..L-1 of its run; box 0 alone is screened, above the lower of
-        # that floor and the end's margin.  An end that fails sends its
-        # run's other boxes to a screen above -tol.
-        # m = 2, D = 6: seven runs of 7..1 boxes.
-        # - normals: the run ends (0, 6), (1, 5), ..., (6, 0) have margins
-        #   3.8e-8, 1.1e-7, 3.1e-7, 8.6e-7, 2.2e-6, 9.6e-8 and 4.1e-9, so
-        #   only (6, 0)'s screen fails: 2 spectra, and 12 screens, the ends
-        #   after the first and the six boxes 0 besides them;
-        # - a zero last generator makes every box of a run equal its last,
-        #   and each run's margin lies below the one before, so every
-        #   screen fails: the six later ends and the six boxes 0 each get
-        #   a spectrum after a failed screen, 13 spectra with the first
-        #   end's;
-        # - lows: the first generator has the largest norm, so each end
-        #   after the first sets a new low: its screen fails (6) and it
-        #   gets a spectrum (7 in all), and box 0 clears above it;
-        # - 0.42 J on the last generator fails the first run at its end,
-        #   (0, 6), which gets the one spectrum; its six other boxes clear
-        #   above -tol.
-        # m = 1, D = 8: the chain is one run of nine boxes, stepped to its
-        # end first.
-        # - chain: the end passes, so the one spectrum is its own, and box
-        #   0, the identity, clears above its margin;
-        # - jchain: 0.42 J fails the end and box 6: the re-walk screens
-        #   boxes 0..6, and the first failed screen gets the other
-        #   spectrum, which decides
+    def test_one_eigensolve_per_box_at_dim_64(self, monkeypatch):
+        # one box a group: each box up to the deciding one gets its own
+        # spectrum, and no factorization is made beside the gate's, one
+        # per generator (every norm is below 1, so the gate solves no
+        # spectrum).  A zero last generator ties every box of a run, and
+        # 0.42 J on the last generator fails the first run at (0, 6)
         calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
         normals = make_commuting_normals(3, 64, 2)
         tie = normals[:1] + [np.zeros((64, 64))]
-        lows = _lows(normals, 0.9)
         jordan = [_grow(x, 0.42 * J2 if i else 0.5 * np.eye(2))
                   for i, x in enumerate(make_commuting_normals(3, 62, 2))]
         chain = make_commuting_normals(3, 64, 1)
         jchain = [_grow(make_commuting_normals(3, 62, 1)[0], 0.42 * J2)]
         box = (1, 64, 64)
-        for mats, degree, checked, spectra, screened, failed in [
-                (normals, 6, 28, 2, 12, 1), (tie, 6, 28, 13, 12, 12),
-                (lows, 6, 28, 7, 12, 6), (jordan, 6, 7, 1, 6, 0),
-                (chain, 8, 9, 1, 1, 0), (jchain, 8, 7, 2, 7, 1)]:
+        for mats, degree, checked in [
+                (normals, 6, 28), (tie, 6, 28), (jordan, 6, 7),
+                (chain, 8, 9), (jchain, 8, 7)]:
             for got in calls.values():
                 got.clear()
-            calls.completed.clear()
             rep = generator_certificate(mats, degree)
             assert rep.parameters["tuples_checked"] == checked
-            assert rep.passed == (checked == math.comb(degree + len(mats),
-                                                       len(mats)))
-            assert calls["eigvalsh"] == [box] * spectra
-            gate = len(mats)
-            assert calls["cholesky"] == [box] * (gate + screened)
-            assert calls.completed.count(False) == failed
+            assert calls == {"eigvalsh": [box] * checked,
+                             "cholesky": [box] * len(mats)}
             assert repr(rep.as_dict()) == repr(
                 sweep_oracle(mats, degree).as_dict())
 
@@ -1366,37 +1314,12 @@ class TestGeneratorSweep:
             assert repr(_outcome(generator_certificate, mats, degree,
                                  tol)) == repr(want)
 
-    def test_unimodular_ends_keep_the_floor_screen(self, monkeypatch):
-        # unitary pairs at dim 64, m = 2, D = 6: every box past box 0 is 0
-        # up to rounding, so run ends pass at margins near 0 and the boxes
-        # between can tie them.  A diagonal pair's ends read 0.0 while
-        # boxes between read -2.2e-16, so they are not covered but
-        # screened above the floor, as each end is: 8 spectra and 5 failed
-        # screens; a rotated pair's ends read about -3.6e-14: 5 spectra
-        # and 2 failed screens (two more Cholesky calls are the gate's)
-        rng = np.random.default_rng(0)
-        u = np.linalg.qr(rng.normal(size=(64, 64))
-                         + 1j * rng.normal(size=(64, 64)))[0]
-        unitaries = [np.diag(np.exp(1j * a))
-                     for a in rng.uniform(0, 2 * math.pi, size=(2, 64))]
-        rotated = [u @ x @ np.conj(u).T for x in unitaries]
-        calls = count_solvers(monkeypatch, "eigvalsh", "cholesky")
-        for mats, spectra, failed in [(unitaries, 8, 5), (rotated, 5, 2)]:
-            for got in calls.values():
-                got.clear()
-            calls.completed.clear()
-            rep = generator_certificate(mats, 6)
-            assert (len(calls["eigvalsh"]), calls.completed.count(False)) == (
-                spectra, failed)
-            assert repr(rep.as_dict()) == repr(
-                sweep_oracle(mats, 6).as_dict())
-
     def test_a_failing_box_0_beside_a_zero_end_decides(self):
         # J (+) N1 and I (+) N2 at dim 64: the run of prefix (2,) starts
         # at box(2, 0) = diag(-1, 1) (+) ..., and the identity block of the
         # last generator, a unitary part, makes its other boxes exactly 0
-        # there, so its end passes at margin 0.0 while box 0 fails at -1:
-        # an end at 0 covers nothing, and box 0 decides
+        # there, so its last box passes at margin 0.0 while box 0 fails at
+        # -1, and box 0 decides
         n1, n2 = make_commuting_normals(4, 62, 2)
         mats = [_grow(n1, J2), _grow(n2, np.eye(2))]
         rep = generator_certificate(mats, 4)
@@ -1406,9 +1329,8 @@ class TestGeneratorSweep:
     @pytest.mark.usefixtures("delta_path")
     def test_a_covered_box_that_is_not_hermitian_decides(self):
         # at tol = 1e-17 rounding makes boxes non-Hermitian.  Box (1, 0, 1)
-        # of this tuple is the first, and lies inside a run whose ends pass
-        # at margins > 0: the run's skew norm, summed as it is walked,
-        # keeps its ends from covering it, so it raises as in the oracle
+        # of this tuple is the first, and lies inside a run whose first
+        # and last boxes pass at margins > 0; it raises as in the oracle
         seed, dim, tol = 107, 16, 1e-17
         scalars = np.random.default_rng(seed).uniform(0.2, 0.9, 3)
         mats = [np.asarray(make_commuting_normals(seed, dim, 3)[0])] + [
@@ -1423,7 +1345,7 @@ class TestGeneratorSweep:
     def test_a_norm_above_1_inside_tol_covers_no_box(self, m):
         # (1 + 0.75 tol) I passes the gate, not its norm screen; its chain
         # I, -1.5e-8 I, 2.25e-16 I ends above 0 with box 1 below -tol.  At
-        # dim 64 the chain is one run, and its end must not cover box 1
+        # dim 64 the chain is one run, and box 1 decides
         tol = 1e-8
         mats = make_commuting_normals(5, 64, 1)[:m - 1] + [
             (1 + 0.75 * tol) * np.eye(64)]
@@ -1449,10 +1371,9 @@ class TestGeneratorSweep:
 
     def test_a_chain_that_is_not_monotone_goes_a_group_at_a_time(
             self, monkeypatch):
-        # the identity has norm 1 (the gate's one norm spectrum), so its
-        # chain's end covers nothing: the 2001 boxes of 8 x 8 are judged in
-        # 63 groups of up to 32 as they are stepped, each dropped when
-        # judged, with no second walk
+        # the identity has norm 1 (the gate's one norm spectrum); its
+        # 2001 boxes of 8 x 8 are judged in 63 groups of up to 32 as they
+        # are stepped, each dropped when judged
         mats, degree = [np.eye(8)], 2000
         calls = count_solvers(monkeypatch, "eigvalsh")
         tracemalloc.start()
@@ -1492,14 +1413,12 @@ class TestGeneratorSweep:
         mats = make_commuting_normals(m, dim, m)
         size = linalg._group_size(dim)
         walked = []
-        for p, length, run in certificates._walk(
+        for p, run in certificates._walk(
                 certificates._adjoint_pairs(mats), dim, degree, size):
-            chunks = list(run())  # read before the next run is stepped
+            chunks = list(run)  # read before the next run is stepped
             assert all(1 <= len(c) <= size for c in chunks)
             boxes = [box for c in chunks for box in c]
-            assert len(boxes) == length
-            assert [box.tobytes() for c in run() for box in c] == [
-                box.tobytes() for box in boxes]  # a re-walk is bitwise
+            assert len(boxes) == degree - sum(p) + 1
             for k, box in enumerate(boxes):
                 assert box.tobytes() == np.asarray(
                     box_operator(mats, p + (k,))).tobytes()
@@ -1528,30 +1447,29 @@ class TestGeneratorSweep:
     @pytest.mark.usefixtures("delta_path")
     def test_each_box_is_stepped_once_on_the_sweep_grid(self, monkeypatch):
         # A sweep steps every box but I once up to its deciding group,
-        # and the m = 1 chain at dim 32 (groups of 2), whose end passes,
-        # steps its nine boxes once and takes box 0 from that same walk
+        # an m = 1 chain too, whether it passes or fails: at dim 32
+        # (groups of 2) the chain steps its nine boxes once
         total, steps, _ = self._grid_steps(monkeypatch)
-        assert total == 953
+        assert total == 945
         steps.clear()
         rep = generator_certificate(make_commuting_normals(3, 32, 1), 9)
         assert rep.passed and sum(steps) == 9
 
     def test_the_closed_form_skips_the_walk_on_the_sweep_grid(
             self, monkeypatch):
-        # of the grid's 16 normal tuples at seed 3, 15 take the closed
-        # form and step no box; m = 1 at dim 64, D = 8, whose slack s
-        # exceeds tol / 2, walks its chain (8 steps).  Every jordan and
+        # the grid's 16 normal tuples at seed 3 take the closed form and
+        # step no box; m = 1 at dim 64, D = 8, whose first eigenbasis
+        # mixes a cluster, takes it on the refined one.  Every jordan and
         # shift tuple but the bare 2 x 2 shift is a normal summand (+) a
         # 2 x 2 block: it splits, and walks only the block, packed into
         # one group and so stepped whole (329 steps with the bare shift's
         # 6), then steps its failing box at full order (27 steps, the
         # sum of the witnesses' degrees)
         total, steps, reports = self._grid_steps(monkeypatch)
-        assert total == 8 + 329 + 27
+        assert total == 329 + 27
         assert [label for label, rep in reports.items()
-                if "normal" in label and not _routed(rep)] == [
-            "sweep normal m=1 dim=64 D=8"]
-        assert sum(map(_routed, reports.values())) == 15
+                if "normal" in label and not _routed(rep)] == []
+        assert sum(map(_routed, reports.values())) == 16
         import workloads  # on the path since _grid_steps
         walked, real = [], certificates._walk
         monkeypatch.setattr(certificates, "_walk", lambda pairs, dim, *a: (
@@ -1927,6 +1845,108 @@ class TestDirectSumSplit:
             sweep_oracle(mats, degree).as_dict())
 
 
+def _clustered_normals(rng, kind, m, dim):
+    """m commuting normals W diag(lam_i) W*, one random unitary W, whose
+    joint eigenvalues cluster: ``tied`` moves 1 to dim - 2 of them so
+    that each shares its golden-angle projection Re sum_k e^{i k theta}
+    lam_k with the eigenvalue before it, ``repeated`` copies them.  So
+    no cluster holds every column, and every |lam| <= 0.8."""
+    w = np.linalg.qr(_gaussian(rng, dim))[0]
+    lam = 0.5 * (rng.uniform(-1, 1, (m, dim))
+                 + 1j * rng.uniform(-1, 1, (m, dim)))
+    weights = np.exp(1j * linalg._GOLDEN_ANGLE * np.arange(1, m + 1))
+    for j in rng.choice(dim - 1, size=rng.integers(1, dim - 1),
+                        replace=False):
+        if kind == "repeated":
+            lam[:, j + 1] = lam[:, j]
+            continue
+        step = 0.3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        step[0] -= np.conj(weights[0]) * (weights @ step).real
+        lam[:, j + 1] = lam[:, j] + step
+    lam *= 0.8 / max(0.8, np.abs(lam).max())
+    return [w @ np.diag(x) @ np.conj(w).T for x in lam]
+
+
+class TestClusteredSpectra:
+    """Commuting normals whose joint eigenvalues cluster on the
+    golden-angle combination take the closed form on the refined joint
+    eigenbasis; a tuple that misses the route pays at most one more
+    eigensolve per cluster, of the cluster's order, and none on a basis
+    that every column joins."""
+
+    @settings(max_examples=40)
+    @given(data=st.data(), kind=st.sampled_from(["tied", "repeated"]),
+           m=st.integers(1, 3), dim=st.integers(3, 24),
+           seed=st.integers(0, 2 ** 16))
+    def test_clustered_normals_take_the_route(self, data, kind, m, dim,
+                                              seed):
+        # the sweep routes, at a residual within the rounding level, with
+        # the oracle's verdict and parameters and a margin within s of it
+        mats = _clustered_normals(np.random.default_rng(seed), kind, m, dim)
+        degree = data.draw(st.integers(0, min(10, _affordable_degree(
+            m, dim))))
+        rep = generator_certificate(mats, degree)
+        closed = certificates._closed_form(
+            [cmatrix(x) for x in mats], degree, 1e-8)
+        assert _routed(rep) and closed is not None
+        margin, r, s = closed
+        assert r <= certificates._ROUNDING_LEVEL * dim * dim * 2.0 ** -53
+        want = sweep_oracle(mats, degree)
+        assert (rep.verdict, rep.parameters) == (want.verdict,
+                                                 want.parameters)
+        assert rep.margin == margin and abs(margin - want.margin) <= s
+
+    def test_a_tie_is_refined_by_one_eigensolve_of_its_order(
+            self, monkeypatch):
+        # two joint eigenvalues share their projection: the first basis
+        # mixes them, and the turned combination on their two columns
+        # separates them
+        rng = np.random.default_rng(3)
+        w = np.linalg.qr(_gaussian(rng, 8))[0]
+        lam = np.array([0.3, 0.3 + 0.2j * np.exp(-1j * linalg._GOLDEN_ANGLE),
+                        -0.5, 0.1j, 0.6, -0.2 - 0.4j, 0.7j, -0.6])
+        mats = [w @ np.diag(lam) @ np.conj(w).T]
+        calls = count_solvers(monkeypatch, "eigh")
+        (_, first), (_, refined) = linalg.joint_spectrum(mats)
+        assert calls == {"eigh": [(8, 8), (2, 2)]}
+        level = certificates._ROUNDING_LEVEL * 64 * 2.0 ** -53
+        assert first > level >= refined
+        calls["eigh"].clear()
+        assert _routed(generator_certificate(mats, 6))
+        assert calls == {"eigh": [(8, 8), (2, 2)]}
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_non_commuting_normal_pair_makes_one_eigensolve(
+            self, monkeypatch, n):
+        # each is normal and its columns are short, so the closed form
+        # solves the first basis; the second operator is dense in it, its
+        # links join every column, and nothing is refined before the gate
+        # rejects the pair
+        mats = [0.9 * np.asarray(make_commuting_normals(seed, n, 1)[0])
+                for seed in (1, 2)]
+        calls = count_solvers(monkeypatch, "eigh")
+        rep = generator_certificate(mats, 4)
+        assert calls == {"eigh": [(n, n)]}
+        assert rep.witness["reason"] == "non-commuting"
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_turned_jordan_block_refines_only_its_cluster(self,
+                                                            monkeypatch, m):
+        # 0.6 H J H (+) a normal passes the self-commutator check and
+        # misses the route: its two columns are the one cluster, refined
+        # by one 2 x 2 eigensolve, and the tuple walks as the oracle does
+        tol, dim = 1e-8, 8
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        normal = 0.9 * np.asarray(make_commuting_normals(m, dim - 2, 1)[0])
+        mats = [_grow(normal, 0.6 * h @ J2 @ h)] + [0.5 * np.eye(dim)] * (
+            m - 1)
+        calls = count_solvers(monkeypatch, "eigh")
+        rep = _outcome(generator_certificate, mats, 4, tol)
+        assert calls == {"eigh": [(dim, dim), (2, 2)]}
+        monkeypatch.undo()
+        assert repr(rep) == repr(_outcome(sweep_oracle, mats, 4, tol))
+
+
 def _near_unitary(rng, dim, m, radius):
     """m commuting normals W diag(radius e^{i t_j}) W*, one random unitary
     W and random phases: every joint eigenvalue has modulus ``radius``."""
@@ -1938,8 +1958,7 @@ def _near_unitary(rng, dim, m, radius):
 class TestRouteBeforeTheGate:
     """The generator sweep takes its routes before the precondition gate,
     and gates only what walks the Delta path: every tuple it routes would
-    pass the gate with its norm screen cleared, and a direct sum's rest
-    is gated alone at the whole tuple's screen slack."""
+    pass the gate, and a direct sum's rest is gated alone."""
 
     @settings(max_examples=80)
     @given(data=st.data(), kind=st.sampled_from(
@@ -1951,11 +1970,8 @@ class TestRouteBeforeTheGate:
         # commuting normals, normals with every joint eigenvalue of
         # modulus 1 - 10^-e, and permuted N (+) R.  A tuple that is not
         # gated whole passes the per-pair gate oracle, and the part that
-        # took the closed form clears the norm screen at the tuple's
-        # order.  A split gates its rest R alone: the whole tuple's screen
-        # clears where R's does at the tuple's slack, and R's monotone
-        # flag is that screen and R's own commutators at rounding level,
-        # the flag that gating the whole tuple first gave R
+        # took the closed form has no norm excess.  A split gates its rest
+        # R alone, which passes
         rng = np.random.default_rng(seed)
         dim = data.draw(st.integers(1, 24))
         if kind == "normal":
@@ -1975,35 +1991,26 @@ class TestRouteBeforeTheGate:
                                  rng.permutation(dim + k))
         n = len(mats[0])
         gates, forms = [], []
-        real_gate, real_form = certificates._gate_runs, \
-            certificates._closed_form
+        real_gate, real_form = certificates._gate, certificates._closed_form
 
         def gate(*args):
-            gates.append((args[2], args[4:], real_gate(*args)))
-            return gates[-1][2]
+            gates.append((args[2], real_gate(*args)))
+            return gates[-1][1]
 
         def form(*args):
             forms.append((args[0], real_form(*args)))
             return forms[-1][1]
-        with mock.patch.object(certificates, "_gate_runs", gate), \
+        with mock.patch.object(certificates, "_gate", gate), \
                 mock.patch.object(certificates, "_closed_form", form):
             _outcome(generator_certificate, mats, degree, tol)
-        if any(len(ops[0]) == n for ops, _, _ in gates):
+        if any(len(ops[0]) == n for ops, _ in gates):
             return  # gated first, as without the routes
         assert gate_oracle(mats, tol) is None
         part = next(ops for ops, closed in forms if closed is not None)
-        assert linalg._norm_screen(part, n)[2]
-        cleared = linalg._norm_screen(mats)[2]
-        if not gates:  # the whole tuple took the closed form
-            assert cleared
-            return
-        [(rest, order, (report, monotone))] = gates
-        assert report is None and order == (n,)
-        assert cleared == linalg._norm_screen(rest, n)[2]
-        bound = (2.0 * len(rest[0]) ** 2 * 2.0 ** -53) ** 2
-        commutes = all(np.vdot(c, c).real <= bound for c in (
-            x @ rest[-1] - rest[-1] @ x for x in rest[:-1]))
-        assert monotone == (cleared and commutes)
+        assert linalg.norm_excess(part) == (0.0, None)
+        if gates:  # a split: its rest alone, which passes
+            [(rest, report)] = gates
+            assert report is None and len(rest[0]) < n
 
     @pytest.mark.parametrize("case", ["unitary", "shift", "near-one"])
     @pytest.mark.parametrize("m", [1, 2])

@@ -288,82 +288,6 @@ class TestPsdStack:
         assert len(mins) == 2 and abs(defect - 0.9e-8) <= 1e-20
 
 
-def _bits(verdicts):
-    """_psd_stack's (mins, tolerances, defect) as bytes: equal bitwise."""
-    mins, tolerance, defect = verdicts
-    return mins.tobytes(), tolerance.tobytes(), np.float64(defect).tobytes()
-
-
-def _screened(stack, floor, tol=1e-8):
-    """Whether _psd_stack's screen clears the stack above ``floor``; a
-    stack it does not clear gets bitwise the verdicts of the plain rule."""
-    got = _psd_stack(stack, tol, floor)
-    if np.isinf(got[0]).all():
-        assert np.isinf(got[1]).all() and got[2] == 0.0
-        return True
-    assert _bits(got) == _bits(_psd_stack(stack, tol))
-    return False
-
-
-class TestPsdScreen:
-    """Given a floor, the shifted Cholesky screen of ``_psd_stack`` clears
-    matrices that the exact rule passes above it; what it does not clear is
-    left to that rule."""
-
-    def test_a_cleared_matrix_passes_above_the_floor(self):
-        # PSD stacks of full and deficient rank, least eigenvalues from 0
-        # (up to rounding) to 0.5, floors from well below the least margin
-        # to a few slacks above it
-        rng = np.random.default_rng(31)
-        cleared = kept = 0
-        for trial in range(300):
-            n, k = int(rng.integers(1, 13)), int(rng.integers(1, 4))
-            stack = []
-            for _ in range(k):
-                x = _rand(rng, n, int(rng.integers(1, n + 1)))
-                a = x @ np.conj(x).T
-                a = a / (2.0 * operator_norm(a)) + rng.uniform(0, 0.5) * (
-                    trial % 2) * np.eye(n)
-                stack.append(a)
-            stack = np.array(stack)
-            want = [psd_check(a) for a in stack]
-            low = min(v.min_eigenvalue for v in want)
-            slack = 64 * n * 2.0 ** -53 * np.linalg.norm(stack)
-            floor = max(low - rng.uniform(-2.0, 4.0) * slack, -1e-8)
-            if _screened(stack, floor):
-                cleared += 1
-                assert all(v.is_psd and v.min_eigenvalue > floor
-                           for v in want)
-            else:
-                kept += 1
-        assert cleared > 50 and kept > 50  # both outcomes are exercised
-
-    def test_a_matrix_nearer_the_floor_than_rounding_is_kept(self):
-        near = np.diag([0.5 + 2.0 ** -50, 1.0])[None].astype(np.complex128)
-        assert not _screened(near, 0.5)
-        assert _screened(near, 0.5 - 1e-12)
-
-    ROT = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-    @pytest.mark.parametrize("case", ["rescale", "defect", "nan", "tie"])
-    def test_what_the_screen_cannot_judge_is_kept(self, case):
-        # the clean matrix is cleared alone, but not beside one that takes
-        # the rescale, may reach the Hermitian-defect rule, is not finite
-        # or ties the floor
-        clean = 0.5 * np.eye(8)
-        odd = {"rescale": 2.0 ** 500 * np.eye(8),
-               "defect": np.eye(8) + 0.45e-8 * self.ROT,
-               "nan": np.diag([np.nan] + [1.0] * 7),
-               "tie": 0.25 * np.eye(8)}[case]
-        assert _screened(clean[None].astype(np.complex128), 0.25)
-        stack = np.array([clean, odd], dtype=np.complex128)
-        if case == "nan":
-            with pytest.raises(InputError, match="finite"):
-                _psd_stack(stack, 1e-8, 0.25)
-        else:
-            assert not _screened(stack, 0.25)
-
-
 class TestGateScans:
     @pytest.mark.parametrize("m, dim", [(0, 3), (1, 0), (1, 4), (2, 3),
                                         (3, 1), (4, 5), (6, 16), (3, 64)])
@@ -560,6 +484,20 @@ class TestOperatorNorm:
             assert singles == want and {type(v) for v in singles} == {float}
         assert operator_norms(stack[:0]).shape == (0,)
 
+    def test_huge_entries_give_finite_norms(self):
+        # a Gram product of entries beyond about 2^511 overflows: past one
+        # np.vdot over the stack, each matrix with ||A||_F^2 >= 2^800 is
+        # normed on its power-of-two rescale and the others as they are,
+        # exactly on these (warnings are errors here)
+        assert operator_norm([[1e200, 0], [0, 0]]) == 1e200
+        x = 2.0 ** 399.75  # ||A||_F^2 < 2^800, two of them above 2^799
+        stack = np.array([[[1e200, 0], [0, 0]], [[0, 0.5], [0.25, 0]],
+                          [[1e308, 0], [0, -1e308]], [[3, 0], [0, 4]],
+                          [[x, 0], [0, 0]], [[0, x], [0, 0]]])
+        assert operator_norms(stack).tolist() == [1e200, 0.5, 1e308, 4.0,
+                                                  x, x]
+        assert operator_norms(stack[3:]).tolist() == [4.0, x, x]
+
 
 @settings(max_examples=100)
 @given(rows=st.integers(0, 6), cols=st.integers(0, 6),
@@ -604,8 +542,8 @@ class TestJointSpectrum:
         w = np.linalg.qr(_rand(rng, dim))[0]
         diags = rng.uniform(-0.9, 0.9, (m, dim)) + 1j * rng.uniform(
             -0.4, 0.4, (m, dim))
-        lam, r = joint_spectrum([w @ np.diag(d) @ np.conj(w).T
-                                 for d in diags])
+        lam, r = next(joint_spectrum([w @ np.diag(d) @ np.conj(w).T
+                                      for d in diags]))
         assert lam.shape == (m, dim) and not lam.flags.writeable
         order = np.argsort(lam[0].real)
         assert np.abs(lam[:, order] - diags[:, np.argsort(diags[0].real)]
@@ -613,13 +551,29 @@ class TestJointSpectrum:
         assert r <= 32 * dim * dim * 2.0 ** -53
 
     def test_a_scalar_tuple_has_residual_zero(self):
-        lam, r = joint_spectrum([0.5 * np.eye(3), -0.25j * np.eye(3)])
+        lam, r = next(joint_spectrum([0.5 * np.eye(3), -0.25j * np.eye(3)]))
         assert r == 0.0 and np.array_equal(
             lam, np.array([[0.5] * 3, [-0.25j] * 3]))
 
     def test_a_non_normal_matrix_leaves_a_residual(self):
         j = np.array([[0.0, 0.0], [0.6, 0.0]])
-        assert joint_spectrum([j])[1] >= 0.3
+        assert next(joint_spectrum([j]))[1] >= 0.3
+
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_a_basis_without_a_partial_cluster_is_final(self, monkeypatch,
+                                                        commuting):
+        # commuting normals in general position leave no entry above the
+        # rounding level off the diagonal; two normals in different
+        # eigenbases link every column.  Either way the first basis is the
+        # only one, from one eigensolve
+        rng = np.random.default_rng(8)
+        bases = [np.linalg.qr(_rand(rng, 16))[0] for _ in range(2)]
+        mats = [w @ np.diag(rng.uniform(-0.9, 0.9, 16)) @ np.conj(w).T
+                for w in (bases[:1] * 2 if commuting else bases)]
+        calls = count_solvers(monkeypatch, "eigh")
+        [(_, r)] = list(joint_spectrum(mats))
+        assert calls == {"eigh": [(16, 16)]}
+        assert (r <= 32 * 16 * 16 * 2.0 ** -53) == commuting
 
 
 class TestBlocks:

@@ -93,14 +93,15 @@ SWEEP_CALLERS = {
 }
 
 
-#: the functions that may call the precondition gate and its norm screen:
-#: the sweep's routes show that a tuple would pass the gate, and do not
-#: replace it, so no second gate grows beside ``_gate``
+#: the functions that may call the precondition gate's two scans: the
+#: sweep's routes show that a tuple would pass the gate, and do not
+#: replace it, so no second gate grows beside ``_gate`` (and
+#: ``validate_rep``, which reports contractivity on its own)
 GATE_CALLERS = {
-    "_gate_runs": {("certificates.py", "_gate"),
-                   ("certificates.py", "generator_certificate")},
-    "_norm_screen": {("linalg.py", "norm_excess"),
-                     ("certificates.py", "_gate_runs")},
+    "norm_excess": {("certificates.py", "_gate"),
+                    ("representations.py", "validate_rep")},
+    "_commutators": {("certificates.py", "_gate"),
+                     ("linalg.py", "commutator_residual")},
 }
 
 def _solver_callers(tree, allowed=SOLVER_CALLERS):
@@ -170,9 +171,9 @@ def test_no_kind_chains_outside_the_records():
 
 
 def test_the_cholesky_screen_is_inside_the_psd_rule():
-    # one helper holds the screen that clears boxes above a floor
-    # (_psd_stack) and contractions below norm 1 (norm_excess): no other
-    # function factors a matrix to decide positivity
+    # one helper holds the screen that clears contractions below norm 1
+    # (norm_excess): no other function factors a matrix to decide
+    # positivity
     assert _stray_calls({"cholesky"}) == (True, [])
 
 
