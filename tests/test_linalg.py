@@ -27,6 +27,7 @@ from normex import (
     psd_check,
 )
 from normex.linalg import (
+    _cholesky_clears,
     _psd_stack,
     commutator_residual,
     joint_spectrum,
@@ -286,6 +287,81 @@ class TestPsdStack:
         assert len(mins) == 2 and defect == 0.0
         mins, _, defect = _psd_stack(np.array([np.eye(8), near]), 1e-8)
         assert len(mins) == 2 and abs(defect - 0.9e-8) <= 1e-20
+
+
+def _screened(stack, floor):
+    """Whether the shifted Cholesky screen clears a Hermitian stack above
+    ``floor``: one factorization of H - cI, c = floor + s, where the slack
+    s = 64 n u (||stack||_F + n |floor|) covers its rounding."""
+    n = stack.shape[-1]
+    s = 64 * n * 2.0 ** -53 * (np.linalg.norm(stack) + n * abs(floor))
+    return _cholesky_clears(np.array(stack, dtype=np.complex128), floor + s)
+
+
+class TestPsdScreen:
+    """Given a floor and a slack for rounding, the shifted Cholesky screen
+    ``_cholesky_clears`` clears matrices that the exact rule passes above
+    the floor.  ``norm_excess`` screens contractions with it; what that
+    screen cannot judge is left to the eigensolve."""
+
+    def test_a_cleared_matrix_passes_above_the_floor(self):
+        # PSD stacks of full and deficient rank, least eigenvalues from 0
+        # (up to rounding) to 0.5, floors from well below the least margin
+        # to a few slacks above it
+        rng = np.random.default_rng(31)
+        cleared = kept = 0
+        for trial in range(300):
+            n, k = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            stack = []
+            for _ in range(k):
+                x = _rand(rng, n, int(rng.integers(1, n + 1)))
+                a = x @ np.conj(x).T
+                a = a / (2.0 * operator_norm(a)) + rng.uniform(0, 0.5) * (
+                    trial % 2) * np.eye(n)
+                stack.append(a)
+            stack = np.array(stack)
+            want = [psd_check(a) for a in stack]
+            low = min(v.min_eigenvalue for v in want)
+            slack = 64 * n * 2.0 ** -53 * np.linalg.norm(stack)
+            floor = max(low - rng.uniform(-2.0, 4.0) * slack, -1e-8)
+            if _screened(stack, floor):
+                cleared += 1
+                assert all(v.is_psd and v.min_eigenvalue > floor
+                           for v in want)
+            else:
+                kept += 1
+        assert cleared > 50 and kept > 50  # both outcomes are exercised
+
+    def test_a_matrix_nearer_the_floor_than_rounding_is_kept(self):
+        near = np.diag([0.5 + 2.0 ** -50, 1.0])[None].astype(np.complex128)
+        assert not _screened(near, 0.5)
+        assert _screened(near, 0.5 - 1e-12)
+
+    @pytest.mark.parametrize("case", ["rescale", "defect", "nan", "tie"])
+    def test_what_the_screen_cannot_judge_is_kept(self, monkeypatch, case):
+        # norm_excess factors (1 - s)I - M*M, s = 64 n^2 u.  The clean
+        # matrix is cleared alone, with no eigensolve, but not beside one
+        # whose Gram product overflows (normed on its rescale), one of
+        # deficient rank whose norm lies within s of 1, one that is not
+        # finite or one that ties norm 1: the stack gets its norms from
+        # the eigensolve (which does not converge on the NaN)
+        clean = 0.5 * np.eye(8)
+        rank_one = np.zeros((8, 8))
+        rank_one[0] = (1.0 - 2.0 ** -50) / math.sqrt(8.0)
+        odd, want = {"rescale": (2.0 ** 500 * np.eye(8), (2.0 ** 500, 1)),
+                     "defect": (rank_one, (0.0, None)),
+                     "nan": (np.diag([np.nan] + [0.5] * 7), None),
+                     "tie": (np.eye(8), (0.0, None))}[case]
+        calls = count_solvers(monkeypatch, "eigvalsh")
+        assert norm_excess([clean]) == (0.0, None)
+        assert calls == {"eigvalsh": []}
+        stack = np.array([clean, odd], dtype=np.complex128)
+        if case == "nan":
+            with pytest.raises(np.linalg.LinAlgError):
+                norm_excess(stack)
+        else:
+            assert norm_excess(stack) == want
+        assert calls == {"eigvalsh": [(2, 8, 8)]}
 
 
 class TestGateScans:
