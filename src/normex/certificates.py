@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_PSD_TOL,
+    _GOLDEN_ANGLE,
     _ROUNDING_LEVEL,
     CMatrix,
     PsdVerdict,
@@ -653,17 +654,27 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     The tests read the first eigenbasis of ``joint_spectrum``, and where it
     misses them, its refined one: clustered joint eigenvalues, which the
     first mixes at a residual above rounding, fall apart there.
-    Two necessary checks fail fast before the eigensolve.  A squared
+    Three necessary checks fail fast before the eigensolve.  A squared
     column norm >= 1 - 64 n^2 u gives ||T_i|| > 1 - 64 n^2 u, against (a),
     so a unitary, a shift or (1 + 0.75 tol) I pays no eigensolve.  An
-    operator that is not normal at rounding level fails the other: the
+    operator that is not normal at rounding level fails the second: the
     diagonal of T_i T_i* - T_i* T_i, the squared row norms of T_i less
     its squared column norms (``gaps``), must have norm at most
     4 * 32 n^2 u + 10 n^2 u.  For T_i within eps of a normal N_i (below),
     ||T_i T_i* - T_i* T_i||_F <= 4 eps to first order, and forming the
     squared norms rounds the diagonal by at most 2 n^(3/2) u; so every
     tuple that passes (b) passes this check, while r J or a shift in its
-    own basis fails it in O(n^2) work.
+    own basis fails it in O(n^2) work.  The third probes commutation on
+    one fixed unit vector v, v_j = e^{i j theta} / sqrt(n) (theta the
+    golden angle): the squares of ||T_j T_i v - T_i T_j v||, formed by two
+    stacked products and summed over the m (m - 1) ordered pairs i != j,
+    must total at most m (m - 1) (7 (32 n^2 + 2 n) u)^2.  Every tuple that
+    passes (a) and (b) passes it: below, each commutator has norm
+    <= 4 eps - 2 eps^2, each side is two products of factors of norm
+    <= rho + eps <= 1, rounding by about 2 n u, and the subtraction by
+    2 u, so each norm the probe sums is at most 4 eps + 4 n u + 2 u
+    <= 7 eps, with eps <= (32 n^2 + 2 n) u by (b).  So two normals that do
+    not commute pay no eigensolve, only O(m^2 n^2) work.
 
     The argument runs to first order in u and r, with each product of
     factors of norm <= 1 rounding by about n u (normwise, as p(n) in
@@ -701,13 +712,21 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     judges, which include each D e_i, lies within s of the closed form.
     (b) keeps that move at rounding level: s then counts only rounding,
     amplified by the degree."""
-    n, u = mats[0].shape[-1], 2.0 ** -53
-    gaps, cols = _square_sums(np.asarray(mats)) if sums is None else sums
+    a = np.asarray(mats)
+    n, u = a.shape[-1], 2.0 ** -53
+    gaps, cols = _square_sums(a) if sums is None else sums
     slack = 1.0 - 64 * n * n * u
     if not (cols.max() < slack
             and (gaps * gaps).sum(axis=1).max() <= _gap_bound(n)):
         return None
-    for lam, r in joint_spectrum(mats):
+    if len(a) > 1:
+        v = np.exp(1j * _GOLDEN_ANGLE * np.arange(n)) / math.sqrt(n)
+        y = a @ (a @ v).T  # y[j, :, i] = T_j T_i v
+        y = y - y.transpose(2, 1, 0)
+        bound = 7 * (_ROUNDING_LEVEL * n * n + 2 * n) * u
+        if np.vdot(y, y).real > len(a) * (len(a) - 1) * bound * bound:
+            return None
+    for lam, r in joint_spectrum(a):
         square = lam.real ** 2 + lam.imag ** 2
         rho2 = square.max().item()
         eps = r + 2 * n * u
@@ -731,10 +750,10 @@ def _normal_summands(a, gaps, cols):
     of the candidate summands; or None, when the tuple has one summand,
     none is a candidate, or every one is.
 
-    A summand of order k is a candidate when it passes the two fast checks
-    of ``_closed_form`` at its order: for each operator, its part of the
-    self-commutator diagonal has norm at most (4 * 32 + 10) k^2 u, and its
-    Gram diagonal (squared column norms) lies below 1 - 64 k^2 u.  No
+    A summand of order k is a candidate when it passes the first two fast
+    checks of ``_closed_form`` at its order: for each operator, its part of
+    the self-commutator diagonal has norm at most (4 * 32 + 10) k^2 u, and
+    its Gram diagonal (squared column norms) lies below 1 - 64 k^2 u.  No
     eigenproblem is solved here.
 
     Why the split keeps the verdict, to first order as in
@@ -749,11 +768,45 @@ def _normal_summands(a, gaps, cols):
     s <= tol / 2 of a PSD box of norm <= 1, so it never fails, raises, or
     sets the least eigenvalue of a failing box.  So the first box of R
     that fails is the tuple's first failure, with the same witness and
-    ``tuples_checked``; the caller judges the tuple's own box there as the
-    Delta path does, so the report keeps the Delta path's margin and
-    tolerance.  When R passes, the tuple passes with margin
+    ``tuples_checked``.  When R passes, the tuple passes with margin
     min(R's margin, (min_ij f_ij)^D), within s of the Delta path's
-    (rounding at the orders of R and of the tuple aside)."""
+    (rounding at the orders of R and of the tuple aside).
+
+    Where R first fails, at box n, with least eigenvalue min_R, tolerance
+    tol_R and Hermitian defect d_R at R's order k, the tuple's box at its
+    order o differs from R's by rounding alone, bounded by the band
+    (``_band``)
+        e = (8 k + 4 + 64 (k^2 + o^2)) max(1, |n|) u P,
+        P = prod_i (1 + rho_i^2)^{n_i},  |n| = sum(n),
+    with rho_i^2 = min(||R_i||_F^2, (1 + tol)^2) >= ||R_i||^2, R having
+    passed the gate.  One Delta step X - R_i* X R_i of a box of norm <= x
+    rounds by at most (2 k rho_i^2 + 1 + rho_i^2) u x
+    <= (2 k + 1)(1 + rho_i^2) u x (two products of order k, one
+    subtraction), and multiplies an earlier error by at most
+    1 + rho_i^2, as it does the box's norm; so after |n| steps the box
+    lies within (2 k + 1) |n| u P of the exact box_R(n).  The tuple's box
+    holds R's block apart from N's (exact zeros), formed by products that
+    round on it as of order k, so that block and R's own box lie within
+    2 (2 k + 1) |n| u P of each other, and their skew parts within twice
+    that.  Each eigensolve is exact for a matrix within 64 o^2 u ||H|| of
+    the one it is given (the slack of ``norm_excess``), with ||H|| <= P to
+    first order, since N's block lies within s of a box of norm <= 1.  So
+    the least eigenvalue of R's block of the tuple's box lies within
+    2 (2 k + 1) |n| u P + 64 (k^2 + o^2) u P <= e of min_R, and its skew
+    part within e of R's.  N's block has spectrum in [-tol / 2, 1 + s] and
+    skew part of norm <= 2 s (``_closed_form``).  So when
+        min_R + e < -max(tol_R + tol e, tol (1 + s))  and
+        d_R + 2 s + e <= tol,
+    R's block holds the tuple's least eigenvalue min <= min_R + e, below
+    -tol, its tolerance tol max(1, -min, top) is at most
+    max(tol_R + tol e, tol (1 + s)), and its defect (the Frobenius norm
+    of a direct sum's skew part is at most the sum of its summands', the
+    spectral norm the larger) is at most d_R + 2 s + e <= tol: the Delta
+    path fails at n and raises nothing.  The caller then reports R's
+    verdict, whose margin lies within e of the Delta path's, its
+    tolerance within tol max(s, e) and its defect within 2 s + e, with a
+    note naming s and e.  Inside the band it judges the tuple's own box
+    at n as the Delta path does, so the report is the Delta path's."""
     label = _summand_labels(a)
     if label is None:
         return None
@@ -770,6 +823,20 @@ def _normal_summands(a, gaps, cols):
     return label, normal
 
 
+def _band(cols, n, order: int, tol: float) -> float:
+    """``_normal_summands``'s band e at the rest's box n, for a rest whose
+    squared column norms are ``cols`` (m, k) inside a tuple of order
+    ``order``; inf where it overflows."""
+    k = cols.shape[-1]
+    try:
+        rho2 = np.minimum(cols.sum(axis=1), (1.0 + tol) ** 2).tolist()
+        growth = math.prod((1.0 + x) ** d for x, d in zip(rho2, n))
+    except OverflowError:
+        return math.inf
+    return ((8 * k + 4 + 64 * (k * k + order * order)) * max(1, sum(n))
+            * 2.0 ** -53 * growth)
+
+
 def _summand_orders(label, mask) -> tuple[str, str]:
     """The orders of the summands inside ``mask`` and of those outside it,
     each as a list from the largest down, "k (xc)" for c summands of
@@ -777,9 +844,10 @@ def _summand_orders(label, mask) -> tuple[str, str]:
     orders, named = np.bincount(label, minlength=len(label)), []
     roots = label == np.arange(len(label))
     for inside in (mask, ~mask):
-        ks, cs = np.unique(orders[roots & inside], return_counts=True)
-        named.append(", ".join(f"{k}" if c == 1 else f"{k} (x{c})" for k, c
-                               in zip(ks[::-1].tolist(), cs[::-1].tolist())))
+        ks = sorted(orders[roots & inside].tolist(), reverse=True)
+        named.append(", ".join(f"{k}" if ks.count(k) == 1
+                               else f"{k} (x{ks.count(k)})"
+                               for k in dict.fromkeys(ks)))
     return tuple(named)
 
 
@@ -809,12 +877,16 @@ def generator_certificate(
     A tuple that misses the closed form and is a direct sum up to a
     permutation of its basis (exact zeros between the summands) may split
     next; ``_normal_summands`` has the argument.  The summands that pass
-    the closed form's fast checks take the closed form together; the
+    the closed form's two norm checks take the closed form together; the
     others alone pass the gate and walk the Delta path, at their own
-    order.  Where they fail, the tuple's own box is judged as the Delta
-    path judges it, so a fail report is the Delta path's; a pass takes the
-    lower of the two margins and a note naming the summands' orders, r and
-    s.
+    order.  Where they fail by more than a rounding band e, their verdict
+    is the tuple's report, with the Delta path's witness and
+    ``tuples_checked``, its margin within e of the Delta path's, its
+    tolerance within tol max(s, e), and a note naming the summands'
+    orders, s and e; inside the band, the tuple's own box is judged as the
+    Delta path judges it, so the report is the Delta path's.  A pass takes
+    the lower of the two margins and a note naming the summands' orders, r
+    and s.
 
     Every other tuple is gated first (``_gate``, on stacks of at most one
     group; on commuting contractions it solves no eigenproblem), exactly
@@ -864,13 +936,13 @@ def generator_certificate(
         return _judge(_walk(_adjoint_pairs(ops), order, max_degree, size),
                       tol, size, order)
 
-    def failed(checked, n, verdict):
+    def failed(checked, n, verdict, *notes):
         return _psd_report(
             "generator_sweep",
             {"max_degree": max_degree, "tuples_checked": checked},
             verdict, tol, {"n": list(n)},
             notes=("first failing degree tuple in lexicographic order "
-                   f"within sum <= {max_degree}",))
+                   f"within sum <= {max_degree}",) + notes)
 
     def read_off(r):
         return ("read off the joint spectrum: (min_ij (1 - |lambda_ij|^2))"
@@ -890,18 +962,29 @@ def generator_certificate(
         residual = stack[:, rest[:, None], rest]
         if _gate("generator_sweep", ran, residual, tol) is not None:
             return None
+        margin, r, s = closed
         try:
             checked, worst, failure = sweep(residual)
+            inside, outside = _summand_orders(label, mask)
             if failure is None:
-                margin, r, s = closed
-                inside, outside = _summand_orders(label, mask)
                 return passed(checked, min(worst, margin), swept, (
                     f"direct sum: the normal summands, of orders {inside}, "
                     f"have their margin {read_off(r)}, within s = {s:.3e} "
                     "of the Delta path's; the Delta path swept the others, "
                     f"of orders {outside}"))
-            # the tuple's own box, as the Delta path judges it
-            n = failure[0]
+            n, verdict = failure
+            e = _band(cols[:, rest], n, dim, tol)
+            if (verdict.min_eigenvalue + e < -max(
+                    verdict.tolerance_used + tol * e, tol * (1.0 + s))
+                    and verdict.hermitian_defect + 2.0 * s + e <= tol):
+                return failed(checked, n, verdict, (
+                    "direct sum: the Delta path failed on the summands of "
+                    f"orders {outside} at their own order, within "
+                    f"e = {e:.3e} of the whole tuple's box; the normal "
+                    f"summands, of orders {inside}, lie within s = {s:.3e} "
+                    "of PSD boxes"))
+            # inside the band: the tuple's own box, as the Delta path
+            # judges it
             verdict = psd_check(_defect_map(
                 mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
                 tol)

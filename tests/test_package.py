@@ -81,6 +81,12 @@ SOLVER_CALLERS = {
     "_psd_stack": {("linalg.py", "psd_check"), ("certificates.py", "_judge")},
     "_delta": {("certificates.py", "_defect_map"),
                ("certificates.py", "_chain"), ("certificates.py", "_walk")},
+    # the box and subset sums, and the direct-sum split's one full-order
+    # judgment of a failing box inside its band: no second full-order
+    # re-judge grows beside it
+    "_defect_map": {("certificates.py", "box_operator"),
+                    ("certificates.py", "brehmer_sum"),
+                    ("certificates.py", "generator_certificate")},
 }
 
 
@@ -140,6 +146,10 @@ def test_every_eigensolve_is_in_the_linalg_kernel():
 
 def test_one_walk_steps_and_one_judge_judges():
     assert _stray_calls({"_psd_stack", "_delta"}) == (True, [])
+
+
+def test_one_full_order_rejudge():
+    assert _stray_calls({"_defect_map"}) == (True, [])
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CALLERS))
