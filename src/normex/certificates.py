@@ -9,6 +9,7 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -637,6 +638,15 @@ def _gap_bound(n):
     return ((4 * _ROUNDING_LEVEL + 10) * 2.0 ** -53 * n * n) ** 2
 
 
+@functools.lru_cache(maxsize=16)
+def _probe_vector(n: int):
+    """``_closed_form``'s commutation probe: the unit vector v of order n,
+    v_j = e^{i j theta} / sqrt(n), theta the golden angle; read-only."""
+    v = np.exp(1j * _GOLDEN_ANGLE * np.arange(n)) / math.sqrt(n)
+    v.flags.writeable = False
+    return v
+
+
 def _closed_form(mats, max_degree: int, tol: float, sums=None):
     """The generator sweep's margin over a commuting normal tuple, read off
     its joint spectrum where the Delta path provably passes: (margin, r, s)
@@ -666,15 +676,15 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     tuple that passes (b) passes this check, while r J or a shift in its
     own basis fails it in O(n^2) work.  The third probes commutation on
     one fixed unit vector v, v_j = e^{i j theta} / sqrt(n) (theta the
-    golden angle): the squares of ||T_j T_i v - T_i T_j v||, formed by two
-    stacked products and summed over the m (m - 1) ordered pairs i != j,
-    must total at most m (m - 1) (7 (32 n^2 + 2 n) u)^2.  Every tuple that
-    passes (a) and (b) passes it: below, each commutator has norm
-    <= 4 eps - 2 eps^2, each side is two products of factors of norm
-    <= rho + eps <= 1, rounding by about 2 n u, and the subtraction by
-    2 u, so each norm the probe sums is at most 4 eps + 4 n u + 2 u
-    <= 7 eps, with eps <= (32 n^2 + 2 n) u by (b).  So two normals that do
-    not commute pay no eigensolve, only O(m^2 n^2) work.
+    golden angle, ``_probe_vector``): the squares of
+    ||T_j T_i v - T_i T_j v||, summed over the m (m - 1) / 2 pairs
+    i < j, must total at most m (m - 1) / 2 (7 (32 n^2 + 2 n) u)^2.
+    Every tuple that passes (a) and (b) passes it: below, each commutator
+    has norm <= 4 eps - 2 eps^2, each side is two products of factors of
+    norm <= rho + eps <= 1, rounding by about 2 n u, and the subtraction
+    by 2 u, so each norm the probe sums is at most 4 eps + 4 n u + 2 u
+    <= 7 eps, with eps <= (32 n^2 + 2 n) u by (b).  So two normals that
+    do not commute pay no eigensolve, only O(m^2 n^2) work.
 
     The argument runs to first order in u and r, with each product of
     factors of norm <= 1 rounding by about n u (normwise, as p(n) in
@@ -719,12 +729,17 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     if not (cols.max() < slack
             and (gaps * gaps).sum(axis=1).max() <= _gap_bound(n)):
         return None
-    if len(a) > 1:
-        v = np.exp(1j * _GOLDEN_ANGLE * np.arange(n)) / math.sqrt(n)
-        y = a @ (a @ v).T  # y[j, :, i] = T_j T_i v
-        y = y - y.transpose(2, 1, 0)
+    m = len(a)
+    if m > 1:
+        w = a @ _probe_vector(n)  # w[i] = T_i v
+        if m == 2:
+            y = a[0] @ w[1] - a[1] @ w[0]
+        else:
+            y = (a.reshape(m * n, n) @ w.T).reshape(m, n, m)
+            i, j = np.triu_indices(m, 1)
+            y = y[j, :, i] - y[i, :, j]  # T_j T_i v - T_i T_j v, i < j
         bound = 7 * (_ROUNDING_LEVEL * n * n + 2 * n) * u
-        if np.vdot(y, y).real > len(a) * (len(a) - 1) * bound * bound:
+        if np.vdot(y, y).real > m * (m - 1) / 2 * bound * bound:
             return None
     for lam, r in joint_spectrum(a):
         square = lam.real ** 2 + lam.imag ** 2

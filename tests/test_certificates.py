@@ -1756,11 +1756,9 @@ class TestDirectSumSplit:
     def test_a_permuted_direct_sum_keeps_the_oracles_report(
             self, data, m, kind, scale, seed):
         # fail reports are the oracle's, bitwise or within the split's
-        # band, and what the sweep raises is the oracle's; a pass keeps
-        # its verdict, parameters and first note, and a split pass names
-        # the split, its margin within s of the oracle's where N sets it,
-        # and within the band of R's boxes, at most e at degree D, where
-        # R's margin at its own order sets it.  A zero summand is a
+        # band, and what the sweep raises is the oracle's; a pass keeps its
+        # verdict, parameters and first note, and a split pass names the
+        # split, its margin within s of the oracle's.  A zero summand is a
         # candidate too, and a tuple whose summands are all candidates
         # takes no split
         rng = np.random.default_rng(seed)
@@ -1770,8 +1768,8 @@ class TestDirectSumSplit:
         d = data.draw(st.integers(1, 48 - k))
         normals = [scale * np.asarray(x)
                    for x in make_commuting_normals(seed, d, m)]
-        rest = _rest(kind, k, m, rng)
-        mats = _permuted_sum(normals, rest, rng.permutation(d + k))
+        mats = _permuted_sum(normals, _rest(kind, k, m, rng),
+                             rng.permutation(d + k))
         degree = data.draw(st.integers(0, _affordable_degree(m, d + k)))
         rep = _outcome(generator_certificate, mats, degree, 1e-8)
         want = _outcome(sweep_oracle, mats, degree, 1e-8)
@@ -1784,10 +1782,8 @@ class TestDirectSumSplit:
             want["verdict"], want["parameters"], want["notes"][0])
         if note is None:
             return
-        cols = (np.abs(np.asarray(rest)) ** 2).sum(axis=1)
-        e = max(certificates._band(cols, [degree * (i == j) for j in range(m)],
-                                   d + k, 1e-8) for i in range(m))
-        assert abs(rep["margin"] - want["margin"]) <= max(_noted(note, "s"), e)
+        s = float(note.split("within s = ")[1].split(" ")[0])
+        assert abs(rep["margin"] - want["margin"]) <= s
         assert rep["notes"][1:] == [note]
 
     @pytest.mark.parametrize("kind", ["jordan", "shift", "weighted",
