@@ -731,15 +731,12 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
         return None
     m = len(a)
     if m > 1:
-        w = a @ _probe_vector(n)  # w[i] = T_i v
-        if m == 2:
-            y = a[0] @ w[1] - a[1] @ w[0]
-        else:
-            y = (a.reshape(m * n, n) @ w.T).reshape(m, n, m)
-            i, j = np.triu_indices(m, 1)
-            y = y[j, :, i] - y[i, :, j]  # T_j T_i v - T_i T_j v, i < j
+        w, total = a @ _probe_vector(n), 0.0  # w[j] = T_j v
+        for i in range(1, m):
+            y = w[:i] @ a[i].T - a[:i] @ w[i]  # T_i T_j v - T_j T_i v, j < i
+            total += np.vdot(y, y).real
         bound = 7 * (_ROUNDING_LEVEL * n * n + 2 * n) * u
-        if np.vdot(y, y).real > m * (m - 1) / 2 * bound * bound:
+        if total > m * (m - 1) / 2 * bound * bound:
             return None
     for lam, r in joint_spectrum(a):
         square = lam.real ** 2 + lam.imag ** 2
