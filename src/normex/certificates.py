@@ -9,7 +9,6 @@ discharge a universally quantified condition.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_PSD_TOL,
-    _GOLDEN_ANGLE,
     _ROUNDING_LEVEL,
     CMatrix,
     PsdVerdict,
@@ -638,24 +636,15 @@ def _gap_bound(n):
     return ((4 * _ROUNDING_LEVEL + 10) * 2.0 ** -53 * n * n) ** 2
 
 
-@functools.lru_cache(maxsize=16)
-def _probe_vector(n: int):
-    """``_closed_form``'s commutation probe: the unit vector v of order n,
-    v_j = e^{i j theta} / sqrt(n), theta the golden angle; read-only."""
-    v = np.exp(1j * _GOLDEN_ANGLE * np.arange(n)) / math.sqrt(n)
-    v.flags.writeable = False
-    return v
-
-
-def _closed_form(mats, max_degree: int, tol: float, sums=None):
-    """The generator sweep's margin over a commuting normal tuple, read off
-    its joint spectrum where the Delta path provably passes: (margin, r, s)
-    with margin = (min_ij f_ij)^D, f_ij = 1 - |lam_ij|^2 and D =
-    ``max_degree``, from a table lam and residual r of ``joint_spectrum``;
-    else None.  ``sums`` is (gaps, cols), the self-commutator diagonals
-    and squared column norms of ``_square_sums`` (each of shape (m, n)),
-    when the caller has read them.  With n the order, u = 2^-53 and
-    eps = r + 2 n u, the tuple must pass four tests:
+def _closed_form(a, max_degree: int, tol: float, sums):
+    """The generator sweep's margin over a commuting normal tuple, a stack
+    ``a`` (m, n, n), read off its joint spectrum where the Delta path
+    provably passes: (margin, r, s) with margin = (min_ij f_ij)^D,
+    f_ij = 1 - |lam_ij|^2 and D = ``max_degree``, from a table lam and
+    residual r of ``joint_spectrum``; else None.  ``sums`` is (gaps, cols),
+    the self-commutator diagonals and squared column norms of
+    ``_square_sums`` (each of shape (m, n)).  With n the order, u = 2^-53
+    and eps = r + 2 n u, the tuple must pass four tests:
     - (a) rho + r + 2 n u <= 1 - 64 n^2 u, rho = max |lam_ij|;
     - (b) r <= 32 n^2 u, the rounding level (``_ROUNDING_LEVEL``): a joint
       eigenbasis that leaves more is not trusted;
@@ -664,27 +653,17 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     The tests read the first eigenbasis of ``joint_spectrum``, and where it
     misses them, its refined one: clustered joint eigenvalues, which the
     first mixes at a residual above rounding, fall apart there.
-    Three necessary checks fail fast before the eigensolve.  A squared
+    Two necessary checks fail fast before the eigensolve.  A squared
     column norm >= 1 - 64 n^2 u gives ||T_i|| > 1 - 64 n^2 u, against (a),
     so a unitary, a shift or (1 + 0.75 tol) I pays no eigensolve.  An
-    operator that is not normal at rounding level fails the second: the
+    operator that is not normal at rounding level fails the other: the
     diagonal of T_i T_i* - T_i* T_i, the squared row norms of T_i less
     its squared column norms (``gaps``), must have norm at most
     4 * 32 n^2 u + 10 n^2 u.  For T_i within eps of a normal N_i (below),
     ||T_i T_i* - T_i* T_i||_F <= 4 eps to first order, and forming the
     squared norms rounds the diagonal by at most 2 n^(3/2) u; so every
     tuple that passes (b) passes this check, while r J or a shift in its
-    own basis fails it in O(n^2) work.  The third probes commutation on
-    one fixed unit vector v, v_j = e^{i j theta} / sqrt(n) (theta the
-    golden angle, ``_probe_vector``): the squares of
-    ||T_j T_i v - T_i T_j v||, summed over the m (m - 1) / 2 pairs
-    i < j, must total at most m (m - 1) / 2 (7 (32 n^2 + 2 n) u)^2.
-    Every tuple that passes (a) and (b) passes it: below, each commutator
-    has norm <= 4 eps - 2 eps^2, each side is two products of factors of
-    norm <= rho + eps <= 1, rounding by about 2 n u, and the subtraction
-    by 2 u, so each norm the probe sums is at most 4 eps + 4 n u + 2 u
-    <= 7 eps, with eps <= (32 n^2 + 2 n) u by (b).  So two normals that
-    do not commute pay no eigensolve, only O(m^2 n^2) work.
+    own basis fails it in O(n^2) work.
 
     The argument runs to first order in u and r, with each product of
     factors of norm <= 1 rounding by about n u (normwise, as p(n) in
@@ -722,22 +701,12 @@ def _closed_form(mats, max_degree: int, tol: float, sums=None):
     judges, which include each D e_i, lies within s of the closed form.
     (b) keeps that move at rounding level: s then counts only rounding,
     amplified by the degree."""
-    a = np.asarray(mats)
     n, u = a.shape[-1], 2.0 ** -53
-    gaps, cols = _square_sums(a) if sums is None else sums
+    gaps, cols = sums
     slack = 1.0 - 64 * n * n * u
     if not (cols.max() < slack
             and (gaps * gaps).sum(axis=1).max() <= _gap_bound(n)):
         return None
-    m = len(a)
-    if m > 1:
-        w, total = a @ _probe_vector(n), 0.0  # w[j] = T_j v
-        for i in range(1, m):
-            y = w[:i] @ a[i].T - a[:i] @ w[i]  # T_i T_j v - T_j T_i v, j < i
-            total += np.vdot(y, y).real
-        bound = 7 * (_ROUNDING_LEVEL * n * n + 2 * n) * u
-        if total > m * (m - 1) / 2 * bound * bound:
-            return None
     for lam, r in joint_spectrum(a):
         square = lam.real ** 2 + lam.imag ** 2
         rho2 = square.max().item()
@@ -781,8 +750,8 @@ def _normal_summands(a, gaps, cols):
     sets the least eigenvalue of a failing box.  So the first box of R
     that fails is the tuple's first failure, with the same witness and
     ``tuples_checked``.  When R passes, the tuple passes with margin
-    min(R's margin, (min_ij f_ij)^D), within s of the Delta path's
-    (rounding at the orders of R and of the tuple aside).
+    min(R's margin, (min_ij f_ij)^D), whose distance from the Delta
+    path's is bounded below.
 
     Where R first fails, at box n, with least eigenvalue min_R, tolerance
     tol_R and Hermitian defect d_R at R's order k, the tuple's box at its
@@ -817,8 +786,16 @@ def _normal_summands(a, gaps, cols):
     path fails at n and raises nothing.  The caller then reports R's
     verdict, whose margin lies within e of the Delta path's, its
     tolerance within tol max(s, e) and its defect within 2 s + e, with a
-    note naming s and e.  Inside the band it judges the tuple's own box
-    at n as the Delta path does, so the report is the Delta path's."""
+    note naming s and e.  Inside the band the caller gives the split up:
+    the whole tuple is gated and walks the Delta path, whose report it
+    then is.
+
+    The same argument bounds a pass.  At every box n the least eigenvalue
+    of R's block of the tuple's box lies within e(n) of R's own, so the
+    pass margin lies within s of the Delta path's where N's closed form
+    sets it, and within R's band e where R's margin sets it, e taken at
+    the largest over R's boxes (at D e_i for the largest rho_i); where the
+    two margins lie closer than that, within the larger of s and e."""
     label = _summand_labels(a)
     if label is None:
         return None
@@ -895,8 +872,7 @@ def generator_certificate(
     is the tuple's report, with the Delta path's witness and
     ``tuples_checked``, its margin within e of the Delta path's, its
     tolerance within tol max(s, e), and a note naming the summands'
-    orders, s and e; inside the band, the tuple's own box is judged as the
-    Delta path judges it, so the report is the Delta path's.  A pass takes
+    orders, s and e; inside the band the whole tuple walks.  A pass takes
     the lower of the two margins and a note naming the summands' orders, r
     and s.
 
@@ -906,7 +882,7 @@ def generator_certificate(
     no normal summand or only normal ones, normal summands that miss the
     closed form, other summands that miss the gate (the whole tuple's
     gate then gives the witness, so every not-applicable report is the
-    gate's), or that raise or fail where the tuple's box passes.
+    gate's), or that raise or fail inside the band.
 
     The Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
@@ -977,32 +953,26 @@ def generator_certificate(
         margin, r, s = closed
         try:
             checked, worst, failure = sweep(residual)
-            inside, outside = _summand_orders(label, mask)
-            if failure is None:
-                return passed(checked, min(worst, margin), swept, (
-                    f"direct sum: the normal summands, of orders {inside}, "
-                    f"have their margin {read_off(r)}, within s = {s:.3e} "
-                    "of the Delta path's; the Delta path swept the others, "
-                    f"of orders {outside}"))
-            n, verdict = failure
-            e = _band(cols[:, rest], n, dim, tol)
-            if (verdict.min_eigenvalue + e < -max(
-                    verdict.tolerance_used + tol * e, tol * (1.0 + s))
-                    and verdict.hermitian_defect + 2.0 * s + e <= tol):
-                return failed(checked, n, verdict, (
-                    "direct sum: the Delta path failed on the summands of "
-                    f"orders {outside} at their own order, within "
-                    f"e = {e:.3e} of the whole tuple's box; the normal "
-                    f"summands, of orders {inside}, lie within s = {s:.3e} "
-                    "of PSD boxes"))
-            # inside the band: the tuple's own box, as the Delta path
-            # judges it
-            verdict = psd_check(_defect_map(
-                mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
-                tol)
         except (InputError, NotHermitianError):
             return None  # the Delta path raises, or decides, as before
-        return None if verdict.is_psd else failed(checked, n, verdict)
+        inside, outside = _summand_orders(label, mask)
+        if failure is None:
+            return passed(checked, min(worst, margin), swept, (
+                f"direct sum: the normal summands, of orders {inside}, have "
+                f"their margin {read_off(r)}, within s = {s:.3e} of the "
+                "Delta path's; the Delta path swept the others, of orders "
+                f"{outside}"))
+        n, verdict = failure
+        e = _band(cols[:, rest], n, dim, tol)
+        if not (verdict.min_eigenvalue + e < -max(
+                verdict.tolerance_used + tol * e, tol * (1.0 + s))
+                and verdict.hermitian_defect + 2.0 * s + e <= tol):
+            return None  # inside the band: the whole tuple walks
+        return failed(checked, n, verdict, (
+            "direct sum: the Delta path failed on the summands of orders "
+            f"{outside} at their own order, within e = {e:.3e} of the whole "
+            f"tuple's box; the normal summands, of orders {inside}, lie "
+            f"within s = {s:.3e} of PSD boxes"))
 
     if dim:
         stack = np.asarray(mats)

@@ -1590,8 +1590,9 @@ class TestClosedForm:
         mats = [scale * np.asarray(x)
                 for x in make_commuting_normals(seed, dim, m)]
         rep = generator_certificate(mats, degree)
+        stack = np.asarray([cmatrix(x) for x in mats])
         closed = certificates._closed_form(
-            [cmatrix(x) for x in mats], degree, 1e-8)
+            stack, degree, 1e-8, certificates._square_sums(stack))
         assert _routed(rep) == (closed is not None)
         if closed is None:
             return
@@ -1819,15 +1820,15 @@ class TestDirectSumSplit:
             assert abs(rep["margin"] - want["margin"]) <= s
 
     @pytest.mark.parametrize("excess", [1e-4, 0.25])
-    def test_a_failure_inside_the_band_is_judged_at_full_order(
+    def test_a_failure_inside_the_band_walks_the_whole_tuple(
             self, monkeypatch, excess):
         # N (+) r J with 1 - 4 r^2 = -tol (1 + excess): the rest's boxes
         # are diag(1, 1 - j r^2), so it first fails at n = 4.  At excess
         # 1e-4 it fails by 1e-12 past its tolerance, inside its band e
-        # (about 5e-12), so the tuple's own box there is stepped at full
-        # order and the report is the oracle's bitwise; at 0.25 the rest's
-        # verdict is the report, and no array of the tuple's order is
-        # stepped
+        # (about 5e-12), so the split is given up: the whole tuple is
+        # gated and walks at full order, and the report is the oracle's
+        # bitwise; at 0.25 the rest's verdict is the report, and no array
+        # of the tuple's order is stepped
         tol, order = 1e-8, 8
         r = math.sqrt((1.0 + tol * (1.0 + excess)) / 4)
         mats = _permuted_sum(
@@ -1844,7 +1845,7 @@ class TestDirectSumSplit:
         assert 1e-12 < e < 1e-11
         if excess < e / tol:
             assert repr(rep) == repr(want)
-            assert stepped.count(order) == 4
+            assert stepped.count(order) == 6
         else:
             assert _noted(_split_note(rep), "e") == float(f"{e:.3e}")
             assert _is_delta_report(rep, want)
@@ -1949,8 +1950,9 @@ class TestClusteredSpectra:
         degree = data.draw(st.integers(0, min(10, _affordable_degree(
             m, dim))))
         rep = generator_certificate(mats, degree)
+        stack = np.asarray([cmatrix(x) for x in mats])
         closed = certificates._closed_form(
-            [cmatrix(x) for x in mats], degree, 1e-8)
+            stack, degree, 1e-8, certificates._square_sums(stack))
         assert _routed(rep) and closed is not None
         margin, r, s = closed
         assert r <= certificates._ROUNDING_LEVEL * dim * dim * 2.0 ** -53
@@ -1979,16 +1981,17 @@ class TestClusteredSpectra:
         assert calls == {"eigh": [(8, 8), (2, 2)]}
 
     @pytest.mark.parametrize("n", [16, 64])
-    def test_a_non_commuting_normal_pair_skips_its_eigensolve(
+    def test_a_non_commuting_normal_pair_makes_one_eigensolve(
             self, monkeypatch, n):
-        # each is normal and its columns are short, but the closed form's
-        # commutation probe rules the pair out before its joint spectrum,
-        # and the gate rejects it
+        # each is normal and its columns are short, so the closed form
+        # solves the first basis; the second operator is dense in it, its
+        # links join every column, and nothing is refined before the gate
+        # rejects the pair
         mats = [0.9 * np.asarray(make_commuting_normals(seed, n, 1)[0])
                 for seed in (1, 2)]
         calls = count_solvers(monkeypatch, "eigh")
         rep = generator_certificate(mats, 4)
-        assert calls == {"eigh": []}
+        assert calls == {"eigh": [(n, n)]}
         assert rep.witness["reason"] == "non-commuting"
 
     @pytest.mark.parametrize("m", [1, 2, 3])

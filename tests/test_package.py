@@ -69,6 +69,48 @@ def test_every_imported_name_is_used(module):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
+def _private_definitions(tree):
+    """(name, statement) of each private function, class and constant a
+    module defines at its top level; dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def _references(node):
+    """Each name that ``node`` reads, bare or as an attribute."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper, class or constant that only its own definition
+    # (or a test) reads is dead code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    reads = [(node, set(_references(node)))
+             for tree in trees.values() for node in tree.body]
+    defined = [(module, name, node) for module, tree in trees.items()
+               for name, node in _private_definitions(tree)]
+    assert len(defined) > 50
+    assert [(module, name) for module, name, node in defined
+            if not any(name in names for other, names in reads
+                       if other is not node)] == []
+
+
 #: the functions that may call each LAPACK factorization: every PSD
 #: verdict, norm and spectrum of the package comes from one of them, so a
 #: second copy of the PSD rule or of a norm cannot grow beside them; and
@@ -81,12 +123,9 @@ SOLVER_CALLERS = {
     "_psd_stack": {("linalg.py", "psd_check"), ("certificates.py", "_judge")},
     "_delta": {("certificates.py", "_defect_map"),
                ("certificates.py", "_chain"), ("certificates.py", "_walk")},
-    # the box and subset sums, and the direct-sum split's one full-order
-    # judgment of a failing box inside its band: no second full-order
-    # re-judge grows beside it
+    # the box and subset sums: no sweep route re-judges a box at full order
     "_defect_map": {("certificates.py", "box_operator"),
-                    ("certificates.py", "brehmer_sum"),
-                    ("certificates.py", "generator_certificate")},
+                    ("certificates.py", "brehmer_sum")},
 }
 
 
@@ -148,7 +187,7 @@ def test_one_walk_steps_and_one_judge_judges():
     assert _stray_calls({"_psd_stack", "_delta"}) == (True, [])
 
 
-def test_one_full_order_rejudge():
+def test_no_route_rejudges_at_full_order():
     assert _stray_calls({"_defect_map"}) == (True, [])
 
 
