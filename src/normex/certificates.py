@@ -786,9 +786,8 @@ def _normal_summands(a, gaps, cols):
     path fails at n and raises nothing.  The caller then reports R's
     verdict, whose margin lies within e of the Delta path's, its
     tolerance within tol max(s, e) and its defect within 2 s + e, with a
-    note naming s and e.  Inside the band the caller gives the split up:
-    the whole tuple is gated and walks the Delta path, whose report it
-    then is.
+    note naming s and e.  Inside the band it judges the tuple's own box
+    at n as the Delta path does, so the report is the Delta path's.
 
     The same argument bounds a pass.  At every box n the least eigenvalue
     of R's block of the tuple's box lies within e(n) of R's own, so the
@@ -872,7 +871,8 @@ def generator_certificate(
     is the tuple's report, with the Delta path's witness and
     ``tuples_checked``, its margin within e of the Delta path's, its
     tolerance within tol max(s, e), and a note naming the summands'
-    orders, s and e; inside the band the whole tuple walks.  A pass takes
+    orders, s and e; inside the band, the tuple's own box is judged as the
+    Delta path judges it, so the report is the Delta path's.  A pass takes
     the lower of the two margins and a note naming the summands' orders, r
     and s.
 
@@ -882,7 +882,7 @@ def generator_certificate(
     no normal summand or only normal ones, normal summands that miss the
     closed form, other summands that miss the gate (the whole tuple's
     gate then gives the witness, so every not-applicable report is the
-    gate's), or that raise or fail inside the band.
+    gate's), or that raise or fail where the tuple's box passes.
 
     The Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
@@ -953,26 +953,32 @@ def generator_certificate(
         margin, r, s = closed
         try:
             checked, worst, failure = sweep(residual)
+            inside, outside = _summand_orders(label, mask)
+            if failure is None:
+                return passed(checked, min(worst, margin), swept, (
+                    f"direct sum: the normal summands, of orders {inside}, "
+                    f"have their margin {read_off(r)}, within s = {s:.3e} "
+                    "of the Delta path's; the Delta path swept the others, "
+                    f"of orders {outside}"))
+            n, verdict = failure
+            e = _band(cols[:, rest], n, dim, tol)
+            if (verdict.min_eigenvalue + e < -max(
+                    verdict.tolerance_used + tol * e, tol * (1.0 + s))
+                    and verdict.hermitian_defect + 2.0 * s + e <= tol):
+                return failed(checked, n, verdict, (
+                    "direct sum: the Delta path failed on the summands of "
+                    f"orders {outside} at their own order, within "
+                    f"e = {e:.3e} of the whole tuple's box; the normal "
+                    f"summands, of orders {inside}, lie within s = {s:.3e} "
+                    "of PSD boxes"))
+            # inside the band: the tuple's own box, as the Delta path
+            # judges it
+            verdict = psd_check(_defect_map(
+                mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
+                tol)
         except (InputError, NotHermitianError):
             return None  # the Delta path raises, or decides, as before
-        inside, outside = _summand_orders(label, mask)
-        if failure is None:
-            return passed(checked, min(worst, margin), swept, (
-                f"direct sum: the normal summands, of orders {inside}, have "
-                f"their margin {read_off(r)}, within s = {s:.3e} of the "
-                "Delta path's; the Delta path swept the others, of orders "
-                f"{outside}"))
-        n, verdict = failure
-        e = _band(cols[:, rest], n, dim, tol)
-        if not (verdict.min_eigenvalue + e < -max(
-                verdict.tolerance_used + tol * e, tol * (1.0 + s))
-                and verdict.hermitian_defect + 2.0 * s + e <= tol):
-            return None  # inside the band: the whole tuple walks
-        return failed(checked, n, verdict, (
-            "direct sum: the Delta path failed on the summands of orders "
-            f"{outside} at their own order, within e = {e:.3e} of the whole "
-            f"tuple's box; the normal summands, of orders {inside}, lie "
-            f"within s = {s:.3e} of PSD boxes"))
+        return None if verdict.is_psd else failed(checked, n, verdict)
 
     if dim:
         stack = np.asarray(mats)

@@ -123,9 +123,12 @@ SOLVER_CALLERS = {
     "_psd_stack": {("linalg.py", "psd_check"), ("certificates.py", "_judge")},
     "_delta": {("certificates.py", "_defect_map"),
                ("certificates.py", "_chain"), ("certificates.py", "_walk")},
-    # the box and subset sums: no sweep route re-judges a box at full order
+    # the box and subset sums, and the direct-sum split's one full-order
+    # judgment of a failing box inside its band: no second full-order
+    # re-judge grows beside it
     "_defect_map": {("certificates.py", "box_operator"),
-                    ("certificates.py", "brehmer_sum")},
+                    ("certificates.py", "brehmer_sum"),
+                    ("certificates.py", "generator_certificate")},
 }
 
 
@@ -187,7 +190,7 @@ def test_one_walk_steps_and_one_judge_judges():
     assert _stray_calls({"_psd_stack", "_delta"}) == (True, [])
 
 
-def test_no_route_rejudges_at_full_order():
+def test_one_full_order_rejudge():
     assert _stray_calls({"_defect_map"}) == (True, [])
 
 
