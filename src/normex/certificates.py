@@ -775,19 +775,19 @@ def _normal_summands(a, gaps, cols):
     the least eigenvalue of R's block of the tuple's box lies within
     2 (2 k + 1) |n| u P + 64 (k^2 + o^2) u P <= e of min_R, and its skew
     part within e of R's.  N's block has spectrum in [-tol / 2, 1 + s] and
-    skew part of norm <= 2 s (``_closed_form``).  So when
-        min_R + e < -max(tol_R + tol e, tol (1 + s))  and
-        d_R + 2 s + e <= tol,
+    skew part of norm <= 2 s <= tol (``_closed_form``'s test (c)).  So when
+        min_R + e < -max(tol_R + tol e, tol (1 + s))  and  d_R + e <= tol,
     R's block holds the tuple's least eigenvalue min <= min_R + e, below
-    -tol, its tolerance tol max(1, -min, top) is at most
-    max(tol_R + tol e, tol (1 + s)), and its defect (the Frobenius norm
-    of a direct sum's skew part is at most the sum of its summands', the
-    spectral norm the larger) is at most d_R + 2 s + e <= tol: the Delta
+    -tol, and its tolerance tol max(1, -min, top) is at most
+    max(tol_R + tol e, tol (1 + s)).  ``_psd_stack`` raises only where the
+    spectral norm of the skew part, which it computes when the Frobenius
+    bound fails, exceeds that tolerance, at least tol; the box is block
+    diagonal, so that norm is the larger of the blocks', at most 2 s and
+    d_R + e (the sum d_R + 2 s bounds only the Frobenius norm): the Delta
     path fails at n and raises nothing.  The caller then reports R's
-    verdict, whose margin lies within e of the Delta path's, its
-    tolerance within tol max(s, e) and its defect within 2 s + e, with a
-    note naming s and e.  Inside the band it judges the tuple's own box
-    at n as the Delta path does, so the report is the Delta path's.
+    verdict, its margin within e of the Delta path's and its tolerance
+    within tol max(s, e), with a note naming s and e.  Inside the band the
+    caller gives the split up, and the whole tuple is gated and walks.
 
     The same argument bounds a pass.  At every box n the least eigenvalue
     of R's block of the tuple's box lies within e(n) of R's own, so the
@@ -871,10 +871,8 @@ def generator_certificate(
     is the tuple's report, with the Delta path's witness and
     ``tuples_checked``, its margin within e of the Delta path's, its
     tolerance within tol max(s, e), and a note naming the summands'
-    orders, s and e; inside the band, the tuple's own box is judged as the
-    Delta path judges it, so the report is the Delta path's.  A pass takes
-    the lower of the two margins and a note naming the summands' orders, r
-    and s.
+    orders, s and e.  A pass takes the lower of the two margins and a note
+    naming the summands' orders, r and s.
 
     Every other tuple is gated first (``_gate``, on stacks of at most one
     group; on commuting contractions it solves no eigenproblem), exactly
@@ -882,7 +880,7 @@ def generator_certificate(
     no normal summand or only normal ones, normal summands that miss the
     closed form, other summands that miss the gate (the whole tuple's
     gate then gives the witness, so every not-applicable report is the
-    gate's), or that raise or fail where the tuple's box passes.
+    gate's), that raise, or that fail inside the band.
 
     The Delta path: ``_walk`` steps the boxes, each bitwise equal to
     ``box_operator(mats, n)``, and ``_judge`` judges them, in groups of at
@@ -953,32 +951,27 @@ def generator_certificate(
         margin, r, s = closed
         try:
             checked, worst, failure = sweep(residual)
-            inside, outside = _summand_orders(label, mask)
-            if failure is None:
-                return passed(checked, min(worst, margin), swept, (
-                    f"direct sum: the normal summands, of orders {inside}, "
-                    f"have their margin {read_off(r)}, within s = {s:.3e} "
-                    "of the Delta path's; the Delta path swept the others, "
-                    f"of orders {outside}"))
-            n, verdict = failure
-            e = _band(cols[:, rest], n, dim, tol)
-            if (verdict.min_eigenvalue + e < -max(
-                    verdict.tolerance_used + tol * e, tol * (1.0 + s))
-                    and verdict.hermitian_defect + 2.0 * s + e <= tol):
-                return failed(checked, n, verdict, (
-                    "direct sum: the Delta path failed on the summands of "
-                    f"orders {outside} at their own order, within "
-                    f"e = {e:.3e} of the whole tuple's box; the normal "
-                    f"summands, of orders {inside}, lie within s = {s:.3e} "
-                    "of PSD boxes"))
-            # inside the band: the tuple's own box, as the Delta path
-            # judges it
-            verdict = psd_check(_defect_map(
-                mats, [i for i, d in enumerate(n) for _ in range(d)], dim),
-                tol)
         except (InputError, NotHermitianError):
             return None  # the Delta path raises, or decides, as before
-        return None if verdict.is_psd else failed(checked, n, verdict)
+        inside, outside = _summand_orders(label, mask)
+        if failure is None:
+            return passed(checked, min(worst, margin), swept, (
+                f"direct sum: the normal summands, of orders {inside}, "
+                f"have their margin {read_off(r)}, within s = {s:.3e} "
+                "of the Delta path's; the Delta path swept the others, "
+                f"of orders {outside}"))
+        n, verdict = failure
+        e = _band(cols[:, rest], n, dim, tol)
+        if (verdict.min_eigenvalue + e < -max(
+                verdict.tolerance_used + tol * e, tol * (1.0 + s))
+                and verdict.hermitian_defect + e <= tol):
+            return failed(checked, n, verdict, (
+                "direct sum: the Delta path failed on the summands of "
+                f"orders {outside} at their own order, within "
+                f"e = {e:.3e} of the whole tuple's box; the normal "
+                f"summands, of orders {inside}, lie within s = {s:.3e} "
+                "of PSD boxes"))
+        return None  # inside the band: the whole tuple walks
 
     if dim:
         stack = np.asarray(mats)

@@ -592,8 +592,9 @@ def run_command(argv) -> int:
         return doc.get("exit_status", 0)  # a gallery document has none
     except SystemExit:  # --help printed the usage; errors raise InputError
         return 0
-    except (NormexError, MemoryError) as e:
-        sys.stderr.write(f"error: {str(e) or 'out of memory'}\n")
+    except (NormexError, MemoryError, RecursionError) as e:
+        sys.stderr.write("error: " + ("input nested too deeply" if isinstance(
+            e, RecursionError) else str(e) or "out of memory") + "\n")
         return 2
 
 

@@ -150,15 +150,19 @@ def _sums_upto(ws, top: int):
             yield a + ws[j]
 
 
-def _first_split(gaps, top: int) -> tuple[int, int] | None:
-    """The first split of a gap set in (gap, member) order: (a, g) with g
-    the least gap that is a sum a + b of positive members and a <= b the
-    least such summand, or None when no gap splits.  The positive members
-    up to ``top``, the largest gap, form one bit mask; its shift by a
-    member a marks every sum a + b, and a runs only up to half the least
-    split gap found so far.  So the search takes O(top) shifts of a
-    top-bit integer, not a scan of every gap against every summand."""
-    members = [a for a in range(1, top) if a not in gaps]
+def _first_split(gaps) -> tuple[int, int]:
+    """The first split of a gap set in which some gap splits, in (gap,
+    member) order: (a, g) with g the least gap that is a sum a + b of
+    positive members and a <= b the least such summand.  Each gap
+    g >= 2G, G the number of gaps, splits below 2G: the G - 1 others rule
+    out at most two summands each, x and g - x, so one of 1, ..., 2G - 1
+    is left.  So the members up to top = min(F, 2G - 1), F the largest
+    gap, form one bit mask; its shift by a member a marks every sum
+    a + b, a runs only up to half the least split gap found so far, and
+    when no gap up to top splits, the least gap above it does.  The
+    search takes O(G) shifts of an O(G)-bit integer, whatever F is."""
+    top = min(max(gaps), 2 * len(gaps) - 1)
+    members = [a for a in range(1, top + 1) if a not in gaps]
     mask = sum(1 << a for a in members)
     gap_mask = ((1 << top + 1) - 2) ^ mask
     least = None
@@ -170,7 +174,7 @@ def _first_split(gaps, top: int) -> tuple[int, int] | None:
             low = (hits & -hits).bit_length() - 1
             least = low if least is None else min(least, low)
     if least is None:
-        return None
+        least = min(g for g in gaps if g > top)
     return next(a for a in members if least - a not in gaps), least
 
 
@@ -191,7 +195,7 @@ class Numerical(SemigroupDescriptor):
                 raise InputError("gap entries must be positive")
         object.__setattr__(self, "gaps", tuple(sorted(gaps)))
         if self._apery is None:  # then some gap splits
-            a, g = _first_split(gaps, self.frobenius)
+            a, g = _first_split(gaps)
             raise InputError(f"gap set not additively closed: {a} + "
                              f"{g - a} = {g} is a gap")
 

@@ -1465,8 +1465,7 @@ class TestGeneratorSweep:
         # shift tuple but the bare 2 x 2 shift is a normal summand (+) a
         # 2 x 2 block: it splits, and walks only the block, packed into
         # one group and so stepped whole (329 steps with the bare shift's
-        # 6).  Each fails far outside the band, so no failing box is
-        # stepped again at full order
+        # 6).  Each fails far outside the band, so no tuple walks whole
         total, steps, reports = self._grid_steps(monkeypatch)
         assert total == 329
         assert [label for label, rep in reports.items()
@@ -1820,15 +1819,15 @@ class TestDirectSumSplit:
             assert abs(rep["margin"] - want["margin"]) <= s
 
     @pytest.mark.parametrize("excess", [1e-4, 0.25])
-    def test_a_failure_inside_the_band_is_judged_at_full_order(
+    def test_a_failure_inside_the_band_walks_the_whole_tuple(
             self, monkeypatch, excess):
         # N (+) r J with 1 - 4 r^2 = -tol (1 + excess): the rest's boxes
         # are diag(1, 1 - j r^2), so it first fails at n = 4.  At excess
         # 1e-4 it fails by 1e-12 past its tolerance, inside its band e
-        # (about 5e-12), so the tuple's own box there is stepped at full
-        # order and the report is the oracle's bitwise; at 0.25 the rest's
-        # verdict is the report, and no array of the tuple's order is
-        # stepped
+        # (about 5e-12), so the split is given up: the whole tuple walks,
+        # its six boxes past I stepped at full order, and the report is
+        # the oracle's bitwise; at 0.25 the rest's verdict is the report,
+        # and no array of the tuple's order is stepped
         tol, order = 1e-8, 8
         r = math.sqrt((1.0 + tol * (1.0 + excess)) / 4)
         mats = _permuted_sum(
@@ -1845,11 +1844,45 @@ class TestDirectSumSplit:
         assert 1e-12 < e < 1e-11
         if excess < e / tol:
             assert repr(rep) == repr(want)
-            assert stepped.count(order) == 4
+            assert stepped.count(order) == 6
         else:
             assert _noted(_split_note(rep), "e") == float(f"{e:.3e}")
             assert _is_delta_report(rep, want)
             assert set(stepped) == {2}
+
+    @pytest.mark.parametrize("seed, label", [
+        (55, "sweep jordan m=1 dim=64 D=8"),
+        (2668, "sweep jordan m=3 dim=64 D=6")])
+    def test_a_normal_summand_near_half_tol_decides_at_the_rests_order(
+            self, monkeypatch, seed, label):
+        # grid ops whose normal summand has s near tol / 2, so that
+        # 2 s + e > tol, beside r J failing far outside its band: the
+        # tuple's box has a skew part of spectral norm at most
+        # max(2 s, d_R + e) <= tol, so the rest's verdict is the report,
+        # bitwise the oracle's margin and tolerance, with the band note,
+        # and only the 2 x 2 rest is stepped
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        op = next(op for op in workloads.build_sweep(seed)
+                  if op.label == label)
+        swept, stepped = [], []
+        real_sweep, real_delta = generator_certificate, certificates._delta
+        monkeypatch.setattr(certificates, "generator_certificate", lambda *a: (
+            swept.append(a) or real_sweep(*a)))
+        monkeypatch.setattr(certificates, "_delta", lambda x, *a, **k: (
+            stepped.append(x.shape[-1]) or real_delta(x, *a, **k)))
+        rep = op.run()
+        monkeypatch.undo()
+        assert op.check(rep)[0] and set(stepped) == {2}
+        [(mats, degree)] = swept
+        want = sweep_oracle(mats, degree).as_dict()
+        rep = rep.as_dict()
+        note = _split_note(rep)
+        assert rep["notes"] == want["notes"] + [note]
+        assert repr({**rep, "notes": want["notes"]}) == repr(want)
+        s, e = _noted(note, "s"), _noted(note, "e")
+        assert 4.8e-9 < s <= 5e-9 and 2 * s + e > 1e-8
 
     @pytest.mark.parametrize("case", [
         "normal", "contraction", "rotated-shift", "diagonal", "normal+zero",

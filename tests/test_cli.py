@@ -599,6 +599,56 @@ def test_a_long_gap_run_exits_two_in_linear_time(tmp_path, capsys):
         2, "", "error: expected 4001 generator images, got 1\n")
 
 
+def test_a_huge_gap_exits_two_in_constant_time(tmp_path, capsys):
+    # a lone gap of 10**12 splits as 1 + (10**12 - 1); a bit mask of every
+    # member below it was killed for memory
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({
+        "descriptor": {"kind": "numerical", "gaps": [10 ** 12]},
+        "representation": {"generators": [[[[0.5, 0]]]]}}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--input", str(p))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (
+        2, "", "error: descriptor: gap set not additively closed: "
+        "1 + 999999999999 = 1000000000000 is a gap\n")
+
+
+def _nested(depth, array=False):
+    """A document whose descriptor is a product nested ``depth`` deep
+    around free_abelian(1), or whose generators are an array nested
+    ``depth`` deep, as JSON text (the encoder would recurse too)."""
+    descriptor, generators = (
+        '{"kind": "free_abelian", "k": 1}', "[" * depth + "]" * depth
+    ) if array else (
+        '{"kind": "product", "factors": [' * depth
+        + '{"kind": "free_abelian", "k": 1}' + "]}" * depth,
+        "[[[[0.5, 0]]]]")
+    return (f'{{"descriptor": {descriptor}, '
+            f'"representation": {{"generators": {generators}}}}}')
+
+
+@pytest.mark.parametrize("depth, array", [
+    (50, False), (300, False), (1000, False), (100000, False),
+    (100000, True)],
+    ids=["product-50", "product-300", "product-1000", "product-100000",
+         "array-100000"])
+@pytest.mark.parametrize("command", [("validate",), ("check", "all")],
+                         ids=["validate", "check-all"])
+def test_deep_nesting_exits_two(tmp_path, capsys, depth, array, command):
+    # the JSON reader and the descriptor readers recurse: a document
+    # nested past their depth is an input error, not a traceback that
+    # exits 1 as a failed certificate would
+    p = tmp_path / "doc.json"
+    p.write_text(_nested(depth, array))
+    code, out, err = _run(capsys, *command, "--input", str(p))
+    if depth == 50:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out, err) == (
+            2, "", "error: input nested too deeply\n")
+
+
 @pytest.mark.parametrize("descriptor, path", [
     ({"kind": "rationals"}, "descriptor"),
     ({"kind": "infinite_power", "base": {"kind": "free_abelian", "k": 1}},

@@ -187,13 +187,15 @@ class TestDescriptors:
     @given(closed=st.one_of(
         st.integers(1, 400).map(lambda f: frozenset(range(1, f + 1, 2))),
         st.lists(st.integers(2, 30), min_size=2, max_size=3).map(_gaps_of)),
-           toggled=st.frozensets(st.integers(1, 1000), min_size=1,
-                                 max_size=3))
+           toggled=st.frozensets(st.one_of(st.integers(1, 1000),
+                                           st.integers(1, 10 ** 9)),
+                                 min_size=1, max_size=3))
     def test_a_split_far_up_is_named_as_the_scan_names_it(self, closed,
                                                           toggled):
         # a closed gap set with up to three numbers added or removed: the
         # first split can lie far above the first gap, so the scan passes
-        # many gaps that do not split before it names one
+        # many gaps that do not split before it names one; an added gap
+        # up to 1e9 splits, and is named without a mask that far up
         gaps = closed ^ toggled
         want = _scan_split(gaps)
         if want is None:
@@ -202,6 +204,14 @@ class TestDescriptors:
             with pytest.raises(InputError) as exc:
                 numerical(gaps)
             assert str(exc.value) == want
+
+    def test_a_lone_huge_gap_is_named_without_a_mask_that_far_up(self):
+        # a gap g >= 2G (G gaps) always splits below 2G: masking every
+        # member below 10**12 would not fit in memory
+        with pytest.raises(InputError) as exc:
+            numerical([10 ** 12])
+        assert str(exc.value) == ("gap set not additively closed: "
+                                  "1 + 999999999999 = 1000000000000 is a gap")
 
     def test_generator_counts_match_the_generators(self):
         for d in KINDS.values():
